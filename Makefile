@@ -1,18 +1,25 @@
-# CI entry points. `make ci` is the gate: vet, build, the full test suite
-# under the race detector, the campaign determinism check (a serial vs
-# workers=4 Small-scale campaign must be byte-identical, the replay path
-# must match the legacy dual-CPU oracle, and the pruned campaign must
-# match the -no-prune one), the crash-safety check (kill/resume at any
-# point must reproduce the byte-identical dataset), the pruning
-# differential-oracle soundness gate, the telemetry concurrency tests
-# under -race, the injection and predict hot-path allocation guards, the
-# hot-table-reload swap-atomicity and training-parity gate, and the
-# serving-path SLO smoke.
+# CI entry points. `make ci` is the gate: gofmt, vet, build, the full
+# test suite under the race detector, the campaign determinism check (a
+# serial vs workers=4 Small-scale campaign must be byte-identical, the
+# replay path must match the legacy dual-CPU oracle, and the pruned
+# campaign must match the -no-prune one), the crash-safety check
+# (kill/resume at any point must reproduce the byte-identical dataset),
+# the pruning differential-oracle soundness gate, the telemetry
+# concurrency tests under -race, the injection and predict hot-path
+# allocation guards, the hot-table-reload swap-atomicity and
+# training-parity gate, and the serving-path SLO smoke.
 GO ?= go
 
-.PHONY: ci vet build test race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke serve-bench serve-slo swap-determinism distributed-bench cover bench bench-quick fuzz
+.PHONY: ci fmt vet build test race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke serve-bench serve-slo swap-determinism distributed-bench cover bench bench-quick fuzz
 
-ci: vet build race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke swap-determinism serve-slo
+ci: fmt vet build race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke swap-determinism serve-slo
+
+# Every tracked Go file must be gofmt-clean; the target lists the
+# offenders and fails.
+GOFMT ?= gofmt
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -71,11 +78,9 @@ mode-determinism:
 # The pruning soundness gate: every (kernel, fault kind) pair's pruned
 # sites are differentially re-simulated on the replay oracle at a >= 1%
 # sample (seeded, so the sample is reproducible) and every predicted
-# outcome must match the simulation exactly. Run with the trace-codec
-# round-trip checks so a compaction change cannot silently shift what
-# the liveness analysis observes.
+# outcome must match the simulation exactly.
 prune-soundness:
-	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestTraceCodecRoundTrip' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification' -count=1 ./internal/lockstep/
 
 # The telemetry layer's own contract, under -race: exact totals from
 # NumCPU hammering goroutines, monotone histogram buckets, and
@@ -127,7 +132,7 @@ cover:
 	done
 
 # Allocation regression guards for the two hot paths: steady-state
-# Replayer.InjectW (injection) and predictBytes — decode, dense lookup,
+# Replayer.InjectMode (injection) and predictBytes — decode, dense lookup,
 # render — (serving) must perform zero heap allocations, and the full
 # predict HTTP round trip must stay within its fixed stdlib-plumbing
 # budget. Run without -race (the detector's instrumentation allocates;
@@ -173,8 +178,8 @@ distributed-bench:
 	LOCKSTEP_DIST_BENCH=1 $(GO) test -run TestDistributedScalingBench -count=1 -v -timeout 20m ./internal/server/
 
 # Short fuzz passes over the campaign-log parser, the checkpoint decoder,
-# the compacted golden-trace codec, the distributed-campaign wire codec
-# (all four lease/span messages through one harness), and the three
+# the distributed-campaign wire codec (all four lease/span messages
+# through one harness), the lockstep-mode parser, and the three
 # lockstep-serve request decoders (predict bodies through the full
 # endpoint, campaign submissions and server-side training requests
 # through their validation layers).
@@ -182,7 +187,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=30s ./internal/inject/
 	$(GO) test -fuzz=FuzzLeaseDecode -fuzztime=30s ./internal/inject/
-	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=30s ./internal/lockstep/
 	$(GO) test -fuzz=FuzzModeParse -fuzztime=30s ./internal/lockstep/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzCampaignRequest -fuzztime=30s ./internal/server/

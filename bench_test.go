@@ -324,7 +324,7 @@ func BenchmarkInjectReplay(b *testing.B) {
 	rep := lockstep.NewReplayer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep.InjectW(g, mix[i%len(mix)], lockstep.StopLatency)
+		rep.InjectMode(g, mix[i%len(mix)], lockstep.Mode{}, lockstep.StopLatency)
 	}
 }
 
@@ -335,7 +335,7 @@ func BenchmarkInjectLegacy(b *testing.B) {
 	g, mix := injectionBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.InjectLegacyW(mix[i%len(mix)], lockstep.StopLatency)
+		g.InjectLegacyMode(mix[i%len(mix)], lockstep.Mode{}, lockstep.StopLatency)
 	}
 }
 
@@ -353,11 +353,11 @@ func BenchmarkInjectPruned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inj := mix[i%len(mix)]
-		if _, ok := g.Prune(inj); ok {
+		if _, ok := g.PruneMode(inj, lockstep.Mode{}); ok {
 			pruned++
 			continue
 		}
-		rep.InjectW(g, inj, lockstep.StopLatency)
+		rep.InjectMode(g, inj, lockstep.Mode{}, lockstep.StopLatency)
 	}
 	b.ReportMetric(100*float64(pruned)/float64(b.N), "%pruned")
 }

@@ -84,11 +84,12 @@ func run() error {
 	// 3. A service life of faults: random flops, mixed kinds.
 	rng := rand.New(rand.NewSource(2026))
 	var detected []dataset.Record
+	rep := lockstep.NewReplayer()
 	for len(detected) < 12 {
 		flop := rng.Intn(cpu.NumFlops())
 		kind := lockstep.FaultKind(rng.Intn(lockstep.NumFaultKinds))
 		cycle := 1000 + rng.Intn(8000)
-		out := golden.Inject(lockstep.Injection{Flop: flop, Kind: kind, Cycle: cycle})
+		out := rep.InjectMode(golden, lockstep.Injection{Flop: flop, Kind: kind, Cycle: cycle}, lockstep.Mode{}, lockstep.StopLatency)
 		if !out.Detected {
 			continue
 		}

@@ -69,7 +69,7 @@ func run() error {
 		return fmt.Errorf("no suitable held-out error; increase campaign size")
 	}
 	inj := lockstep.Injection{Flop: rec.Flop, Kind: rec.Kind, Cycle: rec.InjectCycle}
-	out := golden.Inject(inj)
+	out := lockstep.NewReplayer().InjectMode(golden, inj, lockstep.Mode{}, lockstep.StopLatency)
 	if !out.Detected {
 		return fmt.Errorf("fault unexpectedly masked")
 	}

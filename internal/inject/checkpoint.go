@@ -24,13 +24,15 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
+	"lockstep/internal/telemetry"
 )
 
 // checkpointMagic is the first line of every checkpoint file; the trailing
@@ -211,6 +213,31 @@ func (c *Checkpoint) validate(cfg Config, planLen int) error {
 	return nil
 }
 
+// restoreCheckpoint is the resume step shared by RunStats and
+// NewCoordinator: it reads the checkpoint at cfg.CheckpointPath (cfg is
+// normalized), refuses a corrupt or mismatched one, and copies its
+// records into records/done at their plan indices. It returns how many
+// experiments it restored.
+func restoreCheckpoint(cfg Config, records []dataset.Record, done []atomic.Bool) (int, error) {
+	ck, err := ReadCheckpoint(cfg.CheckpointPath)
+	if err != nil {
+		return 0, err
+	}
+	if err := ck.validate(cfg, len(records)); err != nil {
+		return 0, err
+	}
+	ri := 0
+	for _, sp := range ck.Done {
+		for i := sp.Lo; i < sp.Hi; i++ {
+			records[i] = ck.Records[ri]
+			ri++
+			done[i].Store(true)
+		}
+	}
+	telemetry.Default.Gauge("inject.experiments_restored").Set(int64(ri))
+	return ri, nil
+}
+
 // Encode renders the checkpoint in its on-disk format:
 //
 //	lockstep-checkpoint v1
@@ -376,27 +403,13 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint atomically persists a checkpoint: the file is written
-// and fsynced under a temporary name in the destination directory and
-// renamed over path, so a concurrent reader (or a resume after a crash at
-// any instant) sees a complete old or complete new checkpoint.
+// WriteCheckpoint atomically persists a checkpoint (see atomicfile.Write),
+// so a concurrent reader (or a resume after a crash at any instant) sees
+// a complete old or complete new checkpoint.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := ck.Encode(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(path, buf.Bytes())
 }

@@ -2,11 +2,15 @@ package inject
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"lockstep/internal/cpu"
+	"lockstep/internal/lockstep"
 	"lockstep/internal/telemetry"
+	"lockstep/internal/workload"
 )
 
 // failureCount reads the global containment-failure counter (monotone
@@ -23,7 +27,7 @@ func failureCount() int64 {
 
 // containConfig is ckConfig on the -no-prune oracle path: the containment
 // tests poison specific plan indices through testHook, which only fires
-// for experiments that are actually dispatched to a worker — static
+// for experiments that are actually simulated by a worker — static
 // pruning would dissolve the target site and leave the test vacuous.
 func containConfig() Config {
 	cfg := ckConfig()
@@ -51,7 +55,7 @@ func TestPanicContainment(t *testing.T) {
 		before := failureCount()
 		cfg := containConfig()
 		cfg.Workers = workers
-		cfg.testHook = func(e Experiment) {
+		cfg.testHook = func(e Experiment, _ *lockstep.Outcome) {
 			if e == poison {
 				panic("deliberately poisoned experiment")
 			}
@@ -101,7 +105,7 @@ func TestPanicRetryRecovers(t *testing.T) {
 	var mu sync.Mutex
 	tripped := false
 	cfg := containConfig()
-	cfg.testHook = func(e Experiment) {
+	cfg.testHook = func(e Experiment, _ *lockstep.Outcome) {
 		if e != flaky {
 			return
 		}
@@ -141,7 +145,7 @@ func TestRetriesDisabled(t *testing.T) {
 	attempts := 0
 	cfg := containConfig()
 	cfg.Retries = -1
-	cfg.testHook = func(e Experiment) {
+	cfg.testHook = func(e Experiment, _ *lockstep.Outcome) {
 		if e != victim {
 			return
 		}
@@ -175,7 +179,7 @@ func TestWatchdogBudget(t *testing.T) {
 	cfg.ExperimentBudget = 50 * time.Millisecond
 	release := make(chan struct{})
 	defer close(release) // unblock the abandoned goroutine at test end
-	cfg.testHook = func(e Experiment) {
+	cfg.testHook = func(e Experiment, _ *lockstep.Outcome) {
 		if e == stuck {
 			<-release // simulates a hung experiment
 		}
@@ -198,5 +202,64 @@ func TestWatchdogBudget(t *testing.T) {
 		if i != 1 && r.Failed {
 			t.Fatalf("healthy record %d marked Failed: %+v", i, r)
 		}
+	}
+}
+
+// TestOracleAbort: when the simulated outcome of an oracle-sampled pruned
+// site contradicts the static prediction, neither a local campaign nor a
+// distributed span ships records, and both errors name the flop.
+func TestOracleAbort(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Workers = 2
+	plan, err := cfg.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens := map[string]*lockstep.Golden{}
+	target := -1
+	for i, e := range plan {
+		g := goldens[e.Kernel]
+		if g == nil {
+			if g, err = lockstep.NewGolden(workload.ByName(e.Kernel), cfg.RunCycles, cfg.RunCycles/16); err != nil {
+				t.Fatal(err)
+			}
+			goldens[e.Kernel] = g
+		}
+		if _, ok := g.PruneMode(e.injection(), cfg.Mode); ok && oracleSampled(cfg.Seed, e) {
+			target = i
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("no oracle-sampled pruned site in the plan")
+	}
+	victim := plan[target]
+	cfg.testHook = func(e Experiment, out *lockstep.Outcome) {
+		if e == victim {
+			*out = lockstep.Outcome{Detected: true, DetectCycle: e.Cycle, DSR: 1}
+		}
+	}
+	wantErr := func(who string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "pruning oracle mismatch") ||
+			!strings.Contains(err.Error(), cpu.FlopName(victim.Flop)) {
+			t.Fatalf("%s: err = %v, want an oracle mismatch naming %s", who, err, cpu.FlopName(victim.Flop))
+		}
+	}
+
+	ds, _, err := RunStats(cfg)
+	wantErr("RunStats", err)
+	if ds != nil {
+		t.Fatal("RunStats returned a dataset despite the oracle mismatch")
+	}
+
+	r, err := NewSpanRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, _, err := r.Run(Span{Lo: target, Hi: min(target+16, r.Total())})
+	wantErr("SpanRunner.Run", err)
+	if records != nil {
+		t.Fatal("SpanRunner.Run returned records despite the oracle mismatch")
 	}
 }

@@ -6,11 +6,11 @@
 // argument for distribution: a Coordinator owns the plan-index space and
 // hands out half-open [Lo, Hi) span *leases* to worker nodes; each worker
 // reconstructs the identical plan and goldens from the campaign's
-// schedule Fingerprint, executes its leased indices through the same
-// pruned-replay path inject.Run uses (SpanRunner), and streams the
-// completed records back. The coordinator merges records at their plan
-// index, so the final dataset is byte-identical to a single-machine run
-// at any worker count and any lease size.
+// schedule Fingerprint, executes its leased indices on the same engine
+// inject.Run uses (SpanRunner), and streams the completed records back.
+// The coordinator merges records at their plan index, so the final
+// dataset is byte-identical to a single-machine run at any worker count
+// and any lease size.
 //
 // Failure handling is lease expiry + re-issue: a lease not committed
 // before its deadline returns to the free pool and is granted to the next
@@ -63,8 +63,8 @@ func (e *StaleFingerprintError) Error() string {
 // expired and was re-issued to another worker. The records are discarded
 // (the re-issued lease will produce byte-identical ones).
 type LeaseExpiredError struct {
-	ID   uint64
-	Sp   Span
+	ID uint64
+	Sp Span
 }
 
 func (e *LeaseExpiredError) Error() string {
@@ -228,24 +228,10 @@ func NewCoordinator(cfg Config, dc DistConfig) (*Coordinator, error) {
 	}
 	c.digest = c.fp.Digest()
 	if cfg.Resume {
-		ck, err := ReadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
+		if c.restored, err = restoreCheckpoint(cfg, c.records, c.done); err != nil {
 			return nil, err
 		}
-		if err := ck.Validate(cfg, total); err != nil {
-			return nil, err
-		}
-		ri := 0
-		for _, sp := range ck.Done {
-			for i := sp.Lo; i < sp.Hi; i++ {
-				c.records[i] = ck.Records[ri]
-				ri++
-				c.done[i].Store(true)
-			}
-		}
-		c.doneN = ck.DoneCount()
-		c.restored = c.doneN
-		telemetry.Default.Gauge("inject.experiments_restored").Set(int64(c.restored))
+		c.doneN = c.restored
 	}
 	// The free list is the complement of the restored spans, in order.
 	lo := 0
@@ -720,19 +706,14 @@ type SpanStats struct {
 	Failures      int // experiments recorded as Failed by the containment layer
 }
 
-// SpanRunner is the worker-node side of a distributed campaign: the plan
-// reconstructed from the coordinator's fingerprint, lazily built goldens,
-// and per-executor replay scratch reused across spans. One runner serves
-// one campaign; Run is not safe for concurrent use (a worker node runs
-// its leased spans serially and parallelizes inside the span).
+// SpanRunner is the worker-node side of a distributed campaign: the
+// campaign engine over the plan reconstructed from the coordinator's
+// fingerprint, with goldens built on demand and per-executor replay
+// scratch reused across spans. One runner serves one campaign; Run is not
+// safe for concurrent use (a worker node runs its leased spans serially
+// and parallelizes inside the span).
 type SpanRunner struct {
-	cfg       Config
-	plan      []Experiment
-	window    int
-	snapEvery int
-	goldens   map[string]*lockstep.Golden
-	execs     []*worker
-	tel       *campaignTelemetry
+	en *engine
 }
 
 // NewSpanRunner builds the runner for cfg. Config.Workers sets the
@@ -740,161 +721,38 @@ type SpanRunner struct {
 // coordinator's fingerprint (Fingerprint.Config) or the records will not
 // be accepted.
 func NewSpanRunner(cfg Config) (*SpanRunner, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	plan, err := cfg.Plan()
+	en, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	window := cfg.StopLatency
-	if window <= 0 {
-		window = lockstep.StopLatency
-	}
-	snapEvery := cfg.RunCycles / 16
-	if snapEvery < 1 {
-		snapEvery = 1
-	}
-	r := &SpanRunner{
-		cfg:       cfg,
-		plan:      plan,
-		window:    window,
-		snapEvery: snapEvery,
-		goldens:   map[string]*lockstep.Golden{},
-		execs:     make([]*worker, cfg.Workers),
-		tel:       newCampaignTelemetry(cfg),
-	}
-	return r, nil
+	return &SpanRunner{en: en}, nil
 }
 
 // Total returns the plan length (must equal the coordinator's).
-func (r *SpanRunner) Total() int { return len(r.plan) }
+func (r *SpanRunner) Total() int { return len(r.en.plan) }
 
 // Digest returns the runner's schedule digest, for join-time auth.
-func (r *SpanRunner) Digest() string { return r.cfg.fingerprint().Digest() }
+func (r *SpanRunner) Digest() string { return r.en.cfg.fingerprint().Digest() }
 
-// golden returns (building on first use) the kernel's golden run. Leases
-// are cut at kernel-block boundaries and granted with block affinity, so
-// a worker typically builds one golden and reuses it across many spans.
-func (r *SpanRunner) golden(name string) (*lockstep.Golden, error) {
-	if g := r.goldens[name]; g != nil {
-		return g, nil
-	}
-	g, err := lockstep.NewGolden(workload.ByName(name), r.cfg.RunCycles, r.snapEvery)
-	if err != nil {
-		return nil, err
-	}
-	r.goldens[name] = g
-	var traceBytes int64
-	for _, g := range r.goldens {
-		traceBytes += g.TraceBytes()
-	}
-	telemetry.Default.Gauge("inject.golden_trace_bytes").Set(traceBytes)
-	return g, nil
-}
-
-// Run executes plan indices [sp.Lo, sp.Hi) and returns their records in
-// plan order. The records are byte-identical to what a single-machine
-// inject.Run would put at those indices: the plan, pruning decisions,
-// oracle sampling and record rendering all go through the same
-// deterministic functions, keyed only by the campaign seed and the
-// experiment coordinates.
+// Run executes plan indices [sp.Lo, sp.Hi) on the same engine as RunStats
+// and returns their records in plan order. The records are byte-identical
+// to what a single-machine inject.Run puts at those indices: the plan,
+// pruning decisions, oracle sampling and record rendering are all keyed
+// only by the campaign seed and the experiment coordinates. Leases are
+// cut at kernel-block boundaries and granted with block affinity, so a
+// worker typically builds one golden and reuses it across many spans.
 func (r *SpanRunner) Run(sp Span) ([]dataset.Record, SpanStats, error) {
-	var st SpanStats
-	if sp.Lo < 0 || sp.Lo >= sp.Hi || sp.Hi > len(r.plan) {
-		return nil, st, fmt.Errorf("inject: span [%d,%d) outside plan of %d", sp.Lo, sp.Hi, len(r.plan))
+	if sp.Lo < 0 || sp.Lo >= sp.Hi || sp.Hi > len(r.en.plan) {
+		return nil, SpanStats{}, fmt.Errorf("inject: span [%d,%d) outside plan of %d", sp.Lo, sp.Hi, len(r.en.plan))
 	}
-	for i := sp.Lo; i < sp.Hi; i++ {
-		if _, err := r.golden(r.plan[i].Kernel); err != nil {
-			return nil, st, err
-		}
+	idxs := make([]int, sp.Hi-sp.Lo)
+	for i := range idxs {
+		idxs[i] = sp.Lo + i
 	}
-	records := make([]dataset.Record, sp.Hi-sp.Lo)
-
-	// Static pruning + oracle sampling, exactly as in RunStats: the
-	// decisions depend only on (seed, experiment, golden), so a span
-	// resolves identically here and on a single machine.
-	pending := make([]int, 0, sp.Hi-sp.Lo)
-	var oracleExpect map[int]lockstep.Outcome
-	if !r.cfg.NoPrune {
-		oracleExpect = make(map[int]lockstep.Outcome)
-		for i := sp.Lo; i < sp.Hi; i++ {
-			e := r.plan[i]
-			out, ok := r.goldens[e.Kernel].PruneMode(lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}, r.cfg.Mode)
-			if !ok {
-				pending = append(pending, i)
-				continue
-			}
-			if oracleSampled(r.cfg.Seed, e) {
-				oracleExpect[i] = out
-				st.OracleChecked++
-				pending = append(pending, i)
-				continue
-			}
-			records[i-sp.Lo] = recordFor(e, out, r.cfg.Mode)
-			r.tel.record(e, out)
-			st.Pruned++
-		}
-	} else {
-		for i := sp.Lo; i < sp.Hi; i++ {
-			pending = append(pending, i)
-		}
+	records := make([]dataset.Record, len(idxs))
+	st, err := r.en.resolve(idxs, func(idx int, rec dataset.Record) { records[idx-sp.Lo] = rec })
+	if err != nil {
+		return nil, st.SpanStats, err
 	}
-
-	workers := r.cfg.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	abort := make(chan struct{})
-	var oracleOnce sync.Once
-	var oracleErr error
-	next := make(chan int)
-	var failures atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		if r.execs[wi] == nil {
-			r.execs[wi] = &worker{cfg: r.cfg, window: r.window}
-		}
-		w := r.execs[wi]
-		w.goldens = r.goldens
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				e := r.plan[idx]
-				out := w.run(e)
-				if out.Failed {
-					failures.Add(1)
-				}
-				if expect, ok := oracleExpect[idx]; ok && !out.Failed && out != expect {
-					oracleOnce.Do(func() {
-						oracleErr = fmt.Errorf(
-							"inject: pruning oracle mismatch: %s %s at flop %d cycle %d predicted %+v, simulated %+v",
-							e.Kernel, e.Kind, e.Flop, e.Cycle, expect, out)
-						close(abort)
-					})
-				}
-				records[idx-sp.Lo] = recordFor(e, out, r.cfg.Mode)
-				r.tel.record(e, out)
-			}
-		}()
-	}
-feed:
-	for _, idx := range pending {
-		select {
-		case next <- idx:
-		case <-abort:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	st.Failures = int(failures.Load())
-	if oracleErr != nil {
-		return nil, st, oracleErr
-	}
-	return records, st, nil
+	return records, st.SpanStats, nil
 }

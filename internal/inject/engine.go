@@ -1,0 +1,338 @@
+package inject
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"lockstep/internal/cpu"
+	"lockstep/internal/dataset"
+	"lockstep/internal/lockstep"
+	"lockstep/internal/telemetry"
+	"lockstep/internal/workload"
+)
+
+// engine is the one campaign executor behind both RunStats and
+// SpanRunner.Run. Every record depends only on its plan entry and the
+// kernel's golden run, so a local campaign and a distributed span are the
+// same computation over different sets of plan indices: the engine owns
+// the normalized config, the plan, the goldens and the per-worker replay
+// scratch, and resolve computes the records of any index set.
+type engine struct {
+	cfg    Config
+	plan   []Experiment
+	window int // checker stop window
+	tel    *campaignTelemetry
+	// goldens and workers persist across resolve calls, so a worker node
+	// running many spans of one kernel builds its golden once and keeps
+	// its replay images warm.
+	goldens map[string]*lockstep.Golden
+	workers []*worker
+}
+
+func newEngine(cfg Config) (*engine, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	plan, err := cfg.Plan()
+	if err != nil {
+		return nil, err
+	}
+	window := cfg.StopLatency
+	if window <= 0 {
+		window = lockstep.StopLatency
+	}
+	return &engine{
+		cfg:     cfg,
+		plan:    plan,
+		window:  window,
+		tel:     newCampaignTelemetry(cfg),
+		goldens: map[string]*lockstep.Golden{},
+		workers: make([]*worker, cfg.Workers),
+	}, nil
+}
+
+// resolveStats reports how one resolve call ran.
+type resolveStats struct {
+	SpanStats
+	simulated int // experiments the worker pool completed
+	workers   int // worker pool size used
+}
+
+// resolve computes the record of every plan index in idxs (ascending and
+// distinct; the slice is reused as scratch) and hands each to put exactly
+// once: serially during the prune pass, then concurrently from the worker
+// pool. It stops dispatching early when Config.Cancel fires (returning
+// ErrCanceled) or when the pruning oracle catches a wrong prediction
+// (returning the mismatch); either way every index handed to put is final
+// and the rest are never handed over.
+func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (resolveStats, error) {
+	var st resolveStats
+	if err := en.buildGoldens(idxs); err != nil {
+		return st, err
+	}
+
+	// Static fault-equivalence pruning: record every experiment whose
+	// outcome the golden run's liveness analysis proves, without
+	// dispatching it. A deterministic seeded sample of the prunable sites
+	// stays in the work list as the runtime differential oracle: workers
+	// simulate those normally and the run hard-fails on any prediction
+	// mismatch. The pass is serial and derived only from plan + goldens,
+	// so records stay byte-identical across worker counts, resumes, spans
+	// and pruning on/off.
+	var oracle map[int]lockstep.Outcome
+	if !en.cfg.NoPrune {
+		oracle = make(map[int]lockstep.Outcome)
+		sim := idxs[:0]
+		for _, idx := range idxs {
+			e := en.plan[idx]
+			out, ok := en.goldens[e.Kernel].PruneMode(e.injection(), en.cfg.Mode)
+			switch {
+			case !ok:
+			case oracleSampled(en.cfg.Seed, e):
+				oracle[idx] = out
+				st.OracleChecked++
+			default:
+				en.tel.record(e, out)
+				put(idx, recordFor(e, out, en.cfg.Mode))
+				st.Pruned++
+				continue
+			}
+			sim = append(sim, idx)
+		}
+		idxs = sim
+	}
+
+	st.workers = max(min(en.cfg.Workers, len(idxs)), 1)
+	// abort stops dispatch when the oracle catches a static prediction
+	// that the simulator contradicts; the first mismatch wins.
+	abort := make(chan struct{})
+	var abortOnce sync.Once
+	var oracleErr error
+	next := make(chan int)
+	var failures, simulated atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < st.workers; i++ {
+		if en.workers[i] == nil {
+			en.workers[i] = &worker{en: en}
+		}
+		w := en.workers[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := range next {
+				e := en.plan[idx]
+				out := w.run(e)
+				if out.Failed {
+					failures.Add(1)
+				}
+				if expect, ok := oracle[idx]; ok && !out.Failed && out != expect {
+					abortOnce.Do(func() {
+						oracleErr = fmt.Errorf(
+							"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
+							e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, expect, out)
+						close(abort)
+					})
+				}
+				en.tel.record(e, out)
+				put(idx, recordFor(e, out, en.cfg.Mode))
+				simulated.Add(1)
+			}
+		}()
+	}
+	// Receiving from a nil Cancel blocks forever, so the select
+	// degenerates to a plain send for the common un-cancellable case.
+	canceled := false
+feed:
+	for _, idx := range idxs {
+		select {
+		case next <- idx:
+		case <-en.cfg.Cancel:
+			canceled = true
+			break feed
+		case <-abort:
+			break feed
+		}
+	}
+	close(next)
+	wg.Wait()
+	st.Failures = int(failures.Load())
+	st.simulated = int(simulated.Load())
+	switch {
+	case oracleErr != nil:
+		return st, oracleErr
+	case canceled:
+		return st, ErrCanceled
+	}
+	return st, nil
+}
+
+// buildGoldens records the fault-free golden run of every kernel idxs
+// touches that has none yet, in parallel (each golden is an independent
+// simulation; at most Workers at once), and publishes the footprint of
+// all goldens held as the inject.golden_trace_bytes gauge. Goldens are
+// immutable and shared read-only by all workers.
+func (en *engine) buildGoldens(idxs []int) error {
+	var need []string
+	for _, idx := range idxs {
+		if k := en.plan[idx].Kernel; en.goldens[k] == nil && !slices.Contains(need, k) {
+			need = append(need, k)
+		}
+	}
+	snapEvery := max(en.cfg.RunCycles/16, 1)
+	built := make([]*lockstep.Golden, len(need))
+	errs := make([]error, len(need))
+	sem := make(chan struct{}, en.cfg.Workers)
+	var wg sync.WaitGroup
+	for i, name := range need {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			built[i], errs[i] = lockstep.NewGolden(workload.ByName(name), en.cfg.RunCycles, snapEvery)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	for i, name := range need {
+		en.goldens[name] = built[i]
+	}
+	var traceBytes int64
+	for _, g := range en.goldens {
+		traceBytes += g.TraceBytes()
+	}
+	telemetry.Default.Gauge("inject.golden_trace_bytes").Set(traceBytes)
+	return nil
+}
+
+func (e Experiment) injection() lockstep.Injection {
+	return lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}
+}
+
+// recordFor renders one experiment's outcome as its dataset row; the
+// statically-pruned path and the simulating workers must produce rows
+// through the same function so pruning can never skew the dataset format.
+func recordFor(e Experiment, out lockstep.Outcome, mode lockstep.Mode) dataset.Record {
+	return dataset.Record{
+		Kernel:      e.Kernel,
+		Flop:        e.Flop,
+		Unit:        cpu.FlopUnit(e.Flop),
+		Fine:        cpu.FlopFine(e.Flop),
+		Kind:        e.Kind,
+		InjectCycle: e.Cycle,
+		Detected:    out.Detected,
+		DetectCycle: out.DetectCycle,
+		DSR:         out.DSR,
+		Converged:   out.Converged,
+		Failed:      out.Failed,
+		Mode:        mode,
+	}
+}
+
+// oracleSampled deterministically selects ~1/64 of prunable sites for the
+// runtime differential oracle. The decision hashes only the campaign seed
+// and the experiment coordinates — never worker count or iteration order —
+// so the same sites are re-simulated on every run and resume of a
+// campaign, keeping datasets byte-identical.
+func oracleSampled(seed int64, e Experiment) bool {
+	h := uint64(mix(seed, e.Kernel, e.Flop, int(e.Kind)))
+	h ^= uint64(e.Cycle) * 0x9E3779B97F4A7C15
+	h ^= h >> 33
+	h *= 0xFF51AFD7ED558CCD
+	h ^= h >> 33
+	return h&63 == 0
+}
+
+// worker runs experiments under the campaign's fault-containment policy:
+// panic isolation with bounded retry, plus the optional per-experiment
+// watchdog budget. One worker is owned by at most one executor goroutine
+// at a time.
+type worker struct {
+	en  *engine
+	rep *lockstep.Replayer // replay scratch; nil until first use or after poisoning
+}
+
+// run executes one experiment and never panics: a panicking experiment is
+// re-attempted up to cfg.Retries times on a fresh replay scratch (the old
+// one may be mid-experiment) and then recorded as Failed; a
+// watchdog-budget overrun is recorded as Failed immediately, since the
+// budget is already spent.
+func (w *worker) run(e Experiment) lockstep.Outcome {
+	for attempt := 0; ; attempt++ {
+		out, panicked, timedOut := w.attempt(e)
+		switch {
+		case timedOut:
+			w.rep = nil
+			return lockstep.Outcome{Failed: true}
+		case panicked:
+			w.rep = nil
+			if attempt < w.en.cfg.Retries {
+				continue
+			}
+			return lockstep.Outcome{Failed: true}
+		default:
+			return out
+		}
+	}
+}
+
+// attempt performs one try, enforcing the watchdog budget if configured.
+// On a timeout the experiment goroutine is abandoned together with its
+// replay scratch: it holds no locks, reads only the immutable golden, and
+// its result is discarded, so the worker can move on safely.
+func (w *worker) attempt(e Experiment) (out lockstep.Outcome, panicked, timedOut bool) {
+	cfg := &w.en.cfg
+	if w.rep == nil && !cfg.Legacy {
+		w.rep = lockstep.NewReplayer()
+	}
+	rep, g := w.rep, w.en.goldens[e.Kernel]
+	if cfg.ExperimentBudget <= 0 {
+		out, panicked = w.once(e, g, rep)
+		return out, panicked, false
+	}
+	type result struct {
+		out      lockstep.Outcome
+		panicked bool
+	}
+	ch := make(chan result, 1)
+	go func() {
+		o, p := w.once(e, g, rep)
+		ch <- result{o, p}
+	}()
+	timer := time.NewTimer(cfg.ExperimentBudget)
+	defer timer.Stop()
+	select {
+	case r := <-ch:
+		return r.out, r.panicked, false
+	case <-timer.C:
+		return lockstep.Outcome{}, false, true
+	}
+}
+
+// once is a single contained attempt. It touches no worker state besides
+// the engine's immutable config, so an abandoned (timed-out) invocation
+// cannot race with the worker's next attempt.
+func (w *worker) once(e Experiment, g *lockstep.Golden, rep *lockstep.Replayer) (out lockstep.Outcome, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	cfg := &w.en.cfg
+	if cfg.Legacy {
+		out = g.InjectLegacyMode(e.injection(), cfg.Mode, w.en.window)
+	} else {
+		out = rep.InjectMode(g, e.injection(), cfg.Mode, w.en.window)
+	}
+	if cfg.testHook != nil {
+		cfg.testHook(e, &out)
+	}
+	return out, false
+}

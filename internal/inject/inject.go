@@ -165,10 +165,11 @@ type Config struct {
 	// it is opt-in.
 	ExperimentBudget time.Duration
 
-	// testHook, when set, runs at the start of every experiment attempt.
-	// It exists so tests can inject panics and stalls into the worker pool
-	// to exercise the containment layer.
-	testHook func(Experiment)
+	// testHook, when set, runs at the end of every simulated experiment
+	// attempt and may rewrite its outcome. It exists so tests can inject
+	// panics, stalls and wrong outcomes into the worker pool to exercise
+	// the containment layer and the pruning oracle.
+	testHook func(Experiment, *lockstep.Outcome)
 }
 
 // DefaultConfig is a laptop-scale campaign: full flop coverage, all three
@@ -311,84 +312,47 @@ func Run(cfg Config) (*dataset.Dataset, error) {
 	return ds, err
 }
 
-// RunStats is Run plus wall-clock/throughput accounting.
+// RunStats is Run plus wall-clock/throughput accounting. It restores the
+// resume checkpoint (if any) and runs the campaign engine over the plan
+// indices not yet done.
 func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 	start := time.Now()
-	if err := cfg.normalize(); err != nil {
-		return nil, Stats{}, err
-	}
-	plan, err := cfg.Plan()
+	en, err := newEngine(cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	cfg = en.cfg
 
 	// Records land at their plan index, so the merged dataset is in
 	// canonical plan order no matter which worker ran which experiment —
 	// and no matter how much of it was restored from a checkpoint.
-	records := make([]dataset.Record, len(plan))
+	records := make([]dataset.Record, len(en.plan))
 	// done[i] is set with release semantics once records[i] is final; the
 	// checkpointer's acquire loads make its record snapshots consistent.
 	// Only allocated when checkpointing/resume is on: the plain campaign
 	// hot path stays exactly as before.
 	var done []atomic.Bool
-	if cfg.CheckpointPath != "" {
-		done = make([]atomic.Bool, len(plan))
-	}
+	var ckp *checkpointer
 	restored := 0
-	if cfg.Resume {
-		ck, err := ReadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		if err := ck.validate(cfg, len(plan)); err != nil {
-			return nil, Stats{}, err
-		}
-		ri := 0
-		for _, sp := range ck.Done {
-			for i := sp.Lo; i < sp.Hi; i++ {
-				records[i] = ck.Records[ri]
-				ri++
-				done[i].Store(true)
+	if cfg.CheckpointPath != "" {
+		done = make([]atomic.Bool, len(records))
+		if cfg.Resume {
+			if restored, err = restoreCheckpoint(cfg, records, done); err != nil {
+				return nil, Stats{}, err
 			}
 		}
-		restored = ck.DoneCount()
-		telemetry.Default.Gauge("inject.experiments_restored").Set(int64(restored))
+		ckp = startCheckpointer(cfg, records, done)
 	}
 
 	// pending is this run's work list: every plan index the resume
-	// checkpoint (if any) did not cover, in canonical order. Goldens are
-	// only recorded for kernels that still have pending work, so resuming
-	// a nearly finished campaign is nearly free.
-	pending := make([]int, 0, len(plan)-restored)
-	needKernel := make(map[string]bool, len(cfg.Kernels))
-	for i := range plan {
-		if restored > 0 && done[i].Load() {
-			continue
+	// checkpoint (if any) did not cover, in canonical order. The engine
+	// only records goldens for kernels with pending work, so resuming a
+	// nearly finished campaign is nearly free.
+	pending := make([]int, 0, len(records)-restored)
+	for i := range records {
+		if restored == 0 || !done[i].Load() {
+			pending = append(pending, i)
 		}
-		pending = append(pending, i)
-		needKernel[plan[i].Kernel] = true
-	}
-	var kernels []string
-	for _, name := range cfg.Kernels {
-		if needKernel[name] {
-			kernels = append(kernels, name)
-		}
-	}
-	goldens, err := buildGoldens(cfg, kernels)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	window := cfg.StopLatency
-	if window <= 0 {
-		window = lockstep.StopLatency
-	}
-
-	tel := newCampaignTelemetry(cfg)
-
-	var ckp *checkpointer
-	if cfg.CheckpointPath != "" {
-		ckp = startCheckpointer(cfg, records, done)
 	}
 
 	// total is fixed before the prune pass: pruned experiments count as
@@ -396,147 +360,39 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 	// 1..total over everything this run resolves.
 	total := len(pending)
 	var (
-		prog     int
-		progMu   sync.Mutex
-		progress = func() {
-			if cfg.Progress == nil {
-				return
-			}
+		prog   int
+		progMu sync.Mutex
+	)
+	rs, runErr := en.resolve(pending, func(idx int, rec dataset.Record) {
+		records[idx] = rec
+		if ckp != nil {
+			done[idx].Store(true)
+			ckp.completed()
+		}
+		if cfg.Progress != nil {
 			progMu.Lock()
 			prog++
 			cfg.Progress(prog, total)
 			progMu.Unlock()
 		}
-	)
-
-	// Static fault-equivalence pruning: record every pending experiment
-	// whose outcome the golden run's liveness analysis proves, without
-	// dispatching it. A deterministic seeded sample of the prunable sites
-	// stays in the work list as the runtime differential oracle: workers
-	// simulate those normally and the campaign hard-fails on any
-	// prediction mismatch (see oracleExpect below). The pass is serial
-	// and derived only from plan + goldens, so datasets stay byte-
-	// identical across worker counts, resumes, and pruning on/off.
-	var oracleExpect map[int]lockstep.Outcome
-	var prunedN, oracleN int64
-	if !cfg.NoPrune {
-		oracleExpect = make(map[int]lockstep.Outcome)
-		remaining := pending[:0]
-		for _, idx := range pending {
-			e := plan[idx]
-			out, ok := goldens[e.Kernel].PruneMode(lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}, cfg.Mode)
-			if !ok {
-				remaining = append(remaining, idx)
-				continue
-			}
-			if oracleSampled(cfg.Seed, e) {
-				oracleExpect[idx] = out
-				oracleN++
-				remaining = append(remaining, idx)
-				continue
-			}
-			records[idx] = recordFor(e, out, cfg.Mode)
-			tel.record(e, out)
-			prunedN++
-			if done != nil {
-				done[idx].Store(true)
-			}
-			if ckp != nil {
-				ckp.completed()
-			}
-			progress()
-		}
-		pending = remaining
-		if prunedN > 0 {
-			telemetry.Default.Counter("inject.pruned").Add(prunedN)
-		}
-		if oracleN > 0 {
-			telemetry.Default.Counter("inject.pruned_oracle_checked").Add(oracleN)
-		}
+	})
+	if rs.Pruned > 0 {
+		telemetry.Default.Counter("inject.pruned").Add(int64(rs.Pruned))
 	}
-
-	workers := cfg.Workers
-	if workers > len(pending) {
-		workers = len(pending)
+	if rs.OracleChecked > 0 {
+		telemetry.Default.Counter("inject.pruned_oracle_checked").Add(int64(rs.OracleChecked))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// abort stops dispatch when the runtime oracle catches a static
-	// prediction that the simulator contradicts; the first mismatch wins.
-	abort := make(chan struct{})
-	var oracleOnce sync.Once
-	var oracleErr error
-
-	next := make(chan int)
-	var failures, executed atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker containment wrapper around the replay scratch:
-			// reused across every experiment this worker runs, so the
-			// steady-state hot path allocates nothing and repositioning
-			// between experiments on the same kernel is an incremental
-			// image seek, not a full RAM copy.
-			w := &worker{cfg: cfg, goldens: goldens, window: window}
-			for idx := range next {
-				e := plan[idx]
-				out := w.run(e)
-				if out.Failed {
-					failures.Add(1)
-				}
-				if expect, ok := oracleExpect[idx]; ok && !out.Failed && out != expect {
-					oracleOnce.Do(func() {
-						oracleErr = fmt.Errorf(
-							"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
-							e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, expect, out)
-						close(abort)
-					})
-				}
-				records[idx] = recordFor(e, out, cfg.Mode)
-				tel.record(e, out)
-				executed.Add(1)
-				if done != nil {
-					done[idx].Store(true)
-				}
-				if ckp != nil {
-					ckp.completed()
-				}
-				progress()
-			}
-		}()
-	}
-	// Dispatch the pending plan indices, stopping early when Cancel
-	// fires (receiving from a nil Cancel blocks forever, so the select
-	// degenerates to a plain send for the common un-cancellable case).
-	canceled := false
-feed:
-	for _, idx := range pending {
-		select {
-		case next <- idx:
-		case <-cfg.Cancel:
-			canceled = true
-			break feed
-		case <-abort:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
 
 	st := Stats{
-		Experiments:   len(plan),
+		Experiments:   len(records),
 		Restored:      restored,
-		Pruned:        int(prunedN),
-		OracleChecked: int(oracleN),
-		Failures:      int(failures.Load()),
-		Workers:       workers,
+		Pruned:        rs.Pruned,
+		OracleChecked: rs.OracleChecked,
+		Failures:      rs.Failures,
+		Workers:       rs.workers,
 	}
-	if canceled {
-		st.Experiments = restored + int(prunedN) + int(executed.Load())
+	if runErr != nil {
+		st.Experiments = restored + rs.Pruned + rs.simulated
 	}
 	if ckp != nil {
 		n, err := ckp.stop()
@@ -549,134 +405,11 @@ feed:
 	if secs := st.Elapsed.Seconds(); secs > 0 {
 		st.PerSec = float64(st.Executed()) / secs
 	}
-	tel.finish(st)
-	if oracleErr != nil {
-		return nil, st, oracleErr
-	}
-	if canceled {
-		return nil, st, ErrCanceled
+	en.tel.finish(st)
+	if runErr != nil {
+		return nil, st, runErr
 	}
 	return &dataset.Dataset{Records: records}, st, nil
-}
-
-// recordFor renders one experiment's outcome as its dataset row; the
-// statically-pruned path and the simulating workers must produce rows
-// through the same function so pruning can never skew the dataset format.
-func recordFor(e Experiment, out lockstep.Outcome, mode lockstep.Mode) dataset.Record {
-	return dataset.Record{
-		Kernel:      e.Kernel,
-		Flop:        e.Flop,
-		Unit:        cpu.FlopUnit(e.Flop),
-		Fine:        cpu.FlopFine(e.Flop),
-		Kind:        e.Kind,
-		InjectCycle: e.Cycle,
-		Detected:    out.Detected,
-		DetectCycle: out.DetectCycle,
-		DSR:         out.DSR,
-		Converged:   out.Converged,
-		Failed:      out.Failed,
-		Mode:        mode,
-	}
-}
-
-// oracleSampled deterministically selects ~1/64 of prunable sites for the
-// runtime differential oracle. The decision hashes only the campaign seed
-// and the experiment coordinates — never worker count or iteration order —
-// so the same sites are re-simulated on every run and resume of a
-// campaign, keeping datasets byte-identical.
-func oracleSampled(seed int64, e Experiment) bool {
-	h := uint64(mix(seed, e.Kernel, e.Flop, int(e.Kind)))
-	h ^= uint64(e.Cycle) * 0x9E3779B97F4A7C15
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 33
-	return h&63 == 0
-}
-
-// worker runs experiments under the campaign's fault-containment policy:
-// panic isolation with bounded retry, plus the optional per-experiment
-// watchdog budget. One worker is owned by exactly one executor goroutine.
-type worker struct {
-	cfg     Config
-	goldens map[string]*lockstep.Golden
-	window  int
-	rep     *lockstep.Replayer // replay scratch; nil until first use or after poisoning
-}
-
-// run executes one experiment and never panics: a panicking experiment is
-// re-attempted up to cfg.Retries times on a fresh replay scratch (the old
-// one may be mid-experiment) and then recorded as Failed; a
-// watchdog-budget overrun is recorded as Failed immediately, since the
-// budget is already spent.
-func (w *worker) run(e Experiment) lockstep.Outcome {
-	for attempt := 0; ; attempt++ {
-		out, panicked, timedOut := w.attempt(e)
-		switch {
-		case timedOut:
-			w.rep = nil
-			return lockstep.Outcome{Failed: true}
-		case panicked:
-			w.rep = nil
-			if attempt < w.cfg.Retries {
-				continue
-			}
-			return lockstep.Outcome{Failed: true}
-		default:
-			return out
-		}
-	}
-}
-
-// attempt performs one try, enforcing the watchdog budget if configured.
-// On a timeout the experiment goroutine is abandoned together with its
-// replay scratch: it holds no locks, reads only the immutable golden, and
-// its result is discarded, so the worker can move on safely.
-func (w *worker) attempt(e Experiment) (out lockstep.Outcome, panicked, timedOut bool) {
-	rep := w.rep
-	if rep == nil && !w.cfg.Legacy {
-		rep = lockstep.NewReplayer()
-	}
-	w.rep = rep
-	if w.cfg.ExperimentBudget <= 0 {
-		out, panicked = w.once(e, rep)
-		return out, panicked, false
-	}
-	type result struct {
-		out      lockstep.Outcome
-		panicked bool
-	}
-	ch := make(chan result, 1)
-	go func() {
-		o, p := w.once(e, rep)
-		ch <- result{o, p}
-	}()
-	timer := time.NewTimer(w.cfg.ExperimentBudget)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.out, r.panicked, false
-	case <-timer.C:
-		return lockstep.Outcome{}, false, true
-	}
-}
-
-// once is a single contained attempt. It touches no worker fields besides
-// read-only config and goldens, so an abandoned (timed-out) invocation
-// cannot race with the worker's next attempt.
-func (w *worker) once(e Experiment, rep *lockstep.Replayer) (out lockstep.Outcome, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	if w.cfg.testHook != nil {
-		w.cfg.testHook(e)
-	}
-	inj := lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}
-	if w.cfg.Legacy {
-		return w.goldens[e.Kernel].InjectLegacyMode(inj, w.cfg.Mode, w.window), false
-	}
-	return rep.InjectMode(w.goldens[e.Kernel], inj, w.cfg.Mode, w.window), false
 }
 
 // checkpointer owns the campaign's checkpoint file. Workers only flip
@@ -852,50 +585,4 @@ func (t *campaignTelemetry) finish(st Stats) {
 	telemetry.Default.Gauge("inject.workers").Set(int64(st.Workers))
 	telemetry.Default.Gauge("inject.elapsed_ms").Set(st.Elapsed.Milliseconds())
 	telemetry.Default.Gauge("inject.per_sec").Set(int64(st.PerSec))
-}
-
-// buildGoldens records one fault-free golden run per kernel that still
-// has pending experiments, in parallel (each golden is an independent
-// simulation). The returned goldens are immutable and shared read-only by
-// all experiment workers.
-func buildGoldens(cfg Config, kernels []string) (map[string]*lockstep.Golden, error) {
-	snapEvery := cfg.RunCycles / 16
-	if snapEvery < 1 {
-		snapEvery = 1
-	}
-	goldens := make(map[string]*lockstep.Golden, len(kernels))
-	errs := make([]error, len(kernels))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	sem := make(chan struct{}, cfg.Workers)
-	for i, name := range kernels {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			g, err := lockstep.NewGolden(workload.ByName(name), cfg.RunCycles, snapEvery)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mu.Lock()
-			goldens[name] = g
-			mu.Unlock()
-		}(i, name)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var traceBytes int64
-	for _, g := range goldens {
-		traceBytes += g.TraceBytes()
-	}
-	telemetry.Default.Gauge("inject.golden_trace_bytes").Set(traceBytes)
-	return goldens, nil
 }

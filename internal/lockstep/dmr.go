@@ -10,8 +10,9 @@ import (
 // memory system, the redundant CPU is compare-only, and the checker
 // compares the output ports every cycle, latching the Divergence Status
 // Register on the first error. It is the runtime counterpart of the
-// campaign-oriented Golden.Inject harness, for embedding in applications
-// (see examples/) and for driving the error-handling flow end to end:
+// campaign-oriented Replayer.InjectMode harness, for embedding in
+// applications (see examples/) and for driving the error-handling flow
+// end to end:
 //
 //	dmr.Arm(...)                     // optional fault forcing
 //	dsr, cycle, ok := dmr.RunToError(limit)

@@ -131,6 +131,7 @@ func TestDMRSoftTransientRecoversFlop(t *testing.T) {
 // same fault they must detect at the same cycle with the same accumulated
 // DSR.
 func TestDMRAgreesWithInjectHarness(t *testing.T) {
+	rep := NewReplayer()
 	k := workload.ByName("a2time")
 	g, err := NewGolden(k, 8000, 1000)
 	if err != nil {
@@ -140,7 +141,7 @@ func TestDMRAgreesWithInjectHarness(t *testing.T) {
 	for flop := 0; flop < cpu.NumFlops() && checked < 40; flop += 97 {
 		for _, kind := range []FaultKind{SoftFlip, Stuck0, Stuck1} {
 			inj := Injection{Flop: flop, Kind: kind, Cycle: 2000}
-			out := g.Inject(inj)
+			out := rep.InjectMode(g, inj, Mode{}, StopLatency)
 
 			d, err := NewDMR(k)
 			if err != nil {
@@ -175,6 +176,7 @@ func TestDMRAgreesWithInjectHarness(t *testing.T) {
 // accumulated over the stop window must still match the Inject harness
 // (the transient's mid-window recovery is part of the semantics).
 func TestDMRAgreesOnPortFlopTransients(t *testing.T) {
+	rep := NewReplayer()
 	k := workload.ByName("ttsprk")
 	g, err := NewGolden(k, 6000, 750)
 	if err != nil {
@@ -187,7 +189,7 @@ func TestDMRAgreesOnPortFlopTransients(t *testing.T) {
 			continue
 		}
 		inj := Injection{Flop: i, Kind: SoftFlip, Cycle: 2500}
-		out := g.Inject(inj)
+		out := rep.InjectMode(g, inj, Mode{}, StopLatency)
 		d, err := NewDMR(k)
 		if err != nil {
 			t.Fatal(err)

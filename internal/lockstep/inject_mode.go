@@ -47,11 +47,15 @@ import (
 const TMRRecheckCycles = 64
 
 // InjectMode runs one experiment under the given lockstep mode on the
-// fast path, using this Replayer's scratch. DCLS and slip:N run entirely
-// on the golden-trace replay core; TMR runs detection on the replay core
-// and, for detected hard faults, simulates the forward-recovery recheck
-// live (post-recovery execution leaves the golden trace, so it cannot be
-// replayed).
+// fast path, using this Replayer's scratch, with a checker stop-latency
+// window of `window` cycles (the DSR keeps OR-accumulating that long after
+// the first divergence; window <= 1 latches only the first-divergence map,
+// and StopLatency is the paper's value). DCLS and slip:N run entirely on
+// the golden-trace replay core (see injectHorizon for why its outcomes are
+// bit-identical to InjectLegacyMode's); TMR runs detection on the replay
+// core and, for detected hard faults, simulates the forward-recovery
+// recheck live (post-recovery execution leaves the golden trace, so it
+// cannot be replayed).
 func (r *Replayer) InjectMode(g *Golden, inj Injection, mode Mode, window int) Outcome {
 	switch mode.Kind {
 	case ModeSlip:
@@ -61,21 +65,6 @@ func (r *Replayer) InjectMode(g *Golden, inj Injection, mode Mode, window int) O
 	default:
 		return r.injectHorizon(g, inj, window, g.TotalCycles, 0)
 	}
-}
-
-// InjectModeW is Golden-level InjectMode with pooled scratch, the
-// mode-generalized InjectW.
-func (g *Golden) InjectModeW(inj Injection, mode Mode, window int) Outcome {
-	r := replayerPool.Get().(*Replayer)
-	out := r.InjectMode(g, inj, mode, window)
-	replayerPool.Put(r)
-	return out
-}
-
-// InjectMode runs one experiment under the given mode with the default
-// stop window.
-func (g *Golden) InjectMode(inj Injection, mode Mode) Outcome {
-	return g.InjectModeW(inj, mode, StopLatency)
 }
 
 // InjectLegacyMode is the full-simulation differential oracle for every
@@ -88,7 +77,7 @@ func (g *Golden) InjectLegacyMode(inj Injection, mode Mode, window int) Outcome 
 	case ModeSlip:
 		return g.injectLegacyHorizon(inj, window, mode.Horizon(g.TotalCycles), mode.DetectShift())
 	case ModeTMR:
-		return g.InjectTMRLegacyW(inj, window)
+		return g.injectTMRLegacy(inj, window)
 	default:
 		return g.injectLegacyHorizon(inj, window, g.TotalCycles, 0)
 	}
@@ -194,13 +183,13 @@ func vote3(o0, o1, o2 *cpu.OutVec) VoteResult {
 	}
 }
 
-// InjectTMRLegacyW is the TMR differential oracle: three live CPUs (bus
+// injectTMRLegacy is the TMR differential oracle: three live CPUs (bus
 // driver plus two compare-only monitors, the faulty one being CPU 2),
 // a genuine per-cycle majority vote, and the forward-recovery recheck run
 // on the oracle's own cores and memory image. Nothing is read from the
 // golden trace after restore, so agreement with the fast path is evidence
 // rather than tautology.
-func (g *Golden) InjectTMRLegacyW(inj Injection, window int) Outcome {
+func (g *Golden) injectTMRLegacy(inj Injection, window int) Outcome {
 	if inj.Cycle < 0 || inj.Cycle >= g.TotalCycles {
 		return Outcome{}
 	}
@@ -284,7 +273,8 @@ func (g *Golden) InjectTMRLegacyW(inj Injection, window int) Outcome {
 	return Outcome{}
 }
 
-// PruneMode is the mode-generalized Golden.Prune. DCLS and TMR share the
+// PruneMode statically classifies an injection under the given lockstep
+// mode (see prune for the DCLS analysis). DCLS and TMR share the
 // DCLS pruning table verbatim: a prunable site never detects, so the TMR
 // recovery phase — the only behavioral difference — never runs. Under
 // slip:N the horizon shrinks to TotalCycles-N: sites at or past it are
@@ -295,7 +285,7 @@ func (g *Golden) InjectTMRLegacyW(inj Injection, window int) Outcome {
 // coverage, never soundness).
 func (g *Golden) PruneMode(inj Injection, mode Mode) (Outcome, bool) {
 	if mode.Kind != ModeSlip {
-		return g.Prune(inj)
+		return g.prune(inj)
 	}
 	horizon := mode.Horizon(g.TotalCycles)
 	if mode.Slip < 0 || horizon <= 0 || inj.Cycle < 0 || inj.Cycle >= g.TotalCycles {
@@ -305,7 +295,7 @@ func (g *Golden) PruneMode(inj Injection, mode Mode) (Outcome, bool) {
 		// Beyond the truncated horizon the injection loop never runs.
 		return Outcome{}, true
 	}
-	out, ok := g.Prune(inj)
+	out, ok := g.prune(inj)
 	if !ok {
 		return Outcome{}, false
 	}

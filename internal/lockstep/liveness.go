@@ -13,7 +13,7 @@ import (
 // (flop, kind, cycle) injection sites as provably Masked (or, for soft
 // faults, provably Converged) from the recorded golden run alone, without
 // simulating a single faulty cycle. The campaign driver consults
-// Golden.Prune before dispatching an experiment; a differential-oracle
+// Golden.PruneMode before dispatching an experiment; a differential-oracle
 // test layer (TestPruneSoundness, plus an always-on runtime sample inside
 // inject.Run) re-simulates pruned sites through the full Replayer and
 // asserts the prediction, so the static argument is continuously proven
@@ -60,7 +60,7 @@ import (
 //     Outcome{Converged: true} at its first post-injection check. The one
 //     exception is C == TotalCycles-1: the injection loop exits before
 //     the first convergence check is due, so the simulated outcome for
-//     that site is Outcome{} (Masked), and Prune predicts exactly that.
+//     that site is Outcome{} (Masked), and prune predicts exactly that.
 //
 // # Observation streams
 //
@@ -97,26 +97,26 @@ import (
 //     conservatively always observed, so soft faults are never pruned
 //     there and stuck-at faults prune only via value stability.
 const (
-	lvAlways = iota // conservatively observed every cycle
-	lvNever         // input-capture sinks: never read, never exposed
-	lvExc           // EPC, ExcCause: ExcValid
-	lvRet           // RetCnt: MWValid (self-increment carries cross bits)
-	lvDX            // decode/operand payload: DXValid
-	lvXM            // EX/MEM payload: XMValid
-	lvMW            // MEM/WB payload: MWValid
-	lvFQ0           // fetch-queue entry 0 payload: FQValid[0] at head
-	lvFQ1           // fetch-queue entry 1 payload: FQValid[1] at head
-	lvIReq          // IReqAddr: IReqValid
-	lvDAddr         // DAddr, DBE: DRe || DWe
-	lvDWData        // DWData: DWe
-	lvExtPay        // ExtAddr, ExtWData, ExtBE: ExtBusy || ExtRe || ExtWe
-	lvLSU           // LSU registers: load/store valid in MEM
-	lvMulBusy       // MulBusy: MUL/MULH valid in EX
-	lvMulData       // MulA/MulB/MulHiSel: MUL/MULH in EX and MulBusy
-	lvDivBusy       // DivBusy: DIV/REM valid in EX
-	lvDivData       // divider data registers: DIV/REM in EX and DivBusy
-	lvMPUAttr       // MPUAttr[*]: any MEM-stage load/store
-	lvMPUBL0        // MPUBase/MPULimit of region i: lvMPUBL0+i
+	lvAlways   = iota // conservatively observed every cycle
+	lvNever           // input-capture sinks: never read, never exposed
+	lvExc             // EPC, ExcCause: ExcValid
+	lvRet             // RetCnt: MWValid (self-increment carries cross bits)
+	lvDX              // decode/operand payload: DXValid
+	lvXM              // EX/MEM payload: XMValid
+	lvMW              // MEM/WB payload: MWValid
+	lvFQ0             // fetch-queue entry 0 payload: FQValid[0] at head
+	lvFQ1             // fetch-queue entry 1 payload: FQValid[1] at head
+	lvIReq            // IReqAddr: IReqValid
+	lvDAddr           // DAddr, DBE: DRe || DWe
+	lvDWData          // DWData: DWe
+	lvExtPay          // ExtAddr, ExtWData, ExtBE: ExtBusy || ExtRe || ExtWe
+	lvLSU             // LSU registers: load/store valid in MEM
+	lvMulBusy         // MulBusy: MUL/MULH valid in EX
+	lvMulData         // MulA/MulB/MulHiSel: MUL/MULH in EX and MulBusy
+	lvDivBusy         // DivBusy: DIV/REM valid in EX
+	lvDivData         // divider data registers: DIV/REM in EX and DivBusy
+	lvMPUAttr         // MPUAttr[*]: any MEM-stage load/store
+	lvMPUBL0          // MPUBase/MPULimit of region i: lvMPUBL0+i
 	numStreams = lvMPUBL0 + cpu.MPURegions + 15
 	lvReg1     = lvMPUBL0 + cpu.MPURegions // Regs[i]: lvReg1 + i - 1
 )
@@ -146,13 +146,13 @@ func (lv *liveness) observed(f, c int) bool {
 	}
 }
 
-// Prune statically classifies an injection against the golden run's
+// prune statically classifies a DCLS injection against the golden run's
 // liveness analysis. ok=true means the outcome is provably what the
-// simulated paths (Replayer.InjectW and the legacy dual-CPU oracle) would
-// return — byte-identical, including the absence of a cycle field on
-// Converged outcomes — so the campaign driver may record it without
+// simulated paths (Replayer.InjectMode and the legacy dual-CPU oracle)
+// would return — byte-identical, including the absence of a cycle field
+// on Converged outcomes — so the campaign driver may record it without
 // simulating. ok=false claims nothing: the site must be simulated.
-func (g *Golden) Prune(inj Injection) (Outcome, bool) {
+func (g *Golden) prune(inj Injection) (Outcome, bool) {
 	lv := g.live
 	if lv == nil || inj.Cycle < 0 || inj.Cycle >= g.TotalCycles {
 		return Outcome{}, false

@@ -41,7 +41,7 @@ func TestPruneSoundness(t *testing.T) {
 				for c := 0; c < cycles; c++ {
 					total++
 					inj := Injection{Flop: f, Kind: kind, Cycle: c}
-					if out, ok := g.Prune(inj); ok {
+					if out, ok := g.PruneMode(inj, Mode{}); ok {
 						sites = append(sites, inj)
 						predicted = append(predicted, out)
 					}
@@ -59,7 +59,7 @@ func TestPruneSoundness(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(len(kn))<<8 | int64(kind)))
 			for _, i := range rng.Perm(len(sites))[:sample] {
-				if got := rep.InjectW(g, sites[i], StopLatency); got != predicted[i] {
+				if got := rep.InjectMode(g, sites[i], Mode{}, StopLatency); got != predicted[i] {
 					t.Errorf("%s: pruned %s at flop %d (%s) cycle %d: predicted %+v, simulated %+v",
 						kn, sites[i].Kind, sites[i].Flop, cpu.FlopName(sites[i].Flop),
 						sites[i].Cycle, predicted[i], got)
@@ -83,12 +83,12 @@ func TestPruneRejectsOutOfRange(t *testing.T) {
 		{Flop: 0, Kind: Stuck0, Cycle: 300},
 		{Flop: 0, Kind: Stuck1, Cycle: 1 << 30},
 	} {
-		if _, ok := g.Prune(inj); ok {
+		if _, ok := g.PruneMode(inj, Mode{}); ok {
 			t.Errorf("pruned out-of-range injection %+v", inj)
 		}
 	}
 	bare := &Golden{TotalCycles: 300}
-	if _, ok := bare.Prune(Injection{Flop: 0, Kind: SoftFlip, Cycle: 10}); ok {
+	if _, ok := bare.PruneMode(Injection{Flop: 0, Kind: SoftFlip, Cycle: 10}, Mode{}); ok {
 		t.Error("Golden without liveness table pruned an injection")
 	}
 }
@@ -106,7 +106,7 @@ func TestPruneSoftLastCycle(t *testing.T) {
 	found := 0
 	for f := 0; f < cpu.NumFlops() && found < 8; f++ {
 		inj := Injection{Flop: f, Kind: SoftFlip, Cycle: g.TotalCycles - 1}
-		out, ok := g.Prune(inj)
+		out, ok := g.PruneMode(inj, Mode{})
 		if !ok {
 			continue
 		}
@@ -114,7 +114,7 @@ func TestPruneSoftLastCycle(t *testing.T) {
 		if out != (Outcome{}) {
 			t.Fatalf("flop %d: predicted %+v for a last-cycle soft flip, want Masked", f, out)
 		}
-		if got := rep.InjectW(g, inj, StopLatency); got != out {
+		if got := rep.InjectMode(g, inj, Mode{}, StopLatency); got != out {
 			t.Fatalf("flop %d: last-cycle soft flip simulated %+v, predicted %+v", f, got, out)
 		}
 	}
@@ -199,7 +199,7 @@ func TestPruneCoverageSubstantial(t *testing.T) {
 		for c := 0; c < g.TotalCycles; c += 7 {
 			for _, kind := range []FaultKind{SoftFlip, Stuck0, Stuck1} {
 				total++
-				if _, ok := g.Prune(Injection{Flop: f, Kind: kind, Cycle: c}); ok {
+				if _, ok := g.PruneMode(Injection{Flop: f, Kind: kind, Cycle: c}, Mode{}); ok {
 					pruned++
 				}
 			}

@@ -6,9 +6,11 @@
 //
 // The package also provides the fault-injection run harness used by the
 // campaign driver: a golden execution with periodic snapshots, and an
-// Inject operation that replays from the nearest snapshot, applies a
-// transient or stuck-at fault to one flip-flop of the redundant CPU, and
-// reports whether, when and how the fault manifested at the outputs.
+// injection fast path (Replayer.InjectMode) that replays from the nearest
+// snapshot, applies a transient or stuck-at fault to one flip-flop of the
+// redundant CPU, and reports whether, when and how the fault manifested at
+// the outputs. Golden.InjectLegacyMode is its full-simulation oracle and
+// Golden.PruneMode its static shortcut.
 package lockstep
 
 import (
@@ -123,12 +125,11 @@ func (o Outcome) ManifestationCycles(inj Injection) int {
 // state snapshots and a full per-cycle golden trace, shared by all
 // injections into that kernel.
 //
-// A Golden is immutable once NewGolden returns: Inject and InjectW
-// restore per-call (or per-worker, via Replayer) scratch state from the
-// snapshots and trace and never write back, so concurrent injections
+// A Golden is immutable once NewGolden returns: every injection path
+// restores its own scratch state (per-worker, via Replayer) from the
+// snapshots and trace and never writes back, so concurrent injections
 // against one shared Golden are safe and produce outcomes identical to
-// serial execution. Callers that want an independent handle anyway (e.g.
-// per-worker instances) can Clone.
+// serial execution.
 type Golden struct {
 	Kernel      *workload.Kernel
 	Entry       uint32
@@ -276,17 +277,6 @@ func (g *Golden) snap(c *cpu.CPU, sys *mem.System, cycle int) {
 	})
 }
 
-// Clone returns an independent Golden handle. Snapshot RAM images and
-// the golden trace are immutable after NewGolden — every injection path
-// restores into its own scratch buffers and never writes back — so the
-// clone shares them with the original: cloning is a header copy, not a
-// multi-megabyte deep copy, and per-worker clones cost nothing.
-func (g *Golden) Clone() *Golden {
-	out := *g
-	out.snaps = append([]snapshot(nil), g.snaps...)
-	return &out
-}
-
 // snapIndex returns the index of the latest snapshot at or before cycle
 // (binary search; snapshots are in strictly ascending cycle order and
 // snapshot 0 is reset state, so every non-negative cycle resolves).
@@ -311,52 +301,14 @@ func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU, int) {
 	return sys, c, s.cycle
 }
 
-// Inject runs one fault-injection experiment on the golden-trace replay
-// path: only the redundant CPU is simulated, fed by a mem.ReplayBus, and
-// its outputs are compared against the precomputed golden trace. The run
-// ends at detection, at state re-convergence (soft faults), or at the
-// golden run's horizon. The DSR accumulates for the default StopLatency
-// window. Outcomes are bit-identical to the dual-CPU InjectLegacy oracle.
-func (g *Golden) Inject(inj Injection) Outcome {
-	return g.InjectW(inj, StopLatency)
-}
-
-// InjectW is Inject with an explicit checker stop-latency window: the
-// number of cycles the DSR keeps OR-accumulating after the first
-// divergence before the CPUs stop. window <= 1 latches only the
-// first-divergence map. Exposed for the stop-window sensitivity ablation.
-//
-// Per-call scratch comes from a shared pool; campaign workers that want
-// strictly per-worker buffers hold a Replayer and call its InjectW.
-func (g *Golden) InjectW(inj Injection, window int) Outcome {
-	r := replayerPool.Get().(*Replayer)
-	out := r.InjectW(g, inj, window)
-	replayerPool.Put(r)
-	return out
-}
-
-// replayerPool recycles Replayer scratch (two RAM-sized image buffers)
-// across ad-hoc Golden.Inject/InjectW calls.
-var replayerPool = sync.Pool{New: func() any { return NewReplayer() }}
-
-// InjectLegacy is the original dual-CPU experiment: the golden (main)
-// CPU is re-simulated to drive the memory system while the redundant CPU
-// consumes the same inputs with fault forcing applied. It is twice the
+// injectLegacyHorizon is the original dual-CPU experiment, generalized
+// over the lockstep mode: the golden (main) CPU is re-simulated to drive
+// the memory system while the redundant CPU consumes the same inputs with
+// fault forcing applied. It mirrors Replayer.injectHorizon: `horizon`
+// bounds the compared program cycles and `shift` moves detection cycles
+// to the wall clock (see the mode rationale there). It is twice the
 // simulation work of the replay path and is kept as the differential-
 // testing oracle (and behind the campaign drivers' -legacy-inject flag).
-func (g *Golden) InjectLegacy(inj Injection) Outcome {
-	return g.InjectLegacyW(inj, StopLatency)
-}
-
-// InjectLegacyW is InjectLegacy with an explicit checker stop window.
-func (g *Golden) InjectLegacyW(inj Injection, window int) Outcome {
-	return g.injectLegacyHorizon(inj, window, g.TotalCycles, 0)
-}
-
-// injectLegacyHorizon is the dual-CPU oracle generalized over the
-// lockstep mode, mirroring Replayer.injectHorizon: `horizon` bounds the
-// compared program cycles and `shift` moves detection cycles to the wall
-// clock (see the mode rationale there).
 func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) Outcome {
 	if horizon > g.TotalCycles {
 		horizon = g.TotalCycles

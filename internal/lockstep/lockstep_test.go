@@ -54,6 +54,7 @@ func TestRestoreReplayEquivalence(t *testing.T) {
 // equivalent sanity check is that a paired run with a soft flip either
 // detects, converges, or stays silent — it must never corrupt the golden.
 func TestSoftFaultOutcomes(t *testing.T) {
+	rep := NewReplayer()
 	g := testGolden(t, "ttsprk", 6000)
 	rng := rand.New(rand.NewSource(1))
 	detected, converged, silent := 0, 0, 0
@@ -63,7 +64,7 @@ func TestSoftFaultOutcomes(t *testing.T) {
 			Kind:  SoftFlip,
 			Cycle: 500 + rng.Intn(4000),
 		}
-		o := g.Inject(inj)
+		o := rep.InjectMode(g, inj, Mode{}, StopLatency)
 		switch {
 		case o.Detected:
 			detected++
@@ -91,6 +92,7 @@ func TestSoftFaultOutcomes(t *testing.T) {
 // TestHardFaultOutcomes: stuck-at faults detect more often than soft ones
 // and never report convergence.
 func TestHardFaultOutcomes(t *testing.T) {
+	rep := NewReplayer()
 	g := testGolden(t, "rspeed", 6000)
 	rng := rand.New(rand.NewSource(2))
 	detected := 0
@@ -100,11 +102,11 @@ func TestHardFaultOutcomes(t *testing.T) {
 		if i%2 == 0 {
 			kind = Stuck1
 		}
-		o := g.Inject(Injection{
+		o := rep.InjectMode(g, Injection{
 			Flop:  rng.Intn(cpu.NumFlops()),
 			Kind:  kind,
 			Cycle: 500 + rng.Intn(4000),
-		})
+		}, Mode{}, StopLatency)
 		if o.Converged {
 			t.Fatal("hard fault reported convergence")
 		}
@@ -121,10 +123,11 @@ func TestHardFaultOutcomes(t *testing.T) {
 // TestDeterministicInjection: the same injection always yields the same
 // outcome — the campaign must be reproducible bit-for-bit.
 func TestDeterministicInjection(t *testing.T) {
+	rep := NewReplayer()
 	g := testGolden(t, "puwmod", 4000)
 	inj := Injection{Flop: 100, Kind: Stuck1, Cycle: 1234}
-	a := g.Inject(inj)
-	b := g.Inject(inj)
+	a := rep.InjectMode(g, inj, Mode{}, StopLatency)
+	b := rep.InjectMode(g, inj, Mode{}, StopLatency)
 	if a != b {
 		t.Fatalf("outcomes differ: %+v vs %+v", a, b)
 	}
@@ -133,6 +136,7 @@ func TestDeterministicInjection(t *testing.T) {
 // TestPCStuckDetectsFast: a stuck-at on a PC bit must manifest quickly in
 // fetch-related SCs.
 func TestPCStuckDetectsFast(t *testing.T) {
+	rep := NewReplayer()
 	g := testGolden(t, "a2time", 4000)
 	// Find a PC flop (registry entry "PC", bit 4).
 	flop := -1
@@ -146,7 +150,7 @@ func TestPCStuckDetectsFast(t *testing.T) {
 	if flop < 0 {
 		t.Fatal("no PC flop found")
 	}
-	o := g.Inject(Injection{Flop: flop, Kind: Stuck1, Cycle: 1000})
+	o := rep.InjectMode(g, Injection{Flop: flop, Kind: Stuck1, Cycle: 1000}, Mode{}, StopLatency)
 	if !o.Detected {
 		t.Fatal("PC stuck-at not detected")
 	}
@@ -163,14 +167,15 @@ func TestPCStuckDetectsFast(t *testing.T) {
 // III-B observation: for the same flops, hard errors diverge more SCs at
 // detection than soft errors (54% more diverged SC sets in the paper).
 func TestHardSpreadsMoreThanSoft(t *testing.T) {
+	rep := NewReplayer()
 	g := testGolden(t, "aifirf", 8000)
 	rng := rand.New(rand.NewSource(3))
 	var softBits, hardBits, pairs int
 	for i := 0; i < 400 && pairs < 60; i++ {
 		flop := rng.Intn(cpu.NumFlops())
 		cycle := 500 + rng.Intn(6000)
-		so := g.Inject(Injection{Flop: flop, Kind: SoftFlip, Cycle: cycle})
-		ho := g.Inject(Injection{Flop: flop, Kind: Stuck1, Cycle: cycle})
+		so := rep.InjectMode(g, Injection{Flop: flop, Kind: SoftFlip, Cycle: cycle}, Mode{}, StopLatency)
+		ho := rep.InjectMode(g, Injection{Flop: flop, Kind: Stuck1, Cycle: cycle}, Mode{}, StopLatency)
 		if !so.Detected || !ho.Detected {
 			continue
 		}
@@ -306,9 +311,10 @@ func TestTMRForwardRecovery(t *testing.T) {
 }
 
 func TestTraceMatchesInject(t *testing.T) {
+	rep := NewReplayer()
 	g := testGolden(t, "rspeed", 6000)
 	inj := Injection{Flop: 900, Kind: Stuck1, Cycle: 2000}
-	out := g.Inject(inj)
+	out := rep.InjectMode(g, inj, Mode{}, StopLatency)
 	tr := g.Trace(inj, StopLatency)
 	if out.Detected != tr.Outcome.Detected {
 		t.Fatalf("trace and inject disagree on detection")
@@ -354,6 +360,7 @@ func TestTraceConvergedTransient(t *testing.T) {
 // TestOutcomeInvariants: property test over random injections — every
 // outcome satisfies the structural invariants of the harness.
 func TestOutcomeInvariants(t *testing.T) {
+	rep := NewReplayer()
 	g := testGolden(t, "iirflt", 6000)
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 250; i++ {
@@ -362,7 +369,7 @@ func TestOutcomeInvariants(t *testing.T) {
 			Kind:  FaultKind(rng.Intn(NumFaultKinds)),
 			Cycle: rng.Intn(6000),
 		}
-		o := g.Inject(inj)
+		o := rep.InjectMode(g, inj, Mode{}, StopLatency)
 		if o.Detected && o.Converged {
 			t.Fatalf("outcome both detected and converged: %+v", inj)
 		}
@@ -385,6 +392,7 @@ func TestOutcomeInvariants(t *testing.T) {
 // TestWindowedDSRIsSuperset: the accumulated DSR always contains the
 // first-divergence map (window 1 result).
 func TestWindowedDSRIsSuperset(t *testing.T) {
+	rep := NewReplayer()
 	g := testGolden(t, "cacheb", 6000)
 	rng := rand.New(rand.NewSource(13))
 	compared := 0
@@ -394,8 +402,8 @@ func TestWindowedDSRIsSuperset(t *testing.T) {
 			Kind:  Stuck1,
 			Cycle: rng.Intn(5000),
 		}
-		first := g.InjectW(inj, 1)
-		full := g.InjectW(inj, StopLatency)
+		first := rep.InjectMode(g, inj, Mode{}, 1)
+		full := rep.InjectMode(g, inj, Mode{}, StopLatency)
 		if first.Detected != full.Detected {
 			t.Fatalf("window changed detection: %+v", inj)
 		}

@@ -140,7 +140,7 @@ func TestTMRMatchesLegacyOracle(t *testing.T) {
 	var detected, recovered, stuck int
 	for _, inj := range modeSample(g, 17, 1, 7) {
 		fast := r.InjectMode(g, inj, mode, StopLatency)
-		oracle := g.InjectTMRLegacyW(inj, StopLatency)
+		oracle := g.InjectLegacyMode(inj, mode, StopLatency)
 		if fast != oracle {
 			t.Fatalf("tmr %+v: fast %+v != oracle %+v", inj, fast, oracle)
 		}

@@ -9,11 +9,12 @@ import (
 )
 
 // TestConcurrentInjectMatchesSerial verifies the Golden immutability
-// contract the parallel campaign driver relies on: many goroutines
-// injecting against one shared Golden produce exactly the outcomes a
-// serial loop produces. Run under -race this doubles as the data-race
-// check for golden sharing.
+// contract the parallel campaign driver relies on: many goroutines, each
+// with its own Replayer, injecting against one shared Golden produce
+// exactly the outcomes a serial loop produces. Run under -race this
+// doubles as the data-race check for golden sharing.
 func TestConcurrentInjectMatchesSerial(t *testing.T) {
+	rep := NewReplayer()
 	k := workload.ByName("puwmod")
 	g, err := NewGolden(k, 4000, 500)
 	if err != nil {
@@ -29,7 +30,7 @@ func TestConcurrentInjectMatchesSerial(t *testing.T) {
 
 	serial := make([]Outcome, len(injs))
 	for i, inj := range injs {
-		serial[i] = g.Inject(inj)
+		serial[i] = rep.InjectMode(g, inj, Mode{}, StopLatency)
 	}
 
 	conc := make([]Outcome, len(injs))
@@ -38,7 +39,7 @@ func TestConcurrentInjectMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conc[i] = g.Inject(injs[i])
+			conc[i] = NewReplayer().InjectMode(g, injs[i], Mode{}, StopLatency)
 		}(i)
 	}
 	wg.Wait()
@@ -47,54 +48,6 @@ func TestConcurrentInjectMatchesSerial(t *testing.T) {
 		if serial[i] != conc[i] {
 			t.Fatalf("injection %+v: serial outcome %+v != concurrent %+v",
 				injs[i], serial[i], conc[i])
-		}
-	}
-}
-
-// TestGoldenClone: a clone is an independent handle (injections against
-// it match the original) built as a cheap header copy — snapshot RAM and
-// the golden trace are immutable after NewGolden, so the clone is
-// expected to SHARE them with the original rather than deep-copy
-// megabytes per worker.
-func TestGoldenClone(t *testing.T) {
-	k := workload.ByName("ttsprk")
-	g, err := NewGolden(k, 3000, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := g.Clone()
-	if c.Kernel != g.Kernel || c.Entry != g.Entry || c.TotalCycles != g.TotalCycles {
-		t.Fatal("clone metadata differs")
-	}
-	if len(c.snaps) != len(g.snaps) {
-		t.Fatalf("clone has %d snapshots, original %d", len(c.snaps), len(g.snaps))
-	}
-	for i := range g.snaps {
-		if &c.snaps[i].ram[0] != &g.snaps[i].ram[0] {
-			t.Fatalf("snapshot %d RAM deep-copied: clones must share immutable snapshots", i)
-		}
-	}
-	if len(g.trace.outTab) > 0 && &c.trace.outTab[0] != &g.trace.outTab[0] {
-		t.Fatal("golden trace deep-copied: clones must share the immutable trace")
-	}
-	if c.live != g.live {
-		t.Fatal("liveness table deep-copied: clones must share the immutable pruning table")
-	}
-	// The snapshot slice itself is copied into a fresh backing array, so
-	// a mutation of a clone's headers can never leak into the original.
-	if &c.snaps[0] == &g.snaps[0] {
-		t.Fatal("clone snapshot slice aliases the original's backing array")
-	}
-	injs := []Injection{
-		{Flop: 3, Kind: SoftFlip, Cycle: 700},
-		{Flop: 200, Kind: Stuck1, Cycle: 1500},
-		{Flop: 451, Kind: Stuck0, Cycle: 2200},
-	}
-	for _, inj := range injs {
-		a := g.Inject(inj)
-		b := c.Inject(inj)
-		if a != b {
-			t.Fatalf("injection %+v: original %+v != clone %+v", inj, a, b)
 		}
 	}
 }

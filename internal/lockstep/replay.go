@@ -51,9 +51,10 @@ type Replayer struct {
 // lazily on the first experiment.
 func NewReplayer() *Replayer { return &Replayer{} }
 
-// InjectW runs one fault-injection experiment against g on the replay
-// path, producing an Outcome bit-identical to g.InjectLegacyW(inj,
-// window).
+// injectHorizon is the replay injection core: it runs one experiment
+// against g simulating only the redundant CPU, producing an Outcome
+// bit-identical to the dual-CPU oracle g.injectLegacyHorizon(inj, window,
+// horizon, shift).
 //
 // Equivalence to the dual-CPU oracle, piece by piece:
 //
@@ -87,16 +88,13 @@ func NewReplayer() *Replayer { return &Replayer{} }
 //     equal fingerprints) confirmed against an exactly reconstructed
 //     golden state, so a hash collision can cost time but never flip an
 //     outcome.
-func (r *Replayer) InjectW(g *Golden, inj Injection, window int) Outcome {
-	return r.injectHorizon(g, inj, window, g.TotalCycles, 0)
-}
-
-// injectHorizon is the replay injection core, generalized over the
-// lockstep mode: the run compares the first `horizon` cycles of the
-// golden trace (DCLS/TMR compare all TotalCycles; an N-cycle slip only
-// ever checks TotalCycles-N program cycles before the campaign horizon),
-// and `shift` converts program-space detection cycles to wall-clock ones
-// (the delayed checker of slip:N sees program cycle c at wall cycle c+N).
+//
+// The run is generalized over the lockstep mode: it compares the first
+// `horizon` cycles of the golden trace (DCLS/TMR compare all TotalCycles;
+// an N-cycle slip only ever checks TotalCycles-N program cycles before the
+// campaign horizon), and `shift` converts program-space detection cycles
+// to wall-clock ones (the delayed checker of slip:N sees program cycle c
+// at wall cycle c+N).
 //
 // The main CPU is fault-free in every mode, so in program space the
 // redundant CPU's environment under slip IS the DCLS environment: the

@@ -53,16 +53,11 @@ func TestReplayMatchesLegacyOracle(t *testing.T) {
 
 			var detected, converged, masked int
 			for _, e := range exps {
-				want := g.InjectLegacyW(e.inj, e.window)
-				got := rep.InjectW(g, e.inj, e.window)
+				want := g.InjectLegacyMode(e.inj, Mode{}, e.window)
+				got := rep.InjectMode(g, e.inj, Mode{}, e.window)
 				if got != want {
 					t.Fatalf("injection %+v window %d: replay %+v != legacy %+v",
 						e.inj, e.window, got, want)
-				}
-				// The pooled convenience entry point must agree too.
-				if pooled := g.InjectW(e.inj, e.window); pooled != want {
-					t.Fatalf("injection %+v window %d: pooled replay %+v != legacy %+v",
-						e.inj, e.window, pooled, want)
 				}
 				switch {
 				case want.Detected:
@@ -158,7 +153,8 @@ func (b *replayCheckBus) WriteMasked(addr, data, mask uint32) {
 // per-cycle output vectors and state fingerprints. This is the
 // end-to-end proof that AdvanceTo-then-step serves byte-identical memory
 // inputs, which the injection replay path's prefix and convergence
-// verification both rely on.
+// verification both rely on. It also holds the trace compaction claim:
+// the in-memory trace stays >=3x below the version-1 flat layout.
 func TestGoldenTraceSelfCheck(t *testing.T) {
 	for _, kn := range []string{"puwmod", "rspeed"} {
 		g, err := NewGolden(workload.ByName(kn), 3000, 500)
@@ -186,11 +182,29 @@ func TestGoldenTraceSelfCheck(t *testing.T) {
 			t.Fatalf("%s: replay consumed %d reads, golden log has %d", kn, check.pos, len(g.trace.reads))
 		}
 	}
+
+	for _, kn := range []string{"puwmod", "ttsprk"} {
+		// Campaign-scale horizon: kernels loop, so the OutVec working set
+		// saturates while cycles keep growing — that periodicity is what
+		// the interning exploits (at 3000 cycles ttsprk compacts only
+		// ~2.4x).
+		g, err := NewGolden(workload.ByName(kn), 6000, 750)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Version 1 kept a full OutVec plus a 64-bit fingerprint per cycle.
+		flatV1 := int64(len(g.trace.outID))*int64(cpu.NumSC*4+8) +
+			int64(len(g.trace.writes))*mem.WriteEventBytes +
+			int64(len(g.trace.reads))*mem.ReadEventBytes
+		if got := g.TraceBytes(); got*3 > flatV1 {
+			t.Errorf("%s: compacted trace %d bytes, want >=3x below flat %d", kn, got, flatV1)
+		}
+	}
 }
 
 // TestInjectReplayZeroAlloc is the allocation regression guard for the
 // campaign hot path: after warm-up, a Replayer runs experiments of every
-// outcome class with zero heap allocations per InjectW. (Skipped under
+// outcome class with zero heap allocations per InjectMode. (Skipped under
 // -race, whose instrumentation allocates.)
 func TestInjectReplayZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -210,7 +224,7 @@ func TestInjectReplayZeroAlloc(t *testing.T) {
 	for flop := 0; flop < cpu.NumFlops(); flop += 3 {
 		for kind := FaultKind(0); kind < NumFaultKinds; kind++ {
 			inj := Injection{Flop: flop, Kind: kind, Cycle: 700 + flop%1500}
-			out := rep.InjectW(g, inj, StopLatency)
+			out := rep.InjectMode(g, inj, Mode{}, StopLatency)
 			keep := false
 			switch {
 			case out.Detected:
@@ -238,10 +252,10 @@ func TestInjectReplayZeroAlloc(t *testing.T) {
 
 	i := 0
 	avg := testing.AllocsPerRun(100, func() {
-		rep.InjectW(g, injs[i%len(injs)], StopLatency)
+		rep.InjectMode(g, injs[i%len(injs)], Mode{}, StopLatency)
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state InjectW allocates %.2f times per run, want 0", avg)
+		t.Fatalf("steady-state InjectMode allocates %.2f times per run, want 0", avg)
 	}
 }

@@ -23,7 +23,7 @@ type DivergenceTrace struct {
 	Maps   []uint64
 }
 
-// Trace runs one injection like InjectW but records the instantaneous
+// Trace runs one DCLS injection like Replayer.InjectMode but records the instantaneous
 // divergence map for up to window cycles starting at detection.
 func (g *Golden) Trace(inj Injection, window int) DivergenceTrace {
 	tr := DivergenceTrace{Injection: inj}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/core"
 	"lockstep/internal/dataset"
 	"lockstep/internal/inject"
@@ -365,29 +366,7 @@ func (m *jobManager) writeManifest(j *job) error {
 		mf.Stats = &st
 	}
 	j.mu.Unlock()
-	return writeFileAtomic(m.mfPath(j.ID), append(mustJSON(mf), '\n'))
-}
-
-// writeFileAtomic is temp-file + rename in the destination directory, so
-// adopters never see a torn manifest or dataset.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(m.mfPath(j.ID), append(mustJSON(mf), '\n'))
 }
 
 // submit registers (or finds) the job for a validated config and queues
@@ -553,7 +532,7 @@ func (m *jobManager) finish(j *job, ds *dataset.Dataset, st inject.Stats, err er
 	default:
 		var csv strings.Builder
 		if werr := ds.WriteCSV(&csv); werr == nil {
-			werr = writeFileAtomic(m.dsPath(j.ID), []byte(csv.String()))
+			werr = atomicfile.Write(m.dsPath(j.ID), []byte(csv.String()))
 			if werr != nil {
 				err = werr
 			}
@@ -652,14 +631,14 @@ func (m *jobManager) census() map[string]int {
 
 // jobStatus is the wire form of a job.
 type jobStatus struct {
-	ID       string          `json:"id"`
-	State    string          `json:"state"`
-	Done     int64           `json:"done"`
-	Total    int             `json:"total"`
-	Restored int             `json:"restored,omitempty"`
-	Failures int             `json:"failures,omitempty"`
-	PerSec   float64         `json:"per_sec,omitempty"`
-	Error    string          `json:"error,omitempty"`
+	ID       string  `json:"id"`
+	State    string  `json:"state"`
+	Done     int64   `json:"done"`
+	Total    int     `json:"total"`
+	Restored int     `json:"restored,omitempty"`
+	Failures int     `json:"failures,omitempty"`
+	PerSec   float64 `json:"per_sec,omitempty"`
+	Error    string  `json:"error,omitempty"`
 	// TrainedTable / TrainError report a "train": true job's
 	// post-completion training outcome.
 	TrainedTable string          `json:"trained_table,omitempty"`

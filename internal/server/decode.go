@@ -74,7 +74,7 @@ func readBodyInto(r io.Reader, buf []byte, limit int) ([]byte, error) {
 			copy(grown, buf)
 			buf = grown
 		}
-		n, err := r.Read(buf[len(buf) : cap(buf)])
+		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if len(buf) > limit {
 			return buf, errBodyTooLarge

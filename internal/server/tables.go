@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/core"
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
@@ -231,11 +232,11 @@ func (m *tableManager) register(b *tableBundle) (*tableBundle, error) {
 	m.order = append(m.order, b.version)
 	m.mu.Unlock()
 	if m.dir != "" {
-		if err := writeFileAtomic(filepath.Join(m.dir, b.version+".lspt"), b.image); err != nil {
+		if err := atomicfile.Write(filepath.Join(m.dir, b.version+".lspt"), b.image); err != nil {
 			return nil, err
 		}
 		if b.mode != (lockstep.Mode{}) {
-			if err := writeFileAtomic(filepath.Join(m.dir, b.version+".mode"), []byte(b.mode.String()+"\n")); err != nil {
+			if err := atomicfile.Write(filepath.Join(m.dir, b.version+".mode"), []byte(b.mode.String()+"\n")); err != nil {
 				return nil, err
 			}
 		}
@@ -260,7 +261,7 @@ func (m *tableManager) activate(version string) (bool, error) {
 		return false, nil
 	}
 	if m.dir != "" {
-		if err := writeFileAtomic(filepath.Join(m.dir, activeFile), []byte(version+"\n")); err != nil {
+		if err := atomicfile.Write(filepath.Join(m.dir, activeFile), []byte(version+"\n")); err != nil {
 			return false, err
 		}
 	}
@@ -429,12 +430,12 @@ type tableJSON struct {
 	Granularity string `json:"granularity"`
 	// Mode is the lockstep mode of the training campaign; omitted for
 	// dcls, the pre-mode wire shape.
-	Mode string `json:"mode,omitempty"`
-	Sets        int    `json:"sets"`
-	TopK        int    `json:"topk,omitempty"`
-	TableBits   int    `json:"table_bits"`
-	Source      string `json:"source"`
-	Active      bool   `json:"active"`
+	Mode      string `json:"mode,omitempty"`
+	Sets      int    `json:"sets"`
+	TopK      int    `json:"topk,omitempty"`
+	TableBits int    `json:"table_bits"`
+	Source    string `json:"source"`
+	Active    bool   `json:"active"`
 }
 
 func bundleJSON(b *tableBundle, active bool) tableJSON {
