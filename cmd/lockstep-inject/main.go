@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -158,7 +157,7 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: server.NewDistributor(co)}
+	srv := server.NewHTTPServer(server.NewDistributor(co))
 	go srv.Serve(ln)
 	defer srv.Close()
 	done, total := co.Progress()

@@ -133,7 +133,7 @@ func run(opt server.Options, addr, tablePath string, tblAccess int64, metricsPat
 		fmt.Fprintln(errw, "lockstep-serve: /v1/predict disabled until a table is loaded (use -table or POST /v1/tables)")
 	}
 
-	hs := &http.Server{Handler: srv}
+	hs := server.NewHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -1,31 +1,24 @@
 // Package loadgen generates deterministic prediction-request load for
-// benchmarking a running lockstep-serve instance.
+// a lockstep-serve instance.
 //
 // A Control describes one load shape — client count, requests per
 // client, batch size, hex/numeric encoding mix, known/unknown DSR mix,
 // and an RNG seed. Request bodies are a pure function of (Control,
 // client index): the same Control always produces byte-identical
-// bodies, so recorded benchmark trajectories (BENCH_serve.json) compare
-// like with like across commits, and a subprocess client re-derives its
-// schedule from the Control alone without any body transfer.
+// bodies, so the serve workloads of the benchmark (perfbench) send the
+// same input at every commit. TestBodiesGolden pins those bytes.
 //
-// The package splits controller from client, lightstep-benchmarks
-// style: Bodies builds a client's schedule, RunClient plays one
-// schedule against a base URL and reports raw latencies, Run fans out
-// in-process clients, and Aggregate folds client reports into
-// nearest-rank percentiles and throughput.
+// Bodies builds a client's schedule up front; Run plays every client's
+// schedule concurrently against a base URL and folds the per-request
+// latencies into nearest-rank percentiles and throughput.
 package loadgen
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,37 +26,35 @@ import (
 	"time"
 )
 
-// Control is one benchmark run's load shape. The zero value is
-// normalized to a minimal single-client, single-request probe.
+const (
+	// predictPath is the endpoint every request is posted to.
+	predictPath = "/v1/predict"
+	// requestTimeout bounds one HTTP request.
+	requestTimeout = 10 * time.Second
+)
+
+// Control is one load run's shape. The zero value is normalized to a
+// minimal single-client, single-request probe.
 type Control struct {
 	// Clients is the number of concurrent clients (default 1).
-	Clients int `json:"clients"`
+	Clients int
 	// Requests is how many requests each client issues (default 1).
-	Requests int `json:"requests"`
+	Requests int
 	// Batch is the DSR count per request: 1 sends {"dsr":...}, larger
 	// values send {"dsrs":[...]} (default 1).
-	Batch int `json:"batch"`
+	Batch int
 	// HexProb is the probability a DSR is rendered as a hex string
 	// rather than a JSON number, clamped to [0,1] (0 = all numeric).
-	HexProb float64 `json:"hex_prob"`
+	HexProb float64
 	// KnownProb is the probability a DSR is drawn from Known — the
 	// trained population served by the dense fast path — rather than
-	// from Pool or the full uint64 space, clamped to [0,1] (0 = all
-	// unknown when Known is empty anyway, or all Pool/random draws).
-	KnownProb float64 `json:"known_prob"`
+	// uniformly from the full uint64 space, clamped to [0,1].
+	KnownProb float64
 	// Seed roots every client's schedule; client i derives its own
 	// stream from (Seed, i).
-	Seed int64 `json:"seed"`
+	Seed int64
 	// Known is the trained-DSR population (typically table.Dict sets).
-	Known []uint64 `json:"known,omitempty"`
-	// Pool optionally supplies the non-Known draws — e.g. DSR values
-	// harvested from the fuzz seed corpus — instead of uniform random
-	// uint64s.
-	Pool []uint64 `json:"pool,omitempty"`
-	// Path is the request path (default /v1/predict).
-	Path string `json:"path,omitempty"`
-	// TimeoutNS bounds one HTTP request in nanoseconds (default 10s).
-	TimeoutNS int64 `json:"timeout_ns,omitempty"`
+	Known []uint64
 }
 
 // normalized returns c with defaults applied and probabilities clamped.
@@ -79,12 +70,6 @@ func (c Control) normalized() Control {
 	}
 	c.HexProb = clamp01(c.HexProb)
 	c.KnownProb = clamp01(c.KnownProb)
-	if c.Path == "" {
-		c.Path = "/v1/predict"
-	}
-	if c.TimeoutNS <= 0 {
-		c.TimeoutNS = int64(10 * time.Second)
-	}
 	return c
 }
 
@@ -134,17 +119,14 @@ func (c Control) Bodies(client int) [][]byte {
 	return bodies
 }
 
-// appendDSR draws one DSR per the known/pool mix and renders it per the
-// hex/numeric mix. Draw order is fixed (population first, then
+// appendDSR draws one DSR per the known/unknown mix and renders it per
+// the hex/numeric mix. Draw order is fixed (population first, then
 // encoding) so the byte stream is reproducible.
 func (c Control) appendDSR(dst []byte, rng *rand.Rand) []byte {
 	var v uint64
-	switch {
-	case len(c.Known) > 0 && rng.Float64() < c.KnownProb:
+	if len(c.Known) > 0 && rng.Float64() < c.KnownProb {
 		v = c.Known[rng.Intn(len(c.Known))]
-	case len(c.Pool) > 0:
-		v = c.Pool[rng.Intn(len(c.Pool))]
-	default:
+	} else {
 		v = rng.Uint64()
 	}
 	if rng.Float64() < c.HexProb {
@@ -155,23 +137,20 @@ func (c Control) appendDSR(dst []byte, rng *rand.Rand) []byte {
 	return strconv.AppendUint(dst, v, 10)
 }
 
-// ClientReport is one client's raw outcome: per-success latencies in
-// issue order plus the failure count. JSON-serializable so subprocess
-// clients can hand it back over stdout.
-type ClientReport struct {
-	Client      int     `json:"client"`
-	LatenciesNS []int64 `json:"latencies_ns"`
-	Failures    int     `json:"failures"`
+// clientReport is one client's raw outcome: per-success latencies in
+// issue order plus the failure count.
+type clientReport struct {
+	latenciesNS []int64
+	failures    int
 }
 
-// RunClient plays client's schedule against baseURL sequentially,
+// runClient plays client's schedule against baseURL sequentially,
 // timing each request. A non-200 answer or transport error counts as a
 // failure; ctx cancellation aborts the remaining schedule and returns
 // the report so far with the context error.
-func RunClient(ctx context.Context, c Control, client int, baseURL string, hc *http.Client) (ClientReport, error) {
-	c = c.normalized()
-	rep := ClientReport{Client: client, LatenciesNS: make([]int64, 0, c.Requests)}
-	url := strings.TrimSuffix(baseURL, "/") + c.Path
+func runClient(ctx context.Context, c Control, client int, baseURL string, hc *http.Client) (clientReport, error) {
+	rep := clientReport{latenciesNS: make([]int64, 0, c.Requests)}
+	url := strings.TrimSuffix(baseURL, "/") + predictPath
 	for _, body := range c.Bodies(client) {
 		if err := ctx.Err(); err != nil {
 			return rep, err
@@ -187,27 +166,27 @@ func RunClient(ctx context.Context, c Control, client int, baseURL string, hc *h
 			if ctx.Err() != nil {
 				return rep, ctx.Err()
 			}
-			rep.Failures++
+			rep.failures++
 			continue
 		}
 		_, cerr := io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if cerr != nil || resp.StatusCode != http.StatusOK {
-			rep.Failures++
+			rep.failures++
 			continue
 		}
-		rep.LatenciesNS = append(rep.LatenciesNS, time.Since(start).Nanoseconds())
+		rep.latenciesNS = append(rep.latenciesNS, time.Since(start).Nanoseconds())
 	}
 	return rep, nil
 }
 
-// NewClient builds the http.Client a Run (or a subprocess client)
-// should use: enough idle connections that every concurrent client
-// keeps one warm, and the Control's per-request timeout.
+// NewClient builds the http.Client a load run should use: enough idle
+// connections that every concurrent client keeps one warm, and a fixed
+// per-request timeout.
 func (c Control) NewClient() *http.Client {
 	c = c.normalized()
 	return &http.Client{
-		Timeout: time.Duration(c.TimeoutNS),
+		Timeout: requestTimeout,
 		Transport: &http.Transport{
 			MaxIdleConns:        2 * c.Clients,
 			MaxIdleConnsPerHost: c.Clients,
@@ -216,14 +195,14 @@ func (c Control) NewClient() *http.Client {
 }
 
 // Run fans out c.Clients in-process clients against baseURL and folds
-// their reports into a Summary. The wall clock spans first request to
+// their latencies into a Summary. The wall clock spans first request to
 // last response across all clients.
-func Run(ctx context.Context, c Control, baseURL string) (Summary, []ClientReport, error) {
+func Run(ctx context.Context, c Control, baseURL string) (Summary, error) {
 	c = c.normalized()
 	hc := c.NewClient()
 	defer hc.CloseIdleConnections()
 
-	reports := make([]ClientReport, c.Clients)
+	reports := make([]clientReport, c.Clients)
 	errs := make([]error, c.Clients)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -231,38 +210,38 @@ func Run(ctx context.Context, c Control, baseURL string) (Summary, []ClientRepor
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], errs[i] = RunClient(ctx, c, i, baseURL, hc)
+			reports[i], errs[i] = runClient(ctx, c, i, baseURL, hc)
 		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return Summary{}, reports, err
+			return Summary{}, err
 		}
 	}
-	return Aggregate(reports, wall), reports, nil
+	return aggregate(reports, wall), nil
 }
 
-// Summary is the aggregate of one load run, ready for BENCH_serve.json.
+// Summary is the aggregate of one load run.
 type Summary struct {
-	Requests  int     `json:"requests"`
-	Failures  int     `json:"failures"`
-	WallNS    int64   `json:"wall_ns"`
-	ReqPerSec float64 `json:"req_per_sec"`
-	P50NS     int64   `json:"p50_ns"`
-	P95NS     int64   `json:"p95_ns"`
-	P99NS     int64   `json:"p99_ns"`
+	Requests  int
+	Failures  int
+	WallNS    int64
+	ReqPerSec float64
+	P50NS     int64
+	P95NS     int64
+	P99NS     int64
 }
 
-// Aggregate merges client reports: total counts, throughput over wall,
+// aggregate merges client reports: total counts, throughput over wall,
 // and nearest-rank latency percentiles over all successful requests.
-func Aggregate(reports []ClientReport, wall time.Duration) Summary {
+func aggregate(reports []clientReport, wall time.Duration) Summary {
 	var all []int64
 	s := Summary{WallNS: wall.Nanoseconds()}
 	for _, r := range reports {
-		all = append(all, r.LatenciesNS...)
-		s.Failures += r.Failures
+		all = append(all, r.latenciesNS...)
+		s.Failures += r.failures
 	}
 	s.Requests = len(all) + s.Failures
 	if wall > 0 {
@@ -290,80 +269,4 @@ func Percentile(sorted []int64, p float64) int64 {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// CorpusDSRs harvests DSR values from a go-fuzz seed corpus directory
-// (go test fuzz v1 files): each recorded request body is parsed with
-// the predict endpoint's value semantics (hex string with optional
-// 0x/0X prefix, or decimal number) and every value that parses as a
-// uint64 joins the pool; malformed bodies and values are skipped. The
-// result seeds a Control's Pool so benchmark traffic shares the
-// fuzzer's value distribution. Order is deterministic (directory
-// order, first occurrence) and duplicates are dropped.
-func CorpusDSRs(dir string) ([]uint64, error) {
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[uint64]bool)
-	var out []uint64
-	add := func(raw json.RawMessage) {
-		v, ok := parseDSRValue(raw)
-		if ok && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for _, f := range files {
-		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
-		if err != nil {
-			return nil, err
-		}
-		for _, line := range strings.Split(string(raw), "\n") {
-			line = strings.TrimSpace(line)
-			const prefix = "[]byte("
-			if !strings.HasPrefix(line, prefix) || !strings.HasSuffix(line, ")") {
-				continue
-			}
-			body, err := strconv.Unquote(line[len(prefix) : len(line)-1])
-			if err != nil {
-				continue
-			}
-			var req struct {
-				DSR  json.RawMessage   `json:"dsr"`
-				DSRs []json.RawMessage `json:"dsrs"`
-			}
-			if json.Unmarshal([]byte(body), &req) != nil {
-				continue
-			}
-			add(req.DSR)
-			for _, v := range req.DSRs {
-				add(v)
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("loadgen: no DSR values in corpus %s", dir)
-	}
-	return out, nil
-}
-
-// parseDSRValue interprets one JSON value the way /v1/predict does:
-// a string is hex with an optional 0x/0X prefix, a bare number is
-// decimal.
-func parseDSRValue(raw json.RawMessage) (uint64, bool) {
-	if len(raw) == 0 {
-		return 0, false
-	}
-	if raw[0] == '"' {
-		var s string
-		if json.Unmarshal(raw, &s) != nil {
-			return 0, false
-		}
-		s = strings.TrimPrefix(strings.TrimPrefix(s, "0x"), "0X")
-		v, err := strconv.ParseUint(s, 16, 64)
-		return v, err == nil
-	}
-	v, err := strconv.ParseUint(string(raw), 10, 64)
-	return v, err == nil
 }

@@ -2,12 +2,12 @@ package loadgen
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -46,6 +46,34 @@ func TestBodiesDeterministic(t *testing.T) {
 	c.Seed++
 	if reflect.DeepEqual(a, c.Bodies(1)) {
 		t.Fatal("different seeds produced identical bodies")
+	}
+}
+
+// TestBodiesGolden pins loadgen's request bytes across commits: the
+// SHA-256 of two clients' schedules for a Control shaped like the
+// benchmark's serve workloads (single-DSR and 256-DSR batches, half hex,
+// half trained DSRs) must not move, so no loadgen edit can silently
+// change the benchmark's input.
+func TestBodiesGolden(t *testing.T) {
+	known := []uint64{0x1, 0x2a, 0x3f00, 0x10000, 0xdeadbeef, 0x8000000000000000, 0xffffffffffffffff}
+	for _, tc := range []struct {
+		batch, requests int
+		want            string
+	}{
+		{1, 2048, "b6b3f8d3c029d3ff5ee2b0600a18b7f8de8763244bb104c2ee2a8aac143830a2"},
+		{256, 64, "dc63a6f64e7d8ae50f7a5ab5492ab6bc3d81156a2268c6fe587176e0650c8890"},
+	} {
+		c := Control{Clients: 2, Requests: tc.requests, Batch: tc.batch, HexProb: 0.5, KnownProb: 0.5, Seed: 53, Known: known}
+		h := sha256.New()
+		for client := 0; client < c.Clients; client++ {
+			for _, b := range c.Bodies(client) {
+				h.Write(b)
+				h.Write([]byte{'\n'})
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("batch %d: bodies digest %s, want %s", tc.batch, got, tc.want)
+		}
 	}
 }
 
@@ -113,8 +141,7 @@ func TestBodiesShape(t *testing.T) {
 // TestNormalizedDefaults: the zero Control is a valid single-probe run.
 func TestNormalizedDefaults(t *testing.T) {
 	n := Control{}.normalized()
-	if n.Clients != 1 || n.Requests != 1 || n.Batch != 1 || n.Path != "/v1/predict" ||
-		n.TimeoutNS != int64(10*time.Second) {
+	if n.Clients != 1 || n.Requests != 1 || n.Batch != 1 {
 		t.Fatalf("zero Control normalized to %+v", n)
 	}
 	if c := (Control{HexProb: -1, KnownProb: 7}).normalized(); c.HexProb != 0 || c.KnownProb != 1 {
@@ -146,7 +173,7 @@ func TestRunAgainstStub(t *testing.T) {
 	defer stub.Close()
 
 	c := testControl()
-	sum, reports, err := Run(context.Background(), c, stub.URL)
+	sum, err := Run(context.Background(), c, stub.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +190,6 @@ func TestRunAgainstStub(t *testing.T) {
 	}
 	if sum.Requests != c.Clients*c.Requests || sum.Failures != 0 {
 		t.Fatalf("summary %+v: want %d requests, 0 failures", sum, c.Clients*c.Requests)
-	}
-	if len(reports) != c.Clients {
-		t.Fatalf("%d reports, want %d", len(reports), c.Clients)
 	}
 	if sum.ReqPerSec <= 0 || sum.WallNS <= 0 {
 		t.Fatalf("summary %+v: non-positive throughput", sum)
@@ -190,7 +214,7 @@ func TestRunCountsFailures(t *testing.T) {
 	defer stub.Close()
 
 	c := Control{Clients: 2, Requests: 30, Batch: 1, Seed: 7}
-	sum, _, err := Run(context.Background(), c, stub.URL)
+	sum, err := Run(context.Background(), c, stub.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,29 +229,12 @@ func TestRunClientCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := Control{Requests: 5, Seed: 1}
-	rep, err := RunClient(ctx, c, 0, "http://127.0.0.1:0", c.NewClient())
+	rep, err := runClient(ctx, c, 0, "http://127.0.0.1:0", c.NewClient())
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(rep.LatenciesNS) != 0 {
-		t.Fatalf("cancelled client recorded %d latencies", len(rep.LatenciesNS))
-	}
-}
-
-// TestClientReportRoundTrip: the subprocess hand-off format survives
-// JSON.
-func TestClientReportRoundTrip(t *testing.T) {
-	in := ClientReport{Client: 3, LatenciesNS: []int64{10, 20, 30}, Failures: 2}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out ClientReport
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: %+v != %+v", out, in)
+	if len(rep.latenciesNS) != 0 {
+		t.Fatalf("cancelled client recorded %d latencies", len(rep.latenciesNS))
 	}
 }
 
@@ -276,11 +283,11 @@ func TestPercentile(t *testing.T) {
 
 // TestAggregate folds two hand-built reports and checks the totals.
 func TestAggregate(t *testing.T) {
-	reports := []ClientReport{
-		{LatenciesNS: []int64{300, 100}, Failures: 1},
-		{LatenciesNS: []int64{200, 400}},
+	reports := []clientReport{
+		{latenciesNS: []int64{300, 100}, failures: 1},
+		{latenciesNS: []int64{200, 400}},
 	}
-	s := Aggregate(reports, 2*time.Second)
+	s := aggregate(reports, 2*time.Second)
 	if s.Requests != 5 || s.Failures != 1 {
 		t.Fatalf("aggregate %+v: want 5 requests, 1 failure", s)
 	}
@@ -289,45 +296,5 @@ func TestAggregate(t *testing.T) {
 	}
 	if s.P50NS != 200 || s.P95NS != 400 || s.P99NS != 400 {
 		t.Fatalf("aggregate %+v: wrong percentiles", s)
-	}
-}
-
-// TestCorpusDSRs extracts values from a synthetic fuzz-corpus dir: hex
-// strings, 0x prefixes and decimals all land in the pool, deduplicated,
-// in deterministic order.
-func TestCorpusDSRs(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("a", "go test fuzz v1\n[]byte(\"{\\\"dsr\\\":\\\"1a2b\\\"}\")\n")
-	write("b", "go test fuzz v1\n[]byte(\"{\\\"dsrs\\\":[42,\\\"0xff\\\",\\\"1a2b\\\"]}\")\n")
-
-	got, err := CorpusDSRs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0x1a2b, 42, 0xff}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CorpusDSRs = %x, want %x", got, want)
-	}
-
-	if _, err := CorpusDSRs(t.TempDir()); err == nil {
-		t.Fatal("empty corpus dir: want error")
-	}
-	if _, err := CorpusDSRs(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("missing dir: want error")
-	}
-
-	// The real FuzzPredictRequest seed corpus must yield a usable pool.
-	real, err := CorpusDSRs(filepath.Join("..", "server", "testdata", "fuzz", "FuzzPredictRequest"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(real) == 0 {
-		t.Fatal("real corpus yielded no DSR values")
 	}
 }

@@ -92,9 +92,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 // request body and render the response bytes out of sc's reusable
 // buffers against the caller's pinned bundle, returning the rendered
 // response and the batch size. It is the unit BenchmarkPredictE2E and
-// the lockstep-bench allocs/req probe measure, and it performs zero heap
-// allocations in steady state — the bundle indirection is a pointer
-// dereference, not a copy.
+// PredictAllocsPerRun measure, and it performs zero heap allocations in
+// steady state — the bundle indirection is a pointer dereference, not a
+// copy.
 func (s *Server) predictBytes(ctx context.Context, b *tableBundle, sc *predictScratch, body []byte) ([]byte, int, error) {
 	dsrs, err := parsePredictInto(body, sc.dsrs, s.opt.MaxBatch)
 	if dsrs != nil {
@@ -114,9 +114,9 @@ func (s *Server) predictBytes(ctx context.Context, b *tableBundle, sc *predictSc
 // PredictAllocsPerRun measures the steady-state heap allocations one
 // predict request costs on the serving hot path (request decode + dense
 // lookup + response render — everything the server adds beyond stdlib
-// HTTP plumbing) for the given request body. lockstep-bench reports it
-// as allocs/req in BENCH_serve.json and the CI SLO smoke holds it at
-// zero. The measurement mirrors testing.AllocsPerRun: warm up, pin to
+// HTTP plumbing) for the given request body. The benchmark (perfbench)
+// reports it as server.allocs_per_req, and TestPredictZeroAlloc holds it
+// at zero. The measurement mirrors testing.AllocsPerRun: warm up, pin to
 // one P, and average the mallocs delta over many runs.
 func (s *Server) PredictAllocsPerRun(body []byte) (float64, error) {
 	b := s.tables.current()

@@ -75,8 +75,8 @@ func TestPredictZeroAlloc(t *testing.T) {
 		})
 	}
 
-	// The exported probe lockstep-bench uses for BENCH_serve.json must
-	// agree with the strict guard.
+	// The exported probe the benchmark reports as server.allocs_per_req
+	// must agree with the strict guard.
 	if allocs, err := s.PredictAllocsPerRun(bodies["single-known"]); err != nil || allocs != 0 {
 		t.Fatalf("PredictAllocsPerRun = %v, %v; want 0, nil", allocs, err)
 	}

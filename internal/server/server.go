@@ -119,7 +119,8 @@ func (o *Options) normalize() {
 }
 
 // Server is the lockstep prediction & campaign service. It implements
-// http.Handler; the caller owns the listener and http.Server.
+// http.Handler; the caller owns the listener and the http.Server, which
+// NewHTTPServer builds.
 type Server struct {
 	opt  Options
 	reg  *telemetry.Registry
@@ -253,6 +254,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opt.RequestTimeout)
 	defer cancel()
 	s.mux.ServeHTTP(w, r.WithContext(ctx))
+}
+
+const (
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request line and headers. The concurrency limiter only sees a
+	// request once its headers are parsed, so without this bound a client
+	// that never finishes its headers holds a connection forever.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes a keep-alive connection that sends no further
+	// request for this long.
+	idleTimeout = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server that serves h on a listener:
+// the Server in lockstep-serve, a Distributor in the lockstep-inject
+// -distribute coordinator. It bounds only header reads and idle
+// keep-alive time, so a large dataset download or span upload is not
+// cut off.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // Drain gracefully stops the campaign machinery: running jobs are

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -342,6 +344,41 @@ func TestConcurrencyLimiter(t *testing.T) {
 	s.testHold = nil
 	if code, _ := do(t, s, "GET", "/healthz", ""); code != http.StatusOK {
 		t.Fatalf("after release: status %d", code)
+	}
+}
+
+// TestHTTPServerClosesPartialRequest: a client that sends only part of
+// its request line never reaches the limiter, so the http.Server itself
+// must close the connection once readHeaderTimeout passes.
+func TestHTTPServerClosesPartialRequest(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := NewHTTPServer(newTestServer(t, nil))
+	if hs.IdleTimeout <= 0 {
+		t.Fatal("NewHTTPServer sets no IdleTimeout")
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /v1/pre")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	// net/http answers 400 before it hangs up; only the close matters.
+	if reply, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open after a partial request line (read %q): %v", reply, err)
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }
 
