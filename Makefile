@@ -1,8 +1,11 @@
 # CI entry points. `make ci` is the gate: gofmt, vet, build, the full
 # test suite under the race detector, the campaign determinism check (a
 # serial vs workers=4 Small-scale campaign must be byte-identical, the
-# replay path must match the legacy dual-CPU oracle, and the pruned
-# campaign must match the -no-prune one), the crash-safety check
+# replay path must match the legacy dual-CPU oracle, the pruned
+# campaign must match the -no-prune one, and — since the plan fixes
+# every dataset byte — TestPlanMatchesReference and
+# TestPlanSourceMatchesMathRand must hold the sharded, lazily seeded plan
+# to the original one and its RNG to math/rand), the crash-safety check
 # (kill/resume at any point must reproduce the byte-identical dataset),
 # the pruning differential-oracle soundness gate, the telemetry
 # concurrency tests under -race, the injection and predict hot-path
@@ -35,11 +38,14 @@ race:
 	$(GO) test -race ./...
 
 # The campaign determinism contracts, explicitly and under -race: the
-# sharded campaign must reproduce the serial dataset bit for bit, and the
+# sharded campaign must reproduce the serial dataset bit for bit, the
 # golden-trace replay path must reproduce the legacy dual-CPU oracle's
-# outcomes bit for bit (per-experiment and as a whole campaign dataset).
+# outcomes bit for bit (per-experiment and as a whole campaign dataset),
+# and the plan, which fixes every dataset byte, must equal the original
+# one-rand.NewSource-per-group plan at 1, 3 and 7 workers while its
+# lazily seeded RNG matches math/rand draw for draw.
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck' -count=1 \
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestPlanMatchesReference|TestPlanSourceMatchesMathRand' -count=1 \
 		./internal/inject/ ./internal/lockstep/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
@@ -148,12 +154,13 @@ bench:
 
 # Micro-benchmarks of the hot paths, the entry point for profiling them
 # (rerun a line with -cpuprofile): golden-trace replay vs the legacy
-# dual-CPU oracle vs the pruned campaign path on the same mix, and the
-# predict decode, render and serve path beside the encoding/json
-# reference decoder and the table-path render. It records nothing; the
-# benchmark is `bash perfbench/run.sh`.
+# dual-CPU oracle vs the pruned campaign path on the same mix, the
+# campaign-dcls plan, and the predict decode, render and serve path
+# beside the encoding/json reference decoder and the table-path render.
+# It records nothing; the benchmark is `bash perfbench/run.sh`.
 bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkInject(Replay|Legacy|Pruned)$$' -benchmem -benchtime=200ms .
+	$(GO) test -run '^$$' -bench 'BenchmarkPlan$$' -benchmem -benchtime=200ms ./internal/inject/
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Decode|Render|E2E)' -benchmem -benchtime=200ms ./internal/server/
 
 # Serving-path SLO smoke for ci: 8 concurrent clients x 200 predict

@@ -154,8 +154,8 @@ var scWidths = func() [NumSC]int {
 	return w
 }()
 
-// SCWidth returns the number of signal bits in SC i.
-func SCWidth(i int) int { return scWidths[i] }
+// scWidth returns the number of signal bits in SC i.
+func scWidth(i int) int { return scWidths[i] }
 
 // OutputPortBits is the total number of output-port signal bits each CPU
 // drives to the checker (the paper's Cortex-R5 exposes ~2500; SR5 is

@@ -24,7 +24,7 @@ func TestSCNamesComplete(t *testing.T) {
 func TestSCWidthsSumToPortBits(t *testing.T) {
 	sum := 0
 	for i := 0; i < NumSC; i++ {
-		w := SCWidth(i)
+		w := scWidth(i)
 		if w <= 0 || w > 8 {
 			t.Fatalf("SC %d width %d", i, w)
 		}

@@ -194,6 +194,3 @@ func (c *Context) balancedTest(fi int) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(c.Scale.Seed + 7000 + int64(fi)))
 	return c.folds[fi].Test.Balanced(rng)
 }
-
-// RestartMap returns the measured per-kernel restart penalties in cycles.
-func (c *Context) RestartMap() map[string]int64 { return c.restartMap }

@@ -41,7 +41,7 @@ func TestPrintTimelineGolden(t *testing.T) {
 
 	var buf bytes.Buffer
 	for _, c := range cases {
-		re := h.HandleRecord(c.rec)
+		re := h.handleRecord(c.rec)
 		fmt.Fprintf(&buf, "== %s ==\n", c.title)
 		re.PrintTimeline(&buf)
 		fmt.Fprintln(&buf)

@@ -87,7 +87,7 @@ type Prediction struct {
 
 // Predict performs the handler's DSR→PTAR→table flow (latch the DSR,
 // resolve the table address, fetch the entry) and returns the prediction
-// without reacting. HandleRecord/HandleLive drive the same front-end, so
+// without reacting. HandleLive drives the same front-end, so
 // a Reaction's PTAR/KnownSet/PredHard/PredOrder always agree with
 // Predict on the same DSR. Handlers are not safe for concurrent use
 // (the front-end latches state); concurrent callers build one Handler
@@ -109,9 +109,9 @@ func (h *Handler) Predict(dsr uint64) Prediction {
 	}
 }
 
-// HandleRecord reacts to a logged error record (ground truth comes from
+// handleRecord reacts to a logged error record (ground truth comes from
 // the record itself). It is the executable twin of sbist.PredComb.React.
-func (h *Handler) HandleRecord(r dataset.Record) Reaction {
+func (h *Handler) handleRecord(r dataset.Record) Reaction {
 	h.stlFinds = func(unit int) bool {
 		return r.Hard() && unit == h.Cfg.Gran.UnitOf(r)
 	}
@@ -139,20 +139,20 @@ func (h *Handler) HandleLive(d *lockstep.DMR, kernel string, faultyUnit int, har
 // lockstep — far cheaper than a full task restart.
 const ForwardRecoveryCycles = 500
 
-// HandleTMR reacts to a voted TMR error (Section II's MMR flow): the voter
+// handleTMR reacts to a voted TMR error (Section II's MMR flow): the voter
 // has already identified the erring CPU, so a predicted-soft error is
 // healed by forward recovery (no task restart), and a predicted-hard error
 // is diagnosed by running STLs on the erring CPU only; a confirmed
 // permanent fault takes that CPU out of the vote while the system
 // continues in checked-dual mode.
-func (h *Handler) HandleTMR(tmr *lockstep.TMR, vote lockstep.VoteResult, kernel string, faultyUnit int, hard bool) Reaction {
+func (h *Handler) handleTMR(tmr *lockstep.TMR, vote lockstep.VoteResult, kernel string, faultyUnit int, hard bool) Reaction {
 	h.stlFinds = func(unit int) bool { return hard && unit == faultyUnit }
 	re := h.reactTMR(tmr, vote)
 	observe(re)
 	return re
 }
 
-// reactTMR is the MMR reaction flow proper; HandleTMR wraps it with
+// reactTMR is the MMR reaction flow proper; handleTMR wraps it with
 // telemetry.
 func (h *Handler) reactTMR(tmr *lockstep.TMR, vote lockstep.VoteResult) Reaction {
 	re := Reaction{DSR: vote.DSR, FaultyUnit: -1}

@@ -49,7 +49,7 @@ func TestHandleHardErrorFlow(t *testing.T) {
 		Kernel: "k", Detected: true, DSR: 1 << 3,
 		Unit: units.LSU, Fine: units.FineLSU, Kind: lockstep.Stuck0,
 	}
-	re := h.HandleRecord(r)
+	re := h.handleRecord(r)
 	if !re.FoundHard || re.FaultyUnit != int(units.LSU) {
 		t.Fatalf("hard fault not located: %+v", re)
 	}
@@ -75,7 +75,7 @@ func TestHandlePredictedSoftSkipsSTLs(t *testing.T) {
 		Kernel: "k", Detected: true, DSR: 1 << 20,
 		Unit: units.PFU, Fine: units.FinePFU, Kind: lockstep.SoftFlip,
 	}
-	re := h.HandleRecord(r)
+	re := h.handleRecord(r)
 	if !re.Restarted || re.FoundHard {
 		t.Fatalf("soft flow wrong: %+v", re)
 	}
@@ -97,7 +97,7 @@ func TestHandleSoftMispredictedAsHard(t *testing.T) {
 		Kernel: "k", Detected: true, DSR: 1 << 2, // IMC hard set
 		Unit: units.IMC, Fine: units.FineIMC, Kind: lockstep.SoftFlip,
 	}
-	re := h.HandleRecord(r)
+	re := h.handleRecord(r)
 	if !re.Restarted || re.FoundHard {
 		t.Fatalf("mispredicted soft flow wrong: %+v", re)
 	}
@@ -118,7 +118,7 @@ func TestHandleUnknownSetDefaultsToHard(t *testing.T) {
 		Kernel: "k", Detected: true, DSR: 0xDEADBEEF,
 		Unit: units.DMC, Fine: units.FineDMC, Kind: lockstep.Stuck1,
 	}
-	re := h.HandleRecord(r)
+	re := h.handleRecord(r)
 	if re.KnownSet {
 		t.Fatal("unknown set flagged as known")
 	}
@@ -171,7 +171,7 @@ func TestHandleLiveEndToEnd(t *testing.T) {
 
 func TestPrintTimeline(t *testing.T) {
 	h := testHandler()
-	re := h.HandleRecord(dataset.Record{
+	re := h.handleRecord(dataset.Record{
 		Kernel: "k", Detected: true, DSR: 1 << 3,
 		Unit: units.LSU, Fine: units.FineLSU, Kind: lockstep.Stuck1,
 	})
@@ -209,7 +209,7 @@ func TestHandleTMRSoftForwardRecovery(t *testing.T) {
 	}
 
 	h := testHandler()
-	re := h.HandleTMR(tmr, *vote, "puwmod", 0, false)
+	re := h.handleTMR(tmr, *vote, "puwmod", 0, false)
 	if !re.Restarted || re.FoundHard {
 		t.Fatalf("TMR soft flow wrong: %+v", re)
 	}
@@ -255,7 +255,7 @@ func TestHandleTMRHardDiagnosis(t *testing.T) {
 	h := testHandler()
 	// Tell the handler the ground truth: hard fault in the PFU (flop 40
 	// is an FQInstr bit).
-	re := h.HandleTMR(tmr, *vote, "canrdr", int(units.PFU), true)
+	re := h.handleTMR(tmr, *vote, "canrdr", int(units.PFU), true)
 	if !re.FoundHard || re.FaultyUnit != int(units.PFU) {
 		t.Fatalf("TMR hard flow wrong: %+v", re)
 	}

@@ -25,7 +25,7 @@ func TestPredictMatchesReaction(t *testing.T) {
 	}
 	for _, r := range records {
 		p := h.Predict(r.DSR)
-		re := h.HandleRecord(r)
+		re := h.handleRecord(r)
 		if p.PTAR != re.PTAR || p.Known != re.KnownSet || p.Hard != re.PredHard {
 			t.Fatalf("DSR %#x: Predict (PTAR %d known %v hard %v) disagrees with reaction (PTAR %d known %v hard %v)",
 				r.DSR, p.PTAR, p.Known, p.Hard, re.PTAR, re.KnownSet, re.PredHard)

@@ -43,7 +43,7 @@ func TestPrintTMRTimelineGolden(t *testing.T) {
 
 	var buf bytes.Buffer
 	for _, c := range cases {
-		re := h.HandleTMR(tmr, c.vote, "k", c.faultyUnit, c.hard)
+		re := h.handleTMR(tmr, c.vote, "k", c.faultyUnit, c.hard)
 		fmt.Fprintf(&buf, "== %s ==\n", c.title)
 		re.PrintTimeline(&buf)
 		fmt.Fprintln(&buf)

@@ -95,10 +95,11 @@ type Config struct {
 	// every mode — so mode is a pure campaign axis; it participates in
 	// the fingerprint, the checkpoint and the dataset rows.
 	Mode lockstep.Mode
-	// Workers is the number of parallel experiment executors; 0 or
-	// negative means runtime.NumCPU(). The resulting dataset is identical
-	// for every worker count (the plan fixes each experiment's schedule
-	// and records merge back in plan order).
+	// Workers is the number of parallel experiment executors, and of the
+	// goroutines that build the plan; 0 or negative means
+	// runtime.NumCPU(). The resulting dataset is identical for every
+	// worker count (the plan fixes each experiment's schedule and records
+	// merge back in plan order).
 	Workers int
 	// Legacy runs experiments on the original dual-CPU simulation instead
 	// of the golden-trace replay path. Roughly half the throughput; kept
@@ -172,17 +173,10 @@ type Config struct {
 	testHook func(Experiment, *lockstep.Outcome)
 }
 
-// DefaultConfig is a laptop-scale campaign: full flop coverage, all three
-// fault kinds, two intervals per (flop, kind) on every kernel.
-func DefaultConfig() Config {
-	return Config{
-		RunCycles:             12000,
-		Intervals:             64,
-		InjectionsPerFlopKind: 2,
-		FlopStride:            1,
-		Seed:                  1,
-	}
-}
+// maxExperiments bounds a campaign's experiment count: above the paper's
+// 10M injections (the full scale here is 171,990), and low enough that
+// the plan and the dataset's records fit in memory.
+const maxExperiments = 1 << 24
 
 func (c *Config) normalize() error {
 	if c.RunCycles <= 0 {
@@ -228,6 +222,10 @@ func (c *Config) normalize() error {
 	default:
 		return &ConfigError{Field: "Mode", Reason: fmt.Sprintf("unknown mode kind %d", c.Mode.Kind)}
 	}
+	if c.Intervals > c.RunCycles {
+		return &ConfigError{Field: "Intervals", Reason: fmt.Sprintf(
+			"%d intervals do not fit the %d-cycle run", c.Intervals, c.RunCycles)}
+	}
 	if len(c.Kinds) == 0 {
 		c.Kinds = []lockstep.FaultKind{lockstep.SoftFlip, lockstep.Stuck0, lockstep.Stuck1}
 	}
@@ -241,7 +239,19 @@ func (c *Config) normalize() error {
 			return &ConfigError{Field: "Kernels", Reason: fmt.Sprintf("unknown kernel %q", name)}
 		}
 	}
+	if groups := c.groups(); c.InjectionsPerFlopKind > maxExperiments/groups {
+		return &ConfigError{Field: "InjectionsPerFlopKind", Reason: fmt.Sprintf(
+			"%d injections for each of %d (kernel, flop, kind) groups exceed the %d-experiment limit",
+			c.InjectionsPerFlopKind, groups, maxExperiments)}
+	}
 	return nil
+}
+
+// groups is the number of (kernel, flop, kind) injection groups of a
+// normalized config.
+func (c *Config) groups() int {
+	flops := (cpu.NumFlops() + c.FlopStride - 1) / c.FlopStride
+	return len(c.Kernels) * flops * len(c.Kinds)
 }
 
 // Fingerprint returns the schedule fingerprint of the config: every field
@@ -264,8 +274,7 @@ func (c Config) Total() (int, error) {
 	if err := c.normalize(); err != nil {
 		return 0, err
 	}
-	flops := (cpu.NumFlops() + c.FlopStride - 1) / c.FlopStride
-	return len(c.Kernels) * flops * len(c.Kinds) * c.InjectionsPerFlopKind, nil
+	return c.groups() * c.InjectionsPerFlopKind, nil
 }
 
 // Stats reports how a campaign ran.

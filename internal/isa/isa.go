@@ -173,8 +173,8 @@ func IsStore(op Op) bool {
 	return false
 }
 
-// IsBranch reports whether op is a conditional branch.
-func IsBranch(op Op) bool {
+// isBranch reports whether op is a conditional branch.
+func isBranch(op Op) bool {
 	switch op {
 	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
 		return true
@@ -182,8 +182,8 @@ func IsBranch(op Op) bool {
 	return false
 }
 
-// IsJump reports whether op unconditionally redirects the PC.
-func IsJump(op Op) bool { return op == OpJAL || op == OpJALR }
+// isJump reports whether op unconditionally redirects the PC.
+func isJump(op Op) bool { return op == OpJAL || op == OpJALR }
 
 // WritesReg reports whether op writes a destination register.
 func WritesReg(op Op) bool {

@@ -95,11 +95,11 @@ func TestOpClassPredicates(t *testing.T) {
 		if IsStore(op) != contains(stores, op) {
 			t.Errorf("IsStore(%v) wrong", op)
 		}
-		if IsBranch(op) != contains(branches, op) {
-			t.Errorf("IsBranch(%v) wrong", op)
+		if isBranch(op) != contains(branches, op) {
+			t.Errorf("isBranch(%v) wrong", op)
 		}
-		if IsJump(op) != (op == OpJAL || op == OpJALR) {
-			t.Errorf("IsJump(%v) wrong", op)
+		if isJump(op) != (op == OpJAL || op == OpJALR) {
+			t.Errorf("isJump(%v) wrong", op)
 		}
 		if IsStore(op) && WritesReg(op) {
 			t.Errorf("store %v claims to write a register", op)

@@ -111,6 +111,7 @@ func FuzzCampaignRequest(f *testing.F) {
 	f.Add([]byte(`{"kinds":["soft","stuck-at-0","stuck-at-1"]}`))
 	f.Add([]byte(`{"kinds":["gamma-ray"]}`))
 	f.Add([]byte(`{"run_cycles":-1}`))
+	f.Add([]byte(`{"injections_per_flop_kind":9000000000000000000}`))
 	f.Add([]byte(`{"workers":99999,"checkpoint_every":1}`))
 	f.Add([]byte(`{"seed":-9223372036854775808}`))
 	f.Add([]byte(`{"unknown_field":1}`))

@@ -100,11 +100,11 @@ func (f Fine) Coarse() Unit {
 	}
 }
 
-// IsDPUSub reports whether f is one of the seven DPU sub-units.
-func (f Fine) IsDPUSub() bool { return f >= FineDPUDecode && f < NumFine }
+// isDPUSub reports whether f is one of the seven DPU sub-units.
+func (f Fine) isDPUSub() bool { return f >= FineDPUDecode && f < NumFine }
 
-// AllUnits lists the coarse units in canonical order.
-func AllUnits() []Unit {
+// allUnits lists the coarse units in canonical order.
+func allUnits() []Unit {
 	out := make([]Unit, NumUnits)
 	for i := range out {
 		out[i] = Unit(i)
@@ -112,8 +112,8 @@ func AllUnits() []Unit {
 	return out
 }
 
-// AllFine lists the fine units in canonical order.
-func AllFine() []Fine {
+// allFine lists the fine units in canonical order.
+func allFine() []Fine {
 	out := make([]Fine, NumFine)
 	for i := range out {
 		out[i] = Fine(i)

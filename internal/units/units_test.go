@@ -49,8 +49,8 @@ func TestFineCoarseMapping(t *testing.T) {
 
 func TestDPUSubUnits(t *testing.T) {
 	count := 0
-	for _, f := range AllFine() {
-		if f.IsDPUSub() {
+	for _, f := range allFine() {
+		if f.isDPUSub() {
 			count++
 			if f.Coarse() != DPU {
 				t.Errorf("%v claims DPU sub-unit but maps to %v", f, f.Coarse())
@@ -64,14 +64,14 @@ func TestDPUSubUnits(t *testing.T) {
 }
 
 func TestEnumerations(t *testing.T) {
-	if len(AllUnits()) != NumUnits || NumUnits != 7 {
+	if len(allUnits()) != NumUnits || NumUnits != 7 {
 		t.Fatal("coarse enumeration wrong")
 	}
-	if len(AllFine()) != NumFine || NumFine != 13 {
+	if len(allFine()) != NumFine || NumFine != 13 {
 		t.Fatal("fine enumeration wrong")
 	}
 	seen := map[string]bool{}
-	for _, f := range AllFine() {
+	for _, f := range allFine() {
 		name := f.String()
 		if seen[name] {
 			t.Errorf("duplicate fine name %q", name)
