@@ -294,7 +294,8 @@ func newJobManager(opt Options, reg *telemetry.Registry, tables *tableManager) (
 // adopt loads every persisted job from the data directory: done/failed
 // jobs become visible again, queued ones (including jobs a previous
 // server drained mid-run) are re-queued and will resume from their
-// checkpoint.
+// checkpoint, and jobs whose request no longer validates are listed as
+// failed.
 func (m *jobManager) adopt() error {
 	names, err := filepath.Glob(filepath.Join(m.dir, "*.job.json"))
 	if err != nil {
@@ -311,9 +312,6 @@ func (m *jobManager) adopt() error {
 			return fmt.Errorf("manifest %s: %w", name, err)
 		}
 		_, cfg, err := parseCampaignRequest(mustJSON(mf.Request), m.maxWorkers)
-		if err != nil {
-			return fmt.Errorf("manifest %s: %w", name, err)
-		}
 		j := &job{ID: mf.ID, Req: mf.Request, Cfg: cfg, Total: mf.Total, state: mf.State}
 		if mf.Stats != nil {
 			j.stats = *mf.Stats
@@ -321,7 +319,13 @@ func (m *jobManager) adopt() error {
 		j.errMsg = mf.Error
 		j.trainedTable = mf.TrainedTable
 		j.trainErr = mf.TrainError
-		switch mf.State {
+		if err != nil {
+			// This build refuses the request (a bound added since it was
+			// submitted), so the job can neither run nor resume here:
+			// list it as failed rather than refuse to start.
+			j.state, j.errMsg = stateFailed, err.Error()
+		}
+		switch j.state {
 		case stateDone:
 			j.done.Store(int64(mf.Total))
 		case stateFailed:
