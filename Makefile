@@ -7,9 +7,11 @@
 # TestPlanSourceMatchesMathRand must hold the sharded, lazily seeded plan
 # to the original one and its RNG to math/rand), the crash-safety check
 # (kill/resume at any point must reproduce the byte-identical dataset),
-# the pruning differential-oracle soundness gate, the telemetry
-# concurrency tests under -race, the injection and predict hot-path
-# allocation guards, the hot-table-reload swap-atomicity and
+# the pruning differential-oracle soundness gate and the replay's
+# stuck-at skip gate (skip on must equal skip off on every replayed site
+# of the reference campaign), the telemetry concurrency tests under
+# -race, the injection and predict hot-path allocation guards, the
+# hot-table-reload swap-atomicity and
 # training-parity gate, the serving-path SLO smoke, and a build and
 # self-test of the benchmark (perfbench/, run with `bash perfbench/run.sh`).
 GO ?= go
@@ -84,10 +86,17 @@ mode-determinism:
 
 # The pruning soundness gate: every (kernel, fault kind) pair's pruned
 # sites are differentially re-simulated on the replay oracle at a >= 1%
-# sample (seeded, so the sample is reproducible) and every predicted
-# outcome must match the simulation exactly.
+# sample (seeded, so the sample is reproducible), with the replay's
+# stuck-at skip off because the skip reasons with the same liveness
+# tables, and every predicted outcome must match the simulation exactly.
+# The skip gate: on every replayed (unpruned) site of the reference
+# campaign plan (ttsprk, rspeed, puwmod; 6,000 cycles; stride 1; seed 1)
+# under dcls, slip:16 and tmr, the replay with the skip on must return
+# the outcome of the replay with it off. It runs here, without -race,
+# where it takes seconds instead of a minute.
 prune-soundness:
 	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestSkipMatchesNoSkip' -count=1 ./internal/inject/
 
 # The telemetry layer's own contract, under -race: exact totals from
 # NumCPU hammering goroutines, monotone histogram buckets, and
@@ -140,7 +149,8 @@ cover:
 	done
 
 # Allocation regression guards for the two hot paths: steady-state
-# Replayer.InjectMode (injection) and predictBytes — decode, dense lookup,
+# Replayer.InjectMode (injection, including a stuck-at jump and a TMR
+# forward-recovery recheck) and predictBytes — decode, dense lookup,
 # render — (serving) must perform zero heap allocations, and the full
 # predict HTTP round trip must stay within its fixed stdlib-plumbing
 # budget. Run without -race (the detector's instrumentation allocates;

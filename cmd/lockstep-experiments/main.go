@@ -17,7 +17,8 @@
 // only changes wall-clock time; the throughput line reports it.
 // -legacy-inject runs the campaign on the original dual-CPU simulation
 // instead of golden-trace replay, and -no-prune disables the static
-// fault-equivalence pruning of provably-masked sites — both produce the
+// fault-equivalence pruning of provably-masked sites and the replay's
+// stuck-at skip, which reasons with the same analysis — both produce the
 // bit-identical dataset at lower throughput and are kept as the
 // differential-testing oracles.
 //
@@ -86,7 +87,7 @@ func main() {
 	flag.StringVar(&o.metrics, "metrics", "", "write the telemetry JSON snapshot to this path after the run")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.BoolVar(&o.legacy, "legacy-inject", false, "use the legacy dual-CPU simulation instead of golden-trace replay (same dataset, ~2x slower)")
-	flag.BoolVar(&o.noPrune, "no-prune", false, "disable static fault-equivalence pruning (same dataset, slower; the differential-oracle path)")
+	flag.BoolVar(&o.noPrune, "no-prune", false, "disable static fault-equivalence pruning and the replay's stuck-at skip (same dataset, slower; the differential-oracle path)")
 	flag.StringVar(&o.mode, "mode", "dcls", "lockstep mode the campaign runs under: dcls, slip:N or tmr")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "periodically write an atomic resumable campaign checkpoint to this path")
 	flag.IntVar(&o.ckptEvery, "checkpoint-every", 0, "completed experiments between checkpoint writes (0 = default 4096)")

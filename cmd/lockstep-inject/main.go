@@ -18,7 +18,8 @@
 // without -metrics. Experiments run on the golden-trace replay path (one
 // CPU simulated per cycle), and sites whose outcome the golden run's
 // liveness analysis proves are recorded without simulating at all;
-// -no-prune disables that static pruning and -legacy-inject selects the
+// -no-prune disables that static pruning (and the replay's stuck-at skip,
+// which reasons with the same analysis) and -legacy-inject selects the
 // original dual-CPU simulation — both produce bit-identical datasets at a
 // fraction of the throughput and exist as the differential-testing
 // oracles. -metrics dumps the telemetry snapshot (per-kernel /
@@ -82,7 +83,7 @@ func main() {
 		metrics   = flag.String("metrics", "", "write the telemetry JSON snapshot to this path after the run")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 		legacy    = flag.Bool("legacy-inject", false, "use the legacy dual-CPU simulation instead of golden-trace replay (same dataset, ~2x slower)")
-		noPrune   = flag.Bool("no-prune", false, "disable static fault-equivalence pruning (same dataset, slower; the differential-oracle path)")
+		noPrune   = flag.Bool("no-prune", false, "disable static fault-equivalence pruning and the replay's stuck-at skip (same dataset, slower; the differential-oracle path)")
 		ckpt      = flag.String("checkpoint", "", "periodically write an atomic resumable checkpoint to this path")
 		ckEvery   = flag.Int("checkpoint-every", 0, "completed experiments between checkpoint writes (0 = default 4096)")
 		resume    = flag.Bool("resume", false, "resume from -checkpoint; refuses on a corrupt checkpoint or config mismatch")

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"unsafe"
 
 	"lockstep/internal/units"
 )
@@ -18,6 +19,9 @@ type Reg struct {
 	Width uint8
 	Get   func(*State) uint32
 	Set   func(*State, uint32)
+
+	off  uintptr // byte offset of the register's field in State
+	size uintptr // byte size of that field: 4 (uint32) or 1 (uint8, bool)
 }
 
 // Flop addresses one bit of one register.
@@ -28,8 +32,9 @@ type Flop struct {
 
 var (
 	registry   []Reg
-	flopOfIdx  []Flop // flat flop index -> (reg, bit)
-	flopBase   []int  // reg index -> first flat flop index
+	flopOfIdx  []Flop    // flat flop index -> (reg, bit)
+	flopLoc    []FlopLoc // flat flop index -> byte location in State
+	flopBase   []int     // reg index -> first flat flop index
 	flopsFine  [units.NumFine]int
 	flopsUnit  [units.NumUnits]int
 	totalFlops int
@@ -94,15 +99,53 @@ func GetBit(s *State, i int) bool {
 	return registry[f.Reg].Get(s)>>f.Bit&1 != 0
 }
 
+// FlopLoc is where one flop lives in a State's memory: the byte at offset
+// Off, under the single-bit Mask. It reads and compares a flop with one
+// byte operation, where GetBit goes through the register's accessor
+// closures; the injection replay loop uses it on every cycle.
+type FlopLoc struct {
+	Off  uintptr
+	Mask uint8
+}
+
+// LocOf returns the byte location of flop i.
+func LocOf(i int) FlopLoc { return flopLoc[i] }
+
+func stateByte(s *State, off uintptr) *byte {
+	return (*byte)(unsafe.Add(unsafe.Pointer(s), off))
+}
+
+// Bit reads the flop at l in s; it equals GetBit.
+func (l FlopLoc) Bit(s *State) bool { return *stateByte(s, l.Off)&l.Mask != 0 }
+
+// EqualExcept reports whether a and b hold equal values in every flop
+// except the one at l. It briefly writes b's value of that flop into a
+// and restores it, so the caller must own a.
+func (l FlopLoc) EqualExcept(a, b *State) bool {
+	p := stateByte(a, l.Off)
+	old := *p
+	*p = old&^l.Mask | *stateByte(b, l.Off)&l.Mask
+	eq := *a == *b
+	*p = old
+	return eq
+}
+
 // ---- registry construction -------------------------------------------------
 
 func init() {
 	buildRegistry()
+	var probe uint32 = 1
+	littleEndian := *(*byte)(unsafe.Pointer(&probe)) == 1
 	flopBase = make([]int, len(registry))
 	for ri, r := range registry {
 		flopBase[ri] = totalFlops
 		for b := uint8(0); b < r.Width; b++ {
 			flopOfIdx = append(flopOfIdx, Flop{Reg: ri, Bit: b})
+			lane := uintptr(b / 8)
+			if !littleEndian {
+				lane = r.size - 1 - lane
+			}
+			flopLoc = append(flopLoc, FlopLoc{Off: r.off + lane, Mask: 1 << (b % 8)})
 		}
 		totalFlops += int(r.Width)
 		flopsUnit[r.Unit] += int(r.Width)
@@ -110,29 +153,37 @@ func init() {
 	}
 }
 
-func add(name string, fine units.Fine, width uint8,
+// fieldProbe is the State the registry's field pointers are resolved
+// against to find each field's byte offset.
+var fieldProbe State
+
+func fieldOffset(field unsafe.Pointer) uintptr {
+	return uintptr(field) - uintptr(unsafe.Pointer(&fieldProbe))
+}
+
+func add(name string, fine units.Fine, width uint8, off, size uintptr,
 	get func(*State) uint32, set func(*State, uint32)) {
 	registry = append(registry, Reg{
 		Name: name, Unit: fine.Coarse(), Fine: fine, Width: width,
-		Get: get, Set: set,
+		Get: get, Set: set, off: off, size: size,
 	})
 }
 
 func addU32(name string, fine units.Fine, p func(*State) *uint32) {
-	add(name, fine, 32,
+	add(name, fine, 32, fieldOffset(unsafe.Pointer(p(&fieldProbe))), 4,
 		func(s *State) uint32 { return *p(s) },
 		func(s *State, v uint32) { *p(s) = v })
 }
 
 func addU8(name string, fine units.Fine, width uint8, p func(*State) *uint8) {
 	mask := uint8(1<<width - 1)
-	add(name, fine, width,
+	add(name, fine, width, fieldOffset(unsafe.Pointer(p(&fieldProbe))), 1,
 		func(s *State) uint32 { return uint32(*p(s) & mask) },
 		func(s *State, v uint32) { *p(s) = uint8(v) & mask })
 }
 
 func addBool(name string, fine units.Fine, p func(*State) *bool) {
-	add(name, fine, 1,
+	add(name, fine, 1, fieldOffset(unsafe.Pointer(p(&fieldProbe))), 1,
 		func(s *State) uint32 { return b2u(*p(s)) },
 		func(s *State, v uint32) { *p(s) = v&1 != 0 })
 }

@@ -191,3 +191,53 @@ func TestFlopUnitTagging(t *testing.T) {
 		}
 	}
 }
+
+// TestFlopLocMatchesAccessors holds every flop's byte location to the
+// registry's accessor closures: on a reset and a warmed-up state, Bit
+// reads what GetBit reads, FlipBit changes exactly the located bit, and
+// EqualExcept ignores that flop and no other.
+func TestFlopLocMatchesAccessors(t *testing.T) {
+	var reset State
+	reset.Reset(0)
+	c := New(mem.NewSystem(), 0)
+	for i := 0; i < 200; i++ {
+		c.StepCycle()
+	}
+	other := 0 // a flop in a different register, for the negative case
+	for name, base := range map[string]State{"reset": reset, "warm": c.State} {
+		for i := 0; i < NumFlops(); i++ {
+			l := LocOf(i)
+			if l.Off >= unsafe.Sizeof(State{}) || l.Mask == 0 || l.Mask&(l.Mask-1) != 0 {
+				t.Fatalf("%s: %s has location %+v", name, FlopName(i), l)
+			}
+			if l.Bit(&base) != GetBit(&base, i) {
+				t.Fatalf("%s: %s: Bit %v, GetBit %v", name, FlopName(i), l.Bit(&base), GetBit(&base, i))
+			}
+			s := base
+			FlipBit(&s, i)
+			if l.Bit(&s) == l.Bit(&base) {
+				t.Fatalf("%s: FlipBit(%s) left its located bit unchanged", name, FlopName(i))
+			}
+			ob := (*[unsafe.Sizeof(State{})]byte)(unsafe.Pointer(&base))
+			nb := (*[unsafe.Sizeof(State{})]byte)(unsafe.Pointer(&s))
+			for off := range ob {
+				diff := ob[off] ^ nb[off]
+				if uintptr(off) == l.Off && diff != l.Mask || uintptr(off) != l.Off && diff != 0 {
+					t.Fatalf("%s: FlipBit(%s) changed byte %d by %#x, location %+v", name, FlopName(i), off, diff, l)
+				}
+			}
+			if !l.EqualExcept(&s, &base) || !l.EqualExcept(&base, &s) {
+				t.Fatalf("%s: EqualExcept(%s) saw the flop it must ignore", name, FlopName(i))
+			}
+			if s == base {
+				t.Fatalf("%s: EqualExcept(%s) did not restore its first argument", name, FlopName(i))
+			}
+			for FlopAt(other).Reg == FlopAt(i).Reg {
+				other = (other + 7) % NumFlops()
+			}
+			if LocOf(other).EqualExcept(&s, &base) {
+				t.Fatalf("%s: EqualExcept(%s) ignored a flip of %s", name, FlopName(other), FlopName(i))
+			}
+		}
+	}
+}

@@ -140,6 +140,7 @@ func TestConfigErrorShape(t *testing.T) {
 		{"unknown kernel", func(c *Config) { c.Kernels = []string{"nosuch"} }, "Kernels"},
 		{"resume without checkpoint", func(c *Config) { c.Resume = true }, "Resume"},
 		{"more intervals than run cycles", func(c *Config) { c.Intervals = c.RunCycles + 1 }, "Intervals"},
+		{"run cycles past the limit", func(c *Config) { c.RunCycles = maxRunCycles + 1 }, "RunCycles"},
 		{"experiment count past the limit", func(c *Config) { c.InjectionsPerFlopKind = 1_000_000_000 }, "InjectionsPerFlopKind"},
 		{"experiment count overflows int", func(c *Config) { c.InjectionsPerFlopKind = 9_000_000_000_000_000_000 }, "InjectionsPerFlopKind"},
 	}

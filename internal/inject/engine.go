@@ -78,10 +78,13 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 	// outcome the golden run's liveness analysis proves, without
 	// dispatching it. A deterministic seeded sample of the prunable sites
 	// stays in the work list as the runtime differential oracle: workers
-	// simulate those normally and the run hard-fails on any prediction
-	// mismatch. The pass is serial and derived only from plan + goldens,
-	// so records stay byte-identical across worker counts, resumes, spans
-	// and pruning on/off.
+	// simulate those with the stuck-at skip off (the skip reasons with the
+	// same liveness tables, so it must not check them) and the run
+	// hard-fails on any prediction mismatch. A NoPrune campaign simulates
+	// every site with the skip off too, so comparing it to a pruned one
+	// involves no liveness reasoning at all. The pass is serial and derived
+	// only from plan + goldens, so records stay byte-identical across
+	// worker counts, resumes, spans and pruning on/off.
 	var oracle map[int]lockstep.Outcome
 	if !en.cfg.NoPrune {
 		oracle = make(map[int]lockstep.Outcome)
@@ -124,11 +127,12 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 			defer wg.Done()
 			for idx := range next {
 				e := en.plan[idx]
-				out := w.run(e)
+				expect, checked := oracle[idx]
+				out := w.run(e, checked || en.cfg.NoPrune)
 				if out.Failed {
 					failures.Add(1)
 				}
-				if expect, ok := oracle[idx]; ok && !out.Failed && out != expect {
+				if checked && !out.Failed && out != expect {
 					abortOnce.Do(func() {
 						oracleErr = fmt.Errorf(
 							"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
@@ -181,7 +185,6 @@ func (en *engine) buildGoldens(idxs []int) error {
 			need = append(need, k)
 		}
 	}
-	snapEvery := max(en.cfg.RunCycles/16, 1)
 	built := make([]*lockstep.Golden, len(need))
 	errs := make([]error, len(need))
 	sem := make(chan struct{}, en.cfg.Workers)
@@ -192,7 +195,7 @@ func (en *engine) buildGoldens(idxs []int) error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			built[i], errs[i] = lockstep.NewGolden(workload.ByName(name), en.cfg.RunCycles, snapEvery)
+			built[i], errs[i] = lockstep.NewGolden(workload.ByName(name), en.cfg.RunCycles, 1)
 		}()
 	}
 	wg.Wait()
@@ -259,14 +262,14 @@ type worker struct {
 	rep *lockstep.Replayer // replay scratch; nil until first use or after poisoning
 }
 
-// run executes one experiment and never panics: a panicking experiment is
-// re-attempted up to cfg.Retries times on a fresh replay scratch (the old
-// one may be mid-experiment) and then recorded as Failed; a
-// watchdog-budget overrun is recorded as Failed immediately, since the
-// budget is already spent.
-func (w *worker) run(e Experiment) lockstep.Outcome {
+// run executes one experiment, with the stuck-at skip off when noSkip is
+// set, and never panics: a panicking experiment is re-attempted up to
+// cfg.Retries times on a fresh replay scratch (the old one may be
+// mid-experiment) and then recorded as Failed; a watchdog-budget overrun
+// is recorded as Failed immediately, since the budget is already spent.
+func (w *worker) run(e Experiment, noSkip bool) lockstep.Outcome {
 	for attempt := 0; ; attempt++ {
-		out, panicked, timedOut := w.attempt(e)
+		out, panicked, timedOut := w.attempt(e, noSkip)
 		switch {
 		case timedOut:
 			w.rep = nil
@@ -287,14 +290,14 @@ func (w *worker) run(e Experiment) lockstep.Outcome {
 // On a timeout the experiment goroutine is abandoned together with its
 // replay scratch: it holds no locks, reads only the immutable golden, and
 // its result is discarded, so the worker can move on safely.
-func (w *worker) attempt(e Experiment) (out lockstep.Outcome, panicked, timedOut bool) {
+func (w *worker) attempt(e Experiment, noSkip bool) (out lockstep.Outcome, panicked, timedOut bool) {
 	cfg := &w.en.cfg
 	if w.rep == nil && !cfg.Legacy {
 		w.rep = lockstep.NewReplayer()
 	}
 	rep, g := w.rep, w.en.goldens[e.Kernel]
 	if cfg.ExperimentBudget <= 0 {
-		out, panicked = w.once(e, g, rep)
+		out, panicked = w.once(e, g, rep, noSkip)
 		return out, panicked, false
 	}
 	type result struct {
@@ -303,7 +306,7 @@ func (w *worker) attempt(e Experiment) (out lockstep.Outcome, panicked, timedOut
 	}
 	ch := make(chan result, 1)
 	go func() {
-		o, p := w.once(e, g, rep)
+		o, p := w.once(e, g, rep, noSkip)
 		ch <- result{o, p}
 	}()
 	timer := time.NewTimer(cfg.ExperimentBudget)
@@ -319,16 +322,19 @@ func (w *worker) attempt(e Experiment) (out lockstep.Outcome, panicked, timedOut
 // once is a single contained attempt. It touches no worker state besides
 // the engine's immutable config, so an abandoned (timed-out) invocation
 // cannot race with the worker's next attempt.
-func (w *worker) once(e Experiment, g *lockstep.Golden, rep *lockstep.Replayer) (out lockstep.Outcome, panicked bool) {
+func (w *worker) once(e Experiment, g *lockstep.Golden, rep *lockstep.Replayer, noSkip bool) (out lockstep.Outcome, panicked bool) {
 	defer func() {
 		if recover() != nil {
 			panicked = true
 		}
 	}()
 	cfg := &w.en.cfg
-	if cfg.Legacy {
+	switch {
+	case cfg.Legacy:
 		out = g.InjectLegacyMode(e.injection(), cfg.Mode, w.en.window)
-	} else {
+	case noSkip:
+		out = rep.InjectModeNoSkip(g, e.injection(), cfg.Mode, w.en.window)
+	default:
 		out = rep.InjectMode(g, e.injection(), cfg.Mode, w.en.window)
 	}
 	if cfg.testHook != nil {

@@ -70,7 +70,7 @@ type Config struct {
 	Kernels []string
 	// RunCycles is the fault-free horizon of each kernel's golden run;
 	// injections happen anywhere in it and manifestation is observed until
-	// its end (the benchmark "runs to completion").
+	// its end (the benchmark "runs to completion"). At most 1<<16.
 	RunCycles int
 	// Intervals divides the run into equally sized injection intervals
 	// (the paper uses 64).
@@ -108,16 +108,18 @@ type Config struct {
 	Legacy bool
 	// NoPrune disables static fault-equivalence pruning, simulating every
 	// experiment even when the golden run's liveness analysis proves its
-	// outcome. The dataset is byte-identical either way — NoPrune is the
-	// differential-oracle escape hatch (and the slow path), not a
+	// outcome, and turns off the replay's stuck-at skip, which reasons with
+	// the same analysis. The dataset is byte-identical either way — NoPrune
+	// is the differential-oracle escape hatch (and the slow path), not a
 	// different campaign. It participates in the resume fingerprint so a
 	// checkpoint is never silently continued under the other setting.
 	//
 	// With pruning on, a deterministic seeded sample of the pruned sites
 	// (~1/64, at least one whenever anything was pruned) is still
-	// simulated and compared against the static prediction; a mismatch
-	// aborts the campaign with an error naming the (flop, cycle), so an
-	// unsound analysis can never quietly ship a dataset.
+	// simulated, with the skip off, and compared against the static
+	// prediction; a mismatch aborts the campaign with an error naming the
+	// (flop, cycle), so an unsound analysis can never quietly ship a
+	// dataset.
 	NoPrune bool
 	// Progress, if non-nil, receives (done, total) experiment counts for
 	// the experiments this run executes (a resumed campaign reports the
@@ -178,9 +180,19 @@ type Config struct {
 // the plan and the dataset's records fit in memory.
 const maxExperiments = 1 << 24
 
+// maxRunCycles bounds RunCycles: each kernel's golden run keeps the CPU
+// state of every cycle (336 bytes each, 22 MB per kernel at the bound),
+// and a campaign holds one golden per kernel. The bound is 3.3x the
+// longest horizon any caller uses (20,000 cycles at the full scale).
+const maxRunCycles = 1 << 16
+
 func (c *Config) normalize() error {
 	if c.RunCycles <= 0 {
 		c.RunCycles = 12000
+	}
+	if c.RunCycles > maxRunCycles {
+		return &ConfigError{Field: "RunCycles", Reason: fmt.Sprintf(
+			"%d cycles exceed the %d-cycle limit", c.RunCycles, maxRunCycles)}
 	}
 	if c.Intervals <= 0 {
 		c.Intervals = 64

@@ -1,0 +1,62 @@
+package inject
+
+import (
+	"testing"
+
+	"lockstep/internal/cpu"
+	"lockstep/internal/lockstep"
+	"lockstep/internal/workload"
+)
+
+// TestSkipMatchesNoSkip is the gate on the replay loop's stuck-at skip
+// (`make prune-soundness`): on every site of the reference DCLS campaign
+// plan (ttsprk, rspeed, puwmod; 6,000 cycles; stride 1; seed 1) that
+// pruning leaves to simulation, InjectMode with the skip on must return
+// exactly the Outcome InjectModeNoSkip computes by simulating every cycle,
+// under dcls, slip:16 and tmr. The skip jumps with the liveness tables, so
+// a jump that lands one cycle late, or past the slip horizon, fails here.
+// (Skipped under -race, where the full plan takes about a minute.)
+func TestSkipMatchesNoSkip(t *testing.T) {
+	if raceEnabled {
+		t.Skip("runs without -race in make prune-soundness")
+	}
+	cfg := Config{
+		Kernels:    []string{"ttsprk", "rspeed", "puwmod"},
+		RunCycles:  6000,
+		FlopStride: 1,
+		Seed:       1,
+	}
+	plan, err := cfg.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens := map[string]*lockstep.Golden{}
+	for _, name := range cfg.Kernels {
+		if goldens[name], err = lockstep.NewGolden(workload.ByName(name), cfg.RunCycles, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := lockstep.NewReplayer()
+	for _, mode := range []lockstep.Mode{{}, {Kind: lockstep.ModeSlip, Slip: 16}, {Kind: lockstep.ModeTMR}} {
+		replayed, mismatches := 0, 0
+		for _, e := range plan {
+			g, inj := goldens[e.Kernel], e.injection()
+			if _, ok := g.PruneMode(inj, mode); ok {
+				continue
+			}
+			replayed++
+			want := rep.InjectModeNoSkip(g, inj, mode, lockstep.StopLatency)
+			if got := rep.InjectMode(g, inj, mode, lockstep.StopLatency); got != want {
+				if mismatches++; mismatches <= 5 {
+					t.Errorf("%s: %s %s at flop %d (%s) cycle %d: skip %+v, no skip %+v",
+						mode, e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, got, want)
+				}
+			}
+		}
+		if mismatches > 0 {
+			t.Errorf("%s: %d of %d replayed sites differ with the skip on", mode, mismatches, replayed)
+		} else {
+			t.Logf("%s: %d replayed sites agree", mode, replayed)
+		}
+	}
+}

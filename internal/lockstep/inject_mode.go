@@ -51,27 +51,41 @@ const TMRRecheckCycles = 64
 // window of `window` cycles (the DSR keeps OR-accumulating that long after
 // the first divergence; window <= 1 latches only the first-divergence map,
 // and StopLatency is the paper's value). DCLS and slip:N run entirely on
-// the golden-trace replay core (see injectHorizon for why its outcomes are
-// bit-identical to InjectLegacyMode's); TMR runs detection on the replay
-// core and, for detected hard faults, simulates the forward-recovery
-// recheck live (post-recovery execution leaves the golden trace, so it
-// cannot be replayed).
+// the golden-trace replay core, which starts at the recorded golden state
+// of the injection cycle and lets a stuck-at fault jump over the stretches
+// in which it provably stays invisible (see injectHorizon for why its
+// outcomes are bit-identical to InjectLegacyMode's); TMR runs detection on
+// the replay core and, for detected hard faults, simulates the
+// forward-recovery recheck live (post-recovery execution leaves the golden
+// trace, so it cannot be replayed).
 func (r *Replayer) InjectMode(g *Golden, inj Injection, mode Mode, window int) Outcome {
+	return r.injectMode(g, inj, mode, window, true)
+}
+
+// InjectModeNoSkip is InjectMode with the stuck-at skip off: every cycle
+// from the fault on is simulated. The skip reasons with the liveness
+// tables that static pruning is built on, so the pruning oracles use this
+// form to stay independent of them; its outcomes equal InjectMode's.
+func (r *Replayer) InjectModeNoSkip(g *Golden, inj Injection, mode Mode, window int) Outcome {
+	return r.injectMode(g, inj, mode, window, false)
+}
+
+func (r *Replayer) injectMode(g *Golden, inj Injection, mode Mode, window int, skip bool) Outcome {
 	switch mode.Kind {
 	case ModeSlip:
-		return r.injectHorizon(g, inj, window, mode.Horizon(g.TotalCycles), mode.DetectShift())
+		return r.injectHorizon(g, inj, window, mode.Horizon(g.TotalCycles), mode.DetectShift(), skip)
 	case ModeTMR:
-		return r.injectTMR(g, inj, window)
+		return r.injectTMR(g, inj, window, skip)
 	default:
-		return r.injectHorizon(g, inj, window, g.TotalCycles, 0)
+		return r.injectHorizon(g, inj, window, g.TotalCycles, 0, skip)
 	}
 }
 
 // InjectLegacyMode is the full-simulation differential oracle for every
 // mode: dual live CPUs for DCLS and slip:N, triple live CPUs with a real
 // majority voter for TMR. It shares no mode-specialization logic with the
-// fast path beyond the Golden snapshots, which is what makes the
-// mode-determinism sample a meaningful cross-check.
+// fast path beyond the recorded golden state it starts from, which is what
+// makes the mode-determinism sample a meaningful cross-check.
 func (g *Golden) InjectLegacyMode(inj Injection, mode Mode, window int) Outcome {
 	switch mode.Kind {
 	case ModeSlip:
@@ -92,8 +106,8 @@ func (g *Golden) InjectLegacyMode(inj Injection, mode Mode, window int) Outcome 
 // triple-CPU oracle proves this argument on every sampled site). Hard
 // faults keep forcing the flop after recovery, so their recheck is
 // simulated live.
-func (r *Replayer) injectTMR(g *Golden, inj Injection, window int) Outcome {
-	out := r.injectHorizon(g, inj, window, g.TotalCycles, 0)
+func (r *Replayer) injectTMR(g *Golden, inj Injection, window int, skip bool) Outcome {
+	out := r.injectHorizon(g, inj, window, g.TotalCycles, 0, skip)
 	if !out.Detected {
 		return out
 	}
@@ -110,28 +124,28 @@ func (r *Replayer) injectTMR(g *Golden, inj Injection, window int) Outcome {
 	if e > g.TotalCycles-1 {
 		e = g.TotalCycles - 1
 	}
-	out.Converged = g.tmrRecheck(e, inj)
+	out.Converged = r.tmrRecheck(g, e, inj)
 	return out
 }
 
-// tmrRecheck reconstructs the majority (golden) machine at the end of
-// cycle e on a live system, performs the forward recovery, and reports
+// tmrRecheck starts the majority (golden) machine from the recorded state
+// at the end of cycle e, performs the forward recovery, and reports
 // whether a still-forced hard fault keeps the recovered core in lockstep
 // for TMRRecheckCycles. The memory image at recovery is the golden RAM —
-// the erring core is a compare-only monitor whose writes are dropped —
-// so restoring from the golden snapshots is exact.
-func (g *Golden) tmrRecheck(e int, inj Injection) bool {
-	sys, main, cyc := g.restore(e)
-	for ; cyc < e; cyc++ {
-		main.StepCycle()
-	}
+// the erring core is a compare-only monitor whose writes are dropped — so
+// the replay bus positioned at e is exact. The recovered main CPU leaves
+// the golden timeline, so it writes through the Replayer's journal, which
+// the recheck rolls back before returning.
+func (r *Replayer) tmrRecheck(g *Golden, e int, inj Injection) bool {
+	r.seek(g, e)
+	main, red := &r.main, &r.red
+	main.State, main.Bus = g.states[e], &r.journal
 	recoverTMR(&main.State)
-	red := main.Fork(mem.Monitor{Sys: sys})
+	red.State, red.Bus = main.State, &r.bus
 	forceStuck(&red.State, inj)
+	defer r.journal.Rollback()
 	for i := 0; i < TMRRecheckCycles; i++ {
-		om := main.State.Outputs()
-		or := red.State.Outputs()
-		if cpu.Diverge(&om, &or) != 0 {
+		if main.State.Outputs() != red.State.Outputs() {
 			return false
 		}
 		main.StepCycle()
@@ -196,10 +210,7 @@ func (g *Golden) injectTMRLegacy(inj Injection, window int) Outcome {
 	if window < 1 {
 		window = 1
 	}
-	sys, main, cyc := g.restore(inj.Cycle)
-	for ; cyc < inj.Cycle; cyc++ {
-		main.StepCycle()
-	}
+	sys, main := g.restore(inj.Cycle)
 	mon := main.Fork(mem.Monitor{Sys: sys})
 	red := main.Fork(mem.Monitor{Sys: sys})
 	switch inj.Kind {
@@ -222,7 +233,7 @@ func (g *Golden) injectTMRLegacy(inj Injection, window int) Outcome {
 		}
 		forceStuck(&red.State, inj)
 	}
-	for ; cyc < g.TotalCycles; cyc++ {
+	for cyc := inj.Cycle; cyc < g.TotalCycles; cyc++ {
 		o0 := main.State.Outputs()
 		o1 := mon.State.Outputs()
 		o2 := red.State.Outputs()

@@ -19,6 +19,13 @@ import (
 // asserts the prediction, so the static argument is continuously proven
 // against the simulator it replaces.
 //
+// The same tables drive the replay loop's stuck-at skip (injectHorizon):
+// the stuck-at argument below, applied from any cycle at which the faulty
+// state is back in sync with golden except at the stuck flop, tells the
+// loop where the fault next becomes visible. Because the skip trusts these
+// tables, the oracles re-simulate with it off (Replayer.InjectModeNoSkip);
+// otherwise one liveness bug could make prediction and check agree.
+//
 // # The soundness argument
 //
 // Both injection paths maintain the loop invariant "at the top of
@@ -55,9 +62,9 @@ import (
 //   - A soft flip at (F, C) is Converged iff F is not observed at C: the
 //     compare at C passes, the step to C+1 corrupts nothing else, and the
 //     flop itself is restored to its golden value right after that step —
-//     the faulty state IS the golden state at C+1. Convergence is
-//     absorbing (see softCheckDue), so the simulated path returns
-//     Outcome{Converged: true} at its first post-injection check. The one
+//     the faulty state IS the golden state at C+1. The simulated path
+//     compares against the golden state on every cycle after the flop
+//     recovers, so it returns Outcome{Converged: true} at C+1. The one
 //     exception is C == TotalCycles-1: the injection loop exits before
 //     the first convergence check is due, so the simulated outcome for
 //     that site is Outcome{} (Masked), and prune predicts exactly that.

@@ -14,8 +14,10 @@ import (
 // injection sites, collects each site the static analysis claims to
 // prune together with its predicted Outcome, and re-simulates a seeded
 // deterministic sample (>=1% per (kernel, kind), never fewer than 64
-// sites) through the full Replayer path. Any mismatch names the exact
-// (flop, cycle, kind) so the unsound stream condition can be found.
+// sites) through the full Replayer path with the stuck-at skip off — the
+// skip reasons with the same liveness tables, so re-simulating with it on
+// would let one liveness bug make both sides agree. Any mismatch names the
+// exact (flop, cycle, kind) so the unsound stream condition can be found.
 //
 // inject.Run layers a second, always-on runtime sample of the same
 // contract over every real campaign; this test is the dense version that
@@ -59,7 +61,7 @@ func TestPruneSoundness(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(len(kn))<<8 | int64(kind)))
 			for _, i := range rng.Perm(len(sites))[:sample] {
-				if got := rep.InjectMode(g, sites[i], Mode{}, StopLatency); got != predicted[i] {
+				if got := rep.InjectModeNoSkip(g, sites[i], Mode{}, StopLatency); got != predicted[i] {
 					t.Errorf("%s: pruned %s at flop %d (%s) cycle %d: predicted %+v, simulated %+v",
 						kn, sites[i].Kind, sites[i].Flop, cpu.FlopName(sites[i].Flop),
 						sites[i].Cycle, predicted[i], got)
@@ -114,7 +116,7 @@ func TestPruneSoftLastCycle(t *testing.T) {
 		if out != (Outcome{}) {
 			t.Fatalf("flop %d: predicted %+v for a last-cycle soft flip, want Masked", f, out)
 		}
-		if got := rep.InjectMode(g, inj, Mode{}, StopLatency); got != out {
+		if got := rep.InjectModeNoSkip(g, inj, Mode{}, StopLatency); got != out {
 			t.Fatalf("flop %d: last-cycle soft flip simulated %+v, predicted %+v", f, got, out)
 		}
 	}

@@ -5,19 +5,19 @@
 // Divergence Status Register (DSR) at the moment an error is detected.
 //
 // The package also provides the fault-injection run harness used by the
-// campaign driver: a golden execution with periodic snapshots, and an
-// injection fast path (Replayer.InjectMode) that replays from the nearest
-// snapshot, applies a transient or stuck-at fault to one flip-flop of the
-// redundant CPU, and reports whether, when and how the fault manifested at
-// the outputs. Golden.InjectLegacyMode is its full-simulation oracle and
-// Golden.PruneMode its static shortcut.
+// campaign driver: a golden execution that records the CPU state of every
+// cycle, and an injection fast path (Replayer.InjectMode) that starts from
+// the recorded state at the fault's cycle, applies a transient or stuck-at
+// fault to one flip-flop of the redundant CPU, and reports whether, when
+// and how the fault manifested at the outputs. Golden.InjectLegacyMode is
+// its full-simulation oracle and Golden.PruneMode its static shortcut.
 package lockstep
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
+	"unsafe"
 
 	"lockstep/internal/cpu"
 	"lockstep/internal/mem"
@@ -121,21 +121,27 @@ func (o Outcome) ManifestationCycles(inj Injection) int {
 	return o.DetectCycle - inj.Cycle
 }
 
-// Golden is a recorded fault-free execution of one kernel with periodic
-// state snapshots and a full per-cycle golden trace, shared by all
-// injections into that kernel.
+// Golden is a recorded fault-free execution of one kernel: the golden
+// CPU state at the end of every cycle, the reset RAM image with the RAM
+// write log, the per-cycle output vectors and the liveness tables, shared
+// by all injections into that kernel.
 //
 // A Golden is immutable once NewGolden returns: every injection path
 // restores its own scratch state (per-worker, via Replayer) from the
-// snapshots and trace and never writes back, so concurrent injections
-// against one shared Golden are safe and produce outcomes identical to
-// serial execution.
+// recorded states and trace and never writes back, so concurrent
+// injections against one shared Golden are safe and produce outcomes
+// identical to serial execution.
 type Golden struct {
 	Kernel      *workload.Kernel
 	Entry       uint32
 	TotalCycles int
 
-	snaps []snapshot
+	// states[c] is the golden CPU state at the end of cycle c (states[0]
+	// is reset state), for c in [0, TotalCycles].
+	states []cpu.State
+	// ram0 is the RAM image at reset; ram0 plus the trace's write log
+	// gives the golden RAM at any cycle.
+	ram0  []uint32
 	trace goldenTrace
 	live  *liveness // static fault-equivalence pruning table (see liveness.go)
 }
@@ -147,26 +153,22 @@ type Golden struct {
 // than silently mixing outcomes produced by different analyses.
 //
 // Version history: 1 = flat per-cycle OutVec + uint64 fingerprint arrays;
-// 2 = interned OutVec table + uint32 fingerprints + liveness pruning.
+// 2 = interned OutVec table + uint32 fingerprints + liveness pruning. The
+// per-cycle states that later replaced the snapshots and fingerprints
+// changed no outcome, so they kept version 2.
 const TraceVersion = 2
 
-// goldenTrace is the per-cycle record of the fault-free execution that
-// lets the injection hot path simulate only the faulty CPU: the main
-// (golden) CPU's behaviour is identical across all experiments on a
-// kernel, so it is computed exactly once, at NewGolden time.
+// goldenTrace is the per-cycle record of the fault-free execution's
+// outputs and memory traffic that lets the injection hot path simulate
+// only the faulty CPU: the main (golden) CPU's behaviour is identical
+// across all experiments on a kernel, so it is computed exactly once, at
+// NewGolden time.
 //
-// Indexing: outAt(c) and fp[c] describe the golden CPU state at the end
-// of cycle c (index 0 is reset state), so outID and fp have
-// TotalCycles+1 entries.
-//
-// The layout is compacted relative to trace version 1 (see TraceVersion):
-// kernels are loops, so the per-cycle output vectors are highly periodic
-// — the 248-byte OutVecs are interned into outTab and the per-cycle
-// stream keeps only a 4-byte id, and the convergence-filter fingerprints
-// are truncated to 32 bits (the filter is followed by an exact state
-// confirm, so a narrower hash can cost a spurious confirm, never a wrong
-// outcome). Together these cut golden-trace memory by >3x on the stock
-// kernels with zero change to replay semantics.
+// outAt(c) is the golden output vector at the end of cycle c (index 0 is
+// reset state), so outID has TotalCycles+1 entries. Kernels are loops, so
+// the per-cycle output vectors are highly periodic: the 248-byte OutVecs
+// are interned into outTab and the per-cycle stream keeps only a 4-byte
+// id (see TraceVersion).
 type goldenTrace struct {
 	// outID[c] indexes outTab: the registered output port the checker
 	// would compare at cycle c. Replayed injections diff the faulty CPU's
@@ -175,18 +177,9 @@ type goldenTrace struct {
 	// outTab is the deduplicated output-vector table, in order of first
 	// appearance (so the encoding and the rebuild are both deterministic).
 	outTab []cpu.OutVec
-	// fp is the per-cycle truncated state fingerprint (low 32 bits of
-	// cpu.Fingerprint) used as the soft-fault convergence filter; the full
-	// cpu.State is kept only at snapshots, and candidate convergences are
-	// confirmed exactly against a reconstructed golden state.
-	fp []uint32
 	// writes is the golden RAM write log a mem.ReplayBus uses to drive
 	// the memory image forward without a live main CPU.
 	writes []mem.WriteEvent
-	// reads is the bus read data the golden CPU consumed, kept for the
-	// trace self-check (a fault-free replay must consume the identical
-	// stream) and replay debugging.
-	reads []mem.ReadEvent
 }
 
 // outAt returns the golden output vector at the end of cycle c. The
@@ -196,29 +189,31 @@ func (t *goldenTrace) outAt(c int) *cpu.OutVec {
 	return &t.outTab[t.outID[c]]
 }
 
-// TraceBytes reports the approximate heap footprint of the golden trace,
-// published by the campaign driver as the inject.golden_trace_bytes
-// gauge.
+// TraceBytes reports the heap footprint of everything a Golden holds —
+// the per-cycle states, the reset RAM image, the output table and ids,
+// the write log and the liveness tables — published by the campaign
+// driver as the inject.golden_trace_bytes gauge.
 func (g *Golden) TraceBytes() int64 {
-	return int64(len(g.trace.outID))*4 +
-		int64(len(g.trace.outTab))*int64(cpu.NumSC*4) +
-		int64(len(g.trace.fp))*4 +
-		int64(len(g.trace.writes))*mem.WriteEventBytes +
-		int64(len(g.trace.reads))*mem.ReadEventBytes
+	n := int64(len(g.states))*int64(unsafe.Sizeof(cpu.State{})) +
+		int64(len(g.ram0))*4 +
+		int64(len(g.trace.outID))*4 +
+		int64(len(g.trace.outTab))*int64(unsafe.Sizeof(cpu.OutVec{})) +
+		int64(len(g.trace.writes))*mem.WriteEventBytes
+	if lv := g.live; lv != nil {
+		n += int64(len(lv.stream)) + int64(len(lv.lastVal[0])+len(lv.lastVal[1]))*4
+		for _, w := range lv.obs {
+			n += int64(len(w)) * 8
+		}
+	}
+	return n
 }
 
-type snapshot struct {
-	cycle int
-	cpu   cpu.State
-	ram   []uint32
-	ext   mem.ExtPort
-}
-
-// NewGolden runs the kernel fault-free for totalCycles, snapshots the
-// full system state every snapEvery cycles (snapshot 0 is reset state),
-// and records the per-cycle golden trace (output vectors, state
-// fingerprints, RAM write log, consumed read data) the replay injection
-// path runs against.
+// NewGolden runs the kernel fault-free for totalCycles and records what
+// the injection paths run against: the CPU state at the end of every
+// cycle, the reset RAM image and RAM write log, the per-cycle output
+// vectors and the liveness tables. snapEvery must be positive but no
+// longer changes what is built: the per-cycle states replaced the
+// periodic snapshots it used to space.
 func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) {
 	if totalCycles <= 0 || snapEvery <= 0 {
 		return nil, fmt.Errorf("lockstep: bad golden config %d/%d", totalCycles, snapEvery)
@@ -227,9 +222,14 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 	if err != nil {
 		return nil, err
 	}
-	g := &Golden{Kernel: k, Entry: entry, TotalCycles: totalCycles}
+	g := &Golden{
+		Kernel:      k,
+		Entry:       entry,
+		TotalCycles: totalCycles,
+		states:      make([]cpu.State, totalCycles+1),
+		ram0:        sys.Snapshot(0, mem.RAMBytes/4),
+	}
 	g.trace.outID = make([]uint32, totalCycles+1)
-	g.trace.fp = make([]uint32, totalCycles+1)
 	// intern deduplicates output vectors into outTab; the map is build
 	// scratch, dropped when NewGolden returns.
 	intern := make(map[cpu.OutVec]uint32)
@@ -242,12 +242,11 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 			intern[ov] = id
 		}
 		g.trace.outID[cyc] = id
-		g.trace.fp[cyc] = uint32(cpu.Fingerprint(&c.State))
+		g.states[cyc] = c.State
 	}
 	rec := &mem.Recorder{Sys: sys}
 	c := cpu.New(rec, entry)
 	lb := newLivenessBuilder(totalCycles)
-	g.snap(c, sys, 0)
 	record(c, 0)
 	lb.record(&c.State, 0)
 	for cyc := 1; cyc <= totalCycles; cyc++ {
@@ -258,47 +257,27 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 		}
 		record(c, cyc)
 		lb.record(&c.State, cyc)
-		if cyc%snapEvery == 0 {
-			g.snap(c, sys, cyc)
-		}
 	}
 	g.trace.writes = rec.Writes
-	g.trace.reads = rec.Reads
 	g.live = lb.finish()
 	return g, nil
 }
 
-func (g *Golden) snap(c *cpu.CPU, sys *mem.System, cycle int) {
-	g.snaps = append(g.snaps, snapshot{
-		cycle: cycle,
-		cpu:   c.State,
-		ram:   sys.Snapshot(0, mem.RAMBytes/4),
-		ext:   *sys.Ext(),
-	})
-}
-
-// snapIndex returns the index of the latest snapshot at or before cycle
-// (binary search; snapshots are in strictly ascending cycle order and
-// snapshot 0 is reset state, so every non-negative cycle resolves).
-func (g *Golden) snapIndex(cycle int) int {
-	i := sort.Search(len(g.snaps), func(i int) bool { return g.snaps[i].cycle > cycle })
-	if i == 0 {
-		return 0
-	}
-	return i - 1
-}
-
-// restore returns a fresh system and golden CPU positioned at the latest
-// snapshot at or before cycle, plus that snapshot's cycle number. It is
-// the legacy dual-CPU path's entry point; the replay path positions a
-// mem.ReplayBus instead (see Replayer).
-func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU, int) {
-	s := &g.snaps[g.snapIndex(cycle)]
+// restore returns a fresh system and golden CPU at the end of cycle: the
+// CPU state is the recorded one and the RAM is the reset image with the
+// write log applied up to cycle. It is the legacy dual-CPU path's entry
+// point; the replay path positions a mem.ReplayBus instead (see
+// Replayer).
+func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU) {
 	sys := mem.NewSystem()
-	sys.RestoreRAM(s.ram)
-	*sys.Ext() = s.ext
-	c := &cpu.CPU{State: s.cpu, Bus: sys}
-	return sys, c, s.cycle
+	sys.RestoreRAM(g.ram0)
+	for _, e := range g.trace.writes {
+		if int(e.Cycle) > cycle {
+			break
+		}
+		sys.WriteMasked(e.Addr, e.Data, e.Mask)
+	}
+	return sys, &cpu.CPU{State: g.states[cycle], Bus: sys}
 }
 
 // injectLegacyHorizon is the original dual-CPU experiment, generalized
@@ -319,12 +298,9 @@ func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) 
 	if window < 1 {
 		window = 1
 	}
-	sys, main, cyc := g.restore(inj.Cycle)
-	// Advance the fault-free prefix on the main CPU alone: the redundant
-	// CPU is bit-identical until the fault applies.
-	for ; cyc < inj.Cycle; cyc++ {
-		main.StepCycle()
-	}
+	// The redundant CPU is bit-identical to the main one until the fault
+	// applies.
+	sys, main := g.restore(inj.Cycle)
 	red := main.Fork(mem.Monitor{Sys: sys})
 
 	// Apply the fault after the injection-cycle clock edge. A soft fault
@@ -358,7 +334,7 @@ func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) 
 			cpu.ForceBit(&red.State, inj.Flop, true)
 		}
 	}
-	for ; cyc < horizon; cyc++ {
+	for cyc := inj.Cycle; cyc < horizon; cyc++ {
 		om := main.State.Outputs()
 		or := red.State.Outputs()
 		if dsr := cpu.Diverge(&om, &or); dsr != 0 {

@@ -21,8 +21,8 @@ func testGolden(t *testing.T, kernel string, cycles int) *Golden {
 	return g
 }
 
-// TestRestoreReplayEquivalence: restoring from a snapshot and replaying
-// must land on exactly the state a straight-through run reaches.
+// TestRestoreReplayEquivalence: restoring the recorded golden state of a
+// cycle must land on exactly the state a straight-through run reaches.
 func TestRestoreReplayEquivalence(t *testing.T) {
 	k := workload.ByName("ttsprk")
 	g, err := NewGolden(k, 4000, 512)
@@ -39,11 +39,7 @@ func TestRestoreReplayEquivalence(t *testing.T) {
 		for ref.State.CycCnt < uint32(target) {
 			ref.StepCycle()
 		}
-		_, c, cyc := g.restore(target)
-		for ; cyc < target; cyc++ {
-			c.StepCycle()
-		}
-		if c.State != ref.State {
+		if _, c := g.restore(target); c.State != ref.State {
 			t.Fatalf("state mismatch at cycle %d", target)
 		}
 	}

@@ -1,6 +1,7 @@
 package lockstep
 
 import (
+	"math/bits"
 	"sync"
 
 	"lockstep/internal/cpu"
@@ -23,50 +24,63 @@ func countReplayRestore() {
 }
 
 // Replayer is the per-worker scratch state of the golden-trace injection
-// path: one mem.ReplayBus carrying the faulty CPU's memory image and a
-// second (vbus) for reconstructing exact golden states during the
-// soft-fault convergence check. All buffers are reused across
-// experiments, so the steady-state hot path performs zero heap
-// allocations; the RAM-image repositioning between experiments on the
-// same Golden is incremental (word-sized deltas from the golden write
-// log) rather than a full 256 KiB copy.
+// path: one mem.ReplayBus carrying the faulty CPU's memory image, the
+// faulty CPU itself, and the live main CPU and write journal of the TMR
+// recovery recheck. All buffers are reused across experiments, so the
+// steady-state hot path performs zero heap allocations; the RAM-image
+// repositioning between experiments on the same Golden is incremental
+// (word-sized deltas from the golden write log) rather than a full
+// 256 KiB copy.
 //
 // A Replayer is NOT safe for concurrent use — give each campaign worker
 // its own. The Golden it runs against is immutable and shared.
 type Replayer struct {
-	g    *Golden // timeline currently loaded into bus
-	bus  mem.ReplayBus
-	vg   *Golden // timeline currently loaded into vbus
-	vbus mem.ReplayBus
+	g   *Golden // timeline currently loaded into bus
+	bus mem.ReplayBus
+	// journal lets the TMR recheck's live main CPU write to bus.
+	journal mem.Journal
 
 	// CPU scratch lives on the Replayer rather than the stack: the flop
 	// registry's indirect accessors defeat escape analysis, so stack
 	// locals would be heap-allocated once per experiment.
-	red   cpu.CPU // the faulty CPU under test
-	ghost cpu.CPU // one-cycle golden lookahead for the soft recovery bit
-	vcpu  cpu.CPU // golden reconstruction for the convergence confirm
+	red  cpu.CPU // the faulty CPU under test
+	main cpu.CPU // the TMR recheck's recovered main CPU
 }
 
 // NewReplayer returns an empty Replayer. RAM-image buffers are allocated
 // lazily on the first experiment.
 func NewReplayer() *Replayer { return &Replayer{} }
 
+// seek positions the replay bus at the end of golden cycle c of g.
+func (r *Replayer) seek(g *Golden, c int) {
+	if r.g != g {
+		r.bus.Load(g.ram0, g.trace.writes)
+		r.journal.Bus = &r.bus
+		r.g = g
+	}
+	r.bus.Seek(c)
+}
+
 // injectHorizon is the replay injection core: it runs one experiment
 // against g simulating only the redundant CPU, producing an Outcome
 // bit-identical to the dual-CPU oracle g.injectLegacyHorizon(inj, window,
-// horizon, shift).
+// horizon, shift). With skip set, a stuck-at fault jumps over the cycles
+// in which it provably stays invisible (see below); skip off simulates
+// every cycle, which is the form the pruning oracles use, because the
+// skip reasons with the same liveness tables as pruning does.
 //
 // Equivalence to the dual-CPU oracle, piece by piece:
 //
-//   - Fault-free prefix: the legacy path steps the main CPU from the
-//     snapshot to the injection cycle and forks the redundant CPU off it.
-//     Here the redundant CPU itself is stepped from the snapshot state
-//     against the ReplayBus. Within cpu.Step the MEM-stage store commits
-//     before the IF-stage fetch reads, and MEM performs either a read or
-//     a write in a cycle — never a read of a word written later the same
-//     cycle — so pre-applying all of cycle N's golden writes before the
-//     step (AdvanceTo) serves exactly the data a live System would have.
-//     External-region reads are the pure mem.SensorValue pattern in both.
+//   - Start: the legacy path forks the redundant CPU off a main CPU
+//     restored at the injection cycle. Here the redundant CPU starts from
+//     the same recorded golden state, states[inj.Cycle], against a
+//     ReplayBus positioned at that cycle. Within cpu.Step the MEM-stage
+//     store commits before the IF-stage fetch reads, and MEM performs
+//     either a read or a write in a cycle — never a read of a word
+//     written later the same cycle — so pre-applying all of cycle N's
+//     golden writes before the step (AdvanceTo) serves exactly the data a
+//     live System would have. External-region reads are the pure
+//     mem.SensorValue pattern in both.
 //   - Checker compare: the legacy path diffs main vs redundant outputs at
 //     the top of every cycle; the golden trace holds the main CPU's
 //     output vector for every cycle, so the diff runs against outAt(cyc).
@@ -79,15 +93,22 @@ func NewReplayer() *Replayer { return &Replayer{} }
 //     reconstructed image, not a recorded read stream, so those wild
 //     reads also match the legacy monitor exactly.
 //   - Soft-fault recovery bit: the legacy path copies the main CPU's
-//     value of the faulted flop one cycle after injection. Without a live
-//     main CPU the same bit comes from a ghost step: the pre-fault
-//     redundant state IS the golden state at the injection cycle, so
-//     stepping a copy of it one cycle yields the golden flop value.
-//   - Convergence check: the legacy `red.State == main.State` compare
-//     becomes a per-cycle fingerprint filter (equal states guarantee
-//     equal fingerprints) confirmed against an exactly reconstructed
-//     golden state, so a hash collision can cost time but never flip an
-//     outcome.
+//     value of the faulted flop one cycle after injection; that is the
+//     flop's bit in states[inj.Cycle+1].
+//   - Convergence check: the legacy `red.State == main.State` compare is
+//     `red.State == states[cyc]`, on every cycle.
+//   - Stuck-at skip: suppose that at the top of iteration R the faulty
+//     state equals states[R] except at the stuck flop F, forced to v. If
+//     F is not observed at R (liveness.go) or golden F equals v, the
+//     outputs at R are golden's and the step to R+1 again yields
+//     states[R+1] except at F, which is re-forced to v. By induction the
+//     checker stays quiet up to the first R' >= R where F is observed and
+//     golden F != v, and the faulty state there is exactly states[R'] with
+//     F forced to v. So the loop loads that state, advances the bus to R'
+//     and simulates on from an exact state; with no such R' before the
+//     horizon the run is Masked. This is the state-level form of
+//     concurrent fault simulation (Ulrich and Baker, 1974): the faulty
+//     machine is simulated only where it differs from the good one.
 //
 // The run is generalized over the lockstep mode: it compares the first
 // `horizon` cycles of the golden trace (DCLS/TMR compare all TotalCycles;
@@ -100,7 +121,7 @@ func NewReplayer() *Replayer { return &Replayer{} }
 // redundant CPU's environment under slip IS the DCLS environment: the
 // same golden trace drives the replay, only the loop bound and the
 // reported DetectCycle move. slip:0 is therefore DCLS by construction.
-func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shift int) Outcome {
+func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shift int, skip bool) Outcome {
 	if horizon > g.TotalCycles {
 		horizon = g.TotalCycles
 	}
@@ -111,35 +132,13 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 		window = 1
 	}
 	countReplayRestore()
-
-	s := &g.snaps[g.snapIndex(inj.Cycle)]
-	if r.g != g {
-		r.bus.Load(s.ram, s.cycle, g.trace.writes)
-		r.g = g
-	} else {
-		r.bus.Seek(s.ram, s.cycle, s.cycle)
-	}
-
-	// Fault-free prefix: replay the redundant CPU (bit-identical to the
-	// golden CPU until the fault applies) from the snapshot.
+	r.seek(g, inj.Cycle)
 	red := &r.red
-	red.State, red.Bus = s.cpu, &r.bus
-	for cyc := s.cycle; cyc < inj.Cycle; cyc++ {
-		r.bus.AdvanceTo(cyc + 1)
-		red.StepCycle()
-	}
-
-	// For a soft fault, precompute the golden value the flop recovers to
-	// one cycle after injection (ghost step of the still-golden state).
-	// Advancing the image to inj.Cycle+1 early is harmless: the next bus
-	// consumer is the redundant CPU stepping that same cycle.
-	var recoverBit bool
-	if inj.Kind == SoftFlip {
-		r.ghost.State, r.ghost.Bus = red.State, &r.bus
-		r.bus.AdvanceTo(inj.Cycle + 1)
-		r.ghost.StepCycle()
-		recoverBit = cpu.GetBit(&r.ghost.State, inj.Flop)
-	}
+	red.State, red.Bus = g.states[inj.Cycle], &r.bus
+	loc := cpu.LocOf(inj.Flop)
+	// The golden value the flop of a soft fault recovers to one cycle
+	// after injection.
+	recoverBit := loc.Bit(&g.states[inj.Cycle+1])
 
 	// Apply the fault after the injection-cycle clock edge (same
 	// semantics as the legacy path: soft inverts for one cycle, stuck-at
@@ -154,6 +153,8 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	}
 
 	softArmed := inj.Kind == SoftFlip
+	skip = skip && inj.Kind.IsHard()
+	stuckVal := inj.Kind == Stuck1
 	stepFaulty := func(cyc int) {
 		r.bus.AdvanceTo(cyc + 1)
 		red.StepCycle()
@@ -172,6 +173,19 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 		}
 	}
 	for cyc := inj.Cycle; cyc < horizon; cyc++ {
+		if skip && loc.EqualExcept(&red.State, &g.states[cyc]) {
+			next := g.exposure(inj.Flop, loc, stuckVal, cyc, horizon)
+			if next < 0 {
+				// The fault never shows before the horizon: masked.
+				return Outcome{}
+			}
+			if next > cyc {
+				red.State = g.states[next]
+				cpu.ForceBit(&red.State, inj.Flop, stuckVal)
+				r.bus.AdvanceTo(next)
+				cyc = next
+			}
+		}
 		or := red.State.Outputs()
 		// Whole-vector equality (a memcmp) gates the per-SC reduction:
 		// Diverge sets bit i exactly when element i differs, so the DSR is
@@ -191,9 +205,9 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 			recordDSR("inject", dsr)
 			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 		}
-		if inj.Kind == SoftFlip && !softArmed && softCheckDue(cyc, inj.Cycle, horizon) &&
-			uint32(cpu.Fingerprint(&red.State)) == g.trace.fp[cyc] &&
-			red.State == r.goldenStateAt(g, cyc) {
+		// Convergence is absorbing: an equal state driven by the same bus
+		// inputs stays equal, so it can never diverge into a detection.
+		if inj.Kind == SoftFlip && !softArmed && red.State == g.states[cyc] {
 			return Outcome{Converged: true}
 		}
 		stepFaulty(cyc)
@@ -202,40 +216,34 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	return Outcome{}
 }
 
-// softCheckDue schedules the soft-fault convergence check: every cycle
-// for the first 64 cycles after injection (transients that get masked
-// usually flush within the pipeline depth, so fast convergence still
-// exits early), then every 64th cycle, and always on the last cycle the
-// legacy path would have checked (TotalCycles-1).
-//
-// A sparse schedule cannot change the outcome, only the exit cycle of a
-// Converged run: convergence is absorbing — once the redundant state
-// equals the golden state, both evolve identically against the same bus
-// inputs, so they are equal at every later cycle too (and can never
-// diverge into a detection). Checking any subset of cycles that includes
-// TotalCycles-1 therefore classifies exactly like the legacy per-cycle
-// check, and the Converged Outcome carries no cycle field to differ in.
-func softCheckDue(cyc, injCycle, total int) bool {
-	return cyc-injCycle <= 64 || cyc&63 == 0 || cyc == total-1
-}
-
-// goldenStateAt reconstructs the exact golden cpu.State at the end of the
-// given cycle by replaying from the nearest snapshot through the
-// verification bus. It only runs when a state fingerprint already
-// matched, i.e. (up to a ~2^-64 collision) once per converging soft
-// fault, so its cost is off the hot path.
-func (r *Replayer) goldenStateAt(g *Golden, cycle int) cpu.State {
-	s := &g.snaps[g.snapIndex(cycle)]
-	if r.vg != g {
-		r.vbus.Load(s.ram, s.cycle, g.trace.writes)
-		r.vg = g
-	} else {
-		r.vbus.Seek(s.ram, s.cycle, s.cycle)
+// exposure returns the first cycle R in [from, to) at which flop f (at
+// loc) is observed while its golden value differs from v, or -1 when there
+// is none: the cycle a stuck-at-v fault in a state otherwise in sync with
+// golden first becomes visible to anything but f itself.
+func (g *Golden) exposure(f int, loc cpu.FlopLoc, v bool, from, to int) int {
+	lv := g.live
+	switch st := lv.stream[f]; st {
+	case lvNever:
+		return -1
+	case lvAlways:
+		for c := from; c < to; c++ {
+			if loc.Bit(&g.states[c]) != v {
+				return c
+			}
+		}
+		return -1
+	default:
+		obs := lv.obs[st]
+		for c := from; c < to; c++ {
+			w := obs[c>>6] >> (uint(c) & 63)
+			if w == 0 {
+				c |= 63 // the rest of this word is unobserved
+				continue
+			}
+			if c += bits.TrailingZeros64(w); c < to && loc.Bit(&g.states[c]) != v {
+				return c
+			}
+		}
+		return -1
 	}
-	r.vcpu.State, r.vcpu.Bus = s.cpu, &r.vbus
-	for cyc := s.cycle; cyc < cycle; cyc++ {
-		r.vbus.AdvanceTo(cyc + 1)
-		r.vcpu.StepCycle()
-	}
-	return r.vcpu.State
 }

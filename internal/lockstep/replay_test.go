@@ -3,6 +3,7 @@ package lockstep
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"lockstep/internal/cpu"
 	"lockstep/internal/mem"
@@ -13,14 +14,13 @@ import (
 // golden-trace replay injection path: a randomized sample of experiments
 // — all three fault kinds, detected, soft-converged and masked cases —
 // runs through both the Replayer and the legacy dual-CPU oracle, and
-// every Outcome must be bit-identical. Boundary cycles (0, an exact
-// snapshot cycle, horizon-1) and the degenerate window=1 are pinned in
-// explicitly.
+// every Outcome must be bit-identical. Boundary cycles (0, a mid-run
+// cycle, horizon-1) and the degenerate window=1 are pinned in explicitly.
 func TestReplayMatchesLegacyOracle(t *testing.T) {
 	for _, kn := range []string{"puwmod", "ttsprk"} {
 		t.Run(kn, func(t *testing.T) {
-			const horizon, snapEvery = 4000, 500
-			g, err := NewGolden(workload.ByName(kn), horizon, snapEvery)
+			const horizon, mid = 4000, 500
+			g, err := NewGolden(workload.ByName(kn), horizon, horizon/8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,7 +33,7 @@ func TestReplayMatchesLegacyOracle(t *testing.T) {
 			var exps []exp
 			// Boundary cycles for every kind, default and minimal window.
 			for kind := FaultKind(0); kind < NumFaultKinds; kind++ {
-				for _, cyc := range []int{0, snapEvery, horizon - 1} {
+				for _, cyc := range []int{0, mid, horizon - 1} {
 					exps = append(exps,
 						exp{Injection{Flop: 11, Kind: kind, Cycle: cyc}, StopLatency},
 						exp{Injection{Flop: 173, Kind: kind, Cycle: cyc}, 1})
@@ -76,54 +76,68 @@ func TestReplayMatchesLegacyOracle(t *testing.T) {
 	}
 }
 
-// TestSnapIndexBoundaries pins restore's binary-search snapshot lookup at
-// the boundary cycles: cycle 0, cycles exactly on a snapshot, one before
-// a snapshot, and horizon-1.
-func TestSnapIndexBoundaries(t *testing.T) {
-	const horizon, snapEvery = 3000, 500
-	g, err := NewGolden(workload.ByName("puwmod"), horizon, snapEvery)
+// TestRestoreBoundaries pins restore, the legacy oracle's and Trace's
+// entry point, at the boundary cycles: at cycle 0, 1, a mid-run cycle,
+// horizon-1 and horizon, the CPU state and the RAM image it rebuilds from
+// the reset image and the write log must equal a live fault-free run's.
+func TestRestoreBoundaries(t *testing.T) {
+	const horizon = 3000
+	k := workload.ByName("puwmod")
+	g, err := NewGolden(k, horizon, horizon/8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.snaps) != horizon/snapEvery+1 {
-		t.Fatalf("got %d snapshots, want %d", len(g.snaps), horizon/snapEvery+1)
+	sys, entry, err := k.NewSystem()
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases := []struct {
-		cycle     int
-		wantIndex int
-		wantCycle int
-	}{
-		{cycle: 0, wantIndex: 0, wantCycle: 0},
-		{cycle: 1, wantIndex: 0, wantCycle: 0},
-		{cycle: snapEvery - 1, wantIndex: 0, wantCycle: 0},
-		{cycle: snapEvery, wantIndex: 1, wantCycle: snapEvery},
-		{cycle: snapEvery + 1, wantIndex: 1, wantCycle: snapEvery},
-		{cycle: 2*snapEvery - 1, wantIndex: 1, wantCycle: snapEvery},
-		{cycle: 2 * snapEvery, wantIndex: 2, wantCycle: 2 * snapEvery},
-		{cycle: horizon - 1, wantIndex: horizon/snapEvery - 1, wantCycle: horizon - snapEvery},
-		{cycle: horizon, wantIndex: horizon / snapEvery, wantCycle: horizon},
-	}
-	for _, c := range cases {
-		if got := g.snapIndex(c.cycle); got != c.wantIndex {
-			t.Errorf("snapIndex(%d) = %d, want %d", c.cycle, got, c.wantIndex)
+	live := cpu.New(sys, entry)
+	cyc := 0
+	for _, target := range []int{0, 1, horizon / 2, horizon - 1, horizon} {
+		for ; cyc < target; cyc++ {
+			live.StepCycle()
 		}
-		_, cpuAt, snapCycle := g.restore(c.cycle)
-		if snapCycle != c.wantCycle {
-			t.Errorf("restore(%d) snapshot cycle = %d, want %d", c.cycle, snapCycle, c.wantCycle)
+		rsys, c := g.restore(target)
+		if c.State != live.State {
+			t.Errorf("restore(%d): CPU state differs from the live run's", target)
 		}
-		if cpuAt.State != g.snaps[c.wantIndex].cpu {
-			t.Errorf("restore(%d) CPU state is not snapshot %d's", c.cycle, c.wantIndex)
+		want, got := sys.Snapshot(0, mem.RAMBytes/4), rsys.Snapshot(0, mem.RAMBytes/4)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("restore(%d): RAM word %#x = %#x, live run has %#x", target, i*4, got[i], want[i])
+				break
+			}
 		}
 	}
 }
 
+// readLogBus wraps a live mem.System and logs every read the CPU
+// consumes: the reference stream a replay must reproduce.
+type readLogBus struct {
+	sys   *mem.System
+	cycle int
+	reads []readEvent
+}
+
+type readEvent struct {
+	cycle      int
+	addr, data uint32
+}
+
+func (b *readLogBus) ReadWord(addr uint32) uint32 {
+	w := b.sys.ReadWord(addr)
+	b.reads = append(b.reads, readEvent{b.cycle, addr &^ 3, w})
+	return w
+}
+
+func (b *readLogBus) WriteMasked(addr, data, mask uint32) { b.sys.WriteMasked(addr, data, mask) }
+
 // replayCheckBus wraps the ReplayBus a fault-free verification replay
-// runs against and diffs every read against the recorded golden read
-// stream.
+// runs against and diffs every read against the live run's read stream.
 type replayCheckBus struct {
 	t     *testing.T
 	bus   *mem.ReplayBus
-	reads []mem.ReadEvent
+	reads []readEvent
 	pos   int
 	cycle int
 }
@@ -131,13 +145,12 @@ type replayCheckBus struct {
 func (b *replayCheckBus) ReadWord(addr uint32) uint32 {
 	w := b.bus.ReadWord(addr)
 	if b.pos >= len(b.reads) {
-		b.t.Fatalf("cycle %d: replay read #%d (addr 0x%x) beyond the %d-entry golden read log",
+		b.t.Fatalf("cycle %d: replay read #%d (addr 0x%x) beyond the live run's %d reads",
 			b.cycle, b.pos, addr, len(b.reads))
 	}
 	want := b.reads[b.pos]
-	if int(want.Cycle) != b.cycle || want.Addr != addr&^3 || want.Data != w {
-		b.t.Fatalf("replay read #%d = {cycle %d addr 0x%x data 0x%x}, golden log has {cycle %d addr 0x%x data 0x%x}",
-			b.pos, b.cycle, addr&^3, w, want.Cycle, want.Addr, want.Data)
+	if got := (readEvent{b.cycle, addr &^ 3, w}); got != want {
+		b.t.Fatalf("replay read #%d = %+v, live run read %+v", b.pos, got, want)
 	}
 	b.pos++
 	return w
@@ -148,24 +161,36 @@ func (b *replayCheckBus) WriteMasked(addr, data, mask uint32) {
 }
 
 // TestGoldenTraceSelfCheck replays the fault-free execution through a
-// ReplayBus and asserts it reproduces the golden run exactly: the same
-// read stream (cycle, address and data of every bus read), the same
-// per-cycle output vectors and state fingerprints. This is the
+// ReplayBus and asserts it reproduces a live run exactly: the same read
+// stream (cycle, address and data of every bus read, logged from the live
+// run by a read-logging bus around mem.System), the same per-cycle output
+// vectors, and states equal to the recorded states[c]. This is the
 // end-to-end proof that AdvanceTo-then-step serves byte-identical memory
-// inputs, which the injection replay path's prefix and convergence
-// verification both rely on. It also holds the trace compaction claim:
-// the in-memory trace stays >=3x below the version-1 flat layout.
+// inputs, which the injection replay path relies on after every start and
+// every jump. It also holds the output-stream compaction claim: the
+// interned output table and ids stay >=3x below one OutVec per cycle.
 func TestGoldenTraceSelfCheck(t *testing.T) {
 	for _, kn := range []string{"puwmod", "rspeed"} {
-		g, err := NewGolden(workload.ByName(kn), 3000, 500)
+		k := workload.ByName(kn)
+		g, err := NewGolden(k, 3000, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys, entry, err := k.NewSystem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		logBus := &readLogBus{sys: sys}
+		live := cpu.New(logBus, entry)
+		for cyc := 1; cyc <= g.TotalCycles; cyc++ {
+			logBus.cycle = cyc
+			live.StepCycle()
+		}
+
 		var bus mem.ReplayBus
-		s := &g.snaps[0]
-		bus.Load(s.ram, s.cycle, g.trace.writes)
-		check := &replayCheckBus{t: t, bus: &bus, reads: g.trace.reads}
-		c := cpu.CPU{State: s.cpu, Bus: check}
+		bus.Load(g.ram0, g.trace.writes)
+		check := &replayCheckBus{t: t, bus: &bus, reads: logBus.reads}
+		c := cpu.CPU{State: g.states[0], Bus: check}
 		for cyc := 0; cyc < g.TotalCycles; cyc++ {
 			bus.AdvanceTo(cyc + 1)
 			check.cycle = cyc + 1
@@ -174,38 +199,38 @@ func TestGoldenTraceSelfCheck(t *testing.T) {
 			if d := cpu.Diverge(g.trace.outAt(cyc+1), &out); d != 0 {
 				t.Fatalf("%s: replayed outputs diverge from trace at cycle %d (dsr %#x)", kn, cyc+1, d)
 			}
-			if fp := uint32(cpu.Fingerprint(&c.State)); fp != g.trace.fp[cyc+1] {
-				t.Fatalf("%s: replayed fingerprint differs from trace at cycle %d", kn, cyc+1)
+			if c.State != g.states[cyc+1] {
+				t.Fatalf("%s: replayed state differs from the recorded one at cycle %d", kn, cyc+1)
 			}
 		}
-		if check.pos != len(g.trace.reads) {
-			t.Fatalf("%s: replay consumed %d reads, golden log has %d", kn, check.pos, len(g.trace.reads))
+		if check.pos != len(logBus.reads) {
+			t.Fatalf("%s: replay consumed %d reads, the live run %d", kn, check.pos, len(logBus.reads))
 		}
 	}
 
 	for _, kn := range []string{"puwmod", "ttsprk"} {
 		// Campaign-scale horizon: kernels loop, so the OutVec working set
 		// saturates while cycles keep growing — that periodicity is what
-		// the interning exploits (at 3000 cycles ttsprk compacts only
-		// ~2.4x).
+		// the interning exploits.
 		g, err := NewGolden(workload.ByName(kn), 6000, 750)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Version 1 kept a full OutVec plus a 64-bit fingerprint per cycle.
-		flatV1 := int64(len(g.trace.outID))*int64(cpu.NumSC*4+8) +
-			int64(len(g.trace.writes))*mem.WriteEventBytes +
-			int64(len(g.trace.reads))*mem.ReadEventBytes
-		if got := g.TraceBytes(); got*3 > flatV1 {
-			t.Errorf("%s: compacted trace %d bytes, want >=3x below flat %d", kn, got, flatV1)
+		vec := int64(unsafe.Sizeof(cpu.OutVec{}))
+		flat := int64(len(g.trace.outID)) * vec
+		interned := int64(len(g.trace.outID))*4 + int64(len(g.trace.outTab))*vec
+		if interned*3 > flat {
+			t.Errorf("%s: interned output stream %d bytes, want >=3x below flat %d", kn, interned, flat)
 		}
 	}
 }
 
 // TestInjectReplayZeroAlloc is the allocation regression guard for the
 // campaign hot path: after warm-up, a Replayer runs experiments of every
-// outcome class with zero heap allocations per InjectMode. (Skipped under
-// -race, whose instrumentation allocates.)
+// outcome class, a stuck-at fault that takes the skip, and a TMR detected
+// hard fault (whose forward-recovery recheck runs a live main CPU on the
+// Replayer's journaled scratch memory) with zero heap allocations per
+// InjectMode. (Skipped under -race, whose instrumentation allocates.)
 func TestInjectReplayZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -215,12 +240,14 @@ func TestInjectReplayZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := NewReplayer()
+	tmr := Mode{Kind: ModeTMR}
 
-	// A mix covering the detected / converged / masked code paths
-	// (including the goldenStateAt convergence confirmation, which has
-	// its own lazily allocated verification bus).
-	var injs []Injection
-	var haveConverged, haveDetected, haveMasked bool
+	type exp struct {
+		inj  Injection
+		mode Mode
+	}
+	var exps []exp
+	var haveConverged, haveDetected, haveMasked, haveSkip, haveTMR bool
 	for flop := 0; flop < cpu.NumFlops(); flop += 3 {
 		for kind := FaultKind(0); kind < NumFaultKinds; kind++ {
 			inj := Injection{Flop: flop, Kind: kind, Cycle: 700 + flop%1500}
@@ -237,22 +264,33 @@ func TestInjectReplayZeroAlloc(t *testing.T) {
 				keep = !haveMasked
 				haveMasked = true
 			}
+			// The faulty state starts equal to golden except at the
+			// stuck flop, so a later first exposure means a jump.
+			if kind.IsHard() && !haveSkip &&
+				g.exposure(flop, cpu.LocOf(flop), kind == Stuck1, inj.Cycle, g.TotalCycles) > inj.Cycle {
+				keep, haveSkip = true, true
+			}
 			if keep {
-				injs = append(injs, inj)
+				exps = append(exps, exp{inj, Mode{}})
+			}
+			if kind.IsHard() && out.Detected && !haveTMR {
+				exps = append(exps, exp{inj, tmr})
+				haveTMR = true
 			}
 		}
-		if haveConverged && haveDetected && haveMasked {
+		if haveConverged && haveDetected && haveMasked && haveSkip && haveTMR {
 			break
 		}
 	}
-	if !haveDetected || !haveConverged || !haveMasked {
-		t.Fatalf("could not find all outcome classes (detected %v converged %v masked %v)",
-			haveDetected, haveConverged, haveMasked)
+	if !haveDetected || !haveConverged || !haveMasked || !haveSkip || !haveTMR {
+		t.Fatalf("could not find every case (detected %v converged %v masked %v skip %v tmr %v)",
+			haveDetected, haveConverged, haveMasked, haveSkip, haveTMR)
 	}
 
 	i := 0
 	avg := testing.AllocsPerRun(100, func() {
-		rep.InjectMode(g, injs[i%len(injs)], Mode{}, StopLatency)
+		e := exps[i%len(exps)]
+		rep.InjectMode(g, e.inj, e.mode, StopLatency)
 		i++
 	})
 	if avg != 0 {

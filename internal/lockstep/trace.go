@@ -30,10 +30,7 @@ func (g *Golden) Trace(inj Injection, window int) DivergenceTrace {
 	if inj.Cycle < 0 || inj.Cycle >= g.TotalCycles || window < 1 {
 		return tr
 	}
-	sys, main, cyc := g.restore(inj.Cycle)
-	for ; cyc < inj.Cycle; cyc++ {
-		main.StepCycle()
-	}
+	sys, main := g.restore(inj.Cycle)
 	red := cpu.CPU{State: main.State, Bus: mem.Monitor{Sys: sys}}
 	switch inj.Kind {
 	case SoftFlip:
@@ -59,7 +56,7 @@ func (g *Golden) Trace(inj Injection, window int) DivergenceTrace {
 			cpu.ForceBit(&red.State, inj.Flop, true)
 		}
 	}
-	for ; cyc < g.TotalCycles; cyc++ {
+	for cyc := inj.Cycle; cyc < g.TotalCycles; cyc++ {
 		om := main.State.Outputs()
 		or := red.State.Outputs()
 		d := cpu.Diverge(&om, &or)

@@ -162,6 +162,7 @@ func TestEndpointErrors(t *testing.T) {
 		{"campaign negative cycles", "POST", "/v1/campaigns", `{"run_cycles":-1}`, http.StatusBadRequest, "invalid_config", "run_cycles", ""},
 		// Sizes the plan cannot hold are refused before a job exists.
 		{"campaign more intervals than cycles", "POST", "/v1/campaigns", `{"run_cycles":100,"intervals":101}`, http.StatusBadRequest, "invalid_config", "Intervals", ""},
+		{"campaign run cycles past the limit", "POST", "/v1/campaigns", `{"run_cycles":65537}`, http.StatusBadRequest, "invalid_config", "RunCycles", ""},
 		{"campaign too many experiments", "POST", "/v1/campaigns", `{"injections_per_flop_kind":1000000000}`, http.StatusBadRequest, "invalid_config", "InjectionsPerFlopKind", ""},
 		{"campaign experiment count overflows", "POST", "/v1/campaigns", `{"injections_per_flop_kind":9000000000000000000}`, http.StatusBadRequest, "invalid_config", "InjectionsPerFlopKind", ""},
 		{"unknown job", "GET", "/v1/campaigns/deadbeef", "", http.StatusNotFound, "unknown_job", "id", ""},
