@@ -5,11 +5,13 @@
 # campaign must match the -no-prune one, and — since the plan fixes
 # every dataset byte — TestPlanMatchesReference and
 # TestPlanSourceMatchesMathRand must hold the sharded, lazily seeded plan
-# to the original one and its RNG to math/rand), the crash-safety check
+# to the original one and its RNG to math/rand, and the CSV row encoder
+# must match its fmt.Sprintf oracle), the crash-safety check
 # (kill/resume at any point must reproduce the byte-identical dataset),
-# the pruning differential-oracle soundness gate and the replay's
-# stuck-at skip gate (skip on must equal skip off on every replayed site
-# of the reference campaign), the telemetry concurrency tests under
+# the pruning differential-oracle soundness gate (register containment
+# included) and the replay's stuck-at skip and re-convergence exit gates
+# (skip on must equal skip off on every replayed site of the reference
+# campaign, skip off must equal the dual-CPU oracle), the telemetry concurrency tests under
 # -race, the injection and predict hot-path allocation guards, the
 # hot-table-reload swap-atomicity and
 # training-parity gate, the serving-path SLO smoke, and a build and
@@ -45,10 +47,12 @@ race:
 # outcomes bit for bit (per-experiment and as a whole campaign dataset),
 # and the plan, which fixes every dataset byte, must equal the original
 # one-rand.NewSource-per-group plan at 1, 3 and 7 workers while its
-# lazily seeded RNG matches math/rand draw for draw.
+# lazily seeded RNG matches math/rand draw for draw, and the dataset and
+# checkpoint row encoder (Record.AppendCSV) must write exactly the bytes
+# of the fmt.Sprintf format it replaced.
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestPlanMatchesReference|TestPlanSourceMatchesMathRand' -count=1 \
-		./internal/inject/ ./internal/lockstep/
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
+		./internal/inject/ ./internal/lockstep/ ./internal/dataset/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
 # checkpoint prefix (in-process truncation) or after a SIGKILL of the real
@@ -89,14 +93,22 @@ mode-determinism:
 # sample (seeded, so the sample is reproducible), with the replay's
 # stuck-at skip off because the skip reasons with the same liveness
 # tables, and every predicted outcome must match the simulation exactly.
+# The register-containment gate re-simulates every site of the sealed
+# registers (CycCnt, RetCnt, XMStore) on a cycle grid, and an rdcyc probe
+# kernel checks that no detected CycCnt stuck-at is pruned. The exit gate
+# pins where the skip-off replay's exact re-convergence exit fires,
+# including at horizons placed on either side of the cycle where golden
+# leaves the stuck value.
 # The skip gate: on every replayed (unpruned) site of the reference
 # campaign plan (ttsprk, rspeed, puwmod; 6,000 cycles; stride 1; seed 1)
 # under dcls, slip:16 and tmr, the replay with the skip on must return
-# the outcome of the replay with it off. It runs here, without -race,
-# where it takes seconds instead of a minute.
+# the outcome of the replay with it off, and on every site of that plan
+# the runtime oracle samples, the skip-off replay must return the
+# dual-CPU oracle's outcome. They run here, without -race, where they
+# take seconds instead of a minute.
 prune-soundness:
-	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification' -count=1 ./internal/lockstep/
-	$(GO) test -run 'TestSkipMatchesNoSkip' -count=1 ./internal/inject/
+	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestContainmentSoundness|TestContainmentRdcycProbe|TestReconvergenceExit' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestSkipMatchesNoSkip|TestSkipOffMatchesLegacyOnOracleSites' -count=1 ./internal/inject/
 
 # The telemetry layer's own contract, under -race: exact totals from
 # NumCPU hammering goroutines, monotone histogram buckets, and
@@ -165,12 +177,16 @@ bench:
 # Micro-benchmarks of the hot paths, the entry point for profiling them
 # (rerun a line with -cpuprofile): golden-trace replay vs the legacy
 # dual-CPU oracle vs the pruned campaign path on the same mix, the
-# campaign-dcls plan, and the predict decode, render and serve path
+# campaign-dcls plan, the whole campaign-dcls campaign in process
+# (RunStats plus the dataset CSV, for A/B runs of engine changes), the
+# dataset CSV writer, and the predict decode, render and serve path
 # beside the encoding/json reference decoder and the table-path render.
 # It records nothing; the benchmark is `bash perfbench/run.sh`.
 bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkInject(Replay|Legacy|Pruned)$$' -benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkPlan$$' -benchmem -benchtime=200ms ./internal/inject/
+	$(GO) test -run '^$$' -bench 'BenchmarkCampaignDCLS$$' -benchmem -benchtime=5x ./internal/inject/
+	$(GO) test -run '^$$' -bench 'BenchmarkWriteCSV$$' -benchmem -benchtime=200ms ./internal/dataset/
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Decode|Render|E2E)' -benchmem -benchtime=200ms ./internal/server/
 
 # Serving-path SLO smoke for ci: 8 concurrent clients x 200 predict

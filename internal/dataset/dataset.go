@@ -232,22 +232,42 @@ const csvHeader = "kernel,flop,unit,fine,kind,inject,detected,detect,dsr,converg
 // csvHeaderMode is the extended header of mode-bearing datasets.
 const csvHeaderMode = csvHeader + ",mode"
 
-// MarshalCSV renders one record as a CSV row (no trailing newline), the
-// exact line WriteCSV emits for it. It is exported so partial logs — e.g.
-// the campaign checkpoint files of internal/inject — serialize records in
-// the same stable format as full datasets. A non-DCLS record appends the
-// mode as a 12th field; dcls rows are byte-identical to pre-mode builds.
-func (r Record) MarshalCSV() string {
-	row := fmt.Sprintf("%s,%d,%d,%d,%d,%d,%t,%d,%x,%t,%t",
-		r.Kernel, r.Flop, r.Unit, r.Fine, r.Kind, r.InjectCycle,
-		r.Detected, r.DetectCycle, r.DSR, r.Converged, r.Failed)
+// AppendCSV appends the record's CSV row (no trailing newline), the exact
+// line WriteCSV emits for it, to dst and returns the extended slice. It is
+// exported so partial logs — e.g. the campaign checkpoint files of
+// internal/inject — serialize records in the same stable format as full
+// datasets. A non-DCLS record appends the mode as a 12th field; dcls rows
+// are byte-identical to pre-mode builds.
+func (r Record) AppendCSV(dst []byte) []byte {
+	dst = append(dst, r.Kernel...)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.Flop), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendUint(dst, uint64(r.Unit), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendUint(dst, uint64(r.Fine), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendUint(dst, uint64(r.Kind), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.InjectCycle), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendBool(dst, r.Detected)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(r.DetectCycle), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendUint(dst, r.DSR, 16)
+	dst = append(dst, ',')
+	dst = strconv.AppendBool(dst, r.Converged)
+	dst = append(dst, ',')
+	dst = strconv.AppendBool(dst, r.Failed)
 	if r.Mode != (lockstep.Mode{}) {
-		row += "," + r.Mode.String()
+		dst = append(dst, ',')
+		dst = append(dst, r.Mode.String()...)
 	}
-	return row
+	return dst
 }
 
-// ParseRecord parses one MarshalCSV row — 11 fields, or 12 when the row
+// ParseRecord parses one AppendCSV row — 11 fields, or 12 when the row
 // carries a lockstep mode. It is the single row decoder: ReadCSV and the
 // checkpoint reader of internal/inject both funnel through it, so the two
 // on-disk formats cannot drift apart.
@@ -330,12 +350,13 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 			break
 		}
 	}
+	// bufio errors are sticky: a failed header write surfaces below.
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, header); err != nil {
-		return err
-	}
+	bw.WriteString(header + "\n")
+	var row []byte
 	for _, r := range d.Records {
-		if _, err := fmt.Fprintln(bw, r.MarshalCSV()); err != nil {
+		row = append(r.AppendCSV(row[:0]), '\n')
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}

@@ -128,6 +128,31 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 }
 
+// TestCancelAfterLastProgress: a cancel that arrives from the final
+// Progress callback, when every experiment has been handed out, must not
+// turn a finished campaign into ErrCanceled. Only an undispatched index
+// makes a campaign canceled.
+func TestCancelAfterLastProgress(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		cancel := make(chan struct{})
+		cfg := cancelConfig()
+		cfg.Workers = workers
+		cfg.Cancel = cancel
+		cfg.Progress = func(done, total int) {
+			if done == total {
+				close(cancel)
+			}
+		}
+		ds, st, err := RunStats(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: campaign canceled after its last experiment returned %v", workers, err)
+		}
+		if want, _ := cfg.Total(); ds.Len() != want || st.Experiments != want {
+			t.Fatalf("workers=%d: dataset has %d records (stats %d), want %d", workers, ds.Len(), st.Experiments, want)
+		}
+	}
+}
+
 // TestConfigErrorShape pins the typed validation error both the CLI and
 // the lockstep-serve API surface: the offending Config field is named
 // machine-readably, and Error() embeds it.

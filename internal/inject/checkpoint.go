@@ -258,9 +258,10 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 		fmt.Fprintf(&buf, " %d-%d", s.Lo, s.Hi)
 	}
 	fmt.Fprintf(&buf, "\nrecords %d\n", len(c.Records))
+	var row []byte
 	for _, r := range c.Records {
-		buf.WriteString(r.MarshalCSV())
-		buf.WriteByte('\n')
+		row = append(r.AppendCSV(row[:0]), '\n')
+		buf.Write(row)
 	}
 	writeCRCSeal(&buf)
 	_, err = w.Write(buf.Bytes())

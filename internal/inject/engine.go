@@ -64,10 +64,10 @@ type resolveStats struct {
 // resolve computes the record of every plan index in idxs (ascending and
 // distinct; the slice is reused as scratch) and hands each to put exactly
 // once: serially during the prune pass, then concurrently from the worker
-// pool. It stops dispatching early when Config.Cancel fires (returning
-// ErrCanceled) or when the pruning oracle catches a wrong prediction
-// (returning the mismatch); either way every index handed to put is final
-// and the rest are never handed over.
+// pool. It stops dispatching early when Config.Cancel fires before the
+// last index is claimed (returning ErrCanceled) or when the pruning oracle
+// catches a wrong prediction (returning the mismatch); either way every
+// index handed to put is final and the rest are never handed over.
 func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (resolveStats, error) {
 	var st resolveStats
 	if err := en.buildGoldens(idxs); err != nil {
@@ -109,12 +109,16 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 	}
 
 	st.workers = max(min(en.cfg.Workers, len(idxs)), 1)
-	// abort stops dispatch when the oracle catches a static prediction
-	// that the simulator contradicts; the first mismatch wins.
-	abort := make(chan struct{})
+	// Workers claim positions in idxs through one atomic counter, so no
+	// goroutine stands between a worker and its next experiment. A worker
+	// checks Cancel only after a successful claim: ErrCanceled then means
+	// that an index was left undispatched, never that a cancel arrived
+	// after the last one was handed out. stop ends every claim loop after
+	// a cancel or the first oracle mismatch.
+	var next atomic.Int64
+	var stop, canceled atomic.Bool
 	var abortOnce sync.Once
 	var oracleErr error
-	next := make(chan int)
 	var failures, simulated atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < st.workers; i++ {
@@ -125,7 +129,20 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range next {
+			for !stop.Load() {
+				k := int(next.Add(1) - 1)
+				if k >= len(idxs) {
+					return
+				}
+				// A nil Cancel is never ready, so the select falls through.
+				select {
+				case <-en.cfg.Cancel:
+					canceled.Store(true)
+					stop.Store(true)
+					return
+				default:
+				}
+				idx := idxs[k]
 				e := en.plan[idx]
 				expect, checked := oracle[idx]
 				out := w.run(e, checked || en.cfg.NoPrune)
@@ -137,7 +154,7 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 						oracleErr = fmt.Errorf(
 							"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
 							e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, expect, out)
-						close(abort)
+						stop.Store(true)
 					})
 				}
 				en.tel.record(e, out)
@@ -146,28 +163,13 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 			}
 		}()
 	}
-	// Receiving from a nil Cancel blocks forever, so the select
-	// degenerates to a plain send for the common un-cancellable case.
-	canceled := false
-feed:
-	for _, idx := range idxs {
-		select {
-		case next <- idx:
-		case <-en.cfg.Cancel:
-			canceled = true
-			break feed
-		case <-abort:
-			break feed
-		}
-	}
-	close(next)
 	wg.Wait()
 	st.Failures = int(failures.Load())
 	st.simulated = int(simulated.Load())
 	switch {
 	case oracleErr != nil:
 		return st, oracleErr
-	case canceled:
+	case canceled.Load():
 		return st, ErrCanceled
 	}
 	return st, nil

@@ -107,12 +107,14 @@ type Config struct {
 	// the replay path, which the test suite asserts).
 	Legacy bool
 	// NoPrune disables static fault-equivalence pruning, simulating every
-	// experiment even when the golden run's liveness analysis proves its
-	// outcome, and turns off the replay's stuck-at skip, which reasons with
-	// the same analysis. The dataset is byte-identical either way — NoPrune
-	// is the differential-oracle escape hatch (and the slow path), not a
-	// different campaign. It participates in the resume fingerprint so a
-	// checkpoint is never silently continued under the other setting.
+	// experiment even when the golden run's liveness and register-escape
+	// analysis proves its outcome, and turns off the replay's stuck-at
+	// skip, which reasons with the same analysis. The skip-off replay keeps
+	// its exact re-convergence exit, which reads only the recorded golden
+	// states. The dataset is byte-identical either way — NoPrune is the
+	// differential-oracle escape hatch (and the slow path), not a different
+	// campaign. It participates in the resume fingerprint so a checkpoint
+	// is never silently continued under the other setting.
 	//
 	// With pruning on, a deterministic seeded sample of the pruned sites
 	// (~1/64, at least one whenever anything was pruned) is still

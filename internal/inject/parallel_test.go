@@ -2,6 +2,7 @@ package inject
 
 import (
 	"bytes"
+	"io"
 	"sync/atomic"
 	"testing"
 
@@ -199,4 +200,25 @@ func TestProgressMonotonic(t *testing.T) {
 	if last != want {
 		t.Fatalf("final done = %d, want total %d", last, want)
 	}
+}
+
+// BenchmarkCampaignDCLS runs the campaign-dcls benchmark workload in
+// process (ttsprk, rspeed, puwmod; 6,000 cycles; stride 1; seed 1; all
+// CPUs): RunStats and then the dataset CSV, the unit of work perfbench
+// times as one campaign.
+func BenchmarkCampaignDCLS(b *testing.B) {
+	cfg := dclsPlanShape(1)
+	exps := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ds, st, err := RunStats(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ds.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		exps += st.Executed()
+	}
+	b.ReportMetric(float64(exps)/b.Elapsed().Seconds(), "exp/s")
 }

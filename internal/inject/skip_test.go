@@ -8,6 +8,24 @@ import (
 	"lockstep/internal/workload"
 )
 
+// referenceCampaign returns the reference DCLS campaign (ttsprk, rspeed,
+// puwmod; 6,000 cycles; stride 1; seed 1), its plan and its goldens.
+func referenceCampaign(t *testing.T) (Config, []Experiment, map[string]*lockstep.Golden) {
+	t.Helper()
+	cfg := dclsPlanShape(1)
+	plan, err := cfg.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens := map[string]*lockstep.Golden{}
+	for _, name := range cfg.Kernels {
+		if goldens[name], err = lockstep.NewGolden(workload.ByName(name), cfg.RunCycles, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cfg, plan, goldens
+}
+
 // TestSkipMatchesNoSkip is the gate on the replay loop's stuck-at skip
 // (`make prune-soundness`): on every site of the reference DCLS campaign
 // plan (ttsprk, rspeed, puwmod; 6,000 cycles; stride 1; seed 1) that
@@ -20,22 +38,7 @@ func TestSkipMatchesNoSkip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("runs without -race in make prune-soundness")
 	}
-	cfg := Config{
-		Kernels:    []string{"ttsprk", "rspeed", "puwmod"},
-		RunCycles:  6000,
-		FlopStride: 1,
-		Seed:       1,
-	}
-	plan, err := cfg.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldens := map[string]*lockstep.Golden{}
-	for _, name := range cfg.Kernels {
-		if goldens[name], err = lockstep.NewGolden(workload.ByName(name), cfg.RunCycles, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	_, plan, goldens := referenceCampaign(t)
 	rep := lockstep.NewReplayer()
 	for _, mode := range []lockstep.Mode{{}, {Kind: lockstep.ModeSlip, Slip: 16}, {Kind: lockstep.ModeTMR}} {
 		replayed, mismatches := 0, 0
@@ -58,5 +61,38 @@ func TestSkipMatchesNoSkip(t *testing.T) {
 		} else {
 			t.Logf("%s: %d replayed sites agree", mode, replayed)
 		}
+	}
+}
+
+// TestSkipOffMatchesLegacyOnOracleSites holds the skip-off replay — the
+// form the runtime pruning oracle and NoPrune campaigns use, with its
+// exact re-convergence exit — to the dual-CPU oracle on every site of the
+// reference DCLS campaign plan that the runtime oracle samples (prunable
+// and oracleSampled at seed 1), under dcls, slip:16 and tmr.
+// (Skipped under -race, like TestSkipMatchesNoSkip.)
+func TestSkipOffMatchesLegacyOnOracleSites(t *testing.T) {
+	if raceEnabled {
+		t.Skip("runs without -race in make prune-soundness")
+	}
+	cfg, plan, goldens := referenceCampaign(t)
+	rep := lockstep.NewReplayer()
+	for _, mode := range []lockstep.Mode{{}, {Kind: lockstep.ModeSlip, Slip: 16}, {Kind: lockstep.ModeTMR}} {
+		sampled := 0
+		for _, e := range plan {
+			g, inj := goldens[e.Kernel], e.injection()
+			if _, ok := g.PruneMode(inj, mode); !ok || !oracleSampled(cfg.Seed, e) {
+				continue
+			}
+			sampled++
+			want := g.InjectLegacyMode(inj, mode, lockstep.StopLatency)
+			if got := rep.InjectModeNoSkip(g, inj, mode, lockstep.StopLatency); got != want {
+				t.Errorf("%s: %s %s at flop %d (%s) cycle %d: skip-off replay %+v, dual-CPU oracle %+v",
+					mode, e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, got, want)
+			}
+		}
+		if sampled == 0 {
+			t.Fatalf("%s: no oracle-sampled site", mode)
+		}
+		t.Logf("%s: %d oracle-sampled sites agree", mode, sampled)
 	}
 }

@@ -48,7 +48,7 @@ import (
 // produce equal outputs at R and step to next states that again differ at
 // most in F. From this, per kind:
 //
-//   - Stuck-at-v at (F, C) is Masked iff there is no cycle R in
+//   - Stuck-at-v at (F, C) is Masked if there is no cycle R in
 //     [C, TotalCycles) where F is observed AND the golden value of F
 //     differs from v. By induction the faulty state equals the golden
 //     state except possibly bit F (re-forced to v after every edge), the
@@ -58,6 +58,20 @@ import (
 //     the rest of the run is a no-op (this is how constant upper address
 //     bits, a never-asserted Halted flag, or a configured-once MPU
 //     register absorb matching stuck-at faults).
+//
+//   - Stuck-at-v at (F, C), with F in register X, is also Masked if X does
+//     not escape in [C, TotalCycles). Register X "escapes at cycle R" when
+//     its end-of-R value can influence anything outside X: the output
+//     port, or the next value of any flop of another register. The same
+//     induction holds with "differ only in F" widened to "differ only
+//     within X": if X does not escape at R, two states that differ only
+//     within X produce equal outputs at R and step to next states that
+//     again differ only within X, and re-forcing F keeps it that way. The
+//     bit-level rule cannot see this for a counter, whose every bit feeds
+//     its neighbours through the carry chain, so the counters would
+//     otherwise be simulated to the horizon. Soft faults keep the
+//     bit-level rule: a flip inside a sealed register may re-converge or
+//     not, and only simulation tells Converged from Masked.
 //
 //   - A soft flip at (F, C) is Converged iff F is not observed at C: the
 //     compare at C passes, the step to C+1 corrupts nothing else, and the
@@ -98,16 +112,34 @@ import (
 //     instruction retires;
 //   - IReqAddr / DAddr / DBE / DWData / external-bus payload: pure output
 //     registers, exposed only under their port strobes;
-//   - IFData, DRData, ExtRData: input-capture registers that nothing ever
-//     reads — every injection into them is prunable;
-//   - everything else (PC, valid bits, strobes, SCU counters and status):
-//     conservatively always observed, so soft faults are never pruned
-//     there and stuck-at faults prune only via value stability.
+//   - IFData, DRData, ExtRData, XMStore: registers that are written and
+//     never read — the input-capture latches, and the EX/MEM store-data
+//     latch (latchLSU takes the computed store value and MEM reads
+//     LSUData) — so every injection into them is prunable;
+//   - everything else (PC, valid bits, strobes, the cycle counter CycCnt
+//     and status): conservatively always observed at the bit level, so
+//     soft faults are never pruned there and stuck-at faults prune only
+//     via value stability or register-level containment.
+//
+// # Escape conditions
+//
+// The register-level rule needs, per register, the cycles at which it
+// escapes (escapeForReg). Every register escapes on every cycle unless
+// listed here:
+//
+//   - RetCnt never escapes: it is not on the output port (outputs.go)
+//     and nothing but its own increment reads it;
+//   - CycCnt escapes only while DX holds a valid rdcyc (lvRdcyc), the one
+//     instruction that copies it into the datapath; its own increment is
+//     internal to it, and it is not on the output port. The condition
+//     reads DXValid and DXOp, never CycCnt itself, so it holds for the
+//     faulty machine whenever it holds for golden.
 const (
 	lvAlways   = iota // conservatively observed every cycle
-	lvNever           // input-capture sinks: never read, never exposed
+	lvNever           // write-only sinks: never read, never exposed
 	lvExc             // EPC, ExcCause: ExcValid
 	lvRet             // RetCnt: MWValid (self-increment carries cross bits)
+	lvRdcyc           // CycCnt escape: rdcyc valid in DX
 	lvDX              // decode/operand payload: DXValid
 	lvXM              // EX/MEM payload: XMValid
 	lvMW              // MEM/WB payload: MWValid
@@ -135,6 +167,10 @@ type liveness struct {
 	stream  []uint8              // flop index -> observation stream
 	obs     [numStreams][]uint64 // per-stream observed-cycle bitmaps (nil for always/never)
 	lastVal [2][]int32           // lastVal[b][f]: last observed cycle where flop f held bit b, -1 if none
+	// escLast[f] is the last cycle at which flop f's register escapes
+	// (see "Escape conditions"): -1 if it never does, cycles if the
+	// register has no containment rule.
+	escLast []int32
 }
 
 // observed reports whether flop f is observed at cycle c (see the file
@@ -175,13 +211,17 @@ func (g *Golden) prune(inj Injection) (Outcome, bool) {
 			return Outcome{}, true
 		}
 		return Outcome{Converged: true}, true
-	case Stuck0:
-		if int(lv.lastVal[1][inj.Flop]) >= inj.Cycle {
-			return Outcome{}, false
+	case Stuck0, Stuck1:
+		if int(lv.escLast[inj.Flop]) < inj.Cycle {
+			// Register-level containment: the fault's register is sealed
+			// from the injection cycle on.
+			return Outcome{}, true
 		}
-		return Outcome{}, true
-	case Stuck1:
-		if int(lv.lastVal[0][inj.Flop]) >= inj.Cycle {
+		other := 1 // the golden value a stuck-at-0 would change
+		if inj.Kind == Stuck1 {
+			other = 0
+		}
+		if int(lv.lastVal[other][inj.Flop]) >= inj.Cycle {
 			return Outcome{}, false
 		}
 		return Outcome{}, true
@@ -204,6 +244,8 @@ func liveStreamMask(s *cpu.State) uint64 {
 	if s.DXValid {
 		m |= 1 << lvDX
 		switch isa.Op(s.DXOp) {
+		case isa.OpRDCYC:
+			m |= 1 << lvRdcyc
 		case isa.OpMUL, isa.OpMULH:
 			m |= 1 << lvMulBusy
 			if s.MulBusy {
@@ -280,7 +322,7 @@ func streamForReg(name string) int {
 	case "DXOp", "DXRd", "DXImm", "DXPC", "DXInstr",
 		"DXRs1Val", "DXRs2Val", "DXRs1", "DXRs2":
 		return lvDX
-	case "XMOp", "XMRd", "XMAlu", "XMStore", "XMPC", "XMInstr":
+	case "XMOp", "XMRd", "XMAlu", "XMPC", "XMInstr":
 		return lvXM
 	case "MWRd", "MWVal", "MWPC", "MWInstr":
 		return lvMW
@@ -307,7 +349,7 @@ func streamForReg(name string) int {
 	case "DivCnt", "DivRem", "DivQuot", "DivDivisor",
 		"DivNegQ", "DivNegR", "DivIsRem":
 		return lvDivData
-	case "IFData", "DRData", "ExtRData":
+	case "IFData", "DRData", "ExtRData", "XMStore":
 		return lvNever
 	}
 	if n, ok := regionSuffix(name, "MPUBase"); ok {
@@ -323,6 +365,20 @@ func streamForReg(name string) int {
 		if n, err := strconv.Atoi(rest); err == nil && n >= 1 && n < 16 {
 			return lvReg1 + n - 1
 		}
+	}
+	return lvAlways
+}
+
+// escapeForReg maps one registry register to the stream on which it
+// escapes (see "Escape conditions" in the file comment): lvNever for a
+// register whose value never leaves it, lvAlways for every register
+// without a containment rule.
+func escapeForReg(name string) int {
+	switch name {
+	case "RetCnt":
+		return lvNever
+	case "CycCnt":
+		return lvRdcyc
 	}
 	return lvAlways
 }
@@ -355,7 +411,7 @@ type livenessBuilder struct {
 func newLivenessBuilder(totalCycles int) *livenessBuilder {
 	regs := cpu.Registry()
 	n := cpu.NumFlops()
-	lv := &liveness{cycles: totalCycles, stream: make([]uint8, n)}
+	lv := &liveness{cycles: totalCycles, stream: make([]uint8, n), escLast: make([]int32, n)}
 	lv.lastVal[0] = make([]int32, n)
 	lv.lastVal[1] = make([]int32, n)
 	for i := range lv.lastVal[0] {
@@ -434,17 +490,27 @@ func (b *livenessBuilder) record(s *cpu.State, cyc int) {
 	}
 }
 
-// finish closes every flop's final value segment and returns the
-// completed table.
+// finish closes every flop's final value segment, fills in the escape
+// table and returns the completed table.
 func (b *livenessBuilder) finish() *liveness {
 	regs := cpu.Registry()
 	for ri := range regs {
 		base, v := b.regBase[ri], b.prev[ri]
+		var esc int32
+		switch st := escapeForReg(regs[ri].Name); st {
+		case lvAlways:
+			esc = int32(b.lv.cycles)
+		case lvNever:
+			esc = -1
+		default:
+			esc = b.lastObs[st]
+		}
 		for bit := 0; bit < int(regs[ri].Width); bit++ {
 			f := base + bit
 			if lo := b.lastObs[b.lv.stream[f]]; lo >= b.segStart[f] {
 				b.lv.lastVal[v>>uint(bit)&1][f] = lo
 			}
+			b.lv.escLast[f] = esc
 		}
 	}
 	return b.lv

@@ -132,7 +132,10 @@ func TestPruneSoftLastCycle(t *testing.T) {
 // without deriving (and testing) its read set fails this test instead of
 // silently losing pruning coverage — and, symmetrically, a typo in
 // streamForReg that drops a register to a narrower stream than intended
-// shows up as an unexpected classification.
+// shows up as an unexpected classification. The register-level escape
+// rule is pinned the same way: exactly RetCnt (never escapes) and CycCnt
+// (escapes through rdcyc) are sealed; every other register escapes on
+// every cycle.
 func TestStreamClassification(t *testing.T) {
 	wantAlways := map[string]bool{
 		"PC": true, "FQValid0": true, "FQValid1": true, "FQHead": true,
@@ -141,9 +144,20 @@ func TestStreamClassification(t *testing.T) {
 		"ExtRe": true, "ExtWe": true, "ExtBusy": true, "ExtCnt": true,
 		"CycCnt": true, "Halted": true, "ExcValid": true,
 	}
-	wantNever := map[string]bool{"IFData": true, "DRData": true, "ExtRData": true}
+	wantNever := map[string]bool{"IFData": true, "DRData": true, "ExtRData": true, "XMStore": true}
+	wantEscape := map[string]int{"RetCnt": lvNever, "CycCnt": lvRdcyc}
 	seenAlways := map[string]bool{}
+	seenEscape := 0
 	for _, r := range cpu.Registry() {
+		want, sealed := wantEscape[r.Name]
+		if !sealed {
+			want = lvAlways
+		} else {
+			seenEscape++
+		}
+		if got := escapeForReg(r.Name); got != want {
+			t.Errorf("register %s escapes on stream %d, want %d", r.Name, got, want)
+		}
 		switch st := streamForReg(r.Name); st {
 		case lvAlways:
 			if !wantAlways[r.Name] {
@@ -162,6 +176,9 @@ func TestStreamClassification(t *testing.T) {
 				t.Errorf("register %s mapped to out-of-range stream %d", r.Name, st)
 			}
 		}
+	}
+	if seenEscape != len(wantEscape) {
+		t.Errorf("found %d of the %d sealed registers in the registry", seenEscape, len(wantEscape))
 	}
 	for name := range wantAlways {
 		if !seenAlways[name] {

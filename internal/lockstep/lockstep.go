@@ -191,7 +191,7 @@ func (t *goldenTrace) outAt(c int) *cpu.OutVec {
 
 // TraceBytes reports the heap footprint of everything a Golden holds —
 // the per-cycle states, the reset RAM image, the output table and ids,
-// the write log and the liveness tables — published by the campaign
+// the write log and the liveness and escape tables — published by the campaign
 // driver as the inject.golden_trace_bytes gauge.
 func (g *Golden) TraceBytes() int64 {
 	n := int64(len(g.states))*int64(unsafe.Sizeof(cpu.State{})) +
@@ -200,7 +200,7 @@ func (g *Golden) TraceBytes() int64 {
 		int64(len(g.trace.outTab))*int64(unsafe.Sizeof(cpu.OutVec{})) +
 		int64(len(g.trace.writes))*mem.WriteEventBytes
 	if lv := g.live; lv != nil {
-		n += int64(len(lv.stream)) + int64(len(lv.lastVal[0])+len(lv.lastVal[1]))*4
+		n += int64(len(lv.stream)) + int64(len(lv.lastVal[0])+len(lv.lastVal[1])+len(lv.escLast))*4
 		for _, w := range lv.obs {
 			n += int64(len(w)) * 8
 		}

@@ -109,6 +109,18 @@ func (r *Replayer) seek(g *Golden, c int) {
 //     horizon the run is Masked. This is the state-level form of
 //     concurrent fault simulation (Ulrich and Baker, 1974): the faulty
 //     machine is simulated only where it differs from the good one.
+//   - Exact re-convergence exit (skip off): suppose that at the top of
+//     iteration R a stuck-at-v fault on F has left the faulty state equal
+//     to states[R], and golden F equals v on every cycle in [R, horizon).
+//     The outputs at R are golden's, and the step to R+1 yields exactly
+//     states[R+1] (same state, same bus inputs), where re-forcing F to v
+//     changes nothing. By induction the checker stays quiet to the
+//     horizon, so the run is Masked from R on. This argues from the
+//     recorded states alone, by determinism, as the soft-fault convergence
+//     check does; it uses no liveness table, so the pruning oracles keep
+//     it. Where golden F's final stretch of v before the horizon begins
+//     is found once per experiment, on the first exact match, by a scan
+//     back from horizon-1 that stops at that match.
 //
 // The run is generalized over the lockstep mode: it compares the first
 // `horizon` cycles of the golden trace (DCLS/TMR compare all TotalCycles;
@@ -154,6 +166,12 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 
 	softArmed := inj.Kind == SoftFlip
 	skip = skip && inj.Kind.IsHard()
+	// exit arms the exact re-convergence exit of a stuck-at fault with the
+	// skip off; tail is the first cycle, no earlier than the first exact
+	// match, from which golden F stays stuckVal up to the horizon, and -1
+	// until that match needs it.
+	exit := inj.Kind.IsHard() && !skip
+	tail := -1
 	stuckVal := inj.Kind == Stuck1
 	stepFaulty := func(cyc int) {
 		r.bus.AdvanceTo(cyc + 1)
@@ -186,6 +204,15 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 				cyc = next
 			}
 		}
+		if exit && cyc >= tail && red.State == g.states[cyc] {
+			if tail < 0 {
+				tail = g.settledFrom(loc, stuckVal, cyc, horizon)
+			}
+			if cyc >= tail {
+				// Back in sync for good: masked.
+				return Outcome{}
+			}
+		}
 		or := red.State.Outputs()
 		// Whole-vector equality (a memcmp) gates the per-SC reduction:
 		// Diverge sets bit i exactly when element i differs, so the DSR is
@@ -214,6 +241,18 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	}
 	// Horizon reached without divergence: masked.
 	return Outcome{}
+}
+
+// settledFrom returns the first cycle c >= from such that the golden value
+// of the flop at loc is v on every cycle in [c, horizon); horizon when it
+// is not v on cycle horizon-1. The scan stops at from: the caller only
+// asks about cycles from there on.
+func (g *Golden) settledFrom(loc cpu.FlopLoc, v bool, from, horizon int) int {
+	c := horizon
+	for c > from && loc.Bit(&g.states[c-1]) == v {
+		c--
+	}
+	return c
 }
 
 // exposure returns the first cycle R in [from, to) at which flop f (at

@@ -227,10 +227,11 @@ func TestGoldenTraceSelfCheck(t *testing.T) {
 
 // TestInjectReplayZeroAlloc is the allocation regression guard for the
 // campaign hot path: after warm-up, a Replayer runs experiments of every
-// outcome class, a stuck-at fault that takes the skip, and a TMR detected
-// hard fault (whose forward-recovery recheck runs a live main CPU on the
-// Replayer's journaled scratch memory) with zero heap allocations per
-// InjectMode. (Skipped under -race, whose instrumentation allocates.)
+// outcome class, a stuck-at fault that takes the skip, a stuck-at fault
+// whose skip-off replay takes the exact re-convergence exit, and a TMR
+// detected hard fault (whose forward-recovery recheck runs a live main CPU
+// on the Replayer's journaled scratch memory) with zero heap allocations
+// per experiment. (Skipped under -race, whose instrumentation allocates.)
 func TestInjectReplayZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -243,11 +244,12 @@ func TestInjectReplayZeroAlloc(t *testing.T) {
 	tmr := Mode{Kind: ModeTMR}
 
 	type exp struct {
-		inj  Injection
-		mode Mode
+		inj    Injection
+		mode   Mode
+		noSkip bool
 	}
 	var exps []exp
-	var haveConverged, haveDetected, haveMasked, haveSkip, haveTMR bool
+	var haveConverged, haveDetected, haveMasked, haveSkip, haveExit, haveTMR bool
 	for flop := 0; flop < cpu.NumFlops(); flop += 3 {
 		for kind := FaultKind(0); kind < NumFaultKinds; kind++ {
 			inj := Injection{Flop: flop, Kind: kind, Cycle: 700 + flop%1500}
@@ -271,29 +273,40 @@ func TestInjectReplayZeroAlloc(t *testing.T) {
 				keep, haveSkip = true, true
 			}
 			if keep {
-				exps = append(exps, exp{inj, Mode{}})
+				exps = append(exps, exp{inj: inj})
 			}
 			if kind.IsHard() && out.Detected && !haveTMR {
-				exps = append(exps, exp{inj, tmr})
+				exps = append(exps, exp{inj: inj, mode: tmr})
 				haveTMR = true
 			}
+			// A masked skip-off replay that stops short of the horizon
+			// took the exit.
+			if kind.IsHard() && !haveExit && rep.InjectModeNoSkip(g, inj, Mode{}, StopLatency) == (Outcome{}) &&
+				rep.bus.Cycle() < g.TotalCycles {
+				exps = append(exps, exp{inj: inj, noSkip: true})
+				haveExit = true
+			}
 		}
-		if haveConverged && haveDetected && haveMasked && haveSkip && haveTMR {
+		if haveConverged && haveDetected && haveMasked && haveSkip && haveExit && haveTMR {
 			break
 		}
 	}
-	if !haveDetected || !haveConverged || !haveMasked || !haveSkip || !haveTMR {
-		t.Fatalf("could not find every case (detected %v converged %v masked %v skip %v tmr %v)",
-			haveDetected, haveConverged, haveMasked, haveSkip, haveTMR)
+	if !haveDetected || !haveConverged || !haveMasked || !haveSkip || !haveExit || !haveTMR {
+		t.Fatalf("could not find every case (detected %v converged %v masked %v skip %v exit %v tmr %v)",
+			haveDetected, haveConverged, haveMasked, haveSkip, haveExit, haveTMR)
 	}
 
 	i := 0
 	avg := testing.AllocsPerRun(100, func() {
 		e := exps[i%len(exps)]
-		rep.InjectMode(g, e.inj, e.mode, StopLatency)
+		if e.noSkip {
+			rep.InjectModeNoSkip(g, e.inj, e.mode, StopLatency)
+		} else {
+			rep.InjectMode(g, e.inj, e.mode, StopLatency)
+		}
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state InjectMode allocates %.2f times per run, want 0", avg)
+		t.Fatalf("steady-state replay allocates %.2f times per run, want 0", avg)
 	}
 }
