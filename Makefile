@@ -9,7 +9,8 @@
 # must match its fmt.Sprintf oracle), the crash-safety check
 # (kill/resume at any point must reproduce the byte-identical dataset),
 # the pruning differential-oracle soundness gate (register containment
-# included) and the replay's stuck-at skip and re-convergence exit gates
+# included, and the liveness tables held to the forward builder they
+# replaced) and the replay's stuck-at skip and re-convergence exit gates
 # (skip on must equal skip off on every replayed site of the reference
 # campaign, skip off must equal the dual-CPU oracle), the telemetry concurrency tests under
 # -race, the injection and predict hot-path allocation guards, the
@@ -45,14 +46,19 @@ race:
 # sharded campaign must reproduce the serial dataset bit for bit, the
 # golden-trace replay path must reproduce the legacy dual-CPU oracle's
 # outcomes bit for bit (per-experiment and as a whole campaign dataset),
-# and the plan, which fixes every dataset byte, must equal the original
+# a fault-free replay must reproduce the recorded states and their
+# output vectors (TestGoldenTraceSelfCheck), the replay's one-pass word
+# compare must agree with ==, FlopLoc.EqualExcept and Outputs() equality
+# under every single-flop flip and force (TestDiffWordsMatchesCompares)
+# and FlopLoc.Force with ForceBit (TestFlopLocMatchesAccessors), and
+# the plan, which fixes every dataset byte, must equal the original
 # one-rand.NewSource-per-group plan at 1, 3 and 7 workers while its
 # lazily seeded RNG matches math/rand draw for draw, and the dataset and
 # checkpoint row encoder (Record.AppendCSV) must write exactly the bytes
 # of the fmt.Sprintf format it replaced.
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
-		./internal/inject/ ./internal/lockstep/ ./internal/dataset/
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestDiffWordsMatchesCompares|TestFieldMaskSkipsPadding|TestFlopLocMatchesAccessors|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
+		./internal/inject/ ./internal/lockstep/ ./internal/cpu/ ./internal/dataset/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
 # checkpoint prefix (in-process truncation) or after a SIGKILL of the real
@@ -93,6 +99,11 @@ mode-determinism:
 # sample (seeded, so the sample is reproducible), with the replay's
 # stuck-at skip off because the skip reasons with the same liveness
 # tables, and every predicted outcome must match the simulation exactly.
+# The liveness gate holds the tables NewGolden derives from its recorded
+# states and stream masks (a backward scan) to the forward per-cycle
+# builder they replaced, kept as a test oracle: stream map, observation
+# bitmaps, lastVal and escape tables on all 13 kernels at horizons 1, 63,
+# 64, 65 and 6,000 (TestLivenessMatchesForwardBuilder).
 # The register-containment gate re-simulates every site of the sealed
 # registers (CycCnt, RetCnt, XMStore) on a cycle grid, and an rdcyc probe
 # kernel checks that no detected CycCnt stuck-at is pruned. The exit gate
@@ -107,7 +118,7 @@ mode-determinism:
 # dual-CPU oracle's outcome. They run here, without -race, where they
 # take seconds instead of a minute.
 prune-soundness:
-	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestContainmentSoundness|TestContainmentRdcycProbe|TestReconvergenceExit' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestLivenessMatchesForwardBuilder|TestContainmentSoundness|TestContainmentRdcycProbe|TestReconvergenceExit' -count=1 ./internal/lockstep/
 	$(GO) test -run 'TestSkipMatchesNoSkip|TestSkipOffMatchesLegacyOnOracleSites' -count=1 ./internal/inject/
 
 # The telemetry layer's own contract, under -race: exact totals from
@@ -162,7 +173,9 @@ cover:
 
 # Allocation regression guards for the two hot paths: steady-state
 # Replayer.InjectMode (injection, including a stuck-at jump and a TMR
-# forward-recovery recheck) and predictBytes — decode, dense lookup,
+# forward-recovery recheck, stepping the faulty CPU through the
+# Replayer's double-buffered State with cpu.StepInto; TestInjectReplayZeroAlloc
+# and TestTMRZeroAlloc) and predictBytes — decode, dense lookup,
 # render — (serving) must perform zero heap allocations, and the full
 # predict HTTP round trip must stay within its fixed stdlib-plumbing
 # budget. Run without -race (the detector's instrumentation allocates;
@@ -177,7 +190,9 @@ bench:
 # Micro-benchmarks of the hot paths, the entry point for profiling them
 # (rerun a line with -cpuprofile): golden-trace replay vs the legacy
 # dual-CPU oracle vs the pruned campaign path on the same mix, the
-# campaign-dcls plan, the whole campaign-dcls campaign in process
+# campaign-dcls plan, the golden builds of all 13 kernels at 6,000 cycles
+# one after another (the golden share of campaign-tmr-ckpt's set-up),
+# the whole campaign-dcls campaign in process
 # (RunStats plus the dataset CSV, for A/B runs of engine changes), the
 # dataset CSV writer, and the predict decode, render and serve path
 # beside the encoding/json reference decoder and the table-path render.
@@ -185,6 +200,7 @@ bench:
 bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkInject(Replay|Legacy|Pruned)$$' -benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkPlan$$' -benchmem -benchtime=200ms ./internal/inject/
+	$(GO) test -run '^$$' -bench 'BenchmarkNewGolden$$' -benchmem -benchtime=5x ./internal/lockstep/
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaignDCLS$$' -benchmem -benchtime=5x ./internal/inject/
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteCSV$$' -benchmem -benchtime=200ms ./internal/dataset/
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Decode|Render|E2E)' -benchmem -benchtime=200ms ./internal/server/

@@ -176,15 +176,7 @@ func run(o options) error {
 	}
 
 	if o.savePath != "" {
-		f, err := os.Create(o.savePath)
-		if err != nil {
-			return err
-		}
-		if err := ctx.DS.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := ctx.DS.WriteCSVFile(o.savePath); err != nil {
 			return err
 		}
 		if !quiet {

@@ -62,6 +62,7 @@ import (
 	"syscall"
 	"time"
 
+	"lockstep/internal/dataset"
 	"lockstep/internal/inject"
 	"lockstep/internal/lockstep"
 	"lockstep/internal/server"
@@ -198,16 +199,7 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 	if err != nil {
 		return err
 	}
-	w := io.Writer(os.Stdout)
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := ds.WriteCSV(w); err != nil {
+	if err := writeDataset(ds, out); err != nil {
 		return err
 	}
 	if summary {
@@ -248,6 +240,16 @@ func runJoin(url, name string, leaseSize, workers int, metricsPath string, summa
 	return err
 }
 
+// writeDataset writes the campaign CSV to out, or streams it to stdout
+// for "-". A file is replaced atomically (dataset.WriteCSVFile): a failed
+// write leaves no torn dataset behind and makes the command fail.
+func writeDataset(ds *dataset.Dataset, out string) error {
+	if out == "-" {
+		return ds.WriteCSV(os.Stdout)
+	}
+	return ds.WriteCSVFile(out)
+}
+
 // writeMetrics dumps the telemetry snapshot to path.
 func writeMetrics(path string) error {
 	f, err := os.Create(path)
@@ -276,17 +278,7 @@ func run(cfg inject.Config, out, metricsPath, pprofAddr string, summary bool, er
 	if err != nil {
 		return err
 	}
-
-	w := io.Writer(os.Stdout)
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := ds.WriteCSV(w); err != nil {
+	if err := writeDataset(ds, out); err != nil {
 		return err
 	}
 

@@ -262,13 +262,15 @@ func TestDistributedKillWorkerEquivalence(t *testing.T) {
 	url = strings.TrimSpace(strings.SplitN(url, "\n", 2)[0])
 
 	// Worker A: kill it the moment it starts executing its first span.
+	// Whether it died mid-span is read from everything it wrote before
+	// the kill landed, not from the output seen when the kill was sent.
 	wa := clitest.Start(t, "-join", url, "-worker-name", "a", "-workers", "1", "-summary=false")
-	aOut := wa.WaitOutput("lease 1: span", 30*time.Second)
+	wa.WaitOutput("lease 1: span", 30*time.Second)
 	res := wa.Kill()
 	if res.Code == 0 {
 		t.Fatal("worker a exited cleanly before SIGKILL landed")
 	}
-	killedMidSpan := !strings.Contains(aOut, "committed")
+	killedMidSpan := !strings.Contains(res.Stdout+res.Stderr, "committed")
 
 	// Worker B finishes the campaign, re-running A's abandoned span.
 	wb := clitest.Start(t, "-join", url, "-worker-name", "b", "-workers", "1", "-summary=true")
@@ -279,14 +281,25 @@ func TestDistributedKillWorkerEquivalence(t *testing.T) {
 	if coRes.Code != 0 {
 		t.Fatalf("coordinator: exit %d, stderr: %s", coRes.Code, coRes.Stderr)
 	}
-	if killedMidSpan {
-		if !strings.Contains(coRes.Stderr, "1 expired") {
-			t.Fatalf("worker died mid-span but the coordinator summary shows no expired lease:\n%s", coRes.Stderr)
+	var issued, expired, reissued, merged, dup int
+	_, summary, _ := strings.Cut(coRes.Stderr, "leases: ")
+	if _, err := fmt.Sscanf(summary, "%d issued, %d expired, %d reissued; spans: %d merged, %d duplicate",
+		&issued, &expired, &reissued, &merged, &dup); err != nil {
+		t.Fatalf("coordinator summary unreadable (%v):\n%s", err, coRes.Stderr)
+	}
+	switch {
+	case killedMidSpan && expired == 0 && issued == merged:
+		// Every issued lease was merged, worker a's first one included:
+		// its commit landed after its last write and before the kill.
+		t.Log("worker a's commit reached the coordinator before SIGKILL; byte-identity still asserted")
+	case killedMidSpan:
+		if expired != 1 {
+			t.Fatalf("worker died mid-span but the coordinator summary shows %d expired leases, want 1:\n%s", expired, coRes.Stderr)
 		}
-		if strings.Contains(coRes.Stderr, "0 reissued") {
+		if reissued == 0 {
 			t.Fatalf("worker died mid-span but the coordinator summary shows no re-issued lease:\n%s", coRes.Stderr)
 		}
-	} else {
+	default:
 		t.Log("worker a committed its span before SIGKILL; byte-identity still asserted, re-issue covered by internal/inject tests")
 	}
 
@@ -320,5 +333,25 @@ func TestCLIRejectsUnknownKernel(t *testing.T) {
 	}
 	if want := `config Kernels: unknown kernel "nosuch"`; !strings.Contains(res.Stderr, want) {
 		t.Fatalf("stderr %q does not carry the ConfigError rendering %q", res.Stderr, want)
+	}
+}
+
+// TestCLIOutputInMissingDirectory: a dataset that cannot be written fails
+// the command, though the campaign itself ran — exit 0 would claim a
+// dataset that is not there — and creates nothing, neither the output
+// file nor a temporary one beside it.
+func TestCLIOutputInMissingDirectory(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "missing", "campaign.csv")
+	res := clitest.Exec(t, campaignArgs(out, "", 1)...)
+	if res.Code == 0 || !strings.Contains(res.Stderr, "lockstep-inject:") {
+		t.Fatalf("exit %d, stderr %q; want a failure naming the command", res.Code, res.Stderr)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("failed run left %d entries in %s (first %q)", len(entries), dir, entries[0].Name())
 	}
 }

@@ -33,17 +33,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lockstep-merge:", err)
 		os.Exit(1)
 	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lockstep-merge:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+	// A file is replaced atomically: a failed write exits 1 and leaves no
+	// torn output behind.
+	if *out == "-" {
+		err = merged.WriteCSV(os.Stdout)
+	} else {
+		err = merged.WriteCSVFile(*out)
 	}
-	if err := merged.WriteCSV(w); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lockstep-merge:", err)
 		os.Exit(1)
 	}

@@ -100,7 +100,7 @@ func TestMergeRejectsConflicts(t *testing.T) {
 
 // TestCLIExitStatus runs the real binary: merging shards exits 0 and
 // reports the shard/record counts; no arguments is a usage error (exit
-// 2); an unreadable shard exits 1.
+// 2); an unreadable shard or an output in a missing directory exits 1.
 func TestCLIExitStatus(t *testing.T) {
 	a := shard(t, "ttsprk", 1)
 	b := shard(t, "puwmod", 1)
@@ -124,5 +124,15 @@ func TestCLIExitStatus(t *testing.T) {
 	res = clitest.Exec(t, "/nonexistent-shard.csv")
 	if res.Code != 1 || !strings.Contains(res.Stderr, "lockstep-merge:") {
 		t.Fatalf("bad shard: exit %d, stderr %q", res.Code, res.Stderr)
+	}
+
+	// An output that cannot be written exits 1 and creates nothing.
+	dir := t.TempDir()
+	res = clitest.Exec(t, "-o", filepath.Join(dir, "missing", "merged.csv"), a, b)
+	if res.Code != 1 || !strings.Contains(res.Stderr, "lockstep-merge:") {
+		t.Fatalf("unwritable output: exit %d, stderr %q", res.Code, res.Stderr)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("unwritable output left %d entries behind (err %v)", len(entries), err)
 	}
 }

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/core"
 	"lockstep/internal/dataset"
 )
@@ -85,13 +87,12 @@ func run(w io.Writer, dataPath string, granFlag, topK int, trainFrac float64, se
 	}
 
 	if outImage != "" {
-		f, err := os.Create(outImage)
-		if err != nil {
-			return err
-		}
-		n, err := table.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		// The image is replaced atomically: a failed write leaves no torn
+		// table behind.
+		var img bytes.Buffer
+		n, err := table.WriteTo(&img)
+		if err == nil {
+			err = atomicfile.Write(outImage, img.Bytes())
 		}
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 // Package atomicfile replaces files so that a concurrent reader, or a
 // restart after a crash at any instant, sees either the complete old
-// contents or the complete new contents — never a torn file.
+// contents or the complete new contents — never a torn file — and so
+// that a replacement Write reported done survives a power loss.
 package atomicfile
 
 import (
@@ -9,9 +10,13 @@ import (
 )
 
 // Write replaces path with data: it writes a temporary file in path's
-// directory, fsyncs and closes it, and renames it over path.
+// directory, fsyncs and closes it, renames it over path, and fsyncs the
+// directory, without which a power loss could forget the rename. If only
+// that last sync fails, the new contents are in place but Write returns
+// the error: they may not survive a power loss.
 func Write(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -27,5 +32,22 @@ func Write(path string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs directory dir, making the renames inside it durable.
+// Tests replace it to make the sync fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

@@ -1,6 +1,7 @@
 package atomicfile
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,5 +38,43 @@ func TestWriteReplaces(t *testing.T) {
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
 		t.Fatalf("failed write left %s behind (stat err %v)", missing, err)
+	}
+}
+
+// TestWriteReportsDirSyncFailure: Write fsyncs the target's directory
+// after the rename and returns that sync's error, so a caller never
+// treats a replacement a power loss could still forget as done. The
+// rename has happened by then: the new contents are in place.
+func TestWriteReportsDirSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	var synced []string
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		return orig(d)
+	}
+	if err := Write(path, []byte("one\n")); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("synced directories %q, want [%q]", synced, dir)
+	}
+
+	failure := errors.New("injected directory sync failure")
+	syncDir = func(string) error { return failure }
+	if err := Write(path, []byte("two\n")); !errors.Is(err, failure) {
+		t.Fatalf("Write returned %v, want the directory sync error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "two\n" {
+		t.Fatalf("after a failed directory sync the target holds %q (err %v), want the renamed contents", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed sync, want only the target", len(entries))
 	}
 }

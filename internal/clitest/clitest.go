@@ -75,22 +75,31 @@ type Proc struct {
 	t              *testing.T
 	cmd            *exec.Cmd
 	stdout, stderr lockedBuffer
-	waited         bool
-	res            Result
+	// wrote holds a token after any output arrives, so WaitOutput wakes
+	// on the write itself rather than on a poll.
+	wrote  chan struct{}
+	waited bool
+	res    Result
 }
 
 // lockedBuffer is a bytes.Buffer safe to read while the subprocess's
 // output-copying goroutine (inside os/exec) is still writing — tests
-// poll a live server's output for its listen address.
+// wait on a live server's output for its listen address.
 type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	wrote chan<- struct{}
 }
 
 func (b *lockedBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.buf.Write(p)
+	n, err := b.buf.Write(p)
+	select {
+	case b.wrote <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+	return n, err
 }
 
 func (b *lockedBuffer) String() string {
@@ -108,7 +117,8 @@ func Start(t *testing.T, args ...string) *Proc {
 	if err != nil {
 		t.Fatalf("clitest: cannot locate test binary: %v", err)
 	}
-	p := &Proc{t: t, cmd: exec.Command(exe, args...)}
+	p := &Proc{t: t, cmd: exec.Command(exe, args...), wrote: make(chan struct{}, 1)}
+	p.stdout.wrote, p.stderr.wrote = p.wrote, p.wrote
 	p.cmd.Env = append(os.Environ(), EnvMarker+"=1")
 	p.cmd.Stdout = &p.stdout
 	p.cmd.Stderr = &p.stderr
@@ -134,21 +144,29 @@ func (p *Proc) Signal(sig os.Signal) {
 	}
 }
 
-// WaitOutput polls the subprocess's stdout+stderr until substr appears
-// and returns everything captured so far. It fails the test if the
-// subprocess exits, or the timeout elapses, without producing substr.
+// WaitOutput waits until substr appears in the subprocess's
+// stdout+stderr and returns everything captured so far. It wakes on each
+// write, so a caller acting on the line (a Kill, say) lands while the
+// subprocess is still at the point that wrote it, not a polling interval
+// later. It fails the test if the subprocess exits, or the timeout
+// elapses, without producing substr.
 func (p *Proc) WaitOutput(substr string, timeout time.Duration) string {
 	p.t.Helper()
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
 		out := p.stdout.String() + p.stderr.String()
 		if strings.Contains(out, substr) {
 			return out
 		}
-		if p.cmd.ProcessState != nil || time.Now().After(deadline) {
+		if p.cmd.ProcessState != nil {
+			p.t.Fatalf("clitest: %q did not appear in output before the process exited:\n%s", substr, out)
+		}
+		select {
+		case <-p.wrote:
+		case <-timer.C:
 			p.t.Fatalf("clitest: %q did not appear in output within %v:\n%s", substr, timeout, out)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

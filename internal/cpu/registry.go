@@ -100,9 +100,9 @@ func GetBit(s *State, i int) bool {
 }
 
 // FlopLoc is where one flop lives in a State's memory: the byte at offset
-// Off, under the single-bit Mask. It reads and compares a flop with one
-// byte operation, where GetBit goes through the register's accessor
-// closures; the injection replay loop uses it on every cycle.
+// Off, under the single-bit Mask. It reads and forces a flop with one
+// byte operation, where GetBit and ForceBit go through the register's
+// accessor closures; the injection replay loop uses it on every cycle.
 type FlopLoc struct {
 	Off  uintptr
 	Mask uint8
@@ -118,24 +118,27 @@ func stateByte(s *State, off uintptr) *byte {
 // Bit reads the flop at l in s; it equals GetBit.
 func (l FlopLoc) Bit(s *State) bool { return *stateByte(s, l.Off)&l.Mask != 0 }
 
-// EqualExcept reports whether a and b hold equal values in every flop
-// except the one at l. It briefly writes b's value of that flop into a
-// and restores it, so the caller must own a.
-func (l FlopLoc) EqualExcept(a, b *State) bool {
-	p := stateByte(a, l.Off)
-	old := *p
-	*p = old&^l.Mask | *stateByte(b, l.Off)&l.Mask
-	eq := *a == *b
-	*p = old
-	return eq
+// Force sets the flop at l in s to v; it equals ForceBit.
+func (l FlopLoc) Force(s *State, v bool) {
+	p := stateByte(s, l.Off)
+	if v {
+		*p |= l.Mask
+	} else {
+		*p &^= l.Mask
+	}
 }
 
 // ---- registry construction -------------------------------------------------
 
+// littleEndian reports the host byte order, which places a field's bit
+// lanes in memory.
+var littleEndian = func() bool {
+	var probe uint32 = 1
+	return *(*byte)(unsafe.Pointer(&probe)) == 1
+}()
+
 func init() {
 	buildRegistry()
-	var probe uint32 = 1
-	littleEndian := *(*byte)(unsafe.Pointer(&probe)) == 1
 	flopBase = make([]int, len(registry))
 	for ri, r := range registry {
 		flopBase[ri] = totalFlops
@@ -151,6 +154,7 @@ func init() {
 		flopsUnit[r.Unit] += int(r.Width)
 		flopsFine[r.Fine] += int(r.Width)
 	}
+	buildWordTables()
 }
 
 // fieldProbe is the State the registry's field pointers are resolved

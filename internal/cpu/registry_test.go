@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,10 +193,24 @@ func TestFlopUnitTagging(t *testing.T) {
 	}
 }
 
+// EqualExcept reports whether a and b hold equal values in every flop
+// except the one at l. It briefly writes b's value of that flop into a
+// and restores it, so the caller must own a. It is the reference the
+// word pass's "equal except F" answer is held to (TestDiffWordsMatchesCompares).
+func (l FlopLoc) EqualExcept(a, b *State) bool {
+	p := stateByte(a, l.Off)
+	old := *p
+	*p = old&^l.Mask | *stateByte(b, l.Off)&l.Mask
+	eq := *a == *b
+	*p = old
+	return eq
+}
+
 // TestFlopLocMatchesAccessors holds every flop's byte location to the
 // registry's accessor closures: on a reset and a warmed-up state, Bit
-// reads what GetBit reads, FlipBit changes exactly the located bit, and
-// EqualExcept ignores that flop and no other.
+// reads what GetBit reads, Force writes what ForceBit writes, FlipBit
+// changes exactly the located bit, EqualExcept ignores that flop and no
+// other, and the word view maps the located bit back to the flop.
 func TestFlopLocMatchesAccessors(t *testing.T) {
 	var reset State
 	reset.Reset(0)
@@ -212,6 +227,19 @@ func TestFlopLocMatchesAccessors(t *testing.T) {
 			}
 			if l.Bit(&base) != GetBit(&base, i) {
 				t.Fatalf("%s: %s: Bit %v, GetBit %v", name, FlopName(i), l.Bit(&base), GetBit(&base, i))
+			}
+			for _, v := range []bool{false, true} {
+				want, got := base, base
+				ForceBit(&want, i, v)
+				l.Force(&got, v)
+				if got != want || *(*[unsafe.Sizeof(State{})]byte)(unsafe.Pointer(&got)) !=
+					*(*[unsafe.Sizeof(State{})]byte)(unsafe.Pointer(&want)) {
+					t.Fatalf("%s: Force(%s, %v) differs from ForceBit", name, FlopName(i), v)
+				}
+			}
+			if w, bit := l.Word(); FlopOfBit(w*64+bits.TrailingZeros64(bit)) != i {
+				t.Fatalf("%s: the word view maps %s's bit to flop %d", name, FlopName(i),
+					FlopOfBit(w*64+bits.TrailingZeros64(bit)))
 			}
 			s := base
 			FlipBit(&s, i)

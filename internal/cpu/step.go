@@ -14,7 +14,23 @@ import (
 // access; external (peripheral) accesses occupy the memory stage for
 // ExtLatency cycles via the BIU state machine.
 func Step(s *State, bus mem.Bus) {
-	n := *s // next state; explicit assignments below override held values
+	n := *s
+	step(&n, s, bus)
+	*s = n
+}
+
+// StepInto writes the state one clock cycle after s into n and leaves s
+// as it is: Step for a caller that keeps two State buffers and swaps them
+// instead of copying each next state back. n must not alias s.
+func StepInto(n, s *State, bus mem.Bus) {
+	*n = *s
+	step(n, s, bus)
+}
+
+// step is the one body of Step and StepInto. n holds a copy of s on
+// entry (held values stay; the assignments below override the rest) and
+// the next state on return.
+func step(n, s *State, bus mem.Bus) {
 	n.CycCnt = s.CycCnt + 1
 
 	// ---------------- WB stage ----------------
@@ -37,7 +53,7 @@ func Step(s *State, bus mem.Bus) {
 		op := isa.Op(s.XMOp)
 		switch {
 		case isa.IsLoad(op) || isa.IsStore(op):
-			memDone, memExc, mwVal, mwWen = stepMemAccess(s, &n, bus, op)
+			memDone, memExc, mwVal, mwWen = stepMemAccess(s, n, bus, op)
 		default:
 			memDone = true
 			mwVal = s.XMAlu
@@ -59,7 +75,7 @@ func Step(s *State, bus mem.Bus) {
 		n.MWValid = false
 	}
 	if memExc != CauseNone {
-		raise(&n, memExc, s.XMPC)
+		raise(n, memExc, s.XMPC)
 		n.LSURe, n.LSUWe = false, false
 	}
 
@@ -109,9 +125,9 @@ func Step(s *State, bus mem.Bus) {
 			case !s.DivBusy && exBlocked:
 				// Wait for the operand-producing load before latching.
 			case !s.DivBusy:
-				startDivide(&n, op, a, b)
+				startDivide(n, op, a, b)
 			case s.DivCnt > 0:
-				stepDivide(s, &n)
+				stepDivide(s, n)
 			case canPushXM:
 				xmAlu = finishDivide(s)
 				n.DivBusy = false
@@ -133,7 +149,7 @@ func Step(s *State, bus mem.Bus) {
 			n.XMPC = s.DXPC
 			n.XMInstr = s.DXInstr
 			if isa.IsLoad(op) || isa.IsStore(op) {
-				latchLSU(&n, op, xmAlu, xmStore)
+				latchLSU(n, op, xmAlu, xmStore)
 			}
 			if haltReq {
 				n.Halted = true
@@ -162,7 +178,7 @@ func Step(s *State, bus mem.Bus) {
 			in := isa.Decode(s.FQInstr[head])
 			if in.Op == isa.OpInvalid {
 				illegal = true
-				raise(&n, CauseIllegal, s.FQPC[head])
+				raise(n, CauseIllegal, s.FQPC[head])
 				n.DXValid = false
 			} else {
 				issued = true
@@ -187,7 +203,6 @@ func Step(s *State, bus mem.Bus) {
 	if redirect || illegal {
 		n.FQValid[0], n.FQValid[1] = false, false
 		n.FQHead = 0
-		*s = n
 		return
 	}
 	if issued {
@@ -195,10 +210,10 @@ func Step(s *State, bus mem.Bus) {
 		n.FQHead = (head ^ 1) & 1
 	}
 	if !s.Halted && !n.Halted {
-		if slot, ok := freeFQSlot(&n); ok {
+		if slot, ok := freeFQSlot(n); ok {
 			pc := s.PC
 			if pc&3 != 0 || pc >= mem.RAMBytes {
-				raise(&n, CauseIFetch, pc)
+				raise(n, CauseIFetch, pc)
 			} else {
 				w := bus.ReadWord(pc)
 				n.FQInstr[slot] = w
@@ -211,7 +226,6 @@ func Step(s *State, bus mem.Bus) {
 			}
 		}
 	}
-	*s = n
 }
 
 // raise records the first exception (sticky) and halts the CPU.

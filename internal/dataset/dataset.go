@@ -5,12 +5,14 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"strconv"
 	"strings"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/lockstep"
 	"lockstep/internal/units"
 )
@@ -361,6 +363,17 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteCSVFile writes the dataset's CSV to path through atomicfile.Write:
+// path ends up holding the whole dataset or what it held before, never a
+// torn file, and every write error, the final one included, is returned.
+func (d *Dataset) WriteCSVFile(path string) error {
+	var buf bytes.Buffer
+	if err := d.WriteCSV(&buf); err != nil {
+		return err
+	}
+	return atomicfile.Write(path, buf.Bytes())
 }
 
 // ReadCSV parses a dataset written by WriteCSV.

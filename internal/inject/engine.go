@@ -21,10 +21,11 @@ import (
 // the normalized config, the plan, the goldens and the per-worker replay
 // scratch, and resolve computes the records of any index set.
 type engine struct {
-	cfg    Config
-	plan   []Experiment
-	window int // checker stop window
-	tel    *campaignTelemetry
+	cfg      Config
+	plan     []Experiment
+	planTime time.Duration // wall time Config.Plan took
+	window   int           // checker stop window
+	tel      *campaignTelemetry
 	// goldens and workers persist across resolve calls, so a worker node
 	// running many spans of one kernel builds its golden once and keeps
 	// its replay images warm.
@@ -36,21 +37,24 @@ func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	plan, err := cfg.Plan()
 	if err != nil {
 		return nil, err
 	}
+	planTime := time.Since(start)
 	window := cfg.StopLatency
 	if window <= 0 {
 		window = lockstep.StopLatency
 	}
 	return &engine{
-		cfg:     cfg,
-		plan:    plan,
-		window:  window,
-		tel:     newCampaignTelemetry(cfg),
-		goldens: map[string]*lockstep.Golden{},
-		workers: make([]*worker, cfg.Workers),
+		cfg:      cfg,
+		plan:     plan,
+		planTime: planTime,
+		window:   window,
+		tel:      newCampaignTelemetry(cfg),
+		goldens:  map[string]*lockstep.Golden{},
+		workers:  make([]*worker, cfg.Workers),
 	}, nil
 }
 
@@ -59,6 +63,9 @@ type resolveStats struct {
 	SpanStats
 	simulated int // experiments the worker pool completed
 	workers   int // worker pool size used
+	// Wall time of each phase: recording the goldens the indices need,
+	// the static prune pass, and the worker pool's simulation.
+	golden, prune, simulate time.Duration
 }
 
 // resolve computes the record of every plan index in idxs (ascending and
@@ -70,9 +77,12 @@ type resolveStats struct {
 // index handed to put is final and the rest are never handed over.
 func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (resolveStats, error) {
 	var st resolveStats
+	start := time.Now()
 	if err := en.buildGoldens(idxs); err != nil {
 		return st, err
 	}
+	st.golden = time.Since(start)
+	start = time.Now()
 
 	// Static fault-equivalence pruning: record every experiment whose
 	// outcome the golden run's liveness analysis proves, without
@@ -107,6 +117,8 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 		}
 		idxs = sim
 	}
+	st.prune = time.Since(start)
+	start = time.Now()
 
 	st.workers = max(min(en.cfg.Workers, len(idxs)), 1)
 	// Workers claim positions in idxs through one atomic counter, so no
@@ -164,6 +176,7 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 		}()
 	}
 	wg.Wait()
+	st.simulate = time.Since(start)
 	st.Failures = int(failures.Load())
 	st.simulated = int(simulated.Load())
 	switch {

@@ -307,6 +307,12 @@ type Stats struct {
 	Workers       int           // worker pool size used
 	Elapsed       time.Duration // wall clock, golden runs included
 	PerSec        float64       // executed experiments per wall-clock second
+	// Wall time of each campaign phase, in order: building the plan,
+	// recording the golden runs, the static prune pass, and simulating
+	// the remaining experiments on the worker pool. Elapsed also covers
+	// restoring a resume checkpoint and writing the final one. They are
+	// zero in a distributed coordinator's Stats: its workers run them.
+	PlanTime, GoldenTime, PruneTime, SimulateTime time.Duration
 }
 
 // Executed is the number of experiments this run resolved itself, whether
@@ -325,6 +331,12 @@ func (s Stats) String() string {
 	}
 	if s.Failures > 0 {
 		out += fmt.Sprintf(", %d FAILED", s.Failures)
+	}
+	// A distributed campaign's coordinator runs none of the phases.
+	if s.PlanTime+s.GoldenTime+s.PruneTime+s.SimulateTime > 0 {
+		out += fmt.Sprintf("; plan %v, golden %v, prune %v, simulate %v",
+			s.PlanTime.Round(time.Microsecond), s.GoldenTime.Round(time.Microsecond),
+			s.PruneTime.Round(time.Microsecond), s.SimulateTime.Round(time.Microsecond))
 	}
 	return out
 }
@@ -413,6 +425,10 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		OracleChecked: rs.OracleChecked,
 		Failures:      rs.Failures,
 		Workers:       rs.workers,
+		PlanTime:      en.planTime,
+		GoldenTime:    rs.golden,
+		PruneTime:     rs.prune,
+		SimulateTime:  rs.simulate,
 	}
 	if runErr != nil {
 		st.Experiments = restored + rs.Pruned + rs.simulated
@@ -608,4 +624,8 @@ func (t *campaignTelemetry) finish(st Stats) {
 	telemetry.Default.Gauge("inject.workers").Set(int64(st.Workers))
 	telemetry.Default.Gauge("inject.elapsed_ms").Set(st.Elapsed.Milliseconds())
 	telemetry.Default.Gauge("inject.per_sec").Set(int64(st.PerSec))
+	telemetry.Default.Gauge("inject.phase_plan_ms").Set(st.PlanTime.Milliseconds())
+	telemetry.Default.Gauge("inject.phase_golden_ms").Set(st.GoldenTime.Milliseconds())
+	telemetry.Default.Gauge("inject.phase_prune_ms").Set(st.PruneTime.Milliseconds())
+	telemetry.Default.Gauge("inject.phase_simulate_ms").Set(st.SimulateTime.Milliseconds())
 }

@@ -1,7 +1,10 @@
 package inject
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
+	"time"
 
 	"lockstep/internal/telemetry"
 )
@@ -69,5 +72,53 @@ func TestCampaignTelemetryAccounting(t *testing.T) {
 	}
 	if got, want := detAfter-detBefore, int64(ds.Manifested().Len()); got != want {
 		t.Fatalf("detected counters grew by %d, want %d", got, want)
+	}
+}
+
+// TestCampaignPhaseTimers: a campaign reports the wall time of its plan,
+// golden-build, prune and simulate phases in Stats, in its summary line,
+// in a job manifest's JSON, and as the inject.phase_*_ms gauges. The
+// phases run one after another inside the campaign, so they sum to at
+// most Elapsed.
+func TestCampaignPhaseTimers(t *testing.T) {
+	_, st, err := RunStats(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := []struct {
+		name string
+		d    time.Duration
+	}{
+		{"plan", st.PlanTime}, {"golden", st.GoldenTime},
+		{"prune", st.PruneTime}, {"simulate", st.SimulateTime},
+	}
+	var sum time.Duration
+	gauges := map[string]int64{}
+	for _, g := range telemetry.Default.Snapshot().Gauges {
+		gauges[g.Name] = g.Value
+	}
+	line := st.String()
+	for _, p := range phases {
+		if p.d <= 0 {
+			t.Errorf("%s phase took %v", p.name, p.d)
+		}
+		sum += p.d
+		if !strings.Contains(line, p.name+" ") {
+			t.Errorf("summary %q does not name the %s phase", line, p.name)
+		}
+		if got, ok := gauges["inject.phase_"+p.name+"_ms"]; !ok || got != p.d.Milliseconds() {
+			t.Errorf("gauge inject.phase_%s_ms = %d (published %v), want %d", p.name, got, ok, p.d.Milliseconds())
+		}
+	}
+	if sum > st.Elapsed {
+		t.Errorf("phases sum to %v, more than the campaign's %v", sum, st.Elapsed)
+	}
+	js, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Stats
+	if err := json.Unmarshal(js, &back); err != nil || back != st {
+		t.Fatalf("Stats JSON round trip (the job manifest's stats) lost fields: %s", js)
 	}
 }

@@ -141,7 +141,7 @@ func syncTrajectory(g *Golden, bus *mem.ReplayBus, inj Injection, limit int) []i
 	cpu.ForceBit(&red.State, inj.Flop, v)
 	var syncs []int
 	for cyc := inj.Cycle; cyc < limit; cyc++ {
-		if red.State.Outputs() != *g.trace.outAt(cyc) {
+		if red.State.Outputs() != g.states[cyc].Outputs() {
 			break
 		}
 		if red.State == g.states[cyc] {
@@ -179,7 +179,7 @@ func TestReconvergenceExit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bus.Load(g.ram0, g.trace.writes)
+		bus.Load(g.ram0, g.writes)
 		settled := func(loc cpu.FlopLoc, v bool, from, to int) bool {
 			for c := from; c < to; c++ {
 				if loc.Bit(&g.states[c]) != v {

@@ -135,22 +135,27 @@ func (r *Replayer) injectTMR(g *Golden, inj Injection, window int, skip bool) Ou
 // the erring core is a compare-only monitor whose writes are dropped — so
 // the replay bus positioned at e is exact. The recovered main CPU leaves
 // the golden timeline, so it writes through the Replayer's journal, which
-// the recheck rolls back before returning.
+// the recheck rolls back before returning. Each cycle's output check is
+// the word pass of injectHorizon: the output vectors are built and
+// compared only when the output fields of the two cores differ.
 func (r *Replayer) tmrRecheck(g *Golden, e int, inj Injection) bool {
 	r.seek(g, e)
-	main, red := &r.main, &r.red
+	main := &r.main
 	main.State, main.Bus = g.states[e], &r.journal
 	recoverTMR(&main.State)
-	red.State, red.Bus = main.State, &r.bus
-	forceStuck(&red.State, inj)
+	loc, stuckVal := cpu.LocOf(inj.Flop), inj.Kind == Stuck1
+	red, spare := &r.red[0], &r.red[1]
+	*red = main.State
+	loc.Force(red, stuckVal)
 	defer r.journal.Rollback()
 	for i := 0; i < TMRRecheckCycles; i++ {
-		if main.State.Outputs() != red.State.Outputs() {
+		if _, outs := cpu.DiffWords(&main.State, red, &r.except); outs != 0 && diverge(&main.State, red) != 0 {
 			return false
 		}
 		main.StepCycle()
-		red.StepCycle()
-		forceStuck(&red.State, inj)
+		cpu.StepInto(spare, red, &r.bus)
+		red, spare = spare, red
+		loc.Force(red, stuckVal)
 	}
 	return true
 }

@@ -134,6 +134,22 @@ import (
 //     internal to it, and it is not on the output port. The condition
 //     reads DXValid and DXOp, never CycCnt itself, so it holds for the
 //     faulty machine whenever it holds for golden.
+//
+// # Building the tables
+//
+// NewGolden records per cycle only the state (stepped straight into the
+// next slot of its state table) and the cycle's stream mask
+// (liveStreamMask); the tables are derived after the run (newLiveness).
+// One forward pass over the masks sets the observation bitmaps and each
+// stream's last observed cycle, which gives the escape table. lastVal
+// comes from the recorded states: a flop that holds one value on every
+// compared cycle resolves at once to its stream's last observed cycle,
+// and the others from one backward scan, in which the first cycle at
+// which a flop is observed holding b is its lastVal[b]. The scan reads
+// the states as flat words (cpu.(*State).Words) and maps a resolved bit
+// back to its flop with cpu.FlopOfBit, so no registry accessor runs per
+// cycle. The forward per-cycle builder this replaced is kept as the test
+// oracle the tables are held to (TestLivenessMatchesForwardBuilder).
 const (
 	lvAlways   = iota // conservatively observed every cycle
 	lvNever           // write-only sinks: never read, never exposed
@@ -160,8 +176,9 @@ const (
 	lvReg1     = lvMPUBL0 + cpu.MPURegions // Regs[i]: lvReg1 + i - 1
 )
 
-// liveness is the per-kernel static pruning table, built once during
-// NewGolden's recording pass and immutable afterwards (shared by clones).
+// liveness is the per-kernel static pruning table, derived once from
+// NewGolden's recorded states and stream masks (newLiveness) and
+// immutable afterwards.
 type liveness struct {
 	cycles  int                  // observations cover cycles [0, cycles-1]
 	stream  []uint8              // flop index -> observation stream
@@ -395,123 +412,173 @@ func regionSuffix(name, prefix string) (int, bool) {
 	return n, true
 }
 
-// livenessBuilder accumulates the pruning table during the golden
-// recording pass. Per cycle it costs one registry value sweep (to detect
-// flop transitions) plus one stream-condition evaluation; the per-flop
-// lastVal tables are maintained incrementally from value segments, so the
-// whole analysis is a small constant factor on NewGolden.
-type livenessBuilder struct {
-	lv       *liveness
-	regBase  []int    // registry index -> first flat flop index
-	prev     []uint32 // registry index -> value at the previously recorded cycle
-	segStart []int32  // flop -> first cycle of its current value segment
-	lastObs  [numStreams]int32
+// livenessTables is the registry-derived half of the analysis, the same
+// for every golden run: each flop's observation stream and the stream on
+// which its register escapes, and, per word of the State word view
+// (cpu.(*State).Words), the bits of the flops on each stream.
+type livenessTables struct {
+	stream []uint8 // flop -> observation stream
+	escape []uint8 // flop -> escape stream of its register (escapeForReg)
+	// always[w] holds the bits of word w's always-observed flops,
+	// tracked[w] those of every flop that can be observed at all (all but
+	// lvNever), and cond[w] the bits of the flops on each other stream.
+	always, tracked [cpu.StateWords]uint64
+	cond            [cpu.StateWords][]streamBits
 }
 
-func newLivenessBuilder(totalCycles int) *livenessBuilder {
-	regs := cpu.Registry()
+type streamBits struct {
+	st   int
+	bits uint64
+}
+
+var lvTables = newLivenessTables()
+
+// lastValues keeps the words that still hold an unresolved flop in one
+// uint64; this line stops compiling if State outgrows it.
+var _ [64 - cpu.StateWords]struct{}
+
+func newLivenessTables() *livenessTables {
 	n := cpu.NumFlops()
-	lv := &liveness{cycles: totalCycles, stream: make([]uint8, n), escLast: make([]int32, n)}
-	lv.lastVal[0] = make([]int32, n)
-	lv.lastVal[1] = make([]int32, n)
-	for i := range lv.lastVal[0] {
-		lv.lastVal[0][i] = -1
-		lv.lastVal[1][i] = -1
-	}
-	b := &livenessBuilder{
-		lv:       lv,
-		regBase:  make([]int, len(regs)),
-		prev:     make([]uint32, len(regs)),
-		segStart: make([]int32, n),
-	}
-	for ri, r := range regs {
+	t := &livenessTables{stream: make([]uint8, n), escape: make([]uint8, n)}
+	for ri, r := range cpu.Registry() {
 		base := cpu.FlopIndex(cpu.Flop{Reg: ri})
-		b.regBase[ri] = base
-		st := streamForReg(r.Name)
+		st, esc := streamForReg(r.Name), escapeForReg(r.Name)
 		for bit := 0; bit < int(r.Width); bit++ {
-			lv.stream[base+bit] = uint8(st)
+			f := base + bit
+			t.stream[f], t.escape[f] = uint8(st), uint8(esc)
+			w, m := cpu.LocOf(f).Word()
+			switch st {
+			case lvNever:
+				continue
+			case lvAlways:
+				t.always[w] |= m
+			default:
+				i := 0
+				for i < len(t.cond[w]) && t.cond[w][i].st != st {
+					i++
+				}
+				if i == len(t.cond[w]) {
+					t.cond[w] = append(t.cond[w], streamBits{st: st})
+				}
+				t.cond[w][i].bits |= m
+			}
+			t.tracked[w] |= m
 		}
 	}
-	words := (totalCycles + 63) / 64
+	return t
+}
+
+// newLiveness derives the pruning table of a golden run from what
+// NewGolden recorded: states[c], the state at the end of cycle c, and for
+// every compared cycle c in [0, len(masks)), masks[c] =
+// liveStreamMask(&states[c]). The observation bitmaps and the escape
+// table come from one forward pass over the masks, lastVal from one
+// backward scan of the states (lastValues).
+func newLiveness(states []cpu.State, masks []uint64) *liveness {
+	tab := lvTables
+	cycles := len(masks)
+	lv := &liveness{cycles: cycles, stream: tab.stream, escLast: make([]int32, len(tab.stream))}
+	words := (cycles + 63) / 64
 	for st := range lv.obs {
 		if st != lvAlways && st != lvNever {
 			lv.obs[st] = make([]uint64, words)
 		}
 	}
-	for st := range b.lastObs {
-		b.lastObs[st] = -1
+	var lastObs [numStreams]int32
+	for st := range lastObs {
+		lastObs[st] = -1
 	}
-	return b
+	for c, m := range masks {
+		for ; m != 0; m &= m - 1 {
+			st := bits.TrailingZeros64(m)
+			lastObs[st] = int32(c)
+			if w := lv.obs[st]; w != nil {
+				w[c>>6] |= 1 << (uint(c) & 63)
+			}
+		}
+	}
+	for f, st := range tab.escape {
+		switch st {
+		case lvAlways:
+			lv.escLast[f] = int32(cycles)
+		case lvNever:
+			lv.escLast[f] = -1
+		default:
+			lv.escLast[f] = lastObs[st]
+		}
+	}
+	lv.lastVal = lastValues(states, masks, &lastObs)
+	return lv
 }
 
-// record folds one golden end-of-cycle state into the analysis. It must
-// be called for cyc = 0 (reset state) through totalCycles in order; the
-// final call only closes value segments, since cycle totalCycles is never
-// compared or stepped from by the injection loop.
-func (b *livenessBuilder) record(s *cpu.State, cyc int) {
-	regs := cpu.Registry()
-	if cyc == 0 {
-		for ri := range regs {
-			b.prev[ri] = regs[ri].Get(s)
+// lastValues computes lastVal[b][f], the last compared cycle at which
+// flop f is observed holding b (-1 if none). A flop that holds one value
+// v on every compared cycle resolves at once: lastVal[v] is the last
+// cycle its stream is observed (lastObs) and lastVal[!v] stays -1. The
+// others come from one backward scan of the recorded states: scanning
+// back, the first cycle at which a flop is observed holding b is its
+// lastVal[b]. Each cycle visits only the words that still hold a flop
+// unresolved for some value, and forms a word's observed bits from the
+// cycle's stream mask, so a flop is written at most twice.
+func lastValues(states []cpu.State, masks []uint64, lastObs *[numStreams]int32) (lastVal [2][]int32) {
+	tab := lvTables
+	for b := range lastVal {
+		lastVal[b] = make([]int32, len(tab.stream))
+		for f := range lastVal[b] {
+			lastVal[b][f] = -1
 		}
-	} else {
-		for ri := range regs {
-			cur := regs[ri].Get(s)
-			old := b.prev[ri]
-			diff := old ^ cur
-			if diff == 0 {
+	}
+	if len(masks) == 0 {
+		return lastVal
+	}
+	first := states[0].Words()
+	var varies [cpu.StateWords]uint64
+	for c := 1; c < len(masks); c++ {
+		sw := states[c].Words()
+		for w := range varies {
+			varies[w] |= sw[w] ^ first[w]
+		}
+	}
+	var pending [2][cpu.StateWords]uint64 // flop bits not yet resolved, per value
+	var active uint64                     // words with a pending bit
+	for w, m := range tab.tracked {
+		for h := m &^ varies[w]; h != 0; h &= h - 1 {
+			bit := bits.TrailingZeros64(h)
+			f := cpu.FlopOfBit(w*64 + bit)
+			lastVal[first[w]>>bit&1][f] = lastObs[tab.stream[f]]
+		}
+		pending[0][w], pending[1][w] = m&varies[w], m&varies[w]
+		if m&varies[w] != 0 {
+			active |= 1 << w
+		}
+	}
+	for c := len(masks) - 1; c >= 0 && active != 0; c-- {
+		m, sw := masks[c], states[c].Words()
+		for a := active; a != 0; a &= a - 1 {
+			w := bits.TrailingZeros64(a)
+			obs := tab.always[w]
+			for _, sb := range tab.cond[w] {
+				obs |= sb.bits & -(m >> sb.st & 1)
+			}
+			hit1, hit0 := pending[1][w]&sw[w]&obs, pending[0][w]&^sw[w]&obs
+			if hit1|hit0 == 0 {
 				continue
 			}
-			b.prev[ri] = cur
-			base := b.regBase[ri]
-			for d := diff; d != 0; d &= d - 1 {
-				bit := bits.TrailingZeros32(d)
-				f := base + bit
-				// The segment holding the old value ends at cyc-1; its
-				// last observed cycle, if any, is the stream's lastObs
-				// (obs marks for cyc happen after this loop, so lastObs
-				// is still <= cyc-1 here).
-				if lo := b.lastObs[b.lv.stream[f]]; lo >= b.segStart[f] {
-					b.lv.lastVal[old>>uint(bit)&1][f] = lo
-				}
-				b.segStart[f] = int32(cyc)
+			resolve(lastVal[1], w, hit1, c)
+			resolve(lastVal[0], w, hit0, c)
+			pending[1][w] &^= hit1
+			pending[0][w] &^= hit0
+			if pending[0][w]|pending[1][w] == 0 {
+				active &^= 1 << w
 			}
 		}
 	}
-	if cyc >= b.lv.cycles {
-		return
-	}
-	for m := liveStreamMask(s); m != 0; m &= m - 1 {
-		st := bits.TrailingZeros64(m)
-		b.lastObs[st] = int32(cyc)
-		if w := b.lv.obs[st]; w != nil {
-			w[cyc>>6] |= 1 << (uint(cyc) & 63)
-		}
-	}
+	return lastVal
 }
 
-// finish closes every flop's final value segment, fills in the escape
-// table and returns the completed table.
-func (b *livenessBuilder) finish() *liveness {
-	regs := cpu.Registry()
-	for ri := range regs {
-		base, v := b.regBase[ri], b.prev[ri]
-		var esc int32
-		switch st := escapeForReg(regs[ri].Name); st {
-		case lvAlways:
-			esc = int32(b.lv.cycles)
-		case lvNever:
-			esc = -1
-		default:
-			esc = b.lastObs[st]
-		}
-		for bit := 0; bit < int(regs[ri].Width); bit++ {
-			f := base + bit
-			if lo := b.lastObs[b.lv.stream[f]]; lo >= b.segStart[f] {
-				b.lv.lastVal[v>>uint(bit)&1][f] = lo
-			}
-			b.lv.escLast[f] = esc
-		}
+// resolve sets last[f] = c for the flop f of every bit of word w in hits.
+func resolve(last []int32, w int, hits uint64, c int) {
+	for ; hits != 0; hits &= hits - 1 {
+		last[cpu.FlopOfBit(w*64+bits.TrailingZeros64(hits))] = int32(c)
 	}
-	return b.lv
 }

@@ -123,12 +123,14 @@ func (o Outcome) ManifestationCycles(inj Injection) int {
 
 // Golden is a recorded fault-free execution of one kernel: the golden
 // CPU state at the end of every cycle, the reset RAM image with the RAM
-// write log, the per-cycle output vectors and the liveness tables, shared
-// by all injections into that kernel.
+// write log, and the liveness tables, shared by all injections into that
+// kernel. The golden output vector of any cycle is a function of its
+// state (states[c].Outputs()); the replay loop computes it only on a
+// cycle whose output fields differ from the faulty CPU's.
 //
 // A Golden is immutable once NewGolden returns: every injection path
 // restores its own scratch state (per-worker, via Replayer) from the
-// recorded states and trace and never writes back, so concurrent
+// recorded states and write log and never writes back, so concurrent
 // injections against one shared Golden are safe and produce outcomes
 // identical to serial execution.
 type Golden struct {
@@ -139,11 +141,13 @@ type Golden struct {
 	// states[c] is the golden CPU state at the end of cycle c (states[0]
 	// is reset state), for c in [0, TotalCycles].
 	states []cpu.State
-	// ram0 is the RAM image at reset; ram0 plus the trace's write log
-	// gives the golden RAM at any cycle.
-	ram0  []uint32
-	trace goldenTrace
-	live  *liveness // static fault-equivalence pruning table (see liveness.go)
+	// ram0 is the RAM image at reset; ram0 plus the write log gives the
+	// golden RAM at any cycle.
+	ram0 []uint32
+	// writes is the golden RAM write log a mem.ReplayBus uses to drive the
+	// memory image forward without a live main CPU.
+	writes []mem.WriteEvent
+	live   *liveness // static fault-equivalence pruning table (see liveness.go)
 }
 
 // TraceVersion identifies the golden-trace layout and the static-pruning
@@ -154,51 +158,18 @@ type Golden struct {
 //
 // Version history: 1 = flat per-cycle OutVec + uint64 fingerprint arrays;
 // 2 = interned OutVec table + uint32 fingerprints + liveness pruning. The
-// per-cycle states that later replaced the snapshots and fingerprints
-// changed no outcome, so they kept version 2.
+// per-cycle states that later replaced the snapshots, the fingerprints
+// and the output table changed no outcome, so they kept version 2.
 const TraceVersion = 2
 
-// goldenTrace is the per-cycle record of the fault-free execution's
-// outputs and memory traffic that lets the injection hot path simulate
-// only the faulty CPU: the main (golden) CPU's behaviour is identical
-// across all experiments on a kernel, so it is computed exactly once, at
-// NewGolden time.
-//
-// outAt(c) is the golden output vector at the end of cycle c (index 0 is
-// reset state), so outID has TotalCycles+1 entries. Kernels are loops, so
-// the per-cycle output vectors are highly periodic: the 248-byte OutVecs
-// are interned into outTab and the per-cycle stream keeps only a 4-byte
-// id (see TraceVersion).
-type goldenTrace struct {
-	// outID[c] indexes outTab: the registered output port the checker
-	// would compare at cycle c. Replayed injections diff the faulty CPU's
-	// outputs against outAt(c) instead of re-simulating the main CPU.
-	outID []uint32
-	// outTab is the deduplicated output-vector table, in order of first
-	// appearance (so the encoding and the rebuild are both deterministic).
-	outTab []cpu.OutVec
-	// writes is the golden RAM write log a mem.ReplayBus uses to drive
-	// the memory image forward without a live main CPU.
-	writes []mem.WriteEvent
-}
-
-// outAt returns the golden output vector at the end of cycle c. The
-// pointer aliases the shared interned table and must not be written
-// through — every consumer only compares against it.
-func (t *goldenTrace) outAt(c int) *cpu.OutVec {
-	return &t.outTab[t.outID[c]]
-}
-
 // TraceBytes reports the heap footprint of everything a Golden holds —
-// the per-cycle states, the reset RAM image, the output table and ids,
-// the write log and the liveness and escape tables — published by the campaign
-// driver as the inject.golden_trace_bytes gauge.
+// the per-cycle states, the reset RAM image, the write log and the
+// liveness and escape tables — published by the campaign driver as the
+// inject.golden_trace_bytes gauge.
 func (g *Golden) TraceBytes() int64 {
 	n := int64(len(g.states))*int64(unsafe.Sizeof(cpu.State{})) +
 		int64(len(g.ram0))*4 +
-		int64(len(g.trace.outID))*4 +
-		int64(len(g.trace.outTab))*int64(unsafe.Sizeof(cpu.OutVec{})) +
-		int64(len(g.trace.writes))*mem.WriteEventBytes
+		int64(len(g.writes))*mem.WriteEventBytes
 	if lv := g.live; lv != nil {
 		n += int64(len(lv.stream)) + int64(len(lv.lastVal[0])+len(lv.lastVal[1])+len(lv.escLast))*4
 		for _, w := range lv.obs {
@@ -210,10 +181,12 @@ func (g *Golden) TraceBytes() int64 {
 
 // NewGolden runs the kernel fault-free for totalCycles and records what
 // the injection paths run against: the CPU state at the end of every
-// cycle, the reset RAM image and RAM write log, the per-cycle output
-// vectors and the liveness tables. snapEvery must be positive but no
-// longer changes what is built: the per-cycle states replaced the
-// periodic snapshots it used to space.
+// cycle, the reset RAM image and RAM write log, and the liveness tables.
+// Per cycle it only steps the CPU into the next slot of the state table
+// and evaluates the cycle's liveness stream mask; the tables are derived
+// from the states and masks after the run (newLiveness). snapEvery must
+// be positive but no longer changes what is built: the per-cycle states
+// replaced the periodic snapshots it used to space.
 func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) {
 	if totalCycles <= 0 || snapEvery <= 0 {
 		return nil, fmt.Errorf("lockstep: bad golden config %d/%d", totalCycles, snapEvery)
@@ -229,37 +202,21 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 		states:      make([]cpu.State, totalCycles+1),
 		ram0:        sys.Snapshot(0, mem.RAMBytes/4),
 	}
-	g.trace.outID = make([]uint32, totalCycles+1)
-	// intern deduplicates output vectors into outTab; the map is build
-	// scratch, dropped when NewGolden returns.
-	intern := make(map[cpu.OutVec]uint32)
-	record := func(c *cpu.CPU, cyc int) {
-		ov := c.State.Outputs()
-		id, ok := intern[ov]
-		if !ok {
-			id = uint32(len(g.trace.outTab))
-			g.trace.outTab = append(g.trace.outTab, ov)
-			intern[ov] = id
-		}
-		g.trace.outID[cyc] = id
-		g.states[cyc] = c.State
-	}
+	// masks[c] is liveStreamMask of cycle c; it is build scratch, dropped
+	// once the liveness tables are derived.
+	masks := make([]uint64, totalCycles)
 	rec := &mem.Recorder{Sys: sys}
-	c := cpu.New(rec, entry)
-	lb := newLivenessBuilder(totalCycles)
-	record(c, 0)
-	lb.record(&c.State, 0)
+	g.states[0].Reset(entry)
 	for cyc := 1; cyc <= totalCycles; cyc++ {
+		masks[cyc-1] = liveStreamMask(&g.states[cyc-1])
 		rec.Cycle = int32(cyc)
-		c.StepCycle()
-		if c.State.Trapped() {
+		cpu.StepInto(&g.states[cyc], &g.states[cyc-1], rec)
+		if g.states[cyc].Trapped() {
 			return nil, fmt.Errorf("lockstep: golden %s trapped at cycle %d", k.Name, cyc)
 		}
-		record(c, cyc)
-		lb.record(&c.State, cyc)
 	}
-	g.trace.writes = rec.Writes
-	g.live = lb.finish()
+	g.writes = rec.Writes
+	g.live = newLiveness(g.states, masks)
 	return g, nil
 }
 
@@ -271,7 +228,7 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU) {
 	sys := mem.NewSystem()
 	sys.RestoreRAM(g.ram0)
-	for _, e := range g.trace.writes {
+	for _, e := range g.writes {
 		if int(e.Cycle) > cycle {
 			break
 		}

@@ -25,12 +25,12 @@ func countReplayRestore() {
 
 // Replayer is the per-worker scratch state of the golden-trace injection
 // path: one mem.ReplayBus carrying the faulty CPU's memory image, the
-// faulty CPU itself, and the live main CPU and write journal of the TMR
-// recovery recheck. All buffers are reused across experiments, so the
-// steady-state hot path performs zero heap allocations; the RAM-image
-// repositioning between experiments on the same Golden is incremental
-// (word-sized deltas from the golden write log) rather than a full
-// 256 KiB copy.
+// faulty CPU's double-buffered state, and the live main CPU and write
+// journal of the TMR recovery recheck. All buffers are reused across
+// experiments, so the steady-state hot path performs zero heap
+// allocations; the RAM-image repositioning between experiments on the
+// same Golden is incremental (word-sized deltas from the golden write
+// log) rather than a full 256 KiB copy.
 //
 // A Replayer is NOT safe for concurrent use — give each campaign worker
 // its own. The Golden it runs against is immutable and shared.
@@ -40,11 +40,14 @@ type Replayer struct {
 	// journal lets the TMR recheck's live main CPU write to bus.
 	journal mem.Journal
 
-	// CPU scratch lives on the Replayer rather than the stack: the flop
-	// registry's indirect accessors defeat escape analysis, so stack
-	// locals would be heap-allocated once per experiment.
-	red  cpu.CPU // the faulty CPU under test
-	main cpu.CPU // the TMR recheck's recovered main CPU
+	// red is the faulty CPU's state, double-buffered: each cycle steps
+	// one buffer into the other (cpu.StepInto) and swaps them, instead of
+	// copying the next state back.
+	red [2]cpu.State
+	// except selects every State field but the faulted flop, for the
+	// per-cycle word pass against golden (cpu.DiffWords).
+	except cpu.WordMask
+	main   cpu.CPU // the TMR recheck's recovered main CPU
 }
 
 // NewReplayer returns an empty Replayer. RAM-image buffers are allocated
@@ -54,7 +57,7 @@ func NewReplayer() *Replayer { return &Replayer{} }
 // seek positions the replay bus at the end of golden cycle c of g.
 func (r *Replayer) seek(g *Golden, c int) {
 	if r.g != g {
-		r.bus.Load(g.ram0, g.trace.writes)
+		r.bus.Load(g.ram0, g.writes)
 		r.journal.Bus = &r.bus
 		r.g = g
 	}
@@ -82,8 +85,11 @@ func (r *Replayer) seek(g *Golden, c int) {
 //     live System would have. External-region reads are the pure
 //     mem.SensorValue pattern in both.
 //   - Checker compare: the legacy path diffs main vs redundant outputs at
-//     the top of every cycle; the golden trace holds the main CPU's
-//     output vector for every cycle, so the diff runs against outAt(cyc).
+//     the top of every cycle. The main CPU's outputs at cycle c are
+//     states[c].Outputs(), and Outputs is a pure function of 24 State
+//     fields, so when those fields equal golden's the vectors are equal
+//     and no compare is needed; only on a cycle whose output fields
+//     differ are both vectors built and diffed, which is exact there.
 //   - Post-fault stepping: in the legacy path the redundant CPU is a bus
 //     monitor — its reads see the main CPU's memory image after the full
 //     cycle, which is precisely the AdvanceTo(cyc+1)-then-step image, and
@@ -97,6 +103,11 @@ func (r *Replayer) seek(g *Golden, c int) {
 //     flop's bit in states[inj.Cycle+1].
 //   - Convergence check: the legacy `red.State == main.State` compare is
 //     `red.State == states[cyc]`, on every cycle.
+//   - One word pass per cycle (cpu.DiffWords) answers all three compares
+//     against states[cyc]: masked with every field but the faulted flop F
+//     it says whether the faulty state equals golden except at F, F's own
+//     byte then says whether it equals golden (==), and the output-field
+//     mask says whether the output vectors can differ.
 //   - Stuck-at skip: suppose that at the top of iteration R the faulty
 //     state equals states[R] except at the stuck flop F, forced to v. If
 //     F is not observed at R (liveness.go) or golden F equals v, the
@@ -145,23 +156,22 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	}
 	countReplayRestore()
 	r.seek(g, inj.Cycle)
-	red := &r.red
-	red.State, red.Bus = g.states[inj.Cycle], &r.bus
 	loc := cpu.LocOf(inj.Flop)
+	r.except = cpu.FieldMask().Except(loc)
+	red, spare := &r.red[0], &r.red[1]
+	*red = g.states[inj.Cycle]
 	// The golden value the flop of a soft fault recovers to one cycle
 	// after injection.
 	recoverBit := loc.Bit(&g.states[inj.Cycle+1])
+	stuckVal := inj.Kind == Stuck1
 
 	// Apply the fault after the injection-cycle clock edge (same
 	// semantics as the legacy path: soft inverts for one cycle, stuck-at
 	// is re-forced after every edge).
-	switch inj.Kind {
-	case SoftFlip:
-		cpu.FlipBit(&red.State, inj.Flop)
-	case Stuck0:
-		cpu.ForceBit(&red.State, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(&red.State, inj.Flop, true)
+	if inj.Kind == SoftFlip {
+		loc.Force(red, !loc.Bit(red))
+	} else {
+		loc.Force(red, stuckVal)
 	}
 
 	softArmed := inj.Kind == SoftFlip
@@ -172,39 +182,40 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	// until that match needs it.
 	exit := inj.Kind.IsHard() && !skip
 	tail := -1
-	stuckVal := inj.Kind == Stuck1
 	stepFaulty := func(cyc int) {
 		r.bus.AdvanceTo(cyc + 1)
-		red.StepCycle()
-		switch inj.Kind {
-		case SoftFlip:
-			if softArmed {
-				// The transient has passed: the flop itself recovers to
-				// the golden value.
-				cpu.ForceBit(&red.State, inj.Flop, recoverBit)
-				softArmed = false
-			}
-		case Stuck0:
-			cpu.ForceBit(&red.State, inj.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(&red.State, inj.Flop, true)
+		cpu.StepInto(spare, red, &r.bus)
+		red, spare = spare, red
+		switch {
+		case inj.Kind.IsHard():
+			loc.Force(red, stuckVal)
+		case softArmed:
+			// The transient has passed: the flop itself recovers to the
+			// golden value.
+			loc.Force(red, recoverBit)
+			softArmed = false
 		}
 	}
 	for cyc := inj.Cycle; cyc < horizon; cyc++ {
-		if skip && loc.EqualExcept(&red.State, &g.states[cyc]) {
+		gold := &g.states[cyc]
+		// rest == 0: equal to golden except at F; outs == 0: equal outputs.
+		rest, outs := cpu.DiffWords(red, gold, &r.except)
+		if skip && rest == 0 {
 			next := g.exposure(inj.Flop, loc, stuckVal, cyc, horizon)
 			if next < 0 {
 				// The fault never shows before the horizon: masked.
 				return Outcome{}
 			}
 			if next > cyc {
-				red.State = g.states[next]
-				cpu.ForceBit(&red.State, inj.Flop, stuckVal)
+				cyc, gold = next, &g.states[next]
+				*red = *gold
+				loc.Force(red, stuckVal)
 				r.bus.AdvanceTo(next)
-				cyc = next
+				rest, outs = cpu.DiffWords(red, gold, &r.except)
 			}
 		}
-		if exit && cyc >= tail && red.State == g.states[cyc] {
+		synced := rest == 0 && loc.Bit(red) == loc.Bit(gold)
+		if exit && cyc >= tail && synced {
 			if tail < 0 {
 				tail = g.settledFrom(loc, stuckVal, cyc, horizon)
 			}
@@ -213,34 +224,38 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 				return Outcome{}
 			}
 		}
-		or := red.State.Outputs()
-		// Whole-vector equality (a memcmp) gates the per-SC reduction:
-		// Diverge sets bit i exactly when element i differs, so the DSR is
-		// nonzero precisely when the vectors are unequal, and the
-		// fault-free common case skips the 62-category loop entirely.
-		if or != *g.trace.outAt(cyc) {
-			dsr := cpu.Diverge(g.trace.outAt(cyc), &or)
-			// Error detected; the DSR keeps OR-accumulating per-SC
-			// divergences during the checker stop window.
-			detect := cyc + shift
-			for w := 1; w < window && cyc+1 < horizon; w++ {
-				stepFaulty(cyc)
-				cyc++
-				or = red.State.Outputs()
-				dsr |= cpu.Diverge(g.trace.outAt(cyc), &or)
+		if outs != 0 {
+			if dsr := diverge(gold, red); dsr != 0 {
+				// Error detected; the DSR keeps OR-accumulating per-SC
+				// divergences during the checker stop window.
+				detect := cyc + shift
+				for w := 1; w < window && cyc+1 < horizon; w++ {
+					stepFaulty(cyc)
+					cyc++
+					if _, outs := cpu.DiffWords(red, &g.states[cyc], &r.except); outs != 0 {
+						dsr |= diverge(&g.states[cyc], red)
+					}
+				}
+				recordDSR("inject", dsr)
+				return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 			}
-			recordDSR("inject", dsr)
-			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 		}
 		// Convergence is absorbing: an equal state driven by the same bus
 		// inputs stays equal, so it can never diverge into a detection.
-		if inj.Kind == SoftFlip && !softArmed && red.State == g.states[cyc] {
+		if inj.Kind == SoftFlip && !softArmed && synced {
 			return Outcome{Converged: true}
 		}
 		stepFaulty(cyc)
 	}
 	// Horizon reached without divergence: masked.
 	return Outcome{}
+}
+
+// diverge is the checker's divergence map between the output ports of
+// the golden state gold and the faulty state red.
+func diverge(gold, red *cpu.State) uint64 {
+	og, or := gold.Outputs(), red.Outputs()
+	return cpu.Diverge(&og, &or)
 }
 
 // settledFrom returns the first cycle c >= from such that the golden value

@@ -534,13 +534,7 @@ func (m *jobManager) finish(j *job, ds *dataset.Dataset, st inject.Stats, err er
 		m.writeManifest(j)
 		m.reg.Counter("server.jobs", telemetry.L("event", "failed")).Inc()
 	default:
-		var csv strings.Builder
-		if werr := ds.WriteCSV(&csv); werr == nil {
-			werr = atomicfile.Write(m.dsPath(j.ID), []byte(csv.String()))
-			if werr != nil {
-				err = werr
-			}
-		} else {
+		if werr := ds.WriteCSVFile(m.dsPath(j.ID)); werr != nil {
 			err = werr
 		}
 		// Train-on-completion runs after the dataset is persisted (it
