@@ -71,14 +71,17 @@ resume-determinism:
 
 # The distributed-campaign contracts, explicitly: a span-lease campaign
 # must merge to the byte-identical single-machine dataset at any worker
-# count and lease size (in-process coordinator, HTTP through
-# lockstep-serve, and the standalone Distributor), survive lease
-# expiry/re-issue and duplicate spans, resume a half-merged campaign
-# from its checkpoint, and — against the real binaries — stay
-# byte-identical after a worker is SIGKILLed mid-span.
+# count and lease size and in every lockstep mode (in-process
+# coordinator, HTTP through lockstep-serve under dcls, tmr and slip:16,
+# and the standalone Distributor), survive lease expiry/re-issue and
+# duplicate spans, refuse every malformed lease or span body with a 400
+# in the JSON error envelope (the fuzz target's seed corpus included),
+# fit the worst-case span submission in the body limit, resume a
+# half-merged campaign from its checkpoint, and — against the real
+# binaries — stay byte-identical after a worker is SIGKILLed mid-span.
 distributed-determinism:
-	$(GO) test -race -run 'TestDistributedMatchesRun|TestLeaseKernelAffinity|TestLeaseExpiryReissue|TestDrainWorkers|TestCommitRejections|TestCoordinatorResume|TestSpanRunnerMatchesRun|TestFingerprintConfigRoundTrip|TestWireRoundTrips|TestWireRejects' -count=1 ./internal/inject/
-	$(GO) test -race -run 'TestDistributedCampaignMatchesDirect|TestDistributorMatchesDirect|TestDistributedEndpointErrors|TestDistributedRestartResume|TestSubmitForeignCheckpointRejected' -count=1 ./internal/server/
+	$(GO) test -race -run 'TestDistributedMatchesRun|TestLeaseKernelAffinity|TestLeaseExpiryReissue|TestDrainWorkers|TestCommitRejections|TestCoordinatorResume|TestSpanRunnerMatchesRun|TestFingerprintConfigRoundTrip' -count=1 ./internal/inject/
+	$(GO) test -race -run 'TestDistributedCampaignMatchesDirect|TestDistributorMatchesDirect|TestDistributedEndpointErrors|TestDistributedRestartResume|TestSubmitForeignCheckpointRejected|TestWorstCaseSpanFitsBody|FuzzDistributedRequest' -count=1 ./internal/server/
 	$(GO) test -run 'TestDistributedKillWorkerEquivalence|TestDistributeJoinExclusive' -count=1 ./cmd/lockstep-inject/
 
 # The lockstep-mode determinism gate: (a) a dcls campaign reproduces the
@@ -220,16 +223,15 @@ bench-selftest:
 	cd perfbench && export GOFLAGS= GOPROXY=off GOWORK=off && $(GO) vet . && $(GO) test -count=1 .
 
 # Short fuzz passes over the campaign-log parser, the checkpoint decoder,
-# the distributed-campaign wire codec (all four lease/span messages
-# through one harness), the lockstep-mode parser, and the three
-# lockstep-serve request decoders (predict bodies through the full
-# endpoint, campaign submissions and server-side training requests
-# through their validation layers).
+# the lockstep-mode parser, and the four lockstep-serve request decoders
+# (predict bodies through the full endpoint, lease and span bodies
+# through a live coordinator's endpoints, campaign submissions and
+# server-side training requests through their validation layers).
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=30s ./internal/inject/
-	$(GO) test -fuzz=FuzzLeaseDecode -fuzztime=30s ./internal/inject/
 	$(GO) test -fuzz=FuzzModeParse -fuzztime=30s ./internal/lockstep/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=30s ./internal/server/
+	$(GO) test -fuzz=FuzzDistributedRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzCampaignRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzTablesRequest -fuzztime=30s ./internal/server/

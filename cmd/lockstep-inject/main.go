@@ -43,8 +43,8 @@
 // -distribute turns this process into the campaign coordinator: it
 // enumerates the plan, serves span leases over HTTP and merges completed
 // spans (it simulates nothing itself); -join turns it into a worker that
-// pulls leases, executes them on the pruned-replay path and streams
-// records back. The merged dataset is byte-identical to a single-machine
+// pulls leases, executes them on the pruned-replay path and sends the
+// outcomes back. The merged dataset is byte-identical to a single-machine
 // run at any worker count and any lease size; a worker killed mid-span
 // merely lets its lease expire and the span is re-issued. -checkpoint and
 // -resume work on the coordinator exactly as for a local campaign.
@@ -62,6 +62,7 @@ import (
 	"syscall"
 	"time"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/dataset"
 	"lockstep/internal/inject"
 	"lockstep/internal/lockstep"
@@ -151,6 +152,9 @@ func main() {
 // itself. SIGINT/SIGTERM stop leasing and — with -checkpoint — persist a
 // final checkpoint, so rerunning with -resume continues the campaign.
 func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.Duration, out, metricsPath string, summary bool, errw io.Writer) error {
+	if err := checkOutput(out); err != nil {
+		return err
+	}
 	co, err := inject.NewCoordinator(cfg, inject.DistConfig{LeaseSize: leaseSize, LeaseTTL: leaseTTL})
 	if err != nil {
 		return err
@@ -210,7 +214,7 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 
 // runJoin executes leases as a distributed-campaign worker until the
 // coordinator reports the campaign done. Workers produce no local
-// dataset — records stream to the coordinator — so -o is unused here.
+// dataset — outcomes go to the coordinator — so -o is unused here.
 func runJoin(url, name string, leaseSize, workers int, metricsPath string, summary bool, errw io.Writer) error {
 	if name == "" {
 		host, _ := os.Hostname()
@@ -240,6 +244,15 @@ func runJoin(url, name string, leaseSize, workers int, metricsPath string, summa
 	return err
 }
 
+// checkOutput fails before any experiment runs when the dataset could
+// not be written to out.
+func checkOutput(out string) error {
+	if out == "-" {
+		return nil
+	}
+	return atomicfile.CheckDir(out)
+}
+
 // writeDataset writes the campaign CSV to out, or streams it to stdout
 // for "-". A file is replaced atomically (dataset.WriteCSVFile): a failed
 // write leaves no torn dataset behind and makes the command fail.
@@ -266,6 +279,9 @@ func writeMetrics(path string) error {
 // run executes the campaign and writes the CSV log, the optional
 // telemetry snapshot, and the summary lines (to errw).
 func run(cfg inject.Config, out, metricsPath, pprofAddr string, summary bool, errw io.Writer) error {
+	if err := checkOutput(out); err != nil {
+		return err
+	}
 	if pprofAddr != "" {
 		url, err := telemetry.ServeDebug(pprofAddr)
 		if err != nil {

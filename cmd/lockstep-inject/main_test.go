@@ -337,9 +337,9 @@ func TestCLIRejectsUnknownKernel(t *testing.T) {
 }
 
 // TestCLIOutputInMissingDirectory: a dataset that cannot be written fails
-// the command, though the campaign itself ran — exit 0 would claim a
-// dataset that is not there — and creates nothing, neither the output
-// file nor a temporary one beside it.
+// the command before any experiment runs — no progress line, and no
+// coordinator serving leases under -distribute — and creates nothing,
+// neither the output file nor a temporary one beside it.
 func TestCLIOutputInMissingDirectory(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "missing", "campaign.csv")
@@ -347,6 +347,19 @@ func TestCLIOutputInMissingDirectory(t *testing.T) {
 	if res.Code == 0 || !strings.Contains(res.Stderr, "lockstep-inject:") {
 		t.Fatalf("exit %d, stderr %q; want a failure naming the command", res.Code, res.Stderr)
 	}
+	if strings.Contains(res.Stderr, "experiments") {
+		t.Fatalf("the campaign ran before the output check: stderr %q", res.Stderr)
+	}
+
+	// A coordinator that got past the check would serve leases until a
+	// worker finished the campaign, so its run is bounded by the wait.
+	co := clitest.Start(t, append(campaignArgs(out, "", 1), "-distribute", "127.0.0.1:0")...)
+	co.WaitOutput("lockstep-inject:", 30*time.Second)
+	res = co.Wait()
+	if res.Code == 0 || strings.Contains(res.Stderr, "coordinator:") {
+		t.Fatalf("-distribute: exit %d, stderr %q; want a failure before the coordinator starts", res.Code, res.Stderr)
+	}
+
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/dataset"
 )
 
@@ -27,6 +28,13 @@ func main() {
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: lockstep-merge [-o merged.csv] shard.csv...")
 		os.Exit(2)
+	}
+	// An output that cannot be written fails before any shard is read.
+	if *out != "-" {
+		if err := atomicfile.CheckDir(*out); err != nil {
+			fmt.Fprintln(os.Stderr, "lockstep-merge:", err)
+			os.Exit(1)
+		}
 	}
 	merged, stats, err := merge(flag.Args())
 	if err != nil {

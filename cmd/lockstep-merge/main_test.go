@@ -126,11 +126,13 @@ func TestCLIExitStatus(t *testing.T) {
 		t.Fatalf("bad shard: exit %d, stderr %q", res.Code, res.Stderr)
 	}
 
-	// An output that cannot be written exits 1 and creates nothing.
+	// An output that cannot be written exits 1 before any shard is read
+	// (the missing shard would fail the merge otherwise) and creates
+	// nothing.
 	dir := t.TempDir()
-	res = clitest.Exec(t, "-o", filepath.Join(dir, "missing", "merged.csv"), a, b)
-	if res.Code != 1 || !strings.Contains(res.Stderr, "lockstep-merge:") {
-		t.Fatalf("unwritable output: exit %d, stderr %q", res.Code, res.Stderr)
+	res = clitest.Exec(t, "-o", filepath.Join(dir, "missing", "merged.csv"), a, b, "/nonexistent-shard.csv")
+	if res.Code != 1 || !strings.Contains(res.Stderr, "lockstep-merge:") || strings.Contains(res.Stderr, "nonexistent-shard") {
+		t.Fatalf("unwritable output: exit %d, stderr %q; want the output error before the shards are read", res.Code, res.Stderr)
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Fatalf("unwritable output left %d entries behind (err %v)", len(entries), err)

@@ -21,8 +21,10 @@
 // to uninterrupted runs. A campaign submitted with distribute:true runs
 // as a lease coordinator instead: worker nodes (`lockstep-inject -join`)
 // pull span leases from POST /v1/campaigns/{id}/leases, execute them,
-// and push records back to POST /v1/campaigns/{id}/spans; -lease-size
-// and -lease-ttl set the defaults for span length and re-issue timeout.
+// and push their outcomes back to POST /v1/campaigns/{id}/spans as
+// JSON; the server renders the dataset rows from its own plan.
+// -lease-size and -lease-ttl set the defaults for span length and
+// re-issue timeout.
 //
 // SIGINT/SIGTERM drains gracefully: running campaigns stop at the next
 // experiment boundary and write a final checkpoint, in-flight HTTP

@@ -38,6 +38,20 @@ func Write(path string, data []byte) error {
 	return syncDir(dir)
 }
 
+// CheckDir fails, with the error Write would return, when Write could
+// not create its temporary file beside path: the directory is missing,
+// not a directory, or not writable. A command calls it before the work
+// whose result it will Write, so a bad output path fails in
+// milliseconds, not after the work. It leaves nothing behind.
+func CheckDir(path string) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp.Close()
+	return os.Remove(tmp.Name())
+}
+
 // syncDir fsyncs directory dir, making the renames inside it durable.
 // Tests replace it to make the sync fail.
 var syncDir = func(dir string) error {

@@ -78,3 +78,29 @@ func TestWriteReportsDirSyncFailure(t *testing.T) {
 		t.Fatalf("directory holds %d entries after a failed sync, want only the target", len(entries))
 	}
 }
+
+// TestCheckDir: CheckDir accepts a writable directory and leaves it
+// empty, and refuses a missing directory and a path under a regular file
+// with the cause Write gives them.
+func TestCheckDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := CheckDir(filepath.Join(dir, "out.csv")); err != nil {
+		t.Fatalf("writable directory refused: %v", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("CheckDir left %d entries behind", len(entries))
+	}
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(dir, "missing", "out.csv"), filepath.Join(file, "out.csv")} {
+		err := CheckDir(path)
+		if err == nil {
+			t.Fatalf("%s accepted", path)
+		}
+		if werr := Write(path, []byte("x")); !errors.Is(werr, errors.Unwrap(err)) {
+			t.Fatalf("%s: CheckDir says %v, Write says %v", path, err, werr)
+		}
+	}
+}

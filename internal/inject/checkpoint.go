@@ -166,7 +166,8 @@ func (f Fingerprint) diff(other Fingerprint) (field, a, b string, ok bool) {
 
 // Span is a half-open [Lo, Hi) range of completed plan indices.
 type Span struct {
-	Lo, Hi int
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
 }
 
 // Checkpoint is the in-memory form of a campaign checkpoint file.

@@ -1,16 +1,17 @@
 // Distributed campaign execution: span leases and byte-identical merge.
 //
 // A campaign's plan is a fixed, seed-determined list of experiments, and
-// every record depends only on its plan entry and the kernel's golden run
-// — never on which machine executed it. That is the whole soundness
+// every outcome depends only on its plan entry and the kernel's golden
+// run — never on which machine executed it. That is the whole soundness
 // argument for distribution: a Coordinator owns the plan-index space and
 // hands out half-open [Lo, Hi) span *leases* to worker nodes; each worker
 // reconstructs the identical plan and goldens from the campaign's
 // schedule Fingerprint, executes its leased indices on the same engine
-// inject.Run uses (SpanRunner), and streams the completed records back.
-// The coordinator merges records at their plan index, so the final
+// inject.Run uses (SpanRunner), and sends the outcomes back. The
+// coordinator renders each outcome into its dataset row from its own
+// plan entry, through the same recordFor inject.Run uses, so the final
 // dataset is byte-identical to a single-machine run at any worker count
-// and any lease size.
+// and any lease size, and no row column comes from the worker.
 //
 // Failure handling is lease expiry + re-issue: a lease not committed
 // before its deadline returns to the free pool and is granted to the next
@@ -19,10 +20,12 @@
 // recognized as a duplicate and dropped, and a late commit for a span
 // that has been re-issued but not yet re-committed is refused with a
 // typed *LeaseExpiredError (the re-issued lease's holder will produce the
-// byte-identical records). Every lease and commit is authenticated by the
+// identical outcomes). Every lease and commit is authenticated by the
 // campaign's fingerprint digest, so a worker pointed at the wrong
 // coordinator (or built against a different trace version) is refused
-// with a *StaleFingerprintError before it can touch the dataset.
+// with a *StaleFingerprintError before it can touch the dataset, and a
+// submission no coordinator state could accept is refused with a
+// *MessageError.
 //
 // The coordinator reuses the campaign checkpoint machinery verbatim:
 // merged spans persist in the same atomic CRC-sealed checkpoint file, so
@@ -42,10 +45,40 @@ import (
 	"lockstep/internal/workload"
 )
 
-// maxLeaseSpan bounds one lease (and therefore one span submission) in
-// plan indices. It caps what a hostile or corrupt wire message can make
-// either side allocate.
-const maxLeaseSpan = 1 << 20
+// MaxLeaseSpan bounds one lease, and therefore one span submission, in
+// plan indices. A worst-case submission (every outcome detected,
+// converged and failed, with the largest cycle and DSR) takes about 100
+// bytes of JSON per outcome, so a full span stays under 13 MB.
+const MaxLeaseSpan = 1 << 17
+
+// maxNameBytes bounds the worker name and digest of a lease request or
+// span submission.
+const maxNameBytes = 256
+
+// MessageError reports a lease request or span submission that no
+// coordinator state could accept: a span outside the plan, an outcome
+// count that differs from the span's length, an outcome outside its
+// plan entry's bounds, or an oversized name.
+type MessageError struct {
+	Reason string
+}
+
+func (e *MessageError) Error() string {
+	return "inject: bad distributed-campaign message: " + e.Reason
+}
+
+func badMessage(format string, args ...any) *MessageError {
+	return &MessageError{Reason: fmt.Sprintf(format, args...)}
+}
+
+// checkNames refuses an oversized worker name or digest before either is
+// kept as a metric label or echoed in an error.
+func checkNames(worker, digest string) error {
+	if len(worker) > maxNameBytes || len(digest) > maxNameBytes {
+		return badMessage("worker name or digest longer than %d bytes", maxNameBytes)
+	}
+	return nil
+}
 
 // StaleFingerprintError reports a lease or span message whose schedule
 // digest does not match the coordinator's campaign — a worker joined to
@@ -60,8 +93,8 @@ func (e *StaleFingerprintError) Error() string {
 
 // LeaseExpiredError reports a span commit under a lease the coordinator
 // no longer holds, where the span is not already covered: the lease
-// expired and was re-issued to another worker. The records are discarded
-// (the re-issued lease will produce byte-identical ones).
+// expired and was re-issued to another worker. The outcomes are
+// discarded (the re-issued lease will produce identical ones).
 type LeaseExpiredError struct {
 	ID uint64
 	Sp Span
@@ -95,6 +128,50 @@ func (s LeaseStatus) String() string {
 	return fmt.Sprintf("LeaseStatus(%d)", int(s))
 }
 
+// LeaseRequest asks the coordinator for a span lease.
+type LeaseRequest struct {
+	Worker string `json:"worker"`         // stable worker identity (affinity + per-worker stats)
+	Digest string `json:"digest"`         // campaign fingerprint digest the worker was joined with
+	Want   int    `json:"want,omitempty"` // preferred span length; 0 = coordinator default
+}
+
+// LeaseReply answers a LeaseRequest. FP, Total and Done are always set;
+// LeaseID, Span and TTL only when Status is LeaseGranted, Retry only
+// when LeaseWait.
+type LeaseReply struct {
+	Status  LeaseStatus   `json:"status"`
+	Total   int           `json:"total"`
+	Done    int           `json:"done"`
+	FP      Fingerprint   `json:"fingerprint"` // the schedule; workers rebuild the Config from it
+	LeaseID uint64        `json:"lease_id,omitempty"`
+	Span    Span          `json:"span"`
+	TTL     time.Duration `json:"ttl_ns,omitempty"`
+	Retry   time.Duration `json:"retry_ns,omitempty"`
+}
+
+// SpanSubmit carries one completed span's outcomes back to the
+// coordinator, which renders each into its dataset row from its own plan.
+type SpanSubmit struct {
+	Worker  string `json:"worker"`
+	Digest  string `json:"digest"`
+	LeaseID uint64 `json:"lease_id"`
+	Span    Span   `json:"span"`
+	// BusyUS is the worker's wall-clock microseconds spent executing the
+	// span (golden builds included) — the coordinator's per-worker
+	// throughput gauges are computed from it.
+	BusyUS        int64              `json:"busy_us"`
+	Pruned        int                `json:"pruned"`
+	OracleChecked int                `json:"oracle_checked"`
+	Outcomes      []lockstep.Outcome `json:"outcomes"` // exactly Span.Hi-Span.Lo, plan order
+}
+
+// SpanReply acknowledges a SpanSubmit.
+type SpanReply struct {
+	Duplicate bool `json:"duplicate,omitempty"` // span was already covered; outcomes dropped, not an error
+	Done      int  `json:"done"`                // campaign-wide merged experiments
+	Total     int  `json:"total"`
+}
+
 // DistConfig sizes the coordinator's lease policy.
 type DistConfig struct {
 	// LeaseSize is the default span length in plan indices (0 = 512).
@@ -114,8 +191,8 @@ func (dc *DistConfig) normalize() {
 	if dc.LeaseSize <= 0 {
 		dc.LeaseSize = 512
 	}
-	if dc.LeaseSize > maxLeaseSpan {
-		dc.LeaseSize = maxLeaseSpan
+	if dc.LeaseSize > MaxLeaseSpan {
+		dc.LeaseSize = MaxLeaseSpan
 	}
 	if dc.LeaseTTL <= 0 {
 		dc.LeaseTTL = 30 * time.Second
@@ -152,16 +229,17 @@ type distWorker struct {
 	perSec      *telemetry.Gauge
 }
 
-// Coordinator owns one distributed campaign: the plan-index space, the
-// lease table, the merged records and the checkpoint. It never builds
-// goldens or simulates — coordination is cheap enough to run anywhere,
-// including on a node that is also serving predictions.
+// Coordinator owns one distributed campaign: the plan, the lease table,
+// the merged records and the checkpoint. It never builds goldens or
+// simulates — coordination is cheap enough to run anywhere, including on
+// a node that is also serving predictions.
 //
 // All methods are safe for concurrent use by HTTP handlers.
 type Coordinator struct {
 	cfg    Config
 	fp     Fingerprint
 	digest string
+	plan   []Experiment // renders each committed outcome into its row
 	total  int
 	dc     DistConfig
 	// kernelBlock is the plan-index length of one kernel's contiguous
@@ -204,13 +282,15 @@ func NewCoordinator(cfg Config, dc DistConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	dc.normalize()
-	total, err := cfg.Total()
+	plan, err := cfg.Plan()
 	if err != nil {
 		return nil, err
 	}
+	total := len(plan)
 	c := &Coordinator{
 		cfg:         cfg,
 		fp:          cfg.fingerprint(),
+		plan:        plan,
 		total:       total,
 		dc:          dc,
 		kernelBlock: total / len(cfg.Kernels),
@@ -374,6 +454,9 @@ func (c *Coordinator) pickFree(w *distWorker) (int, int) {
 // wire: it carries the fingerprint, progress, and — when granted — the
 // lease ID, span and TTL.
 func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, error) {
+	if err := checkNames(worker, digest); err != nil {
+		return nil, err
+	}
 	if digest != c.digest {
 		return nil, &StaleFingerprintError{Got: digest, Want: c.digest}
 	}
@@ -420,8 +503,8 @@ func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, err
 	if size <= 0 {
 		size = c.dc.LeaseSize
 	}
-	if size > maxLeaseSpan {
-		size = maxLeaseSpan
+	if size > MaxLeaseSpan {
+		size = MaxLeaseSpan
 	}
 	hi := lo + size
 	if end := c.blockEnd(lo); hi > end {
@@ -471,19 +554,22 @@ func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, err
 // indices are all already covered is acknowledged as a duplicate and
 // dropped; a commit under an expired-and-re-issued lease whose span is
 // not yet covered is refused with *LeaseExpiredError. A successful
-// commit writes the records at their plan indices — canonical plan
-// order by construction — and feeds the checkpointer.
+// commit renders each outcome into its row from the coordinator's own
+// plan entry, writes the rows at their plan indices — canonical plan
+// order by construction — and feeds the checkpointer. A submission
+// whose span, counts or outcomes no campaign state could accept is
+// refused with *MessageError.
 func (c *Coordinator) Commit(sub *SpanSubmit) (*SpanReply, error) {
+	if err := checkNames(sub.Worker, sub.Digest); err != nil {
+		return nil, err
+	}
 	if sub.Digest != c.digest {
 		return nil, &StaleFingerprintError{Got: sub.Digest, Want: c.digest}
 	}
+	if err := c.checkSpan(sub); err != nil {
+		return nil, err
+	}
 	sp := sub.Span
-	if sp.Lo < 0 || sp.Lo >= sp.Hi || sp.Hi > c.total {
-		return nil, fmt.Errorf("inject: span [%d,%d) outside plan of %d", sp.Lo, sp.Hi, c.total)
-	}
-	if len(sub.Records) != sp.Hi-sp.Lo {
-		return nil, fmt.Errorf("inject: span [%d,%d) carries %d records, want %d", sp.Lo, sp.Hi, len(sub.Records), sp.Hi-sp.Lo)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	reply := &SpanReply{Total: c.total}
@@ -513,7 +599,7 @@ func (c *Coordinator) Commit(sub *SpanSubmit) (*SpanReply, error) {
 	}
 	delete(c.leases, sub.LeaseID)
 	for i := sp.Lo; i < sp.Hi; i++ {
-		c.records[i] = sub.Records[i-sp.Lo]
+		c.records[i] = recordFor(c.plan[i], sub.Outcomes[i-sp.Lo], c.cfg.Mode)
 		c.done[i].Store(true)
 		if c.ckp != nil {
 			c.ckp.completed()
@@ -546,6 +632,35 @@ func (c *Coordinator) Commit(sub *SpanSubmit) (*SpanReply, error) {
 		c.completeOnce.Do(func() { close(c.completeCh) })
 	}
 	return reply, nil
+}
+
+// checkSpan refuses a submission no campaign state could accept: a span
+// outside the plan, counts that do not fit the span, or an outcome
+// outside its plan entry's bounds. A detected outcome's DetectCycle lies
+// in [its injection cycle, RunCycles); an undetected one carries neither
+// a DetectCycle nor a DSR.
+func (c *Coordinator) checkSpan(sub *SpanSubmit) error {
+	sp := sub.Span
+	if sp.Lo < 0 || sp.Lo >= sp.Hi || sp.Hi > c.total {
+		return badMessage("span [%d,%d) outside plan of %d", sp.Lo, sp.Hi, c.total)
+	}
+	n := sp.Hi - sp.Lo
+	if len(sub.Outcomes) != n {
+		return badMessage("span [%d,%d) carries %d outcomes, want %d", sp.Lo, sp.Hi, len(sub.Outcomes), n)
+	}
+	if sub.BusyUS < 0 || sub.Pruned < 0 || sub.Pruned > n || sub.OracleChecked < 0 || sub.OracleChecked > n {
+		return badMessage("span [%d,%d) reports busy %d us, %d pruned, %d oracle-checked", sp.Lo, sp.Hi, sub.BusyUS, sub.Pruned, sub.OracleChecked)
+	}
+	for i, out := range sub.Outcomes {
+		e := c.plan[sp.Lo+i]
+		switch {
+		case out.Detected && (out.DetectCycle < e.Cycle || out.DetectCycle >= c.cfg.RunCycles):
+			return badMessage("plan index %d: detect cycle %d outside [%d,%d)", sp.Lo+i, out.DetectCycle, e.Cycle, c.cfg.RunCycles)
+		case !out.Detected && (out.DetectCycle != 0 || out.DSR != 0):
+			return badMessage("plan index %d: undetected outcome carries detect cycle %d, DSR %#x", sp.Lo+i, out.DetectCycle, out.DSR)
+		}
+	}
+	return nil
 }
 
 // DrainWorkers blocks until every worker that ever held a lease has
@@ -718,8 +833,8 @@ type SpanRunner struct {
 
 // NewSpanRunner builds the runner for cfg. Config.Workers sets the
 // in-span parallelism; everything schedule-relevant must come from the
-// coordinator's fingerprint (Fingerprint.Config) or the records will not
-// be accepted.
+// coordinator's fingerprint (Fingerprint.Config) or the span will not be
+// accepted.
 func NewSpanRunner(cfg Config) (*SpanRunner, error) {
 	en, err := newEngine(cfg)
 	if err != nil {
@@ -735,13 +850,13 @@ func (r *SpanRunner) Total() int { return len(r.en.plan) }
 func (r *SpanRunner) Digest() string { return r.en.cfg.fingerprint().Digest() }
 
 // Run executes plan indices [sp.Lo, sp.Hi) on the same engine as RunStats
-// and returns their records in plan order. The records are byte-identical
-// to what a single-machine inject.Run puts at those indices: the plan,
-// pruning decisions, oracle sampling and record rendering are all keyed
-// only by the campaign seed and the experiment coordinates. Leases are
-// cut at kernel-block boundaries and granted with block affinity, so a
-// worker typically builds one golden and reuses it across many spans.
-func (r *SpanRunner) Run(sp Span) ([]dataset.Record, SpanStats, error) {
+// and returns their outcomes in plan order. They are the outcomes a
+// single-machine inject.Run renders at those indices: the plan, pruning
+// decisions and oracle sampling are all keyed only by the campaign seed
+// and the experiment coordinates. Leases are cut at kernel-block
+// boundaries and granted with block affinity, so a worker typically
+// builds one golden and reuses it across many spans.
+func (r *SpanRunner) Run(sp Span) ([]lockstep.Outcome, SpanStats, error) {
 	if sp.Lo < 0 || sp.Lo >= sp.Hi || sp.Hi > len(r.en.plan) {
 		return nil, SpanStats{}, fmt.Errorf("inject: span [%d,%d) outside plan of %d", sp.Lo, sp.Hi, len(r.en.plan))
 	}
@@ -749,10 +864,10 @@ func (r *SpanRunner) Run(sp Span) ([]dataset.Record, SpanStats, error) {
 	for i := range idxs {
 		idxs[i] = sp.Lo + i
 	}
-	records := make([]dataset.Record, len(idxs))
-	st, err := r.en.resolve(idxs, func(idx int, rec dataset.Record) { records[idx-sp.Lo] = rec })
+	outcomes := make([]lockstep.Outcome, len(idxs))
+	st, err := r.en.resolve(idxs, func(idx int, out lockstep.Outcome) { outcomes[idx-sp.Lo] = out })
 	if err != nil {
 		return nil, st.SpanStats, err
 	}
-	return records, st.SpanStats, nil
+	return outcomes, st.SpanStats, nil
 }

@@ -66,13 +66,13 @@ func drainCampaign(t *testing.T, co *Coordinator, cfg Config, workers ...string)
 			}
 			runners[w] = r
 		}
-		records, st, err := r.Run(reply.Span)
+		outcomes, st, err := r.Run(reply.Span)
 		if err != nil {
 			t.Fatalf("worker %s: span [%d,%d): %v", w, reply.Span.Lo, reply.Span.Hi, err)
 		}
 		ack, err := co.Commit(&SpanSubmit{
 			Worker: w, Digest: co.Digest(), LeaseID: reply.LeaseID, Span: reply.Span,
-			Pruned: st.Pruned, OracleChecked: st.OracleChecked, Records: records,
+			Pruned: st.Pruned, OracleChecked: st.OracleChecked, Outcomes: outcomes,
 		})
 		if err != nil {
 			t.Fatalf("worker %s: commit: %v", w, err)
@@ -85,26 +85,35 @@ func drainCampaign(t *testing.T, co *Coordinator, cfg Config, workers ...string)
 
 // TestDistributedMatchesRun is the core byte-identity property: a
 // campaign merged from leased spans equals a single-machine inject.Run,
-// at several worker counts and lease sizes.
+// at several worker counts and lease sizes, and in every lockstep mode —
+// the coordinator renders the mode column, and every real outcome lies
+// inside the bounds Commit enforces.
 func TestDistributedMatchesRun(t *testing.T) {
-	cfg, _, _ := distConfig(t)
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCSV := csvBytes(t, want)
 	for _, tc := range []struct {
 		name      string
 		workers   []string
 		leaseSize int
+		mode      string
 	}{
-		{"1worker", []string{"a"}, 16},
-		{"2workers", []string{"a", "b"}, 16},
-		{"3workers-oddlease", []string{"a", "b", "c"}, 7},
-		{"hugelease", []string{"a", "b"}, 1 << 19},
+		{"1worker", []string{"a"}, 16, "dcls"},
+		{"2workers", []string{"a", "b"}, 16, "dcls"},
+		{"3workers-oddlease", []string{"a", "b", "c"}, 7, "dcls"},
+		{"hugelease", []string{"a", "b"}, 1 << 19, "dcls"},
+		{"tmr", []string{"a", "b"}, 16, "tmr"},
+		{"slip16", []string{"a", "b"}, 16, "slip:16"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, dc, _ := distConfig(t)
+			mode, err := lockstep.ParseMode(tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Mode = mode
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCSV := csvBytes(t, want)
 			dc.LeaseSize = tc.leaseSize
 			co, err := NewCoordinator(cfg, dc)
 			if err != nil {
@@ -258,11 +267,11 @@ func TestLeaseExpiryReissue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, _, err := runner.Run(lease.Span)
+	outcomes, _, err := runner.Run(lease.Span)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := &SpanSubmit{Worker: "dead", Digest: co.Digest(), LeaseID: lease.LeaseID, Span: lease.Span, Records: records}
+	sub := &SpanSubmit{Worker: "dead", Digest: co.Digest(), LeaseID: lease.LeaseID, Span: lease.Span, Outcomes: outcomes}
 
 	// The worker "dies": its TTL passes before it commits.
 	*now = now.Add(dc.LeaseTTL + time.Second)
@@ -283,7 +292,7 @@ func TestLeaseExpiryReissue(t *testing.T) {
 
 	// The live worker commits the re-issued lease.
 	if _, err := co.Commit(&SpanSubmit{
-		Worker: "live", Digest: co.Digest(), LeaseID: reissued.LeaseID, Span: reissued.Span, Records: records,
+		Worker: "live", Digest: co.Digest(), LeaseID: reissued.LeaseID, Span: reissued.Span, Outcomes: outcomes,
 	}); err != nil {
 		t.Fatalf("re-issued commit: %v", err)
 	}
@@ -302,8 +311,10 @@ func TestLeaseExpiryReissue(t *testing.T) {
 	}
 }
 
-// TestCommitRejections is the table test for span commits the
-// coordinator must refuse outright.
+// TestCommitRejections is the table test for lease requests and span
+// commits the coordinator must refuse outright: a foreign digest, a dead
+// lease, and every malformed submission, which is a *MessageError (400
+// bad_request over HTTP) whatever the coordinator's state.
 func TestCommitRejections(t *testing.T) {
 	cfg, dc, _ := distConfig(t)
 	co, err := NewCoordinator(cfg, dc)
@@ -315,7 +326,19 @@ func TestCommitRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := lease.Span.Hi - lease.Span.Lo
-	records := make([]dataset.Record, n)
+	first := co.plan[lease.Span.Lo]
+	// outcomes returns a valid all-masked span with out at position 0.
+	outcomes := func(out lockstep.Outcome) []lockstep.Outcome {
+		outs := make([]lockstep.Outcome, n)
+		outs[0] = out
+		return outs
+	}
+	submit := func(mut func(*SpanSubmit)) *SpanSubmit {
+		sub := &SpanSubmit{Worker: "w", Digest: co.Digest(), LeaseID: lease.LeaseID, Span: lease.Span, Outcomes: outcomes(lockstep.Outcome{})}
+		mut(sub)
+		return sub
+	}
+	long := strings.Repeat("x", maxNameBytes+1)
 
 	t.Run("stale fingerprint acquire", func(t *testing.T) {
 		var sfe *StaleFingerprintError
@@ -325,31 +348,65 @@ func TestCommitRejections(t *testing.T) {
 	})
 	t.Run("stale fingerprint commit", func(t *testing.T) {
 		var sfe *StaleFingerprintError
-		_, err := co.Commit(&SpanSubmit{Worker: "w", Digest: "deadbeef", LeaseID: lease.LeaseID, Span: lease.Span, Records: records})
-		if !errors.As(err, &sfe) {
+		if _, err := co.Commit(submit(func(s *SpanSubmit) { s.Digest = "deadbeef" })); !errors.As(err, &sfe) {
 			t.Fatalf("got %v, want *StaleFingerprintError", err)
 		}
 	})
 	t.Run("unknown lease over uncovered span", func(t *testing.T) {
 		var lee *LeaseExpiredError
-		_, err := co.Commit(&SpanSubmit{Worker: "w", Digest: co.Digest(), LeaseID: 999, Span: lease.Span, Records: records})
-		if !errors.As(err, &lee) {
+		if _, err := co.Commit(submit(func(s *SpanSubmit) { s.LeaseID = 999 })); !errors.As(err, &lee) {
 			t.Fatalf("got %v, want *LeaseExpiredError", err)
 		}
 	})
-	t.Run("record count mismatch", func(t *testing.T) {
-		_, err := co.Commit(&SpanSubmit{Worker: "w", Digest: co.Digest(), LeaseID: lease.LeaseID, Span: lease.Span, Records: records[:n-1]})
-		if err == nil {
-			t.Fatal("short record set accepted")
+	t.Run("long worker name acquire", func(t *testing.T) {
+		var me *MessageError
+		if _, err := co.Acquire(long, co.Digest(), 0); !errors.As(err, &me) {
+			t.Fatalf("got %v, want *MessageError", err)
 		}
 	})
-	t.Run("span outside plan", func(t *testing.T) {
-		_, err := co.Commit(&SpanSubmit{Worker: "w", Digest: co.Digest(), LeaseID: lease.LeaseID,
-			Span: Span{Lo: 0, Hi: co.Total() + 1}, Records: make([]dataset.Record, co.Total()+1)})
-		if err == nil {
-			t.Fatal("out-of-plan span accepted")
-		}
+	for _, tc := range []struct {
+		name string
+		mut  func(*SpanSubmit)
+	}{
+		{"outcome count mismatch", func(s *SpanSubmit) { s.Outcomes = s.Outcomes[:n-1] }},
+		{"span outside plan", func(s *SpanSubmit) {
+			s.Span = Span{Lo: 0, Hi: co.Total() + 1}
+			s.Outcomes = make([]lockstep.Outcome, co.Total()+1)
+		}},
+		{"empty span", func(s *SpanSubmit) { s.Span.Hi = s.Span.Lo; s.Outcomes = nil }},
+		{"detect cycle before injection", func(s *SpanSubmit) {
+			s.Outcomes = outcomes(lockstep.Outcome{Detected: true, DetectCycle: first.Cycle - 1, DSR: 1})
+		}},
+		{"detect cycle at horizon", func(s *SpanSubmit) {
+			s.Outcomes = outcomes(lockstep.Outcome{Detected: true, DetectCycle: cfg.RunCycles, DSR: 1})
+		}},
+		{"undetected with DSR", func(s *SpanSubmit) { s.Outcomes = outcomes(lockstep.Outcome{DSR: 1}) }},
+		{"undetected with detect cycle", func(s *SpanSubmit) {
+			s.Outcomes = outcomes(lockstep.Outcome{DetectCycle: first.Cycle})
+		}},
+		{"negative pruned", func(s *SpanSubmit) { s.Pruned = -1 }},
+		{"oracle checked beyond span", func(s *SpanSubmit) { s.OracleChecked = n + 1 }},
+		{"negative busy time", func(s *SpanSubmit) { s.BusyUS = -1 }},
+		{"long worker name", func(s *SpanSubmit) { s.Worker = long }},
+		{"long digest", func(s *SpanSubmit) { s.Digest = long }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var me *MessageError
+			if _, err := co.Commit(submit(tc.mut)); !errors.As(err, &me) {
+				t.Fatalf("got %v, want *MessageError", err)
+			}
+		})
+	}
+
+	// The bounds admit the extremes a real outcome can take: a detection
+	// at the injection cycle or on the horizon's last cycle.
+	ok := submit(func(s *SpanSubmit) {
+		s.Outcomes = outcomes(lockstep.Outcome{Detected: true, DetectCycle: first.Cycle, DSR: 1})
+		s.Outcomes[n-1] = lockstep.Outcome{Detected: true, DetectCycle: cfg.RunCycles - 1, DSR: 1}
 	})
+	if _, err := co.Commit(ok); err != nil {
+		t.Fatalf("in-bounds commit refused: %v", err)
+	}
 }
 
 // TestCoordinatorResume kills a distributed campaign mid-merge (cancel)
@@ -386,12 +443,12 @@ func TestCoordinatorResume(t *testing.T) {
 		if err != nil || reply.Status != LeaseGranted {
 			t.Fatalf("acquire: %v (status %v)", err, reply.Status)
 		}
-		records, _, err := runner.Run(reply.Span)
+		outcomes, _, err := runner.Run(reply.Span)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := co.Commit(&SpanSubmit{
-			Worker: "a", Digest: co.Digest(), LeaseID: reply.LeaseID, Span: reply.Span, Records: records,
+			Worker: "a", Digest: co.Digest(), LeaseID: reply.LeaseID, Span: reply.Span, Outcomes: outcomes,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +493,8 @@ func stripCheckpoint(cfg Config) Config {
 }
 
 // TestSpanRunnerMatchesRun re-derives a run's records span by span
-// through the worker-side path and compares every record.
+// through the worker-side path, rendered the way Coordinator.Commit
+// renders them, and compares every record.
 func TestSpanRunnerMatchesRun(t *testing.T) {
 	cfg := smallConfig()
 	want, err := Run(cfg)
@@ -456,11 +514,13 @@ func TestSpanRunnerMatchesRun(t *testing.T) {
 		if hi > r.Total() {
 			hi = r.Total()
 		}
-		records, _, err := r.Run(Span{Lo: lo, Hi: hi})
+		outcomes, _, err := r.Run(Span{Lo: lo, Hi: hi})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, records...)
+		for i, out := range outcomes {
+			got = append(got, recordFor(r.en.plan[lo+i], out, r.en.cfg.Mode))
+		}
 	}
 	if !reflect.DeepEqual(got, want.Records) {
 		t.Fatal("span-runner records differ from inject.Run")

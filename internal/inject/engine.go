@@ -15,11 +15,11 @@ import (
 )
 
 // engine is the one campaign executor behind both RunStats and
-// SpanRunner.Run. Every record depends only on its plan entry and the
+// SpanRunner.Run. Every outcome depends only on its plan entry and the
 // kernel's golden run, so a local campaign and a distributed span are the
 // same computation over different sets of plan indices: the engine owns
 // the normalized config, the plan, the goldens and the per-worker replay
-// scratch, and resolve computes the records of any index set.
+// scratch, and resolve computes the outcomes of any index set.
 type engine struct {
 	cfg      Config
 	plan     []Experiment
@@ -68,14 +68,17 @@ type resolveStats struct {
 	golden, prune, simulate time.Duration
 }
 
-// resolve computes the record of every plan index in idxs (ascending and
+// resolve computes the outcome of every plan index in idxs (ascending and
 // distinct; the slice is reused as scratch) and hands each to put exactly
 // once: serially during the prune pass, then concurrently from the worker
-// pool. It stops dispatching early when Config.Cancel fires before the
-// last index is claimed (returning ErrCanceled) or when the pruning oracle
-// catches a wrong prediction (returning the mismatch); either way every
-// index handed to put is final and the rest are never handed over.
-func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (resolveStats, error) {
+// pool. RunStats renders each outcome into its row through recordFor as
+// it arrives; SpanRunner.Run returns them, and Coordinator.Commit renders
+// them the same way. It stops dispatching early when Config.Cancel fires
+// before the last index is claimed (returning ErrCanceled) or when the
+// pruning oracle catches a wrong prediction (returning the mismatch);
+// either way every index handed to put is final and the rest are never
+// handed over.
+func (en *engine) resolve(idxs []int, put func(idx int, out lockstep.Outcome)) (resolveStats, error) {
 	var st resolveStats
 	start := time.Now()
 	if err := en.buildGoldens(idxs); err != nil {
@@ -93,8 +96,8 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 	// hard-fails on any prediction mismatch. A NoPrune campaign simulates
 	// every site with the skip off too, so comparing it to a pruned one
 	// involves no liveness reasoning at all. The pass is serial and derived
-	// only from plan + goldens, so records stay byte-identical across
-	// worker counts, resumes, spans and pruning on/off.
+	// only from plan + goldens, so outcomes stay identical across worker
+	// counts, resumes, spans and pruning on/off.
 	var oracle map[int]lockstep.Outcome
 	if !en.cfg.NoPrune {
 		oracle = make(map[int]lockstep.Outcome)
@@ -109,7 +112,7 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 				st.OracleChecked++
 			default:
 				en.tel.record(e, out)
-				put(idx, recordFor(e, out, en.cfg.Mode))
+				put(idx, out)
 				st.Pruned++
 				continue
 			}
@@ -170,7 +173,7 @@ func (en *engine) resolve(idxs []int, put func(idx int, rec dataset.Record)) (re
 					})
 				}
 				en.tel.record(e, out)
-				put(idx, recordFor(e, out, en.cfg.Mode))
+				put(idx, out)
 				simulated.Add(1)
 			}
 		}()
@@ -234,9 +237,9 @@ func (e Experiment) injection() lockstep.Injection {
 	return lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}
 }
 
-// recordFor renders one experiment's outcome as its dataset row; the
-// statically-pruned path and the simulating workers must produce rows
-// through the same function so pruning can never skew the dataset format.
+// recordFor renders one experiment's outcome as its dataset row. It is
+// the only code that does: RunStats and Coordinator.Commit both render
+// through it, so neither pruning nor distribution can skew a column.
 func recordFor(e Experiment, out lockstep.Outcome, mode lockstep.Mode) dataset.Record {
 	return dataset.Record{
 		Kernel:      e.Kernel,
@@ -269,9 +272,8 @@ func oracleSampled(seed int64, e Experiment) bool {
 }
 
 // worker runs experiments under the campaign's fault-containment policy:
-// panic isolation with bounded retry, plus the optional per-experiment
-// watchdog budget. One worker is owned by at most one executor goroutine
-// at a time.
+// panic isolation with bounded retry. One worker is owned by at most one
+// executor goroutine at a time.
 type worker struct {
 	en  *engine
 	rep *lockstep.Replayer // replay scratch; nil until first use or after poisoning
@@ -280,64 +282,27 @@ type worker struct {
 // run executes one experiment, with the stuck-at skip off when noSkip is
 // set, and never panics: a panicking experiment is re-attempted up to
 // cfg.Retries times on a fresh replay scratch (the old one may be
-// mid-experiment) and then recorded as Failed; a watchdog-budget overrun
-// is recorded as Failed immediately, since the budget is already spent.
+// mid-experiment) and then recorded as Failed.
 func (w *worker) run(e Experiment, noSkip bool) lockstep.Outcome {
+	cfg := &w.en.cfg
+	g := w.en.goldens[e.Kernel]
 	for attempt := 0; ; attempt++ {
-		out, panicked, timedOut := w.attempt(e, noSkip)
-		switch {
-		case timedOut:
-			w.rep = nil
-			return lockstep.Outcome{Failed: true}
-		case panicked:
-			w.rep = nil
-			if attempt < w.en.cfg.Retries {
-				continue
-			}
-			return lockstep.Outcome{Failed: true}
-		default:
+		if w.rep == nil && !cfg.Legacy {
+			w.rep = lockstep.NewReplayer()
+		}
+		out, panicked := w.once(e, g, noSkip)
+		if !panicked {
 			return out
+		}
+		w.rep = nil
+		if attempt >= cfg.Retries {
+			return lockstep.Outcome{Failed: true}
 		}
 	}
 }
 
-// attempt performs one try, enforcing the watchdog budget if configured.
-// On a timeout the experiment goroutine is abandoned together with its
-// replay scratch: it holds no locks, reads only the immutable golden, and
-// its result is discarded, so the worker can move on safely.
-func (w *worker) attempt(e Experiment, noSkip bool) (out lockstep.Outcome, panicked, timedOut bool) {
-	cfg := &w.en.cfg
-	if w.rep == nil && !cfg.Legacy {
-		w.rep = lockstep.NewReplayer()
-	}
-	rep, g := w.rep, w.en.goldens[e.Kernel]
-	if cfg.ExperimentBudget <= 0 {
-		out, panicked = w.once(e, g, rep, noSkip)
-		return out, panicked, false
-	}
-	type result struct {
-		out      lockstep.Outcome
-		panicked bool
-	}
-	ch := make(chan result, 1)
-	go func() {
-		o, p := w.once(e, g, rep, noSkip)
-		ch <- result{o, p}
-	}()
-	timer := time.NewTimer(cfg.ExperimentBudget)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.out, r.panicked, false
-	case <-timer.C:
-		return lockstep.Outcome{}, false, true
-	}
-}
-
-// once is a single contained attempt. It touches no worker state besides
-// the engine's immutable config, so an abandoned (timed-out) invocation
-// cannot race with the worker's next attempt.
-func (w *worker) once(e Experiment, g *lockstep.Golden, rep *lockstep.Replayer, noSkip bool) (out lockstep.Outcome, panicked bool) {
+// once is a single contained attempt.
+func (w *worker) once(e Experiment, g *lockstep.Golden, noSkip bool) (out lockstep.Outcome, panicked bool) {
 	defer func() {
 		if recover() != nil {
 			panicked = true
@@ -348,9 +313,9 @@ func (w *worker) once(e Experiment, g *lockstep.Golden, rep *lockstep.Replayer, 
 	case cfg.Legacy:
 		out = g.InjectLegacyMode(e.injection(), cfg.Mode, w.en.window)
 	case noSkip:
-		out = rep.InjectModeNoSkip(g, e.injection(), cfg.Mode, w.en.window)
+		out = w.rep.InjectModeNoSkip(g, e.injection(), cfg.Mode, w.en.window)
 	default:
-		out = rep.InjectMode(g, e.injection(), cfg.Mode, w.en.window)
+		out = w.rep.InjectMode(g, e.injection(), cfg.Mode, w.en.window)
 	}
 	if cfg.testHook != nil {
 		cfg.testHook(e, &out)

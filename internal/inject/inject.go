@@ -22,9 +22,8 @@
 // remaining plan indices — the final dataset is byte-identical to an
 // uninterrupted run (see checkpoint.go). Workers contain faults in the
 // harness itself: a panicking experiment is retried on fresh scratch and
-// then recorded as a Failed row, and an optional per-experiment watchdog
-// budget bounds a stuck experiment, so one poisoned experiment cannot
-// kill a multi-week campaign.
+// then recorded as a Failed row, so one poisoned experiment cannot kill a
+// multi-week campaign.
 package inject
 
 import (
@@ -161,19 +160,11 @@ type Config struct {
 	// disables retries. Panics never escape a worker: a poisoned
 	// experiment costs one dataset row, not the campaign.
 	Retries int
-	// ExperimentBudget is the per-experiment watchdog: an experiment still
-	// running after this wall-clock budget (derive it from the cycle
-	// horizon — e.g. RunCycles at a conservative simulated-cycles-per-
-	// second floor) is abandoned and recorded as Failed. 0 disables the
-	// watchdog, which is the default: a budget trades the campaign's
-	// bit-determinism on overloaded machines for guaranteed liveness, so
-	// it is opt-in.
-	ExperimentBudget time.Duration
 
 	// testHook, when set, runs at the end of every simulated experiment
 	// attempt and may rewrite its outcome. It exists so tests can inject
-	// panics, stalls and wrong outcomes into the worker pool to exercise
-	// the containment layer and the pruning oracle.
+	// panics and wrong outcomes into the worker pool to exercise the
+	// containment layer and the pruning oracle.
 	testHook func(Experiment, *lockstep.Outcome)
 }
 
@@ -398,8 +389,8 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		prog   int
 		progMu sync.Mutex
 	)
-	rs, runErr := en.resolve(pending, func(idx int, rec dataset.Record) {
-		records[idx] = rec
+	rs, runErr := en.resolve(pending, func(idx int, out lockstep.Outcome) {
+		records[idx] = recordFor(en.plan[idx], out, cfg.Mode)
 		if ckp != nil {
 			done[idx].Store(true)
 			ckp.completed()

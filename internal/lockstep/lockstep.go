@@ -104,15 +104,15 @@ type Injection struct {
 
 // Outcome is the result of one injection experiment.
 type Outcome struct {
-	Detected    bool   // checker observed a divergence
-	DetectCycle int    // absolute cycle of detection (if Detected)
-	DSR         uint64 // diverged SC map latched at detection (if Detected)
-	Converged   bool   // soft fault fully masked: redundant state re-joined golden
-	// Failed marks an experiment the campaign harness aborted (panic after
-	// the retry budget, or a watchdog-budget overrun). The simulation paths
-	// never set it; internal/inject records it so one poisoned experiment
-	// is logged instead of killing a multi-week campaign.
-	Failed bool
+	Detected    bool   `json:"detected,omitempty"`     // checker observed a divergence
+	DetectCycle int    `json:"detect_cycle,omitempty"` // absolute cycle of detection (if Detected)
+	DSR         uint64 `json:"dsr,omitempty"`          // diverged SC map latched at detection (if Detected)
+	Converged   bool   `json:"converged,omitempty"`    // soft fault fully masked: redundant state re-joined golden
+	// Failed marks an experiment the campaign harness aborted: it still
+	// panicked after the retry budget. The simulation paths never set it;
+	// internal/inject records it so one poisoned experiment is logged
+	// instead of killing a multi-week campaign.
+	Failed bool `json:"failed,omitempty"`
 }
 
 // ManifestationCycles is the paper's error detection/manifestation time:

@@ -113,14 +113,9 @@ func faultKinds(names []string) ([]lockstep.FaultKind, error) {
 // the same normalization the campaign itself will). It is the fuzz
 // surface of FuzzCampaignRequest.
 func parseCampaignRequest(data []byte, maxWorkers int) (campaignRequest, inject.Config, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var req campaignRequest
-	if err := dec.Decode(&req); err != nil {
-		return req, inject.Config{}, errf(http.StatusBadRequest, "bad_request", "decoding request: %v", err)
-	}
-	if dec.More() {
-		return req, inject.Config{}, errf(http.StatusBadRequest, "bad_request", "trailing data after request object")
+	if err := decodeJSON(data, &req); err != nil {
+		return req, inject.Config{}, err
 	}
 	kinds, err := faultKinds(req.Kinds)
 	if err != nil {
@@ -679,9 +674,9 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) er
 	if err != nil {
 		return err
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCampaignBody))
+	body, err := readBody(w, r, maxCampaignBody)
 	if err != nil {
-		return errf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		return err
 	}
 	req, cfg, err := parseCampaignRequest(body, m.maxWorkers)
 	if err != nil {

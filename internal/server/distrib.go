@@ -1,15 +1,20 @@
 // Distributed-campaign endpoints: span leases out, completed spans in.
 //
-// Two POST routes per campaign carry the whole protocol, with bodies in
-// the versioned inject wire codec (application/octet-stream):
+// Two POST routes per campaign carry the whole protocol, with JSON
+// bodies decoded like every other lockstep-serve request (size-capped,
+// unknown fields and trailing data refused, errors in the structured
+// envelope):
 //
 //	POST /v1/campaigns/{id}/leases — LeaseRequest in, LeaseReply out
 //	POST /v1/campaigns/{id}/spans  — SpanSubmit in, SpanReply out
 //
-// {id} is the campaign's schedule-fingerprint digest, and every message
-// carries the digest again in its body: a worker joined to the wrong
-// campaign (or built against a different trace version) is refused with
-// 409 fingerprint_mismatch before it can touch the dataset. The same two
+// A span submission carries each experiment's lockstep.Outcome, not a
+// dataset row: the coordinator renders the rows from its own plan, so
+// every column but the outcome comes from the coordinator. {id} is the
+// campaign's schedule-fingerprint digest, and every message carries the
+// digest again in its body: a worker joined to the wrong campaign (or
+// built against a different trace version) is refused with 409
+// fingerprint_mismatch before it can touch the dataset. The same two
 // routes are served by any lockstep-serve running a distribute:true
 // campaign job, and by the standalone Distributor that backs
 // `lockstep-inject -distribute` — workers cannot tell the difference.
@@ -17,7 +22,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -25,66 +29,41 @@ import (
 )
 
 // Body limits for the distributed-campaign endpoints. A span submission
-// carries up to maxLeaseSpan records at ~30 encoded bytes each; 16 MiB
-// leaves generous headroom without letting a client stream arbitrarily.
+// carries up to inject.MaxLeaseSpan outcomes at no more than ~100 bytes
+// of JSON each (TestWorstCaseSpanFitsBody), so 16 MiB holds the largest
+// one without letting a client stream arbitrarily.
 const (
 	maxLeaseBody = 4 << 10
 	maxSpanBody  = 16 << 20
 )
 
-// readWireBody reads a size-capped binary request body.
-func readWireBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
-	}
-	return body, nil
-}
-
-// writeWire renders a wire-encoded reply.
-func writeWire(w http.ResponseWriter, data []byte) error {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, err := w.Write(data)
-	return err
-}
-
 // serveLease runs one lease request against a live coordinator.
 func serveLease(co *inject.Coordinator, w http.ResponseWriter, r *http.Request) error {
-	body, err := readWireBody(w, r, maxLeaseBody)
-	if err != nil {
+	var req inject.LeaseRequest
+	if err := readJSON(w, r, maxLeaseBody, &req); err != nil {
 		return err
-	}
-	req, err := inject.DecodeLeaseRequest(body)
-	if err != nil {
-		return injectAPIError(err)
 	}
 	reply, err := co.Acquire(req.Worker, req.Digest, req.Want)
 	if err != nil {
 		return injectAPIError(err)
 	}
-	data, err := reply.Encode()
-	if err != nil {
-		return err
-	}
-	return writeWire(w, data)
+	writeJSON(w, http.StatusOK, reply)
+	return nil
 }
 
 // serveSpan runs one span submission against a live coordinator and
 // reports the campaign-wide merged count after it.
 func serveSpan(co *inject.Coordinator, w http.ResponseWriter, r *http.Request) (int, error) {
-	body, err := readWireBody(w, r, maxSpanBody)
-	if err != nil {
+	var sub inject.SpanSubmit
+	if err := readJSON(w, r, maxSpanBody, &sub); err != nil {
 		return 0, err
 	}
-	sub, err := inject.DecodeSpanSubmit(body)
+	reply, err := co.Commit(&sub)
 	if err != nil {
 		return 0, injectAPIError(err)
 	}
-	reply, err := co.Commit(sub)
-	if err != nil {
-		return 0, injectAPIError(err)
-	}
-	return reply.Done, writeWire(w, reply.Encode())
+	writeJSON(w, http.StatusOK, reply)
+	return reply.Done, nil
 }
 
 // handleCampaignLease serves POST /v1/campaigns/{id}/leases.
@@ -100,13 +79,9 @@ func (s *Server) handleCampaignLease(w http.ResponseWriter, r *http.Request) err
 	// distributed at all. Authenticate the request digest against the
 	// job ID (they are the same fingerprint digest) and answer with a
 	// terminal or wait reply so late and early workers behave sanely.
-	body, err := readWireBody(w, r, maxLeaseBody)
-	if err != nil {
+	var req inject.LeaseRequest
+	if err := readJSON(w, r, maxLeaseBody, &req); err != nil {
 		return err
-	}
-	req, err := inject.DecodeLeaseRequest(body)
-	if err != nil {
-		return injectAPIError(err)
 	}
 	if req.Digest != j.ID {
 		return injectAPIError(&inject.StaleFingerprintError{Got: req.Digest, Want: j.ID})
@@ -129,11 +104,8 @@ func (s *Server) handleCampaignLease(w http.ResponseWriter, r *http.Request) err
 		return &apiError{Status: http.StatusConflict, Code: "not_distributed",
 			Message: fmt.Sprintf("campaign %s is %s and not serving leases (submit it with distribute:true)", j.ID, st.State)}
 	}
-	data, err := reply.Encode()
-	if err != nil {
-		return err
-	}
-	return writeWire(w, data)
+	writeJSON(w, http.StatusOK, reply)
+	return nil
 }
 
 // handleCampaignSpan serves POST /v1/campaigns/{id}/spans.
@@ -149,13 +121,9 @@ func (s *Server) handleCampaignSpan(w http.ResponseWriter, r *http.Request) erro
 		}
 		return err
 	}
-	body, err := readWireBody(w, r, maxSpanBody)
-	if err != nil {
+	var sub inject.SpanSubmit
+	if err := readJSON(w, r, maxSpanBody, &sub); err != nil {
 		return err
-	}
-	sub, err := inject.DecodeSpanSubmit(body)
-	if err != nil {
-		return injectAPIError(err)
 	}
 	if sub.Digest != j.ID {
 		return injectAPIError(&inject.StaleFingerprintError{Got: sub.Digest, Want: j.ID})
@@ -163,14 +131,14 @@ func (s *Server) handleCampaignSpan(w http.ResponseWriter, r *http.Request) erro
 	if j.status().State == stateDone {
 		// The campaign finished without this span: it was re-issued and
 		// merged from another worker. Ack as the duplicate it is.
-		reply := &inject.SpanReply{Duplicate: true, Done: j.Total, Total: j.Total}
-		return writeWire(w, reply.Encode())
+		writeJSON(w, http.StatusOK, &inject.SpanReply{Duplicate: true, Done: j.Total, Total: j.Total})
+		return nil
 	}
 	return &apiError{Status: http.StatusConflict, Code: "not_distributed",
 		Message: fmt.Sprintf("campaign %s has no live coordinator to accept spans", j.ID)}
 }
 
-// Distributor serves the distributed-campaign wire endpoints for exactly
+// Distributor serves the distributed-campaign endpoints for exactly
 // one coordinator — the `lockstep-inject -distribute` topology, where a
 // campaign CLI is the coordinator and no full lockstep-serve exists. The
 // routes match lockstep-serve's byte for byte, so `lockstep-inject

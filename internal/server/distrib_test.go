@@ -3,21 +3,63 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"lockstep/internal/dataset"
 	"lockstep/internal/inject"
+	"lockstep/internal/lockstep"
 	"lockstep/internal/telemetry"
 )
 
 // distCampaignJSON submits trainingCampaign as a distributed job.
 const distCampaignJSON = `{"kernels":["ttsprk"],"run_cycles":3000,"flop_stride":24,"seed":9,"distribute":true,"lease_size":32}`
+
+// postMsg POSTs msg to path on h — JSON-encoded, or verbatim when it is
+// a string — and returns the status and the raw response body.
+func postMsg(t *testing.T, h http.Handler, path string, msg any) (int, []byte) {
+	t.Helper()
+	body, ok := msg.(string)
+	if !ok {
+		data, err := json.Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = string(data)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// decodeReply decodes a 200 reply body into out, failing on any other
+// status.
+func decodeReply(t *testing.T, code int, body []byte, out any) {
+	t.Helper()
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		t.Fatalf("reply %q: %v", body, err)
+	}
+}
+
+// envelopeOf decodes an error response body into its envelope.
+func envelopeOf(t *testing.T, body []byte) map[string]any {
+	t.Helper()
+	var out map[string]any
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("error body %q is not JSON: %v", body, err)
+	}
+	return apiErrOf(t, out)
+}
 
 // startWorkers joins n in-process workers to url, time-sliced through a
 // shared gate (the test host may have one core), and fails the test on
@@ -44,54 +86,67 @@ func startWorkers(t *testing.T, url string, n int) *sync.WaitGroup {
 	return &wg
 }
 
-// TestDistributedCampaignMatchesDirect is the tentpole's server-side
-// contract: a distribute:true campaign served to two worker nodes over
-// real HTTP produces a dataset byte-identical to a direct inject.Run.
+// TestDistributedCampaignMatchesDirect is the server-side contract of a
+// distributed campaign: a distribute:true job served to two worker nodes
+// over real HTTP produces a dataset byte-identical to a direct
+// inject.Run, in every lockstep mode — the mode column included.
 func TestDistributedCampaignMatchesDirect(t *testing.T) {
-	_, wantCSV, _ := testFixture(t)
-	s := newTestServer(t, nil)
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
+	for _, m := range []string{"dcls", "tmr", "slip:16"} {
+		t.Run(m, func(t *testing.T) {
+			mode, err := lockstep.ParseMode(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := trainingCampaign()
+			cfg.Mode = mode
+			want, err := inject.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantCSV bytes.Buffer
+			if err := want.WriteCSV(&wantCSV); err != nil {
+				t.Fatal(err)
+			}
 
-	code, body := do(t, s, "POST", "/v1/campaigns", distCampaignJSON)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: status %d %v", code, body)
-	}
-	id := body["id"].(string)
+			s := newTestServer(t, nil)
+			ts := httptest.NewServer(s)
+			t.Cleanup(ts.Close)
 
-	startWorkers(t, ts.URL+"/v1/campaigns/"+id, 2).Wait()
-	waitJob(t, s, id, stateDone)
+			code, body := do(t, s, "POST", "/v1/campaigns", strings.TrimSuffix(distCampaignJSON, "}")+fmt.Sprintf(`,"mode":%q}`, m))
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: status %d %v", code, body)
+			}
+			id := body["id"].(string)
 
-	code, dsBody := do(t, s, "GET", "/v1/campaigns/"+id+"/dataset", "")
-	if code != http.StatusOK {
-		t.Fatalf("dataset: status %d", code)
-	}
-	if got := dsBody["raw"].(string); !bytes.Equal([]byte(got), wantCSV) {
-		t.Fatalf("distributed dataset differs from direct inject.Run (%d vs %d bytes)", len(got), len(wantCSV))
-	}
+			startWorkers(t, ts.URL+"/v1/campaigns/"+id, 2).Wait()
+			waitJob(t, s, id, stateDone)
 
-	// A straggler's span submission after completion is acked as a
-	// duplicate, not an error — the worker can exit clean.
-	sub := &inject.SpanSubmit{Worker: "late", Digest: id, LeaseID: 99,
-		Span: inject.Span{Lo: 0, Hi: 2}, Records: make([]dataset.Record, 2)}
-	code, ack := do(t, s, "POST", "/v1/campaigns/"+id+"/spans", string(sub.Encode()))
-	if code != http.StatusOK {
-		t.Fatalf("late span: status %d %v", code, ack)
-	}
-	reply, err := inject.DecodeSpanReply([]byte(ack["raw"].(string)))
-	if err != nil || !reply.Duplicate {
-		t.Fatalf("late span ack: %+v, %v; want duplicate", reply, err)
-	}
+			code, dsBody := do(t, s, "GET", "/v1/campaigns/"+id+"/dataset", "")
+			if code != http.StatusOK {
+				t.Fatalf("dataset: status %d", code)
+			}
+			if got := dsBody["raw"].(string); got != wantCSV.String() {
+				t.Fatalf("distributed dataset differs from direct inject.Run (%d vs %d bytes)", len(got), wantCSV.Len())
+			}
 
-	// And a late lease request gets a clean LeaseDone.
-	lr := &inject.LeaseRequest{Worker: "late", Digest: id}
-	code, lease := do(t, s, "POST", "/v1/campaigns/"+id+"/leases", string(lr.Encode()))
-	if code != http.StatusOK {
-		t.Fatalf("late lease: status %d %v", code, lease)
-	}
-	lreply, err := inject.DecodeLeaseReply([]byte(lease["raw"].(string)))
-	if err != nil || lreply.Status != inject.LeaseDone {
-		t.Fatalf("late lease reply: %+v, %v; want LeaseDone", lreply, err)
+			// A straggler's span submission after completion is acked as a
+			// duplicate, not an error — the worker can exit clean.
+			var ack inject.SpanReply
+			code, raw := postMsg(t, s, "/v1/campaigns/"+id+"/spans", &inject.SpanSubmit{Worker: "late", Digest: id, LeaseID: 99,
+				Span: inject.Span{Lo: 0, Hi: 2}, Outcomes: make([]lockstep.Outcome, 2)})
+			decodeReply(t, code, raw, &ack)
+			if !ack.Duplicate {
+				t.Fatalf("late span ack: %+v; want duplicate", ack)
+			}
+
+			// And a late lease request gets a clean LeaseDone.
+			var lease inject.LeaseReply
+			code, raw = postMsg(t, s, "/v1/campaigns/"+id+"/leases", &inject.LeaseRequest{Worker: "late", Digest: id})
+			decodeReply(t, code, raw, &lease)
+			if lease.Status != inject.LeaseDone {
+				t.Fatalf("late lease reply: %+v; want LeaseDone", lease)
+			}
+		})
 	}
 }
 
@@ -108,8 +163,8 @@ func TestDistributorMatchesDirect(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// The wrong campaign digest in the URL is a structured 404.
-	resp, err := http.Post(ts.URL+"/v1/campaigns/bogus/leases", "application/octet-stream",
-		bytes.NewReader((&inject.LeaseRequest{Worker: "w", Digest: "bogus"}).Encode()))
+	resp, err := http.Post(ts.URL+"/v1/campaigns/bogus/leases", "application/json",
+		strings.NewReader(`{"worker":"w","digest":"bogus"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +191,9 @@ func TestDistributorMatchesDirect(t *testing.T) {
 }
 
 // TestDistributedEndpointErrors pins the structured error envelope on
-// the lease and span paths: stable codes, right statuses.
+// the lease and span paths: stable codes, right statuses. A body that
+// does not decode, and a submission no campaign state could accept, is a
+// 400 bad_request — never a 5xx, which a worker would retry.
 func TestDistributedEndpointErrors(t *testing.T) {
 	s := newTestServer(t, func(o *Options) {
 		o.LeaseTTL = time.Millisecond // expire leases nearly instantly
@@ -146,21 +203,14 @@ func TestDistributedEndpointErrors(t *testing.T) {
 		t.Fatalf("submit: status %d %v", code, body)
 	}
 	id := body["id"].(string)
+	leases, spans := "/v1/campaigns/"+id+"/leases", "/v1/campaigns/"+id+"/spans"
 
 	// Acquire a lease directly (waiting out the coordinator's startup).
-	var granted *inject.LeaseReply
+	var granted inject.LeaseReply
 	for deadline := time.Now().Add(30 * time.Second); ; {
-		lr := &inject.LeaseRequest{Worker: "w", Digest: id}
-		code, body := do(t, s, "POST", "/v1/campaigns/"+id+"/leases", string(lr.Encode()))
-		if code != http.StatusOK {
-			t.Fatalf("lease: status %d %v", code, body)
-		}
-		reply, err := inject.DecodeLeaseReply([]byte(body["raw"].(string)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply.Status == inject.LeaseGranted {
-			granted = reply
+		code, raw := postMsg(t, s, leases, &inject.LeaseRequest{Worker: "w", Digest: id})
+		decodeReply(t, code, raw, &granted)
+		if granted.Status == inject.LeaseGranted {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -168,54 +218,81 @@ func TestDistributedEndpointErrors(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	total := granted.Total
 
 	// Let the 1ms TTL lapse, then have another worker trigger the expiry
 	// sweep and take over the span.
 	time.Sleep(20 * time.Millisecond)
-	lr := &inject.LeaseRequest{Worker: "thief", Digest: id}
-	code, body = do(t, s, "POST", "/v1/campaigns/"+id+"/leases", string(lr.Encode()))
+	code, raw := postMsg(t, s, leases, &inject.LeaseRequest{Worker: "thief", Digest: id})
 	if code != http.StatusOK {
-		t.Fatalf("second lease: status %d %v", code, body)
+		t.Fatalf("second lease: status %d %s", code, raw)
 	}
 
 	// The original worker's commit now lands on an expired, re-issued
 	// lease over an uncovered span: 409 lease_expired.
-	sub := &inject.SpanSubmit{Worker: "w", Digest: id, LeaseID: granted.LeaseID, Span: granted.Span,
-		Records: make([]dataset.Record, granted.Span.Hi-granted.Span.Lo)}
-	code, body = do(t, s, "POST", "/v1/campaigns/"+id+"/spans", string(sub.Encode()))
-	if code != http.StatusConflict || apiErrOf(t, body)["code"] != "lease_expired" {
-		t.Fatalf("expired commit: %d %v, want 409 lease_expired", code, body)
+	n := granted.Span.Hi - granted.Span.Lo
+	code, raw = postMsg(t, s, spans, &inject.SpanSubmit{Worker: "w", Digest: id, LeaseID: granted.LeaseID, Span: granted.Span,
+		Outcomes: make([]lockstep.Outcome, n)})
+	if code != http.StatusConflict || envelopeOf(t, raw)["code"] != "lease_expired" {
+		t.Fatalf("expired commit: %d %s, want 409 lease_expired", code, raw)
 	}
 
+	// span returns a submission over the granted span with mut applied.
+	span := func(mut func(*inject.SpanSubmit)) *inject.SpanSubmit {
+		sub := &inject.SpanSubmit{Worker: "w", Digest: id, LeaseID: granted.LeaseID, Span: granted.Span,
+			Outcomes: make([]lockstep.Outcome, n)}
+		mut(sub)
+		return sub
+	}
+	long := strings.Repeat("w", 257)
 	cases := []struct {
 		name       string
 		path       string
-		payload    string
+		payload    any
 		status     int
 		errCode    string
 		checkField string
 	}{
-		{"lease wrong digest", "/v1/campaigns/" + id + "/leases",
-			string((&inject.LeaseRequest{Worker: "w", Digest: "0123456789abcdef"}).Encode()),
+		{"lease wrong digest", leases, &inject.LeaseRequest{Worker: "w", Digest: "0123456789abcdef"},
 			http.StatusConflict, "fingerprint_mismatch", "digest"},
-		{"span wrong digest", "/v1/campaigns/" + id + "/spans",
-			string((&inject.SpanSubmit{Worker: "w", Digest: "0123456789abcdef", LeaseID: 1,
-				Span: inject.Span{Lo: 0, Hi: 1}, Records: make([]dataset.Record, 1)}).Encode()),
+		{"span wrong digest", spans, span(func(s *inject.SpanSubmit) { s.Digest = "0123456789abcdef" }),
 			http.StatusConflict, "fingerprint_mismatch", "digest"},
-		{"lease garbage body", "/v1/campaigns/" + id + "/leases", "not a wire message",
+		{"lease garbage body", leases, "not a lease request", http.StatusBadRequest, "bad_request", ""},
+		{"span garbage body", spans, "not a span submission", http.StatusBadRequest, "bad_request", ""},
+		{"lease unknown field", leases, `{"worker":"w","digest":"` + id + `","records":[]}`,
 			http.StatusBadRequest, "bad_request", ""},
-		{"span garbage body", "/v1/campaigns/" + id + "/spans", "not a wire message",
+		{"lease trailing data", leases, `{"worker":"w","digest":"` + id + `"} {}`,
 			http.StatusBadRequest, "bad_request", ""},
+		{"lease trailing brace", leases, `{"worker":"w","digest":"` + id + `"}}`,
+			http.StatusBadRequest, "bad_request", ""},
+		{"lease long worker name", leases, &inject.LeaseRequest{Worker: long, Digest: id},
+			http.StatusBadRequest, "bad_request", ""},
+		{"lease body too large", leases, `{"worker":"` + strings.Repeat("w", maxLeaseBody) + `"}`,
+			http.StatusBadRequest, "bad_request", ""},
+		{"span outside plan", spans, span(func(s *inject.SpanSubmit) {
+			s.Span = inject.Span{Lo: 0, Hi: total + 1}
+			s.Outcomes = make([]lockstep.Outcome, total+1)
+		}), http.StatusBadRequest, "bad_request", ""},
+		{"span outcome count mismatch", spans, span(func(s *inject.SpanSubmit) { s.Outcomes = s.Outcomes[1:] }),
+			http.StatusBadRequest, "bad_request", ""},
+		{"span detect cycle at horizon", spans, span(func(s *inject.SpanSubmit) {
+			s.Outcomes[0] = lockstep.Outcome{Detected: true, DetectCycle: 3000, DSR: 1}
+		}), http.StatusBadRequest, "bad_request", ""},
+		{"span undetected with DSR", spans, span(func(s *inject.SpanSubmit) { s.Outcomes[0].DSR = 1 }),
+			http.StatusBadRequest, "bad_request", ""},
+		{"span long worker name", spans, span(func(s *inject.SpanSubmit) { s.Worker = long }),
+			http.StatusBadRequest, "bad_request", ""},
+		{"span binary body", spans, "lkdw\x01\x03", http.StatusBadRequest, "bad_request", ""},
 		{"lease unknown campaign", "/v1/campaigns/ffffffffffffffff/leases",
-			string((&inject.LeaseRequest{Worker: "w", Digest: "ffffffffffffffff"}).Encode()),
+			&inject.LeaseRequest{Worker: "w", Digest: "ffffffffffffffff"},
 			http.StatusNotFound, "unknown_job", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, body := do(t, s, "POST", tc.path, tc.payload)
-			e := apiErrOf(t, body)
+			code, raw := postMsg(t, s, tc.path, tc.payload)
+			e := envelopeOf(t, raw)
 			if code != tc.status || e["code"] != tc.errCode {
-				t.Fatalf("got %d %v, want %d %s", code, body, tc.status, tc.errCode)
+				t.Fatalf("got %d %s, want %d %s", code, raw, tc.status, tc.errCode)
 			}
 			if tc.checkField != "" && e["field"] != tc.checkField {
 				t.Fatalf("error field %v, want %s", e["field"], tc.checkField)
@@ -237,16 +314,14 @@ func TestLeaseOnLocalCampaign(t *testing.T) {
 	}
 	id := body["id"].(string)
 
-	lr := &inject.LeaseRequest{Worker: "w", Digest: id}
-	code, body = do(t, s, "POST", "/v1/campaigns/"+id+"/leases", string(lr.Encode()))
-	if code != http.StatusConflict || apiErrOf(t, body)["code"] != "not_distributed" {
-		t.Fatalf("lease on local campaign: %d %v, want 409 not_distributed", code, body)
+	code, raw := postMsg(t, s, "/v1/campaigns/"+id+"/leases", &inject.LeaseRequest{Worker: "w", Digest: id})
+	if code != http.StatusConflict || envelopeOf(t, raw)["code"] != "not_distributed" {
+		t.Fatalf("lease on local campaign: %d %s, want 409 not_distributed", code, raw)
 	}
-	sub := &inject.SpanSubmit{Worker: "w", Digest: id, LeaseID: 1,
-		Span: inject.Span{Lo: 0, Hi: 1}, Records: make([]dataset.Record, 1)}
-	code, body = do(t, s, "POST", "/v1/campaigns/"+id+"/spans", string(sub.Encode()))
-	if code != http.StatusConflict || apiErrOf(t, body)["code"] != "not_distributed" {
-		t.Fatalf("span on local campaign: %d %v, want 409 not_distributed", code, body)
+	code, raw = postMsg(t, s, "/v1/campaigns/"+id+"/spans", &inject.SpanSubmit{Worker: "w", Digest: id, LeaseID: 1,
+		Span: inject.Span{Lo: 0, Hi: 1}, Outcomes: make([]lockstep.Outcome, 1)})
+	if code != http.StatusConflict || envelopeOf(t, raw)["code"] != "not_distributed" {
+		t.Fatalf("span on local campaign: %d %s, want 409 not_distributed", code, raw)
 	}
 }
 
@@ -334,13 +409,13 @@ func TestDistributedRestartResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		records, st, err := runner.Run(reply.Span)
+		outcomes, st, err := runner.Run(reply.Span)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := spanOnce(ctx, client, url, &inject.SpanSubmit{
 			Worker: "w", Digest: id, LeaseID: reply.LeaseID, Span: reply.Span,
-			Pruned: st.Pruned, OracleChecked: st.OracleChecked, Records: records,
+			Pruned: st.Pruned, OracleChecked: st.OracleChecked, Outcomes: outcomes,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,13 @@
 // Worker-node client for distributed campaigns: the `lockstep-inject
 // -join` loop. RunWorker pulls span leases from a coordinator (a
 // lockstep-serve campaign job or a `lockstep-inject -distribute`
-// Distributor — the wire is identical), reconstructs the campaign from
-// the coordinator's fingerprint, executes each leased span through the
-// same pruned-replay path a local campaign uses, and streams the records
-// back. The worker holds no campaign state worth preserving: killing it
-// at any instant costs at most its outstanding lease, which the
-// coordinator re-issues after the TTL.
+// Distributor — the endpoints are identical), reconstructs the campaign
+// from the coordinator's fingerprint, executes each leased span through
+// the same pruned-replay path a local campaign uses, and sends the
+// outcomes back as JSON; the coordinator renders the dataset rows. The
+// worker holds no campaign state worth preserving: killing it at any
+// instant costs at most its outstanding lease, which the coordinator
+// re-issues after the TTL.
 package server
 
 import (
@@ -44,16 +45,16 @@ type WorkerOptions struct {
 	// Logf, if non-nil, receives one line per lease and per retry.
 	Logf func(format string, args ...any)
 
-	// gate, when non-nil, is held while a span executes. Tests and the
-	// scaling bench use it to time-slice several in-process workers on
-	// one machine so each worker's busy time is single-core-accurate.
+	// gate, when non-nil, is held while a span executes. Tests use it to
+	// time-slice several in-process workers on one machine, so the test
+	// host may have a single core.
 	gate *sync.Mutex
 }
 
 // WorkerStats reports what one RunWorker loop did.
 type WorkerStats struct {
 	Spans       int // spans committed (duplicates included)
-	Experiments int // records produced and accepted
+	Experiments int // outcomes produced and accepted
 	Pruned      int // experiments resolved by static pruning
 	Duplicates  int // spans the coordinator already had
 	Expired     int // spans refused because the lease had been re-issued
@@ -150,7 +151,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 		if opt.gate != nil {
 			opt.gate.Lock()
 		}
-		records, spanStats, err := runner.Run(reply.Span)
+		outcomes, spanStats, err := runner.Run(reply.Span)
 		if opt.gate != nil {
 			opt.gate.Unlock()
 		}
@@ -165,7 +166,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 		ack, err := spanOnce(ctx, client, url, &inject.SpanSubmit{
 			Worker: opt.Name, Digest: digest, LeaseID: reply.LeaseID, Span: reply.Span,
 			BusyUS: busy.Microseconds(), Pruned: spanStats.Pruned, OracleChecked: spanStats.OracleChecked,
-			Records: records,
+			Outcomes: outcomes,
 		})
 		switch {
 		case err == nil:
@@ -173,7 +174,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 			if ack.Duplicate {
 				st.Duplicates++
 			} else {
-				st.Experiments += len(records)
+				st.Experiments += len(outcomes)
 				st.Pruned += spanStats.Pruned
 			}
 			logf("lease %d: committed (%d/%d campaign-wide)", reply.LeaseID, ack.Done, ack.Total)
@@ -185,7 +186,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 			}
 		case errorCode(err) == "lease_expired":
 			// We outlived our lease; the span was re-issued and another
-			// worker's byte-identical records will land. Drop ours.
+			// worker's identical outcomes will land. Drop ours.
 			st.Expired++
 			logf("lease %d: expired before commit; span re-issued elsewhere", reply.LeaseID)
 		default:
@@ -252,22 +253,26 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// postWire POSTs a wire-encoded body and returns the raw reply bytes, or
+// postJSON POSTs msg as JSON and decodes the reply into out, or returns
 // an *apiRejection decoded from the structured error envelope.
-func postWire(ctx context.Context, client *http.Client, url string, body []byte) ([]byte, error) {
+func postJSON(ctx context.Context, client *http.Client, url string, msg, out any) error {
+	body, err := json.Marshal(msg)
+	if err != nil {
+		return err
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSpanBody))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var envelope struct {
@@ -280,23 +285,23 @@ func postWire(ctx context.Context, client *http.Client, url string, body []byte)
 		if json.Unmarshal(data, &envelope) == nil && envelope.Error.Code != "" {
 			rej.Code, rej.Msg = envelope.Error.Code, envelope.Error.Message
 		}
-		return nil, rej
+		return rej
 	}
-	return data, nil
+	return json.Unmarshal(data, out)
 }
 
 func leaseOnce(ctx context.Context, client *http.Client, url string, req *inject.LeaseRequest) (*inject.LeaseReply, error) {
-	data, err := postWire(ctx, client, url+"/leases", req.Encode())
-	if err != nil {
+	reply := &inject.LeaseReply{}
+	if err := postJSON(ctx, client, url+"/leases", req, reply); err != nil {
 		return nil, err
 	}
-	return inject.DecodeLeaseReply(data)
+	return reply, nil
 }
 
 func spanOnce(ctx context.Context, client *http.Client, url string, sub *inject.SpanSubmit) (*inject.SpanReply, error) {
-	data, err := postWire(ctx, client, url+"/spans", sub.Encode())
-	if err != nil {
+	reply := &inject.SpanReply{}
+	if err := postJSON(ctx, client, url+"/spans", sub, reply); err != nil {
 		return nil, err
 	}
-	return inject.DecodeSpanReply(data)
+	return reply, nil
 }

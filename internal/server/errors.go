@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"lockstep/internal/inject"
@@ -49,7 +51,8 @@ func configError(err error) *apiError {
 // injectAPIError maps the typed errors of the distributed-campaign paths
 // onto the structured envelope with stable codes, so every rejection a
 // worker node can hit — wrong campaign, dead lease, conflicting config,
-// malformed message — is machine-distinguishable.
+// malformed message — is machine-distinguishable. Any other error, such
+// as a coordinator shutting down, stays a 5xx the worker retries.
 func injectAPIError(err error) error {
 	var sfe *inject.StaleFingerprintError
 	if errors.As(err, &sfe) {
@@ -63,15 +66,51 @@ func injectAPIError(err error) error {
 	if errors.As(err, &cme) {
 		return configError(err)
 	}
-	var we *inject.WireError
-	if errors.As(err, &we) {
-		return &apiError{Status: http.StatusBadRequest, Code: "bad_request", Message: we.Error()}
+	var me *inject.MessageError
+	if errors.As(err, &me) {
+		return &apiError{Status: http.StatusBadRequest, Code: "bad_request", Message: me.Error()}
 	}
 	var ce *inject.ConfigError
 	if errors.As(err, &ce) {
 		return configError(err)
 	}
 	return err
+}
+
+// readBody reads a request body of at most limit bytes.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		return nil, errf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
+	}
+	return body, nil
+}
+
+// decodeJSON decodes one JSON value from data into v the way every
+// lockstep-serve request body is decoded: unknown fields and trailing
+// data are refused with 400 bad_request. Only io.EOF from the next Token
+// proves nothing follows the value; Decoder.More would let a stray '}'
+// or ']' through.
+func decodeJSON(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return errf(http.StatusBadRequest, "bad_request", "decoding request: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errf(http.StatusBadRequest, "bad_request", "trailing data after request object")
+	}
+	return nil
+}
+
+// readJSON reads a request body of at most limit bytes and decodes it
+// into v with decodeJSON.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	body, err := readBody(w, r, limit)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(body, v)
 }
 
 // writeJSON renders v with the given status. Encoding errors after the

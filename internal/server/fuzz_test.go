@@ -1,13 +1,17 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"lockstep/internal/core"
+	"lockstep/internal/inject"
+	"lockstep/internal/lockstep"
 )
 
 // FuzzPredictRequest drives arbitrary bodies through the full predict
@@ -149,4 +153,97 @@ func FuzzCampaignRequest(f *testing.F) {
 			t.Fatalf("job id %q (err %v) for %q", id, iderr, body)
 		}
 	})
+}
+
+// FuzzDistributedRequest drives arbitrary bytes as lease and span bodies
+// through the endpoints of a live coordinator, the way
+// FuzzPredictRequest drives predict: whatever the bytes, the answer is a
+// 200 or a 4xx carrying the JSON error envelope, never a panic or a 5xx
+// (which a worker would retry). Decoding and Coordinator.Acquire/Commit
+// validation both run on every input.
+func FuzzDistributedRequest(f *testing.F) {
+	cfg := trainingCampaign()
+	co, err := inject.NewCoordinator(cfg, inject.DistConfig{LeaseSize: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	d := NewDistributor(co)
+	base := "/v1/campaigns/" + co.Digest()
+	digest := co.Digest()
+
+	// Valid bodies of both kinds: a lease request, and a submission over
+	// a granted lease, detected at the last cycle of the horizon.
+	f.Add(false, mustJSON(&inject.LeaseRequest{Worker: "w", Digest: digest, Want: 4}))
+	lease, err := co.Acquire("w", digest, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	outs := make([]lockstep.Outcome, lease.Span.Hi-lease.Span.Lo)
+	outs[0] = lockstep.Outcome{Detected: true, DetectCycle: cfg.RunCycles - 1, DSR: 5}
+	outs[1] = lockstep.Outcome{Converged: true}
+	f.Add(true, mustJSON(&inject.SpanSubmit{Worker: "w", Digest: digest, LeaseID: lease.LeaseID,
+		Span: lease.Span, BusyUS: 10, Pruned: 2, OracleChecked: 1, Outcomes: outs}))
+	f.Add(true, mustJSON(&inject.SpanSubmit{Worker: "w", Digest: digest, LeaseID: 99,
+		Span: inject.Span{Lo: 0, Hi: 1}, Outcomes: []lockstep.Outcome{{Failed: true}}}))
+	f.Add(false, []byte(`{"worker":"w","digest":"0123456789abcdef"}`))
+	f.Add(false, []byte(`{"worker":"w","digest":"`+digest+`","want":-5}`))
+	f.Add(false, []byte(`{"worker":"w","digest":"`+digest+`","want":1e30}`))
+	f.Add(true, []byte(`{"digest":"`+digest+`","span":{"lo":-1,"hi":9223372036854775807},"outcomes":[]}`))
+	f.Add(true, []byte(`{"digest":"`+digest+`","span":{"lo":0,"hi":1},"outcomes":[{"dsr":1}]}`))
+	f.Add(true, []byte(`{"digest":"`+digest+`","span":{"lo":0,"hi":1},"outcomes":[{"detected":true,"detect_cycle":-1}]}`))
+	f.Add(true, []byte(`{"digest":"`+digest+`","span":{"lo":0,"hi":1},"outcomes":[{}],"pruned":-1}`))
+	f.Add(true, []byte(`{"digest":"`+digest+`","records":[]}`))
+	f.Add(true, []byte("lkdw\x01\x03"))
+	f.Add(false, []byte(`{} trailing`))
+	f.Add(false, []byte(`null`))
+	f.Add(false, []byte(``))
+
+	f.Fuzz(func(t *testing.T, span bool, body []byte) {
+		path := base + "/leases"
+		if span {
+			path = base + "/spans"
+		}
+		rec := httptest.NewRecorder()
+		d.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(string(body))))
+		if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "json") {
+			t.Fatalf("non-JSON response (%q) for %q", ct, body)
+		}
+		if rec.Code == http.StatusOK {
+			return
+		}
+		if rec.Code < 400 || rec.Code > 499 {
+			t.Fatalf("%s answered %d for %q: %s", path, rec.Code, body, rec.Body)
+		}
+		var envelope struct {
+			Error *apiError `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error == nil || envelope.Error.Code == "" {
+			t.Fatalf("rejection without the error envelope for %q: %s", body, rec.Body)
+		}
+	})
+}
+
+// TestWorstCaseSpanFitsBody: the largest span submission a worker can
+// send — inject.MaxLeaseSpan outcomes, each detected, converged and
+// failed, with the largest cycle a campaign allows (Config bounds
+// RunCycles at 1<<16) and the largest DSR — fits in maxSpanBody, so the
+// body limit never refuses a real span.
+func TestWorstCaseSpanFitsBody(t *testing.T) {
+	outs := make([]lockstep.Outcome, inject.MaxLeaseSpan)
+	for i := range outs {
+		outs[i] = lockstep.Outcome{Detected: true, DetectCycle: 1<<16 - 1, DSR: math.MaxUint64, Converged: true, Failed: true}
+	}
+	sub := &inject.SpanSubmit{
+		Worker: strings.Repeat("w", 256), Digest: strings.Repeat("d", 256), LeaseID: math.MaxUint64,
+		Span:   inject.Span{Lo: math.MaxInt - inject.MaxLeaseSpan, Hi: math.MaxInt},
+		BusyUS: math.MaxInt64, Pruned: inject.MaxLeaseSpan, OracleChecked: inject.MaxLeaseSpan, Outcomes: outs,
+	}
+	data, err := json.Marshal(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) > maxSpanBody {
+		t.Fatalf("worst-case span of %d outcomes is %d bytes, over the %d-byte body limit", len(outs), len(data), maxSpanBody)
+	}
+	t.Logf("worst-case span: %d bytes (%.1f per outcome) of %d", len(data), float64(len(data))/float64(len(outs)), maxSpanBody)
 }

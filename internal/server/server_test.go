@@ -154,6 +154,7 @@ func TestEndpointErrors(t *testing.T) {
 		{"trailing garbage", "POST", "/v1/predict", `{"dsr":"1"} {}`, http.StatusBadRequest, "bad_request", "", ""},
 		{"oversized batch", "POST", "/v1/predict", oversizedBatch(4097), http.StatusRequestEntityTooLarge, "batch_too_large", "dsrs", ""},
 		{"campaign malformed", "POST", "/v1/campaigns", "[1,2]", http.StatusBadRequest, "bad_request", "", ""},
+		{"campaign trailing close delimiter", "POST", "/v1/campaigns", campaignJSON + "}", http.StatusBadRequest, "bad_request", "", ""},
 		// The message must be the exact ConfigError rendering the
 		// lockstep-inject CLI prints, so both paths report the offending
 		// field identically.

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -371,14 +369,9 @@ type tablesRequest struct {
 // resolved training spec. It is the fuzz surface of FuzzTablesRequest:
 // any input either resolves or fails with a structured 4xx *apiError.
 func parseTablesRequest(data []byte) (tablesRequest, trainSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req tablesRequest
-	if err := dec.Decode(&req); err != nil {
-		return req, trainSpec{}, errf(http.StatusBadRequest, "bad_request", "decoding request: %v", err)
-	}
-	if dec.More() {
-		return req, trainSpec{}, errf(http.StatusBadRequest, "bad_request", "trailing data after request object")
+	if err := decodeJSON(data, &req); err != nil {
+		return req, trainSpec{}, err
 	}
 	if (req.Campaign == "") == (req.DatasetCSV == "") {
 		return req, trainSpec{}, &apiError{Status: http.StatusBadRequest, Code: "bad_request",
@@ -490,9 +483,9 @@ type trainResponse struct {
 // pipeline lockstep-train runs offline, register it as an immutable
 // version, and (by default) atomically swap it into the predict path.
 func (s *Server) handleTablesCreate(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTablesBody))
+	body, err := readBody(w, r, maxTablesBody)
 	if err != nil {
-		return errf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		return err
 	}
 	req, spec, err := parseTablesRequest(body)
 	if err != nil {
