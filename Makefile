@@ -19,7 +19,7 @@
 # self-test of the benchmark (perfbench/, run with `bash perfbench/run.sh`).
 GO ?= go
 
-.PHONY: ci fmt vet build test race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke serve-slo swap-determinism bench-selftest cover bench bench-quick fuzz
+.PHONY: ci fmt vet build test race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke serve-slo swap-determinism bench-selftest cover bench bench-quick bench-ab fuzz
 
 ci: fmt vet build race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke swap-determinism serve-slo bench-selftest
 
@@ -106,7 +106,15 @@ mode-determinism:
 # states and stream masks (a backward scan) to the forward per-cycle
 # builder they replaced, kept as a test oracle: stream map, observation
 # bitmaps, lastVal and escape tables on all 13 kernels at horizons 1, 63,
-# 64, 65 and 6,000 (TestLivenessMatchesForwardBuilder).
+# 64, 65 and 6,000 (TestLivenessMatchesForwardBuilder; the builder takes
+# the register read sets from the same step as NewGolden).
+# The premise gate checks the first step of the pruning induction
+# directly, for every stream: on six kernels (an MPU read-back probe
+# among them), every flop the tables call unobserved at a cycle, and
+# every MPU flop at a load or store whose decision forcing it cannot
+# flip, is flipped in the golden state; the outputs must not change and
+# one step must land on the next golden state except at that flop
+# (TestObservationPremise).
 # The register-containment gate re-simulates every site of the sealed
 # registers (CycCnt, RetCnt, XMStore) on a cycle grid, and an rdcyc probe
 # kernel checks that no detected CycCnt stuck-at is pruned. The exit gate
@@ -121,7 +129,7 @@ mode-determinism:
 # dual-CPU oracle's outcome. They run here, without -race, where they
 # take seconds instead of a minute.
 prune-soundness:
-	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestLivenessMatchesForwardBuilder|TestContainmentSoundness|TestContainmentRdcycProbe|TestReconvergenceExit' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestLivenessMatchesForwardBuilder|TestObservationPremise|TestContainmentSoundness|TestContainmentRdcycProbe|TestReconvergenceExit' -count=1 ./internal/lockstep/
 	$(GO) test -run 'TestSkipMatchesNoSkip|TestSkipOffMatchesLegacyOnOracleSites' -count=1 ./internal/inject/
 
 # The telemetry layer's own contract, under -race: exact totals from
@@ -208,6 +216,18 @@ bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteCSV$$' -benchmem -benchtime=200ms ./internal/dataset/
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Decode|Render|E2E)' -benchmem -benchtime=200ms ./internal/server/
 
+# Paired A/B runs of the benchmark: the working tree against the commit
+# BASE on WORKLOAD, in alternating pairs of runs of the length
+# BENCHMARK.json sets. PAIRS, SEED and TRACE (1 for traced runs and the
+# per-layer metrics) are optional; cmd/bench-ab's flags hold their
+# defaults (10 pairs, seed 1, untraced). It checks BASE out as a git
+# worktree under .bench_build/, builds both perfbench binaries once, keeps
+# every result line under .bench_build/ab/, and prints per metric each
+# side's median and IQR, the ratio, the pairs won and the verdict against
+# the bound in BENCHMARK.json. Not part of ci.
+bench-ab:
+	$(GO) run ./cmd/bench-ab -base '$(BASE)' -workload '$(WORKLOAD)' $(if $(PAIRS),-pairs $(PAIRS)) $(if $(SEED),-seed $(SEED)) $(if $(TRACE),-trace $(TRACE))
+
 # Serving-path SLO smoke for ci: 8 concurrent clients x 200 predict
 # requests against a loopback server must see no failure and a p99
 # under 5ms in the worse of 2 repeats. It runs alone, behind the slo
@@ -223,13 +243,16 @@ bench-selftest:
 	cd perfbench && export GOFLAGS= GOPROXY=off GOWORK=off && $(GO) vet . && $(GO) test -count=1 .
 
 # Short fuzz passes over the campaign-log parser, the checkpoint decoder,
-# the lockstep-mode parser, and the four lockstep-serve request decoders
-# (predict bodies through the full endpoint, lease and span bodies
-# through a live coordinator's endpoints, campaign submissions and
-# server-side training requests through their validation layers).
+# the prediction-table image decoder (an accepted image must re-encode to
+# an equal table), the lockstep-mode parser, and the four lockstep-serve
+# request decoders (predict bodies through the full endpoint, lease and
+# span bodies through a live coordinator's endpoints, campaign
+# submissions and server-side training requests through their validation
+# layers).
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=30s ./internal/inject/
+	$(GO) test -fuzz=FuzzReadTable -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzModeParse -fuzztime=30s ./internal/lockstep/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzDistributedRequest -fuzztime=30s ./internal/server/

@@ -40,11 +40,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/dataset"
 	"lockstep/internal/experiments"
 	"lockstep/internal/inject"
@@ -185,15 +187,11 @@ func run(o options) error {
 	}
 
 	if o.htmlPath != "" {
-		f, err := os.Create(o.htmlPath)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := report.Generate(&buf, ctx); err != nil {
 			return err
 		}
-		if err := report.Generate(f, ctx); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := atomicfile.Write(o.htmlPath, buf.Bytes()); err != nil {
 			return err
 		}
 		if !quiet {
@@ -297,7 +295,7 @@ func run(o options) error {
 		return fmt.Errorf("no known experiment in %q", o.expList)
 	}
 	if o.metrics != "" {
-		if err := writeMetrics(o.metrics); err != nil {
+		if err := telemetry.Default.WriteJSONFile(o.metrics); err != nil {
 			return err
 		}
 		if !quiet {
@@ -305,17 +303,4 @@ func run(o options) error {
 		}
 	}
 	return nil
-}
-
-// writeMetrics dumps the default telemetry registry as indented JSON.
-func writeMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.Default.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -192,7 +192,7 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 		fmt.Fprintf(errw, "coordinator: %s\n", co.Summary())
 	}
 	if metricsPath != "" {
-		if err := writeMetrics(metricsPath); err != nil {
+		if err := telemetry.Default.WriteJSONFile(metricsPath); err != nil {
 			return err
 		}
 	}
@@ -237,7 +237,7 @@ func runJoin(url, name string, leaseSize, workers int, metricsPath string, summa
 			st.Busy.Round(time.Millisecond), st.Elapsed.Round(time.Millisecond))
 	}
 	if metricsPath != "" {
-		if merr := writeMetrics(metricsPath); merr != nil && err == nil {
+		if merr := telemetry.Default.WriteJSONFile(metricsPath); merr != nil && err == nil {
 			err = merr
 		}
 	}
@@ -263,19 +263,6 @@ func writeDataset(ds *dataset.Dataset, out string) error {
 	return ds.WriteCSVFile(out)
 }
 
-// writeMetrics dumps the telemetry snapshot to path.
-func writeMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.Default.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // run executes the campaign and writes the CSV log, the optional
 // telemetry snapshot, and the summary lines (to errw).
 func run(cfg inject.Config, out, metricsPath, pprofAddr string, summary bool, errw io.Writer) error {
@@ -299,7 +286,7 @@ func run(cfg inject.Config, out, metricsPath, pprofAddr string, summary bool, er
 	}
 
 	if metricsPath != "" {
-		if err := writeMetrics(metricsPath); err != nil {
+		if err := telemetry.Default.WriteJSONFile(metricsPath); err != nil {
 			return err
 		}
 	}

@@ -161,15 +161,7 @@ func run(opt server.Options, addr, tablePath string, tblAccess int64, metricsPat
 	}
 
 	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.Default.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := telemetry.Default.WriteJSONFile(metricsPath); err != nil {
 			return err
 		}
 	}

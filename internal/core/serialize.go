@@ -126,6 +126,12 @@ func ReadTable(r io.Reader) (*Table, error) {
 			return 0, Entry{}, fmt.Errorf("core: entry order length %d exceeds %d units",
 				norder, gran.Units())
 		}
+		if t.TopK > 0 && int(norder) > t.TopK {
+			// WriteTo stores at most TopK units per entry; a longer order
+			// would predict differently once re-encoded.
+			return 0, Entry{}, fmt.Errorf("core: entry order length %d exceeds top-K %d",
+				norder, t.TopK)
+		}
 		order := make([]uint8, norder)
 		if _, err := io.ReadFull(br, order); err != nil {
 			return 0, Entry{}, err

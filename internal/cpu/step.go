@@ -15,7 +15,7 @@ import (
 // ExtLatency cycles via the BIU state machine.
 func Step(s *State, bus mem.Bus) {
 	n := *s
-	step(&n, s, bus)
+	step(&n, s, bus, nil)
 	*s = n
 }
 
@@ -24,13 +24,26 @@ func Step(s *State, bus mem.Bus) {
 // instead of copying each next state back. n must not alias s.
 func StepInto(n, s *State, bus mem.Bus) {
 	*n = *s
-	step(n, s, bus)
+	step(n, s, bus, nil)
 }
 
-// step is the one body of Step and StepInto. n holds a copy of s on
-// entry (held values stay; the assignments below override the rest) and
-// the next state on return.
-func step(n, s *State, bus mem.Bus) {
+// StepIntoReads is StepInto that also returns the register-file reads of
+// the cycle: bit r is set when issue reads Regs[r] itself, that is when
+// an instruction issues (DX free, no redirect, not halted, a legal
+// opcode) with r as a source and the write-back bypass does not supply
+// the value. Neither condition reads Regs, so a state that differs from
+// s only in the register file reads the same registers.
+func StepIntoReads(n, s *State, bus mem.Bus) (reads uint16) {
+	*n = *s
+	step(n, s, bus, &reads)
+	return reads
+}
+
+// step is the one body of Step, StepInto and StepIntoReads. n holds a
+// copy of s on entry (held values stay; the assignments below override
+// the rest) and the next state on return. reads, when not nil, collects
+// the register-file reads (StepIntoReads).
+func step(n, s *State, bus mem.Bus, reads *uint16) {
 	n.CycCnt = s.CycCnt + 1
 
 	// ---------------- WB stage ----------------
@@ -190,8 +203,8 @@ func step(n, s *State, bus mem.Bus) {
 				n.DXImm = uint32(in.Imm)
 				n.DXPC = s.FQPC[head]
 				n.DXInstr = s.FQInstr[head]
-				n.DXRs1Val = idRegRead(s, in.Rs1)
-				n.DXRs2Val = idRegRead(s, in.Rs2)
+				n.DXRs1Val = idRegRead(s, in.Rs1, reads)
+				n.DXRs2Val = idRegRead(s, in.Rs2, reads)
 			}
 		default:
 			n.DXValid = false
@@ -240,14 +253,18 @@ func raise(n *State, cause uint8, pc uint32) {
 
 // idRegRead reads a register in decode with a write-through bypass from the
 // retiring instruction, so a value written back this cycle is visible to an
-// instruction reading it in the same cycle.
-func idRegRead(s *State, r uint8) uint32 {
+// instruction reading it in the same cycle. A read of the register file
+// itself sets bit r of *reads when reads is not nil.
+func idRegRead(s *State, r uint8, reads *uint16) uint32 {
 	r &= 0xF
 	if r == 0 {
 		return 0
 	}
 	if s.MWValid && s.MWWen && s.MWRd == r {
 		return s.MWVal
+	}
+	if reads != nil {
+		*reads |= 1 << r
 	}
 	return s.Regs[r]
 }

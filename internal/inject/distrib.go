@@ -222,7 +222,7 @@ type freeSpan struct {
 // one golden as long as that block has work, so worker nodes build as few
 // goldens as possible) and its throughput accounting.
 type distWorker struct {
-	block       int // kernel-block index of the last lease; -1 before any
+	block       int // kernel-block index of the last lease
 	experiments int64
 	busyUS      int64
 	sawDone     bool // worker has observed campaign completion
@@ -257,6 +257,10 @@ type Coordinator struct {
 	nextID   uint64
 	workers  map[string]*distWorker
 	closed   bool
+	// quietAt is when every worker told to wait so far has polled again:
+	// the last LeaseWait reply plus twice its Retry. Such a worker has no
+	// entry in workers until it is granted a lease.
+	quietAt time.Time
 
 	issued, expired, reissued int64
 	merged, duplicates        int64
@@ -410,8 +414,9 @@ func (c *Coordinator) insertFree(sp freeSpan) {
 // workers across kernels so a cluster builds each golden as few times
 // as possible), lowest block index on ties. Free spans may straddle
 // block boundaries, so the pick is a (free index, cut plan index) pair;
-// Acquire carves the lease out of the span starting at the cut.
-func (c *Coordinator) pickFree(w *distWorker) (int, int) {
+// Acquire carves the lease out of the span starting at the cut. block
+// is the worker's current kernel block, -1 for a worker without a lease.
+func (c *Coordinator) pickFree(block int) (int, int) {
 	if len(c.free) == 0 {
 		return -1, 0
 	}
@@ -430,9 +435,9 @@ func (c *Coordinator) pickFree(w *distWorker) (int, int) {
 			cutAt[b] = lo
 		}
 	}
-	if w.block >= 0 {
-		if i, ok := firstIn[w.block]; ok {
-			return i, cutAt[w.block]
+	if block >= 0 {
+		if i, ok := firstIn[block]; ok {
+			return i, cutAt[block]
 		}
 	}
 	active := map[int]int{}
@@ -475,14 +480,11 @@ func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, err
 	}
 	c.expire(c.dc.now())
 	w := c.workers[worker]
-	if w == nil {
-		w = &distWorker{
-			block:  -1,
-			perSec: telemetry.Default.Gauge("inject.worker_per_sec", telemetry.L("worker", worker)),
-		}
-		c.workers[worker] = w
+	block := -1
+	if w != nil {
+		block = w.block
 	}
-	i, lo := c.pickFree(w)
+	i, lo := c.pickFree(block)
 	if i < 0 {
 		reply.Status = LeaseWait
 		// All spans are leased out (or restored): the wait ends either by
@@ -496,6 +498,7 @@ func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, err
 		if reply.Retry > 250*time.Millisecond {
 			reply.Retry = 250 * time.Millisecond
 		}
+		c.quietAt = time.Now().Add(2 * reply.Retry)
 		return reply, nil
 	}
 	f := c.free[i]
@@ -536,6 +539,12 @@ func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, err
 		reissued: f.reissued,
 	}
 	c.leases[ls.id] = ls
+	if w == nil {
+		// A worker is known from its first lease on, so a name that only
+		// ever waits leaves no entry and no gauge behind.
+		w = &distWorker{perSec: telemetry.Default.Gauge("inject.worker_per_sec", telemetry.L("worker", worker))}
+		c.workers[worker] = w
+	}
 	w.block = c.blockOf(sp.Lo)
 	c.issued++
 	c.telIssued.Inc()
@@ -665,12 +674,16 @@ func (c *Coordinator) checkSpan(sub *SpanSubmit) error {
 
 // DrainWorkers blocks until every worker that ever held a lease has
 // observed campaign completion — a LeaseDone acquire reply, or a commit
-// ack showing done == total — or until timeout. The standalone
+// ack showing done == total — and every worker that was only ever told
+// to wait has had time to poll again, or until timeout. The standalone
 // coordinator calls this before closing its listener so that workers
 // which did not land the final commit pick up LeaseDone on their next
 // poll and exit cleanly, instead of dying on connection-refused against
-// a vanished coordinator. A worker that crashed never polls again;
-// timeout is what bounds the wait on its behalf.
+// a vanished coordinator. A worker that only waited is not named in the
+// coordinator's state; it polls again within the Retry of its last
+// LeaseWait, and no LeaseWait is sent once the campaign is done, so
+// waiting out quietAt covers it. A worker that crashed never polls
+// again; timeout is what bounds the wait on its behalf.
 func (c *Coordinator) DrainWorkers(timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -681,8 +694,10 @@ func (c *Coordinator) DrainWorkers(timeout time.Duration) {
 				waiting++
 			}
 		}
+		quietAt := c.quietAt
 		c.mu.Unlock()
-		if waiting == 0 || !time.Now().Before(deadline) {
+		now := time.Now()
+		if (waiting == 0 && !now.Before(quietAt)) || !now.Before(deadline) {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -3,6 +3,7 @@ package inject
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
+	"lockstep/internal/telemetry"
 )
 
 // distConfig returns a small two-kernel campaign plus a DistConfig driven
@@ -240,6 +242,111 @@ func TestDrainWorkers(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("DrainWorkers did not return promptly with no stragglers outstanding")
+	}
+}
+
+// TestDrainWorkersCoversWaitOnlyWorker pins the drain of a worker that
+// joined while every span was leased: it holds no entry, but it polls
+// again within the Retry of its LeaseWait, so DrainWorkers must keep the
+// coordinator up at least that long after the wait reply.
+func TestDrainWorkersCoversWaitOnlyWorker(t *testing.T) {
+	cfg, dc, _ := distConfig(t) // Retry 250 ms; the test clock never expires a lease
+	co, err := NewCoordinator(cfg, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leases []*LeaseReply
+	for {
+		reply, err := co.Acquire("holder", co.Digest(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Status != LeaseGranted {
+			break
+		}
+		leases = append(leases, reply)
+	}
+	waitAt := time.Now()
+	reply, err := co.Acquire("late", co.Digest(), 0)
+	if err != nil || reply.Status != LeaseWait {
+		t.Fatalf("late acquire = %+v, %v; want a wait", reply, err)
+	}
+	rcfg, err := reply.FP.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg.Workers = 1
+	r, err := NewSpanRunner(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range leases {
+		outcomes, st, err := r.Run(l.Span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := co.Commit(&SpanSubmit{
+			Worker: "holder", Digest: co.Digest(), LeaseID: l.LeaseID, Span: l.Span,
+			Pruned: st.Pruned, OracleChecked: st.OracleChecked, Outcomes: outcomes,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !co.Done() {
+		t.Fatal("campaign not done after every lease committed")
+	}
+	co.DrainWorkers(time.Minute)
+	if el := time.Since(waitAt); el < reply.Retry {
+		t.Fatalf("DrainWorkers returned %v after the wait reply, before the waiting worker's %v poll", el, reply.Retry)
+	}
+	if reply, err := co.Acquire("late", co.Digest(), 0); err != nil || reply.Status != LeaseDone {
+		t.Fatalf("late poll after drain = %+v, %v; want LeaseDone", reply, err)
+	}
+}
+
+// TestWaitingWorkersLeaveNoState pins that the coordinator learns a
+// worker from its first lease, not from its first request: once every
+// span is leased, 5,000 acquires under distinct names are all told to
+// wait and add neither a worker entry nor an inject.worker_per_sec gauge.
+func TestWaitingWorkersLeaveNoState(t *testing.T) {
+	cfg, dc, _ := distConfig(t)
+	co, err := NewCoordinator(cfg, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		reply, err := co.Acquire("holder", co.Digest(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Status == LeaseWait {
+			break
+		}
+		if reply.Status != LeaseGranted {
+			t.Fatalf("acquire status %v before every span is leased", reply.Status)
+		}
+	}
+	gauges := func() int {
+		n := 0
+		for _, g := range telemetry.Default.Snapshot().Gauges {
+			if g.Name == "inject.worker_per_sec" {
+				n++
+			}
+		}
+		return n
+	}
+	workers, perSec := co.Stats().Workers, gauges()
+	for i := 0; i < 5000; i++ {
+		reply, err := co.Acquire(fmt.Sprintf("idle-%d", i), co.Digest(), 0)
+		if err != nil || reply.Status != LeaseWait {
+			t.Fatalf("acquire %d: status %v, %v; want a wait", i, reply.Status, err)
+		}
+	}
+	if got := co.Stats().Workers; got != workers {
+		t.Errorf("coordinator knows %d workers after the waits, want %d", got, workers)
+	}
+	if got := gauges(); got != perSec {
+		t.Errorf("%d worker_per_sec gauges after the waits, want %d", got, perSec)
 	}
 }
 

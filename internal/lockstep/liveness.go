@@ -87,14 +87,18 @@ import (
 //
 // Flops are grouped into streams with a common observation condition,
 // each a function of golden end-of-cycle state that provably does not
-// involve the stream's own flops (no circularity). The conditions
-// over-approximate: counting a cycle as observed when the flop was not
+// involve the stream's own flops (no circularity). Where a condition
+// over-approximates, counting a cycle as observed when the flop was not
 // actually read costs pruning coverage, never soundness. Derived from
 // cpu.Step and cpu.(*State).Outputs:
 //
-//   - register file R1..R15: read only by idRegRead at issue, for the
-//     source fields the fetch-queue head decodes to (the write-back
-//     bypass is ignored — an over-approximation);
+//   - register file R1..R15: observed exactly when issue reads the
+//     register file itself, which the golden step reports
+//     (cpu.StepIntoReads): an instruction issues (DX free, no redirect,
+//     not halted, a legal opcode) with the register as a source, and the
+//     write-back bypass does not supply the value. Neither condition
+//     reads Regs, so the read set also holds for a faulty machine that
+//     differs from golden only in the register file;
 //   - MPUBase/MPULimit of region i: MPUAllows reads them only while the
 //     region's attr enable bit is set and a load/store occupies MEM; any
 //     access in the MPU programming window observes every MPU register;
@@ -121,6 +125,21 @@ import (
 //     soft faults are never pruned there and stuck-at faults prune only
 //     via value stability or register-level containment.
 //
+// # The MPU decision
+//
+// Outside the MMIO window the MPU registers reach nothing but one bit:
+// the decision MPUAllows(LSUAddr, LSUWe) of the load or store in MEM
+// (stepMemAccess). So at a cycle R at which an MPU flop F is observed, a
+// state that differs from golden only in F forced to v steps to golden's
+// next state except at F unless forcing F flips that decision, or the
+// access lies in the window, where it reads or writes the registers
+// themselves. The stuck-at skip applies this (exposure, mpuSensitive):
+// it jumps over every observed cycle at which the force cannot flip the
+// decision. Static pruning does not: lastVal answers a site in O(1),
+// while the decision check scans the site's candidate cycles, and a site
+// it would prune is one the skip already ends with a single exposure scan
+// (DESIGN.md, "The MPU decision", has the measured cost).
+//
 // # Escape conditions
 //
 // The register-level rule needs, per register, the cycles at which it
@@ -138,8 +157,9 @@ import (
 // # Building the tables
 //
 // NewGolden records per cycle only the state (stepped straight into the
-// next slot of its state table) and the cycle's stream mask
-// (liveStreamMask); the tables are derived after the run (newLiveness).
+// next slot of its state table by cpu.StepIntoReads) and the cycle's
+// stream mask (liveStreamMask, with the step's register read set); the
+// tables are derived after the run (newLiveness).
 // One forward pass over the masks sets the observation bitmaps and each
 // stream's last observed cycle, which gives the escape table. lastVal
 // comes from the recorded states: a flop that holds one value on every
@@ -247,10 +267,12 @@ func (g *Golden) prune(inj Injection) (Outcome, bool) {
 }
 
 // liveStreamMask evaluates every stream's observation condition on one
-// golden end-of-cycle state. Bit s of the result is set when stream s is
-// observed that cycle. Each condition must not involve the stream's own
-// flops; see the file comment for the per-stream derivation from cpu.Step.
-func liveStreamMask(s *cpu.State) uint64 {
+// golden end-of-cycle state s, whose step reads the register file as the
+// read set reads says (cpu.StepIntoReads). Bit s of the result is set
+// when stream s is observed that cycle. Each condition must not involve
+// the stream's own flops; see the file comment for the per-stream
+// derivation from cpu.Step.
+func liveStreamMask(s *cpu.State, reads uint16) uint64 {
 	m := uint64(1) << lvAlways
 	if s.ExcValid {
 		m |= 1 << lvExc
@@ -295,23 +317,16 @@ func liveStreamMask(s *cpu.State) uint64 {
 			}
 		}
 	}
-	head := s.FQHead & 1
-	if s.FQValid[head] {
+	if head := s.FQHead & 1; s.FQValid[head] {
 		if head == 0 {
 			m |= 1 << lvFQ0
 		} else {
 			m |= 1 << lvFQ1
 		}
-		// Issue reads exactly the source registers the head instruction
-		// decodes to (idRegRead; R0 is hardwired and never a flop read).
-		in := isa.Decode(s.FQInstr[head])
-		if r := in.Rs1 & 0xF; r != 0 {
-			m |= 1 << (lvReg1 + int(r) - 1)
-		}
-		if r := in.Rs2 & 0xF; r != 0 {
-			m |= 1 << (lvReg1 + int(r) - 1)
-		}
 	}
+	// The register streams are the step's own read set (R0 is hardwired
+	// and never a flop read).
+	m |= uint64(reads>>1) << lvReg1
 	if s.IReqValid {
 		m |= 1 << lvIReq
 	}
@@ -471,9 +486,10 @@ func newLivenessTables() *livenessTables {
 // newLiveness derives the pruning table of a golden run from what
 // NewGolden recorded: states[c], the state at the end of cycle c, and for
 // every compared cycle c in [0, len(masks)), masks[c] =
-// liveStreamMask(&states[c]). The observation bitmaps and the escape
-// table come from one forward pass over the masks, lastVal from one
-// backward scan of the states (lastValues).
+// liveStreamMask(&states[c], reads), with reads the register-file read
+// set of the step from states[c] (cpu.StepIntoReads). The observation
+// bitmaps and the escape table come from one forward pass over the
+// masks, lastVal from one backward scan of the states (lastValues).
 func newLiveness(states []cpu.State, masks []uint64) *liveness {
 	tab := lvTables
 	cycles := len(masks)

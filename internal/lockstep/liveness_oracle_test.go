@@ -65,11 +65,13 @@ func newLivenessBuilder(totalCycles int) *livenessBuilder {
 	return b
 }
 
-// record folds one golden end-of-cycle state into the analysis. It must
-// be called for cyc = 0 (reset state) through totalCycles in order; the
-// final call only closes value segments, since cycle totalCycles is never
-// compared or stepped from by the injection loop.
-func (b *livenessBuilder) record(s *cpu.State, cyc int) {
+// record folds one golden end-of-cycle state into the analysis, with
+// reads the register-file read set of the step from it
+// (cpu.StepIntoReads). It must be called for cyc = 0 (reset state)
+// through totalCycles in order; the final call only closes value
+// segments, since cycle totalCycles is never compared or stepped from by
+// the injection loop.
+func (b *livenessBuilder) record(s *cpu.State, cyc int, reads uint16) {
 	regs := cpu.Registry()
 	if cyc == 0 {
 		for ri := range regs {
@@ -102,7 +104,7 @@ func (b *livenessBuilder) record(s *cpu.State, cyc int) {
 	if cyc >= b.lv.cycles {
 		return
 	}
-	for m := liveStreamMask(s); m != 0; m &= m - 1 {
+	for m := liveStreamMask(s, reads); m != 0; m &= m - 1 {
 		st := bits.TrailingZeros64(m)
 		b.lastObs[st] = int32(cyc)
 		if w := b.lv.obs[st]; w != nil {
@@ -140,10 +142,14 @@ func (b *livenessBuilder) finish() *liveness {
 // TestLivenessMatchesForwardBuilder holds the liveness tables NewGolden
 // derives (newLiveness: a forward pass over the stream masks and a
 // backward scan of the recorded states) to the forward builder above, fed
-// the same golden states: on every kernel, at horizons 1, 63, 64 and 65
-// (around the first observation-bitmap word boundary) and 6,000 (the
-// campaign horizon), the stream map, every observation bitmap, both
-// lastVal tables and the escape table must be equal.
+// the states and register read sets of its own live run of the kernel on
+// a mem.System, which must reproduce the recorded states: on every
+// kernel, at horizons 1, 63, 64 and 65 (around the first
+// observation-bitmap word boundary) and 6,000 (the campaign horizon), the
+// stream map, every observation bitmap, both lastVal tables and the
+// escape table must be equal. The builder takes the same read set as
+// NewGolden (cpu.StepIntoReads), so TestObservationPremise is the
+// independent check of the register streams.
 func TestLivenessMatchesForwardBuilder(t *testing.T) {
 	for _, k := range workload.Kernels() {
 		for _, cycles := range []int{1, 63, 64, 65, 6000} {
@@ -151,9 +157,20 @@ func TestLivenessMatchesForwardBuilder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sys, entry, err := k.NewSystem()
+			if err != nil {
+				t.Fatal(err)
+			}
 			b := newLivenessBuilder(cycles)
+			var cur, next cpu.State
+			cur.Reset(entry)
 			for c := 0; c <= cycles; c++ {
-				b.record(&g.states[c], c)
+				if cur != g.states[c] {
+					t.Fatalf("%s: live run leaves the recorded state at cycle %d", k.Name, c)
+				}
+				reads := cpu.StepIntoReads(&next, &cur, sys)
+				b.record(&cur, c, reads)
+				cur = next
 			}
 			if err := livenessDiff(g.live, b.finish()); err != nil {
 				t.Errorf("%s at %d cycles: %v", k.Name, cycles, err)

@@ -208,9 +208,9 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 	rec := &mem.Recorder{Sys: sys}
 	g.states[0].Reset(entry)
 	for cyc := 1; cyc <= totalCycles; cyc++ {
-		masks[cyc-1] = liveStreamMask(&g.states[cyc-1])
 		rec.Cycle = int32(cyc)
-		cpu.StepInto(&g.states[cyc], &g.states[cyc-1], rec)
+		reads := cpu.StepIntoReads(&g.states[cyc], &g.states[cyc-1], rec)
+		masks[cyc-1] = liveStreamMask(&g.states[cyc-1], reads)
 		if g.states[cyc].Trapped() {
 			return nil, fmt.Errorf("lockstep: golden %s trapped at cycle %d", k.Name, cyc)
 		}

@@ -110,13 +110,18 @@ func (r *Replayer) seek(g *Golden, c int) {
 //     mask says whether the output vectors can differ.
 //   - Stuck-at skip: suppose that at the top of iteration R the faulty
 //     state equals states[R] except at the stuck flop F, forced to v. If
-//     F is not observed at R (liveness.go) or golden F equals v, the
-//     outputs at R are golden's and the step to R+1 again yields
-//     states[R+1] except at F, which is re-forced to v. By induction the
-//     checker stays quiet up to the first R' >= R where F is observed and
-//     golden F != v, and the faulty state there is exactly states[R'] with
-//     F forced to v. So the loop loads that state, advances the bus to R'
-//     and simulates on from an exact state; with no such R' before the
+//     F is not observed at R (liveness.go), golden F equals v, or F is an
+//     MPU register bit whose force cannot flip the decision of the access
+//     in MEM at R (liveness.go, "The MPU decision"), the outputs at R are
+//     golden's and the step to R+1 again yields states[R+1] except at F,
+//     which is re-forced to v. A register-file bit is observed only at
+//     the cycles whose golden step reads it from the register file, and
+//     that read set is the faulty machine's too. By induction the checker
+//     stays quiet up to the first R' >= R where F is observed, golden F
+//     != v and, for an MPU bit, the force flips the decision (exposure),
+//     and the faulty state there is exactly states[R'] with F forced to
+//     v. So the loop loads that state, advances the bus to R' and
+//     simulates on from an exact state; with no such R' before the
 //     horizon the run is Masked. This is the state-level form of
 //     concurrent fault simulation (Ulrich and Baker, 1974): the faulty
 //     machine is simulated only where it differs from the good one.
@@ -273,7 +278,9 @@ func (g *Golden) settledFrom(loc cpu.FlopLoc, v bool, from, horizon int) int {
 // exposure returns the first cycle R in [from, to) at which flop f (at
 // loc) is observed while its golden value differs from v, or -1 when there
 // is none: the cycle a stuck-at-v fault in a state otherwise in sync with
-// golden first becomes visible to anything but f itself.
+// golden first becomes visible to anything but f itself. An MPU flop
+// observed at R counts only if forcing it to v matters to the access
+// then in MEM (mpuSensitive).
 func (g *Golden) exposure(f int, loc cpu.FlopLoc, v bool, from, to int) int {
 	lv := g.live
 	switch st := lv.stream[f]; st {
@@ -288,16 +295,33 @@ func (g *Golden) exposure(f int, loc cpu.FlopLoc, v bool, from, to int) int {
 		return -1
 	default:
 		obs := lv.obs[st]
+		mpu := st >= lvMPUAttr && st < lvReg1
 		for c := from; c < to; c++ {
 			w := obs[c>>6] >> (uint(c) & 63)
 			if w == 0 {
 				c |= 63 // the rest of this word is unobserved
 				continue
 			}
-			if c += bits.TrailingZeros64(w); c < to && loc.Bit(&g.states[c]) != v {
+			if c += bits.TrailingZeros64(w); c < to && loc.Bit(&g.states[c]) != v &&
+				(!mpu || mpuSensitive(&g.states[c], loc, v)) {
 				return c
 			}
 		}
 		return -1
 	}
+}
+
+// mpuSensitive reports whether forcing the MPU flop at loc to v can
+// change the step from s, a state whose MEM stage holds a load or store.
+// Outside the MMIO window the MPU registers reach nothing but the access
+// decision MPUAllows(LSUAddr, LSUWe) (stepMemAccess), so the force
+// matters only if it flips that decision; an access in the window reads
+// or writes the registers themselves and always counts.
+func mpuSensitive(s *cpu.State, loc cpu.FlopLoc, v bool) bool {
+	if s.LSUAddr >= cpu.MMIOBase && s.LSUAddr < cpu.MMIOEnd {
+		return true
+	}
+	t := *s
+	loc.Force(&t, v)
+	return t.MPUAllows(s.LSUAddr, s.LSUWe) != s.MPUAllows(s.LSUAddr, s.LSUWe)
 }

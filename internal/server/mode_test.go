@@ -209,7 +209,11 @@ func TestSlipCampaignDrainResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := `{"kernels":["ttsprk"],"run_cycles":3000,"flop_stride":6,"seed":9,"checkpoint_every":8,"workers":2,"mode":"slip:16"}`
+	// no_prune: every experiment is simulated, so progress passes 16 early
+	// in a run of tens of milliseconds and the drain lands mid-run. A
+	// pruned run resolves most sites in its first pass and then simulates
+	// for a few milliseconds, which the drain often missed.
+	big := `{"kernels":["ttsprk"],"run_cycles":3000,"flop_stride":3,"seed":9,"checkpoint_every":8,"workers":2,"mode":"slip:16","no_prune":true}`
 	code, body := do(t, s, "POST", "/v1/campaigns", big)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", code, body)
@@ -252,7 +256,7 @@ func TestSlipCampaignDrainResume(t *testing.T) {
 	}
 
 	cfg := trainingCampaign()
-	cfg.FlopStride = 6
+	cfg.FlopStride = 3
 	cfg.Mode = lockstep.Mode{Kind: lockstep.ModeSlip, Slip: 16}
 	want, err := inject.Run(cfg)
 	if err != nil {

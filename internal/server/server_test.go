@@ -475,8 +475,12 @@ func TestDrainAndRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A bigger campaign than the fixture so the drain lands mid-run.
-	big := `{"kernels":["ttsprk"],"run_cycles":3000,"flop_stride":6,"seed":9,"checkpoint_every":8,"workers":2}`
+	// A bigger campaign than the fixture so the drain lands mid-run, and
+	// unpruned: every experiment is simulated, so progress passes 16 early
+	// in a run of tens of milliseconds. A pruned run resolves most sites in
+	// its first pass and then simulates for a few milliseconds, which the
+	// drain often missed.
+	big := `{"kernels":["ttsprk"],"run_cycles":3000,"flop_stride":3,"seed":9,"checkpoint_every":8,"workers":2,"no_prune":true}`
 	code, body := do(t, s, "POST", "/v1/campaigns", big)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", code, body)
@@ -537,7 +541,7 @@ func TestDrainAndRestartResume(t *testing.T) {
 		t.Fatalf("dataset after resume: %d", code)
 	}
 	direct := trainingCampaign()
-	direct.FlopStride = 6
+	direct.FlopStride = 3
 	directDS, err := inject.Run(direct)
 	if err != nil {
 		t.Fatal(err)

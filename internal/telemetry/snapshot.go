@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
+
+	"lockstep/internal/atomicfile"
 )
 
 // Snapshot is a point-in-time, JSON-serializable view of a registry.
@@ -114,4 +117,15 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// WriteJSONFile replaces path with the registry snapshot as indented
+// JSON (WriteJSON) through atomicfile.Write, so a crash never leaves a
+// torn snapshot where the finished one should be.
+func (r *Registry) WriteJSONFile(path string) error {
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		return err
+	}
+	return atomicfile.Write(path, buf.Bytes())
 }
