@@ -55,9 +55,14 @@ race:
 # one-rand.NewSource-per-group plan at 1, 3 and 7 workers while its
 # lazily seeded RNG matches math/rand draw for draw, and the dataset and
 # checkpoint row encoder (Record.AppendCSV) must write exactly the bytes
-# of the fmt.Sprintf format it replaced.
+# of the fmt.Sprintf format it replaced. The engine, which builds each
+# kernel's golden when its workers reach it, must build every golden of
+# a 13-kernel campaign once and hold at most Workers+1 at a time
+# (TestGoldenBound), and a cancel that lands while a golden is being
+# built must resume to the uninterrupted dataset
+# (TestCancelThenResumeIdenticalDataset).
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestDiffWordsMatchesCompares|TestFieldMaskSkipsPadding|TestFlopLocMatchesAccessors|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestGoldenBound|TestCancelThenResumeIdenticalDataset|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestDiffWordsMatchesCompares|TestFieldMaskSkipsPadding|TestFlopLocMatchesAccessors|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
 		./internal/inject/ ./internal/lockstep/ ./internal/cpu/ ./internal/dataset/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
@@ -78,9 +83,12 @@ resume-determinism:
 # in the JSON error envelope (the fuzz target's seed corpus included),
 # fit the worst-case span submission in the body limit, resume a
 # half-merged campaign from its checkpoint, and — against the real
-# binaries — stay byte-identical after a worker is SIGKILLed mid-span.
+# binaries — stay byte-identical after a worker is SIGKILLed mid-span. A
+# worker node's spans of one kernel block build its golden once, and
+# spans over more kernels than the bound evict the least recently used
+# golden (TestSpanRunnerGoldenReuse).
 distributed-determinism:
-	$(GO) test -race -run 'TestDistributedMatchesRun|TestLeaseKernelAffinity|TestLeaseExpiryReissue|TestDrainWorkers|TestCommitRejections|TestCoordinatorResume|TestSpanRunnerMatchesRun|TestFingerprintConfigRoundTrip' -count=1 ./internal/inject/
+	$(GO) test -race -run 'TestDistributedMatchesRun|TestLeaseKernelAffinity|TestLeaseExpiryReissue|TestDrainWorkers|TestCommitRejections|TestCoordinatorResume|TestSpanRunnerMatchesRun|TestSpanRunnerGoldenReuse|TestFingerprintConfigRoundTrip' -count=1 ./internal/inject/
 	$(GO) test -race -run 'TestDistributedCampaignMatchesDirect|TestDistributorMatchesDirect|TestDistributedEndpointErrors|TestDistributedRestartResume|TestSubmitForeignCheckpointRejected|TestWorstCaseSpanFitsBody|FuzzDistributedRequest' -count=1 ./internal/server/
 	$(GO) test -run 'TestDistributedKillWorkerEquivalence|TestDistributeJoinExclusive' -count=1 ./cmd/lockstep-inject/
 

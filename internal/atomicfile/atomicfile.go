@@ -5,8 +5,11 @@
 package atomicfile
 
 import (
+	"errors"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Write replaces path with data: it writes a temporary file in path's
@@ -16,7 +19,7 @@ import (
 // the error: they may not survive a power loss.
 func Write(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := createTemp(dir)
 	if err != nil {
 		return err
 	}
@@ -44,12 +47,27 @@ func Write(path string, data []byte) error {
 // whose result it will Write, so a bad output path fails in
 // milliseconds, not after the work. It leaves nothing behind.
 func CheckDir(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := createTemp(filepath.Dir(path))
 	if err != nil {
 		return err
 	}
 	tmp.Close()
 	return os.Remove(tmp.Name())
+}
+
+// createTemp creates a new file in dir under a random name, retrying on
+// a name that exists. It asks for mode 0666, so the file gets the mode
+// os.Create would give it under the process's umask; os.CreateTemp asks
+// for 0600, which would make every replaced file private.
+func createTemp(dir string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := filepath.Join(dir, ".tmp-"+strconv.FormatUint(rand.Uint64(), 36))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if errors.Is(err, os.ErrExist) && try < 10000 {
+			continue
+		}
+		return f, err
+	}
 }
 
 // syncDir fsyncs directory dir, making the renames inside it durable.

@@ -104,3 +104,31 @@ func TestCheckDir(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteModeMatchesCreate: a file Write makes gets the mode os.Create
+// gives a new file in the same directory, so the process's umask decides
+// who may read it, as it did before writes went through a temporary
+// file.
+func TestWriteModeMatchesCreate(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "created"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want, err := os.Stat(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "written")
+	if err := Write(path, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Fatalf("Write made mode %v, os.Create %v", got.Mode(), want.Mode())
+	}
+}

@@ -3,9 +3,13 @@ package inject
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+
+	"lockstep/internal/lockstep"
+	"lockstep/internal/workload"
 )
 
 // cancelConfig is a campaign small enough to finish fast but large
@@ -25,70 +29,129 @@ func cancelConfig() Config {
 // lockstep-serve relies on: a campaign canceled mid-run returns
 // ErrCanceled, persists a final checkpoint of everything it completed,
 // and a Resume run finishes it with a dataset byte-identical to an
-// uninterrupted run.
+// uninterrupted run. The cancel lands a third of the way through, or
+// while a worker builds the second kernel's golden: after the first
+// kernel's work at one worker, and at two workers usually while the
+// first golden is still being built, since a waiting worker builds the
+// second ahead of need.
 func TestCancelThenResumeIdenticalDataset(t *testing.T) {
-	ref := cancelConfig()
-	refDS, err := Run(ref)
+	cases := []struct {
+		name    string
+		kernels []string
+		workers int
+		// duringBuild cancels while the golden of kernels[1] is built;
+		// otherwise the cancel comes from Progress.
+		duringBuild bool
+	}{
+		{"progress", []string{"ttsprk"}, 2, false},
+		{"golden build, 1 worker", []string{"ttsprk", "rspeed"}, 1, true},
+		{"golden build, 2 workers", []string{"ttsprk", "rspeed"}, 2, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := cancelConfig()
+			ref.Kernels = tc.kernels
+			refDS, err := Run(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := refDS.WriteCSV(&want); err != nil {
+				t.Fatal(err)
+			}
+
+			path := filepath.Join(t.TempDir(), "ck.lsc")
+			cancel := make(chan struct{})
+			var fired atomic.Bool
+			cfg := ref
+			cfg.CheckpointPath = path
+			cfg.CheckpointEvery = 8
+			cfg.Workers = tc.workers
+			cfg.Cancel = cancel
+			if tc.duringBuild {
+				build := newGolden
+				t.Cleanup(func() { newGolden = build })
+				newGolden = func(k *workload.Kernel, cycles, snap int) (*lockstep.Golden, error) {
+					if k.Name == tc.kernels[1] && fired.CompareAndSwap(false, true) {
+						close(cancel)
+					}
+					return build(k, cycles, snap)
+				}
+			} else {
+				cfg.Progress = func(done, total int) {
+					// Cancel a third of the way through, exactly once.
+					if done >= total/3 && fired.CompareAndSwap(false, true) {
+						close(cancel)
+					}
+				}
+			}
+
+			ds, st, err := RunStats(cfg)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("canceled campaign returned %v, want ErrCanceled", err)
+			}
+			if ds != nil {
+				t.Fatal("canceled campaign returned a (partial) dataset")
+			}
+			switch {
+			case st.Experiments >= refDS.Len():
+				t.Fatalf("canceled campaign completed all %d experiments", st.Experiments)
+			case !tc.duringBuild && st.Experiments <= 0:
+				t.Fatalf("canceled campaign completed %d of %d experiments, want a strict mid-point", st.Experiments, refDS.Len())
+			case tc.duringBuild && tc.workers == 1 && st.Experiments != refDS.Len()/2:
+				t.Fatalf("canceled while building the second golden after %d experiments, want the first kernel's %d", st.Experiments, refDS.Len()/2)
+			}
+
+			// The final checkpoint must cover exactly the completed
+			// experiments, in the bytes Encode writes.
+			ck := readCanonicalCheckpoint(t, path)
+			if ck.DoneCount() != st.Experiments {
+				t.Fatalf("checkpoint covers %d experiments, stats say %d completed", ck.DoneCount(), st.Experiments)
+			}
+
+			res := ref
+			res.CheckpointPath = path
+			res.Resume = true
+			resDS, resSt, err := RunStats(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resSt.Restored != st.Experiments {
+				t.Fatalf("resume restored %d experiments, want %d", resSt.Restored, st.Experiments)
+			}
+			var got bytes.Buffer
+			if err := resDS.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatal("canceled+resumed dataset differs from uninterrupted run")
+			}
+		})
+	}
+}
+
+// readCanonicalCheckpoint reads the checkpoint at path and checks that
+// its file holds exactly what Encode writes for its contents: the
+// campaign's checkpointer encodes the rows of its done prefix once and
+// the rest at every write.
+func readCanonicalCheckpoint(t *testing.T, path string) *Checkpoint {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := refDS.WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "ck.lsc")
-	cancel := make(chan struct{})
-	var fired atomic.Bool
-	cfg := cancelConfig()
-	cfg.CheckpointPath = path
-	cfg.CheckpointEvery = 8
-	cfg.Workers = 2
-	cfg.Progress = func(done, total int) {
-		// Cancel a third of the way through, exactly once.
-		if done >= total/3 && fired.CompareAndSwap(false, true) {
-			close(cancel)
-		}
-	}
-	cfg.Cancel = cancel
-
-	ds, st, err := RunStats(cfg)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled campaign returned %v, want ErrCanceled", err)
-	}
-	if ds != nil {
-		t.Fatal("canceled campaign returned a (partial) dataset")
-	}
-	if st.Experiments <= 0 || st.Experiments >= refDS.Len() {
-		t.Fatalf("canceled campaign completed %d of %d experiments, want a strict mid-point", st.Experiments, refDS.Len())
-	}
-
-	// The final checkpoint must cover exactly the completed experiments.
-	ck, err := ReadCheckpoint(path)
+	ck, err := DecodeCheckpoint(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.DoneCount() != st.Experiments {
-		t.Fatalf("checkpoint covers %d experiments, stats say %d completed", ck.DoneCount(), st.Experiments)
-	}
-
-	res := cancelConfig()
-	res.CheckpointPath = path
-	res.Resume = true
-	resDS, resSt, err := RunStats(res)
-	if err != nil {
+	var enc bytes.Buffer
+	if err := ck.Encode(&enc); err != nil {
 		t.Fatal(err)
 	}
-	if resSt.Restored != st.Experiments {
-		t.Fatalf("resume restored %d experiments, want %d", resSt.Restored, st.Experiments)
+	if !bytes.Equal(enc.Bytes(), data) {
+		t.Fatal("the campaign's checkpoint file differs from Encode of its contents")
 	}
-	var got bytes.Buffer
-	if err := resDS.WriteCSV(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("canceled+resumed dataset differs from uninterrupted run")
-	}
+	return ck
 }
 
 // TestCancelBeforeStart: a cancel that fires before any experiment is

@@ -16,7 +16,6 @@
 package inject
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -249,30 +248,46 @@ func restoreCheckpoint(cfg Config, records []dataset.Record, done []atomic.Bool)
 //	<count dataset CSV rows>
 //	crc <IEEE CRC-32 of everything above, hex>
 func (c *Checkpoint) Encode(w io.Writer) error {
-	var buf bytes.Buffer
-	fp, err := json.Marshal(c.FP)
+	data, err := c.encode()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(&buf, "%s\nconfig %s\ntotal %d\ndone", checkpointMagic, fp, c.Total)
-	for _, s := range c.Done {
-		fmt.Fprintf(&buf, " %d-%d", s.Lo, s.Hi)
-	}
-	fmt.Fprintf(&buf, "\nrecords %d\n", len(c.Records))
-	var row []byte
-	for _, r := range c.Records {
-		row = append(r.AppendCSV(row[:0]), '\n')
-		buf.Write(row)
-	}
-	writeCRCSeal(&buf)
-	_, err = w.Write(buf.Bytes())
+	_, err = w.Write(data)
 	return err
 }
 
-// writeCRCSeal appends the "crc %08x\n" line sealing buf's current
-// contents.
-func writeCRCSeal(buf *bytes.Buffer) {
-	fmt.Fprintf(buf, "crc %08x\n", crc32.ChecksumIEEE(buf.Bytes()))
+func (c *Checkpoint) encode() ([]byte, error) {
+	var rows []byte
+	for _, r := range c.Records {
+		rows = appendRow(rows, r)
+	}
+	return appendCheckpoint(nil, c.FP, c.Total, c.Done, len(c.Records), rows)
+}
+
+// appendRow appends record r's checkpoint row.
+func appendRow(dst []byte, r dataset.Record) []byte {
+	return append(r.AppendCSV(dst), '\n')
+}
+
+// appendCheckpoint appends the on-disk form of a checkpoint (see Encode)
+// to dst. Its nrec records are the concatenation of rows, each record's
+// appendRow in plan order, so a writer can keep the rows that do not
+// change between checkpoints encoded.
+func appendCheckpoint(dst []byte, fp Fingerprint, total int, done []Span, nrec int, rows ...[]byte) ([]byte, error) {
+	js, err := json.Marshal(fp)
+	if err != nil {
+		return dst, err
+	}
+	start := len(dst)
+	dst = fmt.Appendf(dst, "%s\nconfig %s\ntotal %d\ndone", checkpointMagic, js, total)
+	for _, s := range done {
+		dst = fmt.Appendf(dst, " %d-%d", s.Lo, s.Hi)
+	}
+	dst = fmt.Appendf(dst, "\nrecords %d\n", nrec)
+	for _, r := range rows {
+		dst = append(dst, r...)
+	}
+	return fmt.Appendf(dst, "crc %08x\n", crc32.ChecksumIEEE(dst[start:])), nil
 }
 
 // DecodeCheckpoint parses and verifies a checkpoint. Every failure —
@@ -409,9 +424,9 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 // so a concurrent reader (or a resume after a crash at any instant) sees
 // a complete old or complete new checkpoint.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
-	var buf bytes.Buffer
-	if err := ck.Encode(&buf); err != nil {
+	data, err := ck.encode()
+	if err != nil {
 		return err
 	}
-	return atomicfile.Write(path, buf.Bytes())
+	return atomicfile.Write(path, data)
 }

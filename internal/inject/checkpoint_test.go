@@ -172,10 +172,7 @@ func TestResumeProducesIdenticalDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := readCanonicalCheckpoint(t, path)
 	if full.DoneCount() != refDS.Len() {
 		t.Fatalf("final checkpoint covers %d of %d experiments", full.DoneCount(), refDS.Len())
 	}

@@ -167,7 +167,8 @@ func TestRetriesDisabled(t *testing.T) {
 
 // TestOracleAbort: when the simulated outcome of an oracle-sampled pruned
 // site contradicts the static prediction, neither a local campaign nor a
-// distributed span ships outcomes, and both errors name the flop.
+// distributed span ships outcomes, and both errors name the flop, even
+// when a cancel has stopped the call first.
 func TestOracleAbort(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Workers = 2
@@ -222,4 +223,20 @@ func TestOracleAbort(t *testing.T) {
 	if outcomes != nil {
 		t.Fatal("SpanRunner.Run returned outcomes despite the oracle mismatch")
 	}
+
+	// A mismatch found after another worker stopped the call for a cancel
+	// is still the call's error, not ErrCanceled.
+	var late *SpanRunner
+	canceled := cfg
+	canceled.testHook = func(e Experiment, out *lockstep.Outcome) {
+		if e == victim {
+			late.en.fail(ErrCanceled)
+			*out = lockstep.Outcome{Detected: true, DetectCycle: e.Cycle, DSR: 1}
+		}
+	}
+	if late, err = NewSpanRunner(canceled); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = late.Run(Span{Lo: target, Hi: target + 1})
+	wantErr("SpanRunner.Run stopped by a cancel first", err)
 }

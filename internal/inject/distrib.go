@@ -610,11 +610,11 @@ func (c *Coordinator) Commit(sub *SpanSubmit) (*SpanReply, error) {
 	for i := sp.Lo; i < sp.Hi; i++ {
 		c.records[i] = recordFor(c.plan[i], sub.Outcomes[i-sp.Lo], c.cfg.Mode)
 		c.done[i].Store(true)
-		if c.ckp != nil {
-			c.ckp.completed()
-		}
 	}
 	n := sp.Hi - sp.Lo
+	if c.ckp != nil {
+		c.ckp.completed(n)
+	}
 	c.doneN += n
 	c.merged++
 	c.telMerged.Inc()
@@ -880,7 +880,11 @@ func (r *SpanRunner) Run(sp Span) ([]lockstep.Outcome, SpanStats, error) {
 		idxs[i] = sp.Lo + i
 	}
 	outcomes := make([]lockstep.Outcome, len(idxs))
-	st, err := r.en.resolve(idxs, func(idx int, out lockstep.Outcome) { outcomes[idx-sp.Lo] = out })
+	st, err := r.en.resolve(idxs, func(idxs []int, outs []lockstep.Outcome) {
+		// A batch is a run of consecutive entries of idxs, which are
+		// consecutive plan indices.
+		copy(outcomes[idxs[0]-sp.Lo:], outs)
+	})
 	if err != nil {
 		return nil, st.SpanStats, err
 	}

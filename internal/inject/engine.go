@@ -2,7 +2,6 @@ package inject
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"lockstep/internal/cpu"
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
-	"lockstep/internal/telemetry"
 	"lockstep/internal/workload"
 )
 
@@ -26,12 +24,48 @@ type engine struct {
 	planTime time.Duration // wall time Config.Plan took
 	window   int           // checker stop window
 	tel      *campaignTelemetry
-	// goldens and workers persist across resolve calls, so a worker node
-	// running many spans of one kernel builds its golden once and keeps
-	// its replay images warm.
-	goldens map[string]*lockstep.Golden
+	// perKernel is cfg.perKernel(). Goldens are keyed by a kernel's
+	// position in cfg.Kernels, so a kernel listed twice gets a golden per
+	// block of the plan.
+	perKernel int
+	// workers persist across resolve calls, so a worker node running many
+	// spans of one kernel keeps its replay images warm.
 	workers []*worker
+
+	// mu guards the golden cache and the per-call state below; cond
+	// wakes the workers waiting for a golden or for room to build one.
+	mu   sync.Mutex
+	cond *sync.Cond
+	// held[k] is the golden of kernel k (nil until built), present from
+	// the moment a worker starts building it until it is dropped. At most
+	// bound are held at once, across resolve calls.
+	held  map[int]*heldGolden
+	bound int
+	tick  uint64 // orders golden uses, for least-recently-used eviction
+	// builds and peak count the goldens built and the most held at once,
+	// over the engine's life.
+	builds, peak int
+
+	// Per resolve call: left[k] is the number of the call's indices of
+	// kernel k not yet handed to put (a kernel with work left pins its
+	// golden), last is the kernel of the call's last index, stop ends every
+	// worker's loop, and err is why: a golden build failure, an oracle
+	// mismatch or, failing both, ErrCanceled.
+	left []int
+	last int
+	stop atomic.Bool
+	err  error
 }
+
+// heldGolden is one slot of the golden cache.
+type heldGolden struct {
+	g    *lockstep.Golden // nil while a worker builds it
+	used uint64           // engine tick of the last use
+}
+
+// newGolden builds a kernel's golden run. Tests replace it to act while a
+// golden is being built.
+var newGolden = lockstep.NewGolden
 
 func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.normalize(); err != nil {
@@ -47,190 +81,349 @@ func newEngine(cfg Config) (*engine, error) {
 	if window <= 0 {
 		window = lockstep.StopLatency
 	}
-	return &engine{
-		cfg:      cfg,
-		plan:     plan,
-		planTime: planTime,
-		window:   window,
-		tel:      newCampaignTelemetry(cfg),
-		goldens:  map[string]*lockstep.Golden{},
-		workers:  make([]*worker, cfg.Workers),
-	}, nil
+	en := &engine{
+		cfg:       cfg,
+		plan:      plan,
+		planTime:  planTime,
+		window:    window,
+		tel:       newCampaignTelemetry(cfg),
+		perKernel: cfg.perKernel(),
+		workers:   make([]*worker, cfg.Workers),
+		held:      map[int]*heldGolden{},
+		// One golden per worker in use plus one built ahead of need.
+		bound: min(len(cfg.Kernels), cfg.Workers+1),
+		left:  make([]int, len(cfg.Kernels)),
+	}
+	en.cond = sync.NewCond(&en.mu)
+	return en, nil
 }
 
 // resolveStats reports how one resolve call ran.
 type resolveStats struct {
 	SpanStats
-	simulated int // experiments the worker pool completed
-	workers   int // worker pool size used
-	// Wall time of each phase: recording the goldens the indices need,
-	// the static prune pass, and the worker pool's simulation.
+	resolved int // indices handed to put
+	workers  int // worker pool size used
+	// Busy time summed over the workers: building goldens, deciding which
+	// experiments pruning proves, and simulating the others. The three
+	// overlap in wall time.
 	golden, prune, simulate time.Duration
 }
 
-// resolve computes the outcome of every plan index in idxs (ascending and
-// distinct; the slice is reused as scratch) and hands each to put exactly
-// once: serially during the prune pass, then concurrently from the worker
-// pool. RunStats renders each outcome into its row through recordFor as
-// it arrives; SpanRunner.Run returns them, and Coordinator.Commit renders
-// them the same way. It stops dispatching early when Config.Cancel fires
-// before the last index is claimed (returning ErrCanceled) or when the
-// pruning oracle catches a wrong prediction (returning the mismatch);
-// either way every index handed to put is final and the rest are never
-// handed over.
-func (en *engine) resolve(idxs []int, put func(idx int, out lockstep.Outcome)) (resolveStats, error) {
-	var st resolveStats
-	start := time.Now()
-	if err := en.buildGoldens(idxs); err != nil {
-		return st, err
-	}
-	st.golden = time.Since(start)
-	start = time.Now()
-
-	// Static fault-equivalence pruning: record every experiment whose
-	// outcome the golden run's liveness analysis proves, without
-	// dispatching it. A deterministic seeded sample of the prunable sites
-	// stays in the work list as the runtime differential oracle: workers
-	// simulate those with the stuck-at skip off (the skip reasons with the
-	// same liveness tables, so it must not check them) and the run
-	// hard-fails on any prediction mismatch. A NoPrune campaign simulates
-	// every site with the skip off too, so comparing it to a pruned one
-	// involves no liveness reasoning at all. The pass is serial and derived
-	// only from plan + goldens, so outcomes stay identical across worker
-	// counts, resumes, spans and pruning on/off.
-	var oracle map[int]lockstep.Outcome
-	if !en.cfg.NoPrune {
-		oracle = make(map[int]lockstep.Outcome)
-		sim := idxs[:0]
-		for _, idx := range idxs {
-			e := en.plan[idx]
-			out, ok := en.goldens[e.Kernel].PruneMode(e.injection(), en.cfg.Mode)
-			switch {
-			case !ok:
-			case oracleSampled(en.cfg.Seed, e):
-				oracle[idx] = out
-				st.OracleChecked++
-			default:
-				en.tel.record(e, out)
-				put(idx, out)
-				st.Pruned++
-				continue
-			}
-			sim = append(sim, idx)
-		}
-		idxs = sim
-	}
-	st.prune = time.Since(start)
-	start = time.Now()
-
-	st.workers = max(min(en.cfg.Workers, len(idxs)), 1)
-	// Workers claim positions in idxs through one atomic counter, so no
-	// goroutine stands between a worker and its next experiment. A worker
-	// checks Cancel only after a successful claim: ErrCanceled then means
-	// that an index was left undispatched, never that a cancel arrived
-	// after the last one was handed out. stop ends every claim loop after
-	// a cancel or the first oracle mismatch.
-	var next atomic.Int64
-	var stop, canceled atomic.Bool
-	var abortOnce sync.Once
-	var oracleErr error
-	var failures, simulated atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < st.workers; i++ {
-		if en.workers[i] == nil {
-			en.workers[i] = &worker{en: en}
-		}
-		w := en.workers[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				k := int(next.Add(1) - 1)
-				if k >= len(idxs) {
-					return
-				}
-				// A nil Cancel is never ready, so the select falls through.
-				select {
-				case <-en.cfg.Cancel:
-					canceled.Store(true)
-					stop.Store(true)
-					return
-				default:
-				}
-				idx := idxs[k]
-				e := en.plan[idx]
-				expect, checked := oracle[idx]
-				out := w.run(e, checked || en.cfg.NoPrune)
-				if out.Failed {
-					failures.Add(1)
-				}
-				if checked && !out.Failed && out != expect {
-					abortOnce.Do(func() {
-						oracleErr = fmt.Errorf(
-							"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
-							e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, expect, out)
-						stop.Store(true)
-					})
-				}
-				en.tel.record(e, out)
-				put(idx, out)
-				simulated.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	st.simulate = time.Since(start)
-	st.Failures = int(failures.Load())
-	st.simulated = int(simulated.Load())
-	switch {
-	case oracleErr != nil:
-		return st, oracleErr
-	case canceled.Load():
-		return st, ErrCanceled
-	}
-	return st, nil
+func (s *resolveStats) add(o resolveStats) {
+	s.Pruned += o.Pruned
+	s.OracleChecked += o.OracleChecked
+	s.Failures += o.Failures
+	s.resolved += o.resolved
+	s.golden += o.golden
+	s.prune += o.prune
+	s.simulate += o.simulate
 }
 
-// buildGoldens records the fault-free golden run of every kernel idxs
-// touches that has none yet, in parallel (each golden is an independent
-// simulation; at most Workers at once), and publishes the footprint of
-// all goldens held as the inject.golden_trace_bytes gauge. Goldens are
-// immutable and shared read-only by all workers.
-func (en *engine) buildGoldens(idxs []int) error {
-	var need []string
-	for _, idx := range idxs {
-		if k := en.plan[idx].Kernel; en.goldens[k] == nil && !slices.Contains(need, k) {
-			need = append(need, k)
-		}
+// maxClaim is the longest run of consecutive indices a worker claims at
+// once: long enough that two workers rarely write neighbouring records
+// and done bits, short enough that the last runs spread over the pool.
+const maxClaim = 16
+
+// resolve computes the outcome of every plan index in idxs (ascending and
+// distinct) and hands each to put exactly once, in runs of consecutive
+// idxs entries of one kernel (put must not keep the slices). RunStats
+// renders each outcome into its row through recordFor as it arrives;
+// SpanRunner.Run returns them, and Coordinator.Commit renders them the
+// same way. It stops dispatching early when Config.Cancel fires before
+// the last index is claimed (returning ErrCanceled), when the pruning
+// oracle catches a wrong prediction (returning the mismatch) or when a
+// golden fails to build; either way every index handed to put is final
+// and the rest are never handed over.
+//
+// One pool of workers claims runs of idxs through an atomic counter and
+// resolves each index in turn: it fetches the kernel's golden (see
+// golden), records the outcome static fault-equivalence pruning proves
+// without dispatching it, and simulates the rest. A deterministic seeded
+// sample of the prunable sites is simulated anyway, as the runtime
+// differential oracle: with the stuck-at skip off (the skip reasons with
+// the same liveness tables, so it must not check them), and the run
+// hard-fails on any prediction mismatch. A NoPrune campaign simulates
+// every site with the skip off too, so comparing it to a pruned one
+// involves no liveness reasoning at all. Every decision is derived only
+// from the plan entry and its golden, so outcomes stay identical across
+// worker counts, resumes, spans and pruning on/off.
+func (en *engine) resolve(idxs []int, put func(idxs []int, outs []lockstep.Outcome)) (resolveStats, error) {
+	st := resolveStats{workers: max(min(en.cfg.Workers, len(idxs)), 1)}
+	if len(idxs) == 0 {
+		return st, nil
 	}
-	built := make([]*lockstep.Golden, len(need))
-	errs := make([]error, len(need))
-	sem := make(chan struct{}, en.cfg.Workers)
+	clear(en.left)
+	for _, idx := range idxs {
+		en.left[en.kernelOf(idx)]++
+	}
+	en.last = en.kernelOf(idxs[len(idxs)-1])
+	en.stop.Store(false)
+	en.err = nil
+
+	claim := max(min(maxClaim, len(idxs)/(4*st.workers)), 1)
+	// A worker checks Cancel before each index it has claimed: ErrCanceled
+	// then means that an index was left undispatched, never that a cancel
+	// arrived after the last one was handed out.
+	var next atomic.Int64
+	per := make([]resolveStats, st.workers)
 	var wg sync.WaitGroup
-	for i, name := range need {
+	for i := range per {
+		if en.workers[i] == nil {
+			en.workers[i] = &worker{en: en, tally: make([]int64, len(en.cfg.Kinds)*numClasses)}
+		}
+		w, ws := en.workers[i], &per[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			built[i], errs[i] = lockstep.NewGolden(workload.ByName(name), en.cfg.RunCycles, 1)
+			for !en.stop.Load() {
+				lo := int(next.Add(int64(claim))) - claim
+				if lo >= len(idxs) {
+					return
+				}
+				w.resolveRun(idxs[lo:min(lo+claim, len(idxs))], put, ws)
+			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, ws := range per {
+		st.add(ws)
+	}
+	return st, en.err
+}
+
+// kernelOf returns the position of plan index idx's kernel.
+func (en *engine) kernelOf(idx int) int { return idx / en.perKernel }
+
+// fail stops the call and wakes every waiting worker. err becomes the
+// call's error unless an earlier one is already set; a failure overrides
+// an earlier ErrCanceled.
+func (en *engine) fail(err error) {
+	en.mu.Lock()
+	en.failLocked(err)
+	en.mu.Unlock()
+}
+
+func (en *engine) failLocked(err error) {
+	if en.err == nil || en.err == ErrCanceled {
+		en.err = err
+	}
+	en.stop.Store(true)
+	en.cond.Broadcast()
+}
+
+// golden returns the golden of kernel k, or false once the call stops.
+// The first worker that needs a golden builds it. A worker that would
+// wait for a golden another worker is building builds the golden of the
+// next kernel with work in this call instead, if the bound leaves room,
+// so the pool does not sit idle at a kernel boundary.
+func (en *engine) golden(k int, busy *time.Duration) (*lockstep.Golden, bool) {
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	for !en.stop.Load() {
+		h := en.held[k]
+		switch {
+		case h != nil && h.g != nil:
+			en.tick++
+			h.used = en.tick
+			return h.g, true
+		case h == nil:
+			if en.room() {
+				en.build(k, busy)
+				continue
+			}
+		default:
+			if ahead := en.ahead(k); ahead >= 0 && en.room() {
+				en.build(ahead, busy)
+				continue
+			}
+		}
+		en.cond.Wait()
+	}
+	return nil, false
+}
+
+// ahead returns the first kernel after k with work left in this call and
+// no golden held, or -1.
+func (en *engine) ahead(k int) int {
+	for k++; k < len(en.left); k++ {
+		if en.left[k] > 0 && en.held[k] == nil {
+			return k
 		}
 	}
-	for i, name := range need {
-		en.goldens[name] = built[i]
+	return -1
+}
+
+// room reports whether one more golden may be held, dropping the least
+// recently used golden no index of this call needs if the cache is full.
+// Called with mu held.
+func (en *engine) room() bool {
+	if len(en.held) < en.bound {
+		return true
 	}
-	var traceBytes int64
-	for _, g := range en.goldens {
-		traceBytes += g.TraceBytes()
+	victim := -1
+	for k, h := range en.held {
+		if h.g != nil && en.left[k] == 0 && (victim < 0 || h.used < en.held[victim].used) {
+			victim = k
+		}
 	}
-	telemetry.Default.Gauge("inject.golden_trace_bytes").Set(traceBytes)
-	return nil
+	if victim < 0 {
+		return false
+	}
+	en.drop(victim)
+	return true
+}
+
+// build records kernel k's golden run, with mu held except during the
+// simulation itself, and adds its time to busy.
+func (en *engine) build(k int, busy *time.Duration) {
+	h := &heldGolden{}
+	en.held[k] = h
+	en.builds++
+	en.peak = max(en.peak, len(en.held))
+	en.mu.Unlock()
+	start := time.Now()
+	g, err := newGolden(workload.ByName(en.cfg.Kernels[k]), en.cfg.RunCycles, 1)
+	*busy += time.Since(start)
+	en.mu.Lock()
+	if err != nil {
+		delete(en.held, k)
+		en.failLocked(err)
+		return
+	}
+	h.g = g
+	en.publishHeld()
+	en.cond.Broadcast()
+}
+
+// drop forgets kernel k's golden. Called with mu held.
+func (en *engine) drop(k int) {
+	delete(en.held, k)
+	en.publishHeld()
+}
+
+// publishHeld sets the inject.golden_trace_bytes gauge to the footprint
+// of the goldens the engine holds. Called with mu held.
+func (en *engine) publishHeld() {
+	var n int64
+	for _, h := range en.held {
+		if h.g != nil {
+			n += h.g.TraceBytes()
+		}
+	}
+	en.tel.goldenBytes.Set(n)
+}
+
+// finished counts n of kernel k's indices as handed to put. A golden
+// whose kernel has no work left is dropped, unless its kernel is the
+// call's last: a worker node's next span most likely continues that
+// kernel's block, and the bound evicts it when room is needed.
+func (en *engine) finished(k, n int) {
+	en.mu.Lock()
+	en.left[k] -= n
+	if en.left[k] == 0 && k != en.last && en.held[k] != nil {
+		en.drop(k)
+		en.cond.Broadcast()
+	}
+	en.mu.Unlock()
+}
+
+// resolveRun resolves one claimed run of indices until the call stops,
+// handing the outcomes to put in one batch per kernel, and adds its counts
+// and busy times to ws.
+func (w *worker) resolveRun(run []int, put func([]int, []lockstep.Outcome), ws *resolveStats) {
+	en := w.en
+	for len(run) > 0 && !en.stopping() {
+		k := en.kernelOf(run[0])
+		n := 1
+		for n < len(run) && en.kernelOf(run[n]) == k {
+			n++
+		}
+		g, ok := en.golden(k, &ws.golden)
+		if !ok {
+			return
+		}
+		if batch := w.resolveBatch(g, run[:n], ws); len(batch) > 0 {
+			en.tel.add(k, w.tally)
+			put(batch, w.outs)
+			ws.resolved += len(batch)
+			en.finished(k, len(batch))
+		}
+		run = run[n:]
+	}
+}
+
+// stopping reports whether the call stops, stopping it if Config.Cancel
+// has fired. A worker asks before each index it has claimed.
+func (en *engine) stopping() bool {
+	if en.stop.Load() {
+		return true
+	}
+	// A nil Cancel is never ready, so the select falls through.
+	select {
+	case <-en.cfg.Cancel:
+		en.fail(ErrCanceled)
+		return true
+	default:
+		return false
+	}
+}
+
+// resolveBatch resolves indices of one kernel against its golden g until
+// the call stops, leaving their outcomes in w.outs and their outcome
+// counts in w.tally, and returns the indices it resolved.
+func (w *worker) resolveBatch(g *lockstep.Golden, idxs []int, ws *resolveStats) []int {
+	en := w.en
+	cfg := &en.cfg
+	w.outs = w.outs[:0]
+	clear(w.tally)
+	mark := time.Now()
+	for i, idx := range idxs {
+		if en.stopping() {
+			idxs = idxs[:i]
+			break
+		}
+		e := en.plan[idx]
+		var expect lockstep.Outcome
+		checked := false
+		if !cfg.NoPrune {
+			out, ok := g.PruneMode(e.injection(), cfg.Mode)
+			if ok && !oracleSampled(cfg.Seed, e) {
+				w.collect(idx, e, out)
+				ws.Pruned++
+				continue
+			}
+			expect, checked = out, ok
+		}
+		t := time.Now()
+		if !cfg.NoPrune {
+			ws.prune += t.Sub(mark)
+		}
+		out := w.run(g, e, checked || cfg.NoPrune)
+		mark = time.Now()
+		ws.simulate += mark.Sub(t)
+		if checked {
+			ws.OracleChecked++
+		}
+		if out.Failed {
+			ws.Failures++
+		}
+		if checked && !out.Failed && out != expect {
+			en.fail(fmt.Errorf(
+				"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
+				e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, expect, out))
+		}
+		w.collect(idx, e, out)
+	}
+	if !cfg.NoPrune {
+		ws.prune += time.Since(mark)
+	}
+	return idxs
+}
+
+// collect appends idx's outcome to the worker's batch and tallies it.
+func (w *worker) collect(idx int, e Experiment, out lockstep.Outcome) {
+	w.outs = append(w.outs, out)
+	w.en.tel.tally(w.tally, idx, e.Cycle, out)
 }
 
 func (e Experiment) injection() lockstep.Injection {
@@ -277,15 +470,18 @@ func oracleSampled(seed int64, e Experiment) bool {
 type worker struct {
 	en  *engine
 	rep *lockstep.Replayer // replay scratch; nil until first use or after poisoning
+	// The batch being resolved: its outcomes, and their counts for the
+	// campaign telemetry.
+	outs  []lockstep.Outcome
+	tally []int64
 }
 
-// run executes one experiment, with the stuck-at skip off when noSkip is
-// set, and never panics: a panicking experiment is re-attempted up to
-// cfg.Retries times on a fresh replay scratch (the old one may be
+// run executes one experiment against g, with the stuck-at skip off when
+// noSkip is set, and never panics: a panicking experiment is re-attempted
+// up to cfg.Retries times on a fresh replay scratch (the old one may be
 // mid-experiment) and then recorded as Failed.
-func (w *worker) run(e Experiment, noSkip bool) lockstep.Outcome {
+func (w *worker) run(g *lockstep.Golden, e Experiment, noSkip bool) lockstep.Outcome {
 	cfg := &w.en.cfg
-	g := w.en.goldens[e.Kernel]
 	for attempt := 0; ; attempt++ {
 		if w.rep == nil && !cfg.Legacy {
 			w.rep = lockstep.NewReplayer()

@@ -3,6 +3,8 @@ package inject
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -123,10 +125,8 @@ func reseal(sealed []byte) []byte {
 		// Not a sealed file (already corrupt) — seal the whole thing.
 		body = sealed
 	}
-	var buf bytes.Buffer
-	buf.Write(body)
-	writeCRCSeal(&buf)
-	return buf.Bytes()
+	out := append([]byte(nil), body...)
+	return fmt.Appendf(out, "crc %08x\n", crc32.ChecksumIEEE(body))
 }
 
 // normalizeCk maps nil and empty slices together for DeepEqual.

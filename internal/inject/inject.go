@@ -13,8 +13,9 @@
 // enumerated (see Plan): every injection's coordinates and cycle are fixed
 // up front from Config.Seed alone. Then the plan is sharded across a pool
 // of workers, each experiment replaying against a read-only per-kernel
-// golden run, and records land at their plan index — so the dataset is
-// bit-identical for any worker count, including a serial run.
+// golden run that the workers build as they reach its kernel, and records
+// land at their plan index — so the dataset is bit-identical for any
+// worker count, including a serial run.
 //
 // Long campaigns are crash-safe: with Config.CheckpointPath set the run
 // periodically persists an atomic, versioned checkpoint of the completed
@@ -34,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lockstep/internal/atomicfile"
 	"lockstep/internal/cpu"
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
@@ -96,7 +98,8 @@ type Config struct {
 	Mode lockstep.Mode
 	// Workers is the number of parallel experiment executors, and of the
 	// goroutines that build the plan; 0 or negative means
-	// runtime.NumCPU(). The resulting dataset is identical for every
+	// runtime.NumCPU(). A campaign holds at most Workers+1 kernels'
+	// golden runs at once. The resulting dataset is identical for every
 	// worker count (the plan fixes each experiment's schedule and records
 	// merge back in plan order).
 	Workers int
@@ -175,8 +178,8 @@ const maxExperiments = 1 << 24
 
 // maxRunCycles bounds RunCycles: each kernel's golden run keeps the CPU
 // state of every cycle (336 bytes each, 22 MB per kernel at the bound),
-// and a campaign holds one golden per kernel. The bound is 3.3x the
-// longest horizon any caller uses (20,000 cycles at the full scale).
+// and a campaign holds up to Workers+1 goldens at once. The bound is 3.3x
+// the longest horizon any caller uses (20,000 cycles at the full scale).
 const maxRunCycles = 1 << 16
 
 func (c *Config) normalize() error {
@@ -259,6 +262,13 @@ func (c *Config) groups() int {
 	return len(c.Kernels) * flops * len(c.Kinds)
 }
 
+// perKernel is the number of plan indices of each kernel of a normalized
+// config: the plan is kernel-major, so plan index idx belongs to the
+// kernel at position idx/perKernel() of Kernels.
+func (c *Config) perKernel() int {
+	return c.groups() / len(c.Kernels) * c.InjectionsPerFlopKind
+}
+
 // Fingerprint returns the schedule fingerprint of the config: every field
 // that influences which experiments run and what they record, normalized
 // (defaults applied, kernel list expanded). Two configs with equal
@@ -298,12 +308,17 @@ type Stats struct {
 	Workers       int           // worker pool size used
 	Elapsed       time.Duration // wall clock, golden runs included
 	PerSec        float64       // executed experiments per wall-clock second
-	// Wall time of each campaign phase, in order: building the plan,
-	// recording the golden runs, the static prune pass, and simulating
-	// the remaining experiments on the worker pool. Elapsed also covers
-	// restoring a resume checkpoint and writing the final one. They are
-	// zero in a distributed coordinator's Stats: its workers run them.
-	PlanTime, GoldenTime, PruneTime, SimulateTime time.Duration
+	// PlanTime is the wall time of building the plan, which precedes
+	// everything else, so PlanTime <= Elapsed.
+	PlanTime time.Duration
+	// GoldenTime, PruneTime and SimulateTime are busy time summed over
+	// the workers, which interleave the three: recording the golden runs,
+	// deciding which experiments static pruning proves, and simulating
+	// the others. Each is at most Elapsed × Workers, and they may sum to
+	// more than Elapsed. Elapsed also covers restoring a resume
+	// checkpoint and writing the final one. All four are zero in a
+	// distributed coordinator's Stats: its workers run them.
+	GoldenTime, PruneTime, SimulateTime time.Duration
 }
 
 // Executed is the number of experiments this run resolved itself, whether
@@ -325,7 +340,7 @@ func (s Stats) String() string {
 	}
 	// A distributed campaign's coordinator runs none of the phases.
 	if s.PlanTime+s.GoldenTime+s.PruneTime+s.SimulateTime > 0 {
-		out += fmt.Sprintf("; plan %v, golden %v, prune %v, simulate %v",
+		out += fmt.Sprintf("; plan %v, worker busy: golden %v, prune %v, simulate %v",
 			s.PlanTime.Round(time.Microsecond), s.GoldenTime.Round(time.Microsecond),
 			s.PruneTime.Round(time.Microsecond), s.SimulateTime.Round(time.Microsecond))
 	}
@@ -381,24 +396,29 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		}
 	}
 
-	// total is fixed before the prune pass: pruned experiments count as
-	// completed work, so Progress still reports a strictly increasing
-	// 1..total over everything this run resolves.
+	// Pruned experiments count as completed work, so Progress reports a
+	// strictly increasing 1..total over everything this run resolves.
 	total := len(pending)
 	var (
 		prog   int
 		progMu sync.Mutex
 	)
-	rs, runErr := en.resolve(pending, func(idx int, out lockstep.Outcome) {
-		records[idx] = recordFor(en.plan[idx], out, cfg.Mode)
+	rs, runErr := en.resolve(pending, func(idxs []int, outs []lockstep.Outcome) {
+		for i, idx := range idxs {
+			records[idx] = recordFor(en.plan[idx], outs[i], cfg.Mode)
+			if ckp != nil {
+				done[idx].Store(true)
+			}
+		}
 		if ckp != nil {
-			done[idx].Store(true)
-			ckp.completed()
+			ckp.completed(len(idxs))
 		}
 		if cfg.Progress != nil {
 			progMu.Lock()
-			prog++
-			cfg.Progress(prog, total)
+			for range idxs {
+				prog++
+				cfg.Progress(prog, total)
+			}
 			progMu.Unlock()
 		}
 	})
@@ -422,7 +442,7 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		SimulateTime:  rs.simulate,
 	}
 	if runErr != nil {
-		st.Experiments = restored + rs.Pruned + rs.simulated
+		st.Experiments = restored + rs.resolved
 	}
 	if ckp != nil {
 		n, err := ckp.stop()
@@ -461,6 +481,12 @@ type checkpointer struct {
 	// Written by the loop goroutine, read by stop() after idle.Wait.
 	writes int
 	err    error
+	// prefix is the number of leading plan indices every earlier write
+	// found done, and rows their records' rows: they are final, so each is
+	// encoded once. tail and buf are the other rows and the file image,
+	// reused across writes.
+	prefix          int
+	rows, tail, buf []byte
 
 	telWrites        *telemetry.Counter
 	telDone, telLast *telemetry.Gauge
@@ -485,9 +511,12 @@ func startCheckpointer(cfg Config, records []dataset.Record, done []atomic.Bool)
 	return c
 }
 
-// completed is the worker-side trigger: O(1), lock-free.
-func (c *checkpointer) completed() {
-	if c.completedN.Add(1)%c.every == 0 {
+// completed is the worker-side trigger for n more completed experiments:
+// O(1), lock-free. A write is due whenever the count crosses a multiple
+// of CheckpointEvery.
+func (c *checkpointer) completed(n int) {
+	now := c.completedN.Add(int64(n))
+	if now/c.every != (now-int64(n))/c.every {
 		select {
 		case c.kick <- struct{}{}:
 		default: // a write is already due; it will see these completions
@@ -508,23 +537,39 @@ func (c *checkpointer) loop() {
 }
 
 // write snapshots the done bitmap into sorted disjoint spans and persists
-// the checkpoint. The campaign keeps running on a write error; the first
+// the checkpoint. A record whose done bit is set is final, so the rows of
+// the done prefix carry over from the last write and only the rest are
+// encoded again. The campaign keeps running on a write error; the first
 // error is surfaced when the checkpointer stops, so a full dataset is
 // never discarded because one checkpoint write failed mid-run.
 func (c *checkpointer) write() {
-	ck := &Checkpoint{FP: c.fp, Total: len(c.records)}
-	for i := range c.done {
+	for c.prefix < len(c.done) && c.done[c.prefix].Load() {
+		c.rows = appendRow(c.rows, c.records[c.prefix])
+		c.prefix++
+	}
+	var spans []Span
+	if c.prefix > 0 {
+		spans = append(spans, Span{Lo: 0, Hi: c.prefix})
+	}
+	n := c.prefix
+	c.tail = c.tail[:0]
+	for i := c.prefix; i < len(c.done); i++ {
 		if !c.done[i].Load() {
 			continue
 		}
-		if n := len(ck.Done); n > 0 && ck.Done[n-1].Hi == i {
-			ck.Done[n-1].Hi = i + 1
+		if k := len(spans); k > 0 && spans[k-1].Hi == i {
+			spans[k-1].Hi = i + 1
 		} else {
-			ck.Done = append(ck.Done, Span{Lo: i, Hi: i + 1})
+			spans = append(spans, Span{Lo: i, Hi: i + 1})
 		}
-		ck.Records = append(ck.Records, c.records[i])
+		c.tail = appendRow(c.tail, c.records[i])
+		n++
 	}
-	if err := WriteCheckpoint(c.path, ck); err != nil {
+	var err error
+	if c.buf, err = appendCheckpoint(c.buf[:0], c.fp, len(c.records), spans, n, c.rows, c.tail); err == nil {
+		err = atomicfile.Write(c.path, c.buf)
+	}
+	if err != nil {
 		if c.err == nil {
 			c.err = err
 		}
@@ -532,7 +577,7 @@ func (c *checkpointer) write() {
 	}
 	c.writes++
 	c.telWrites.Inc()
-	c.telDone.Set(int64(len(ck.Records)))
+	c.telDone.Set(int64(n))
 	c.telLast.Set(time.Now().UnixMilli())
 }
 
@@ -553,62 +598,95 @@ func (c *checkpointer) stop() (int, error) {
 // schedule or outcomes, so datasets stay bit-identical with or without a
 // metrics consumer attached.
 type campaignTelemetry struct {
-	outcomes    map[string]*outcomeTel
-	experiments *telemetry.Counter
-	failures    *telemetry.Counter
+	// outcomes[k*kinds+j] is the handle set of the kernel at position k
+	// of Config.Kernels and the fault kind at position j of Config.Kinds.
+	// The plan is kernel-major, so both positions follow from the plan
+	// index idx: k is idx/perKernel and j is idx/perGroup%kinds, where
+	// perGroup is the injections per (kernel, flop, kind) group.
+	outcomes            []outcomeTel
+	kinds               int
+	perKernel, perGroup int
+	experiments         *telemetry.Counter
+	failures            *telemetry.Counter
+	goldenBytes         *telemetry.Gauge
 }
 
 // outcomeTel is the per-(kernel, kind) handle set: one counter per
 // outcome class plus the detection-latency histogram (injection cycle to
 // checker detection, the paper's manifestation time).
 type outcomeTel struct {
-	detected  *telemetry.Counter
-	converged *telemetry.Counter
-	escaped   *telemetry.Counter
-	failed    *telemetry.Counter
-	latency   *telemetry.Histogram
+	class   [numClasses]*telemetry.Counter
+	latency *telemetry.Histogram
 }
 
-func outcomeKey(kernel string, kind lockstep.FaultKind) string {
-	return kernel + "\x00" + kind.String()
-}
+// The outcome classes of the inject.outcomes counters, by index.
+const (
+	classFailed = iota
+	classDetected
+	classConverged
+	classEscaped
+	numClasses
+)
+
+var classNames = [numClasses]string{"failed", "detected", "converged", "escaped"}
 
 func newCampaignTelemetry(cfg Config) *campaignTelemetry {
 	t := &campaignTelemetry{
-		outcomes:    make(map[string]*outcomeTel, len(cfg.Kernels)*len(cfg.Kinds)),
+		outcomes:    make([]outcomeTel, 0, len(cfg.Kernels)*len(cfg.Kinds)),
+		kinds:       len(cfg.Kinds),
+		perKernel:   cfg.perKernel(),
+		perGroup:    cfg.InjectionsPerFlopKind,
 		experiments: telemetry.Default.Counter("inject.experiments"),
 		failures:    telemetry.Default.Counter("inject.experiment_failures"),
+		goldenBytes: telemetry.Default.Gauge("inject.golden_trace_bytes"),
 	}
 	for _, kernel := range cfg.Kernels {
 		for _, kind := range cfg.Kinds {
 			kk, kd := telemetry.L("kernel", kernel), telemetry.L("kind", kind.String())
-			t.outcomes[outcomeKey(kernel, kind)] = &outcomeTel{
-				detected:  telemetry.Default.Counter("inject.outcomes", kk, kd, telemetry.L("outcome", "detected")),
-				converged: telemetry.Default.Counter("inject.outcomes", kk, kd, telemetry.L("outcome", "converged")),
-				escaped:   telemetry.Default.Counter("inject.outcomes", kk, kd, telemetry.L("outcome", "escaped")),
-				failed:    telemetry.Default.Counter("inject.outcomes", kk, kd, telemetry.L("outcome", "failed")),
-				latency:   telemetry.Default.Histogram("inject.detect_latency", telemetry.CycleBuckets, kk, kd),
+			var o outcomeTel
+			for c, name := range classNames {
+				o.class[c] = telemetry.Default.Counter("inject.outcomes", kk, kd, telemetry.L("outcome", name))
 			}
+			o.latency = telemetry.Default.Histogram("inject.detect_latency", telemetry.CycleBuckets, kk, kd)
+			t.outcomes = append(t.outcomes, o)
 		}
 	}
 	return t
 }
 
-func (t *campaignTelemetry) record(e Experiment, out lockstep.Outcome) {
-	t.experiments.Inc()
-	o := t.outcomes[outcomeKey(e.Kernel, e.Kind)]
+// tally counts plan index idx's outcome into a worker's batch tally,
+// tally[kind*numClasses+class] for the kind's position, and observes its
+// detection latency. add then publishes the tally of a batch of one
+// kernel in one atomic add per class.
+func (t *campaignTelemetry) tally(tally []int64, idx, cycle int, out lockstep.Outcome) {
+	kind := idx / t.perGroup % t.kinds
+	c := classEscaped
 	switch {
 	case out.Failed:
-		o.failed.Inc()
-		t.failures.Inc()
+		c = classFailed
 	case out.Detected:
-		o.detected.Inc()
-		o.latency.Observe(int64(out.DetectCycle - e.Cycle))
+		c = classDetected
+		t.outcomes[idx/t.perKernel*t.kinds+kind].latency.Observe(int64(out.DetectCycle - cycle))
 	case out.Converged:
-		o.converged.Inc()
-	default:
-		o.escaped.Inc()
+		c = classConverged
 	}
+	tally[kind*numClasses+c]++
+}
+
+// add publishes a batch tally of the kernel at position kernel.
+func (t *campaignTelemetry) add(kernel int, tally []int64) {
+	var n int64
+	for i, v := range tally {
+		if v == 0 {
+			continue
+		}
+		n += v
+		t.outcomes[kernel*t.kinds+i/numClasses].class[i%numClasses].Add(v)
+		if i%numClasses == classFailed {
+			t.failures.Add(v)
+		}
+	}
+	t.experiments.Add(n)
 }
 
 func (t *campaignTelemetry) finish(st Stats) {

@@ -73,11 +73,12 @@ func replayTelemetry() (traceBytes, restores, pruned, oracle int64, haveGauge bo
 	return traceBytes, restores, pruned, oracle, haveGauge
 }
 
-// TestReplayTelemetry: a replay campaign publishes the golden-trace
-// memory footprint gauge, bumps the restore counter at least once per
-// simulated experiment (each repositions its worker's replay image), and
-// accounts every statically-pruned site and oracle re-simulation in the
-// inject.pruned / inject.pruned_oracle_checked counters.
+// TestReplayTelemetry: a replay campaign publishes the footprint of the
+// goldens its engine holds (after a campaign, the last kernel's), bumps
+// the restore counter at least once per simulated experiment (each
+// repositions its worker's replay image), and accounts every
+// statically-pruned site and oracle re-simulation in the inject.pruned /
+// inject.pruned_oracle_checked counters.
 func TestReplayTelemetry(t *testing.T) {
 	_, restoresBefore, prunedBefore, oracleBefore, _ := replayTelemetry()
 	cfg := smallConfig()

@@ -75,11 +75,12 @@ func TestCampaignTelemetryAccounting(t *testing.T) {
 	}
 }
 
-// TestCampaignPhaseTimers: a campaign reports the wall time of its plan,
-// golden-build, prune and simulate phases in Stats, in its summary line,
-// in a job manifest's JSON, and as the inject.phase_*_ms gauges. The
-// phases run one after another inside the campaign, so they sum to at
-// most Elapsed.
+// TestCampaignPhaseTimers: a campaign reports the wall time of its plan
+// and the workers' busy time building goldens, pruning and simulating in
+// Stats, in its summary line, in a job manifest's JSON, and as the
+// inject.phase_*_ms gauges. The plan precedes everything else, so it
+// takes at most Elapsed; the workers interleave the other three, so each
+// is at most Elapsed × Workers.
 func TestCampaignPhaseTimers(t *testing.T) {
 	_, st, err := RunStats(smallConfig())
 	if err != nil {
@@ -92,7 +93,6 @@ func TestCampaignPhaseTimers(t *testing.T) {
 		{"plan", st.PlanTime}, {"golden", st.GoldenTime},
 		{"prune", st.PruneTime}, {"simulate", st.SimulateTime},
 	}
-	var sum time.Duration
 	gauges := map[string]int64{}
 	for _, g := range telemetry.Default.Snapshot().Gauges {
 		gauges[g.Name] = g.Value
@@ -102,16 +102,19 @@ func TestCampaignPhaseTimers(t *testing.T) {
 		if p.d <= 0 {
 			t.Errorf("%s phase took %v", p.name, p.d)
 		}
-		sum += p.d
+		limit := st.Elapsed * time.Duration(st.Workers)
+		if p.name == "plan" {
+			limit = st.Elapsed
+		}
+		if p.d > limit {
+			t.Errorf("%s phase took %v, more than %v in a campaign of %v on %d workers", p.name, p.d, limit, st.Elapsed, st.Workers)
+		}
 		if !strings.Contains(line, p.name+" ") {
 			t.Errorf("summary %q does not name the %s phase", line, p.name)
 		}
 		if got, ok := gauges["inject.phase_"+p.name+"_ms"]; !ok || got != p.d.Milliseconds() {
 			t.Errorf("gauge inject.phase_%s_ms = %d (published %v), want %d", p.name, got, ok, p.d.Milliseconds())
 		}
-	}
-	if sum > st.Elapsed {
-		t.Errorf("phases sum to %v, more than the campaign's %v", sum, st.Elapsed)
 	}
 	js, err := json.Marshal(st)
 	if err != nil {
@@ -120,5 +123,60 @@ func TestCampaignPhaseTimers(t *testing.T) {
 	var back Stats
 	if err := json.Unmarshal(js, &back); err != nil || back != st {
 		t.Fatalf("Stats JSON round trip (the job manifest's stats) lost fields: %s", js)
+	}
+}
+
+// TestCampaignTelemetryByKernelAndKind: each experiment lands in the
+// outcome counter and detection-latency histogram of its own kernel and
+// fault kind, which the workers find from the plan index alone.
+func TestCampaignTelemetryByKernelAndKind(t *testing.T) {
+	type key struct{ kernel, kind, outcome string }
+	counts := func() (map[key]int64, map[key]int64) {
+		out, lat := map[key]int64{}, map[key]int64{}
+		snap := telemetry.Default.Snapshot()
+		for _, c := range snap.Counters {
+			if c.Name == "inject.outcomes" {
+				out[key{c.Labels["kernel"], c.Labels["kind"], c.Labels["outcome"]}] = c.Value
+			}
+		}
+		for _, h := range snap.Histograms {
+			if h.Name == "inject.detect_latency" {
+				lat[key{h.Labels["kernel"], h.Labels["kind"], "detected"}] = h.Count
+			}
+		}
+		return out, lat
+	}
+	cfg := smallConfig()
+	cfg.FlopStride = 48
+	cfg.InjectionsPerFlopKind = 2
+	outBefore, latBefore := counts()
+	ds, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outAfter, latAfter := counts()
+	want := map[key]int64{}
+	for _, r := range ds.Records {
+		outcome := "escaped"
+		switch {
+		case r.Failed:
+			outcome = "failed"
+		case r.Detected:
+			outcome = "detected"
+		case r.Converged:
+			outcome = "converged"
+		}
+		want[key{r.Kernel, r.Kind.String(), outcome}]++
+	}
+	for k, n := range want {
+		if got := outAfter[k] - outBefore[k]; got != n {
+			t.Errorf("inject.outcomes%+v grew by %d, want %d", k, got, n)
+		}
+		if k.outcome != "detected" {
+			continue
+		}
+		if got := latAfter[k] - latBefore[k]; got != n {
+			t.Errorf("inject.detect_latency{%s %s} grew by %d observations, want %d", k.kernel, k.kind, got, n)
+		}
 	}
 }
