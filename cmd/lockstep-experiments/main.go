@@ -10,17 +10,15 @@
 //	                     [-html report.html] [-workers N] [-quiet]
 //	                     [-checkpoint ck.lsc] [-checkpoint-every N] [-resume]
 //	                     [-metrics snapshot.json] [-pprof addr]
-//	                     [-legacy-inject] [-no-prune] [-mode dcls|slip:N|tmr]
+//	                     [-no-prune] [-mode dcls|slip:N|tmr]
 //
 // The campaign shards across -workers parallel executors (default: all
 // CPUs). The dataset is bit-identical for every worker count, so -workers
 // only changes wall-clock time; the throughput line reports it.
-// -legacy-inject runs the campaign on the original dual-CPU simulation
-// instead of golden-trace replay, and -no-prune disables the static
-// fault-equivalence pruning of provably-masked sites and the replay's
-// stuck-at skip, which reasons with the same analysis — both produce the
-// bit-identical dataset at lower throughput and are kept as the
-// differential-testing oracles.
+// -no-prune disables the static fault-equivalence pruning of
+// provably-masked sites and the replay's stuck-at skip, which reasons
+// with the same analysis; it produces the bit-identical dataset at lower
+// throughput and is kept as the differential-testing oracle.
 //
 // -checkpoint makes the campaign phase crash-safe (an atomic resumable
 // checkpoint every -checkpoint-every completed experiments); after an
@@ -71,7 +69,6 @@ type options struct {
 	ckptEvery  int
 	resume     bool
 	workers    int
-	legacy     bool
 	noPrune    bool
 	mode       string
 	quiet      bool
@@ -88,7 +85,6 @@ func main() {
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress progress output")
 	flag.StringVar(&o.metrics, "metrics", "", "write the telemetry JSON snapshot to this path after the run")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-	flag.BoolVar(&o.legacy, "legacy-inject", false, "use the legacy dual-CPU simulation instead of golden-trace replay (same dataset, ~2x slower)")
 	flag.BoolVar(&o.noPrune, "no-prune", false, "disable static fault-equivalence pruning and the replay's stuck-at skip (same dataset, slower; the differential-oracle path)")
 	flag.StringVar(&o.mode, "mode", "dcls", "lockstep mode the campaign runs under: dcls, slip:N or tmr")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "periodically write an atomic resumable campaign checkpoint to this path")
@@ -117,17 +113,15 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	if o.workers > 0 {
-		scale = scale.WithWorkers(o.workers)
-	}
-	scale.Legacy = o.legacy
-	scale.NoPrune = o.noPrune
-	if scale.Mode, err = lockstep.ParseMode(o.mode); err != nil {
+	cfg := &scale.Config
+	cfg.Workers = o.workers
+	cfg.NoPrune = o.noPrune
+	if cfg.Mode, err = lockstep.ParseMode(o.mode); err != nil {
 		return err
 	}
-	scale.Checkpoint = o.checkpoint
-	scale.CheckpointEvery = o.ckptEvery
-	scale.Resume = o.resume
+	cfg.CheckpointPath = o.checkpoint
+	cfg.CheckpointEvery = o.ckptEvery
+	cfg.Resume = o.resume
 
 	var ctx *experiments.Context
 	if o.dataPath != "" {
@@ -160,7 +154,7 @@ func run(o options) error {
 			}
 		}
 		if !quiet {
-			total, err := scale.Config().Total()
+			total, err := cfg.Total()
 			if err != nil {
 				return err
 			}

@@ -15,7 +15,7 @@ import (
 // writeSmallCampaign saves a tiny campaign log for CLI tests.
 func writeSmallCampaign(t *testing.T) string {
 	t.Helper()
-	cfg := experiments.Small.Config()
+	cfg := experiments.Small.Config
 	cfg.FlopStride = 24
 	ds, err := inject.Run(cfg)
 	if err != nil {

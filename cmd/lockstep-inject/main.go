@@ -10,8 +10,7 @@
 //	                [-stride N] [-inj N] [-seed N] [-workers N] [-summary]
 //	                [-mode dcls|slip:N|tmr]
 //	                [-checkpoint ck.lsc] [-checkpoint-every N] [-resume]
-//	                [-metrics snapshot.json] [-pprof addr] [-legacy-inject]
-//	                [-no-prune]
+//	                [-metrics snapshot.json] [-pprof addr] [-no-prune]
 //
 // The campaign is sharded over -workers parallel executors (default: all
 // CPUs); the output is bit-identical for every worker count and with or
@@ -19,12 +18,11 @@
 // CPU simulated per cycle), and sites whose outcome the golden run's
 // liveness analysis proves are recorded without simulating at all;
 // -no-prune disables that static pruning (and the replay's stuck-at skip,
-// which reasons with the same analysis) and -legacy-inject selects the
-// original dual-CPU simulation — both produce bit-identical datasets at a
-// fraction of the throughput and exist as the differential-testing
-// oracles. -metrics dumps the telemetry snapshot (per-kernel /
-// per-kind outcome counters, detection-latency histograms, DSR
-// bit-population stats) as JSON after the run; -pprof serves
+// which reasons with the same analysis): it produces the bit-identical
+// dataset at a fraction of the throughput and exists as the
+// differential-testing oracle. -metrics dumps the telemetry snapshot
+// (per-kernel / per-kind outcome counters, detection-latency histograms,
+// DSR bit-population stats) as JSON after the run; -pprof serves
 // net/http/pprof and expvar live during it.
 //
 // -checkpoint makes the campaign crash-safe: an atomic resumable
@@ -84,7 +82,6 @@ func main() {
 		summary   = flag.Bool("summary", true, "print a campaign summary to stderr")
 		metrics   = flag.String("metrics", "", "write the telemetry JSON snapshot to this path after the run")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-		legacy    = flag.Bool("legacy-inject", false, "use the legacy dual-CPU simulation instead of golden-trace replay (same dataset, ~2x slower)")
 		noPrune   = flag.Bool("no-prune", false, "disable static fault-equivalence pruning and the replay's stuck-at skip (same dataset, slower; the differential-oracle path)")
 		ckpt      = flag.String("checkpoint", "", "periodically write an atomic resumable checkpoint to this path")
 		ckEvery   = flag.Int("checkpoint-every", 0, "completed experiments between checkpoint writes (0 = default 4096)")
@@ -110,7 +107,6 @@ func main() {
 		FlopStride:            *stride,
 		Seed:                  *seed,
 		Workers:               *workers,
-		Legacy:                *legacy,
 		NoPrune:               *noPrune,
 		Mode:                  lsMode,
 		CheckpointPath:        *ckpt,
@@ -155,6 +151,13 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 	if err := checkOutput(out); err != nil {
 		return err
 	}
+	// The handler goes in before the coordinator starts: a signal that
+	// arrives during start-up waits in sig and then cancels the campaign
+	// gracefully (final checkpoint included), instead of killing the
+	// process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	co, err := inject.NewCoordinator(cfg, inject.DistConfig{LeaseSize: leaseSize, LeaseTTL: leaseTTL})
 	if err != nil {
 		return err
@@ -171,9 +174,6 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 	fmt.Fprintf(errw, "coordinator: join with: lockstep-inject -join http://%s/v1/campaigns/%s\n", ln.Addr(), co.Digest())
 
 	cancel := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	go func() {
 		<-sig
 		fmt.Fprintln(errw, "coordinator: interrupted; writing final checkpoint")

@@ -90,6 +90,12 @@ func main() {
 // campaigns checkpoint and stop, in-flight requests finish, the optional
 // metrics snapshot is written, and run returns nil for a clean exit 0.
 func run(opt server.Options, addr, tablePath string, tblAccess int64, metricsPath, pprofAddr string, drainTimeout time.Duration, errw io.Writer) error {
+	// The handler goes in before anything starts: a signal that arrives
+	// during start-up waits in sig and then drains the server, instead of
+	// killing the process with no checkpoint.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	if tablePath != "" {
 		f, err := os.Open(tablePath)
 		if err != nil {
@@ -139,8 +145,6 @@ func run(opt server.Options, addr, tablePath string, tblAccess int64, metricsPat
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Fprintf(errw, "lockstep-serve: %v: draining (campaigns checkpoint and stop, requests finish)\n", s)

@@ -14,7 +14,6 @@ import (
 
 	"lockstep/internal/dataset"
 	"lockstep/internal/inject"
-	"lockstep/internal/lockstep"
 	"lockstep/internal/workload"
 )
 
@@ -23,68 +22,44 @@ import (
 // Small keeps tests and benchmarks fast; Default is a laptop-scale
 // campaign with full flop coverage.
 type Scale struct {
-	Name           string
-	Kernels        []string // empty = full suite
-	RunCycles      int      // golden horizon per kernel
-	FlopStride     int      // 1 = every flip-flop
-	InjPerFlopKind int      // injections per (flop, kind, kernel)
-	Seed           int64
-	Workers        int  // campaign worker pool; 0 = runtime.NumCPU()
-	Legacy         bool // dual-CPU oracle instead of golden-trace replay
-	NoPrune        bool // disable static fault-equivalence pruning (same dataset, slower)
-	// Mode is the lockstep organization the campaign sweeps (dcls,
-	// slip:N or tmr) — a first-class experiment dimension: the same
-	// injection plan re-run per mode answers whether the DSR->PTAR
-	// correlation survives temporal slip and voting.
-	Mode lockstep.Mode
-
-	// Checkpoint, when non-empty, makes the campaign periodically persist
-	// an atomic resumable checkpoint there (every CheckpointEvery
-	// completed experiments; 0 = inject's default), and Resume continues a
-	// previously interrupted campaign from it. The resumed dataset is
-	// byte-identical to an uninterrupted run. See inject.Config.
-	Checkpoint      string
-	CheckpointEvery int
-	Resume          bool
-}
-
-// WithWorkers returns a copy of the scale with the campaign worker count
-// overridden. The campaign dataset is worker-count-invariant, so this only
-// changes wall-clock time.
-func (s Scale) WithWorkers(n int) Scale {
-	s.Workers = n
-	return s
+	Name string
+	// Config is the campaign every experiment derives from. Its lockstep
+	// Mode is a first-class experiment dimension: the same injection plan
+	// re-run per mode answers whether the DSR->PTAR correlation survives
+	// temporal slip and voting. Its Seed also seeds the cross-validation
+	// folds and the evaluations.
+	Config inject.Config
 }
 
 // Predefined scales.
 var (
 	// Small: three kernels, every 6th flop — seconds. Used by tests and
 	// benchmarks.
-	Small = Scale{
-		Name:           "small",
-		Kernels:        []string{"ttsprk", "rspeed", "matrix"},
-		RunCycles:      8000,
-		FlopStride:     6,
-		InjPerFlopKind: 1,
-		Seed:           1,
-	}
+	Small = Scale{Name: "small", Config: inject.Config{
+		Kernels:               []string{"ttsprk", "rspeed", "matrix"},
+		RunCycles:             8000,
+		Intervals:             64,
+		FlopStride:            6,
+		InjectionsPerFlopKind: 1,
+		Seed:                  1,
+	}}
 	// Default: full suite, full flop coverage — about a minute or two.
-	Default = Scale{
-		Name:           "default",
-		RunCycles:      12000,
-		FlopStride:     1,
-		InjPerFlopKind: 1,
-		Seed:           1,
-	}
+	Default = Scale{Name: "default", Config: inject.Config{
+		RunCycles:             12000,
+		Intervals:             64,
+		FlopStride:            1,
+		InjectionsPerFlopKind: 1,
+		Seed:                  1,
+	}}
 	// Full: full suite, full coverage, two intervals per (flop, kind) and
 	// a longer horizon — several minutes.
-	Full = Scale{
-		Name:           "full",
-		RunCycles:      20000,
-		FlopStride:     1,
-		InjPerFlopKind: 2,
-		Seed:           1,
-	}
+	Full = Scale{Name: "full", Config: inject.Config{
+		RunCycles:             20000,
+		Intervals:             64,
+		FlopStride:            1,
+		InjectionsPerFlopKind: 2,
+		Seed:                  1,
+	}}
 )
 
 // ScaleByName resolves a scale name.
@@ -98,25 +73,6 @@ func ScaleByName(name string) (Scale, error) {
 		return Full, nil
 	}
 	return Scale{}, fmt.Errorf("experiments: unknown scale %q (small|default|full)", name)
-}
-
-// Config converts the scale to a campaign configuration.
-func (s Scale) Config() inject.Config {
-	return inject.Config{
-		Kernels:               s.Kernels,
-		RunCycles:             s.RunCycles,
-		Intervals:             64,
-		InjectionsPerFlopKind: s.InjPerFlopKind,
-		FlopStride:            s.FlopStride,
-		Seed:                  s.Seed,
-		Workers:               s.Workers,
-		Legacy:                s.Legacy,
-		NoPrune:               s.NoPrune,
-		Mode:                  s.Mode,
-		CheckpointPath:        s.Checkpoint,
-		CheckpointEvery:       s.CheckpointEvery,
-		Resume:                s.Resume,
-	}
 }
 
 // Context carries one campaign's data and the measured kernel timings; all
@@ -144,7 +100,7 @@ func NewContext(s Scale, progress func(done, total int)) (*Context, error) {
 // NewContextStats is NewContext plus the campaign's wall-clock and
 // throughput accounting (experiments/sec across the worker pool).
 func NewContextStats(s Scale, progress func(done, total int)) (*Context, inject.Stats, error) {
-	cfg := s.Config()
+	cfg := s.Config
 	cfg.Progress = progress
 	ds, st, err := inject.RunStats(cfg)
 	if err != nil {
@@ -158,7 +114,7 @@ func NewContextStats(s Scale, progress func(done, total int)) (*Context, inject.
 // loaded from a campaign log on disk).
 func NewContextFromData(s Scale, ds *dataset.Dataset) (*Context, error) {
 	c := &Context{Scale: s, DS: ds, Timings: map[string]workload.Timing{}}
-	kernels := s.Kernels
+	kernels := s.Config.Kernels
 	if len(kernels) == 0 {
 		for _, k := range workload.Kernels() {
 			kernels = append(kernels, k.Name)
@@ -177,7 +133,7 @@ func NewContextFromData(s Scale, ds *dataset.Dataset) (*Context, error) {
 		c.Timings[name] = tm
 		c.restartMap[name] = int64(tm.RestartCycles)
 	}
-	rng := rand.New(rand.NewSource(s.Seed + 100))
+	rng := rand.New(rand.NewSource(s.Config.Seed + 100))
 	c.folds = c.DS.Folds(rng, NumFolds)
 	return c, nil
 }
@@ -191,6 +147,6 @@ func (c *Context) Folds() []dataset.Fold { return c.folds }
 // error counts, matching the paper's dataset construction (see
 // dataset.Balanced). Deterministic per fold.
 func (c *Context) balancedTest(fi int) *dataset.Dataset {
-	rng := rand.New(rand.NewSource(c.Scale.Seed + 7000 + int64(fi)))
+	rng := rand.New(rand.NewSource(c.Scale.Config.Seed + 7000 + int64(fi)))
 	return c.folds[fi].Test.Balanced(rng)
 }

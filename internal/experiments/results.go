@@ -373,7 +373,7 @@ func (c *Context) compare(gran core.Granularity, tableAccess int64, lbist bool) 
 			sbist.PredComb{Cfg: cfg, Table: table},
 		}
 		for i, m := range models {
-			e := sbist.Evaluate(m, test, c.Scale.Seed+int64(fi))
+			e := sbist.Evaluate(m, test, c.Scale.Config.Seed+int64(fi))
 			sums[i].Model = e.Model
 			sums[i].MeanLERT += e.MeanLERT
 			sums[i].P95LERT += e.P95LERT
@@ -490,7 +490,7 @@ func (c *Context) SweepTopK(gran core.Granularity) TopKSweep {
 	var baseSum float64
 	for fi, f := range c.folds {
 		cfg := sbist.NewConfig(gran, c.restartMap, sbist.OffChipTableAccess)
-		e := sbist.Evaluate(sbist.NewBaseAscending(cfg), f.Test, c.Scale.Seed+int64(fi))
+		e := sbist.Evaluate(sbist.NewBaseAscending(cfg), f.Test, c.Scale.Config.Seed+int64(fi))
 		baseSum += e.MeanLERT
 	}
 	sw.BaseLERT = baseSum / float64(len(c.folds))
@@ -502,7 +502,7 @@ func (c *Context) SweepTopK(gran core.Granularity) TopKSweep {
 			table := core.Train(f.Train, gran, k)
 			test := f.Test
 			accSum += table.LocationAccuracy(test, k)
-			e := sbist.Evaluate(sbist.PredComb{Cfg: cfg, Table: table}, test, c.Scale.Seed+int64(fi))
+			e := sbist.Evaluate(sbist.PredComb{Cfg: cfg, Table: table}, test, c.Scale.Config.Seed+int64(fi))
 			lertSum += e.MeanLERT
 		}
 		nf := float64(len(c.folds))
@@ -652,7 +652,7 @@ func (c *Context) AblationDynamic() Ablation {
 			recs = append(recs, r)
 		}
 	}
-	rng := rand.New(rand.NewSource(c.Scale.Seed + 999))
+	rng := rand.New(rand.NewSource(c.Scale.Config.Seed + 999))
 	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 
 	var statSum, dynSum float64
@@ -705,7 +705,7 @@ func (c *Context) SweepStopWindow(windows []int) (WindowSweep, error) {
 		windows = []int{1, 2, 4, 8, 12, 16}
 	}
 	sw := WindowSweep{Windows: windows}
-	cfg := c.Scale.Config()
+	cfg := c.Scale.Config
 	cfg.FlopStride *= 4
 	if len(cfg.Kernels) == 0 {
 		cfg.Kernels = []string{"ttsprk", "rspeed", "matrix"}
@@ -720,7 +720,7 @@ func (c *Context) SweepStopWindow(windows []int) (WindowSweep, error) {
 		if err != nil {
 			return sw, err
 		}
-		rng := rand.New(rand.NewSource(c.Scale.Seed + int64(w)))
+		rng := rand.New(rand.NewSource(c.Scale.Config.Seed + int64(w)))
 		train, test := ds.Split(rng, 0.8)
 		table := core.Train(train, core.Coarse7, 0)
 		soft, hard, overall := table.TypeAccuracy(test.Balanced(rng))

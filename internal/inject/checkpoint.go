@@ -82,7 +82,11 @@ type Fingerprint struct {
 	Kinds                 []int    `json:"kinds"`
 	StopLatency           int      `json:"stop_latency"` // effective checker window
 	Seed                  int64    `json:"seed"`
-	Legacy                bool     `json:"legacy"`
+	// Legacy is always false. It named a campaign run on the dual-CPU
+	// oracle, which no Config can select any more; it stays so that every
+	// digest (a lockstep-serve job ID) and checkpoint keeps its bytes, and
+	// a checkpoint that has it set refuses to resume.
+	Legacy bool `json:"legacy"`
 	// NoPrune is schedule-relevant even though datasets are byte-identical
 	// either way: a checkpoint taken with pruning enabled holds rows the
 	// static analysis proved, so resuming it under -no-prune (or vice
@@ -125,7 +129,6 @@ func (c Config) fingerprint() Fingerprint {
 		Kinds:                 kinds,
 		StopLatency:           window,
 		Seed:                  c.Seed,
-		Legacy:                c.Legacy,
 		NoPrune:               c.NoPrune,
 		TraceVersion:          lockstep.TraceVersion,
 		Mode:                  mode,

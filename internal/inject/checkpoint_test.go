@@ -92,7 +92,9 @@ func TestResumeConfigMismatch(t *testing.T) {
 		{field: "Kinds", mutate: func(c *Config) { c.Kinds = []lockstep.FaultKind{lockstep.SoftFlip} }},
 		{field: "StopLatency", mutate: func(c *Config) { c.StopLatency = 3 }},
 		{field: "Seed", mutate: func(c *Config) { c.Seed = 6 }},
-		{field: "Legacy", mutate: func(c *Config) { c.Legacy = true }},
+		// No Config sets Legacy any more; a checkpoint of a campaign that
+		// ran on the dual-CPU oracle still refuses to resume.
+		{field: "Legacy", mutateCk: func(fp *Fingerprint) { fp.Legacy = true }},
 		{field: "NoPrune", mutate: func(c *Config) { c.NoPrune = true }},
 		// A checkpoint from an older trace/pruning generation (or one with
 		// no trace_version at all, which decodes as 0) must refuse on this

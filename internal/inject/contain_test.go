@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lockstep/internal/cpu"
@@ -35,7 +36,7 @@ func containConfig() Config {
 }
 
 // TestPanicContainment: a deliberately poisoned experiment must not kill
-// the campaign — it is retried, then recorded as a Failed row, while
+// the campaign — it is retried once, then recorded as a Failed row, while
 // every other experiment's record stays exactly as in a clean run. Run at
 // several worker counts so -race also sees the containment path.
 func TestPanicContainment(t *testing.T) {
@@ -52,16 +53,21 @@ func TestPanicContainment(t *testing.T) {
 
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		before := failureCount()
+		var attempts atomic.Int32
 		cfg := containConfig()
 		cfg.Workers = workers
 		cfg.testHook = func(e Experiment, _ *lockstep.Outcome) {
 			if e == poison {
+				attempts.Add(1)
 				panic("deliberately poisoned experiment")
 			}
 		}
 		ds, st, err := RunStats(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: poisoned campaign aborted: %v", workers, err)
+		}
+		if n := attempts.Load(); n != 2 {
+			t.Fatalf("workers=%d: poisoned experiment attempted %d times, want 2 (one retry)", workers, n)
 		}
 		if ds.Len() != clean.Len() {
 			t.Fatalf("workers=%d: poisoned campaign produced %d records, want %d", workers, ds.Len(), clean.Len())
@@ -129,39 +135,6 @@ func TestPanicRetryRecovers(t *testing.T) {
 		if ds.Records[i] != clean.Records[i] {
 			t.Fatalf("record %d differs after a retried panic: %+v vs %+v", i, ds.Records[i], clean.Records[i])
 		}
-	}
-}
-
-// TestRetriesDisabled: Retries < 0 records the first panic as Failed
-// without a second attempt.
-func TestRetriesDisabled(t *testing.T) {
-	plan, err := containConfig().Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := plan[0]
-	var mu sync.Mutex
-	attempts := 0
-	cfg := containConfig()
-	cfg.Retries = -1
-	cfg.testHook = func(e Experiment, _ *lockstep.Outcome) {
-		if e != victim {
-			return
-		}
-		mu.Lock()
-		attempts++
-		mu.Unlock()
-		panic("always panics")
-	}
-	ds, st, err := RunStats(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 1 {
-		t.Fatalf("experiment attempted %d times with retries disabled, want 1", attempts)
-	}
-	if st.Failures != 1 || !ds.Records[0].Failed {
-		t.Fatalf("first record not Failed (failures=%d, rec=%+v)", st.Failures, ds.Records[0])
 	}
 }
 

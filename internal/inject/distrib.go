@@ -793,10 +793,14 @@ func (c *Coordinator) Summary() string {
 // which is what lets a worker node rebuild the identical plan, goldens
 // and pruning analysis from the coordinator's fingerprint alone. A
 // fingerprint from a build with a different golden-trace/pruning
-// generation is refused: its goldens would not be comparable.
+// generation is refused: its goldens would not be comparable. So is one
+// with Legacy set, which no Config reproduces.
 func (f Fingerprint) Config() (Config, error) {
 	if f.TraceVersion != lockstep.TraceVersion {
 		return Config{}, fmt.Errorf("inject: campaign ran trace version %d, this build has %d; use matching builds on every node", f.TraceVersion, lockstep.TraceVersion)
+	}
+	if f.Legacy {
+		return Config{}, fmt.Errorf("inject: fingerprint names a legacy-oracle campaign, which this build cannot run")
 	}
 	kinds := make([]lockstep.FaultKind, len(f.Kinds))
 	for i, k := range f.Kinds {
@@ -823,7 +827,6 @@ func (f Fingerprint) Config() (Config, error) {
 		Kinds:                 kinds,
 		StopLatency:           f.StopLatency,
 		Seed:                  f.Seed,
-		Legacy:                f.Legacy,
 		NoPrune:               f.NoPrune,
 		Mode:                  mode,
 	}, nil

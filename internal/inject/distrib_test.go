@@ -672,35 +672,49 @@ func TestFingerprintConfigRoundTrip(t *testing.T) {
 	if _, err := bad.Config(); err == nil {
 		t.Fatal("unknown fault kind accepted")
 	}
+	bad = fp
+	bad.Legacy = true
+	if _, err := bad.Config(); err == nil {
+		t.Fatal("legacy-oracle fingerprint accepted")
+	}
 }
 
 // TestDigestMatchesLegacyJobID pins the digest to the exact derivation
 // lockstep-serve has used for job IDs since PR 5 (hex of the first 8
 // sha256 bytes of the fingerprint JSON), so old data directories keep
-// resolving.
+// resolving: the digests of one config under every mode are pinned, so
+// adding, dropping or renaming a Fingerprint field fails here.
 func TestDigestMatchesLegacyJobID(t *testing.T) {
+	for _, c := range []struct {
+		mode   lockstep.Mode
+		digest string
+	}{
+		{lockstep.Mode{}, "0979298707204e7b"},
+		{lockstep.Mode{Kind: lockstep.ModeTMR}, "d753f8c82806b1db"},
+		{lockstep.Mode{Kind: lockstep.ModeSlip, Slip: 16}, "7b7459e9234d3536"},
+	} {
+		cfg := smallConfig()
+		cfg.Mode = c.mode
+		fp, err := cfg.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := fp.Digest(); d != c.digest {
+			t.Errorf("%s: digest %s, want %s", c.mode, d, c.digest)
+		}
+	}
+	// Distinct schedules get distinct digests.
 	cfg := smallConfig()
 	fp, err := cfg.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := fp.Digest()
-	if len(d) != 16 {
-		t.Fatalf("digest %q is not 16 hex chars", d)
-	}
-	for _, c := range d {
-		if !strings.ContainsRune("0123456789abcdef", c) {
-			t.Fatalf("digest %q is not lowercase hex", d)
-		}
-	}
-	// Distinct schedules get distinct digests.
-	cfg2 := cfg
-	cfg2.Seed++
-	fp2, err := cfg2.Fingerprint()
+	cfg.Seed++
+	fp2, err := cfg.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp2.Digest() == d {
+	if fp2.Digest() == fp.Digest() {
 		t.Fatal("different seeds share a digest")
 	}
 }

@@ -476,14 +476,18 @@ type worker struct {
 	tally []int64
 }
 
+// retries is how many times a panicking experiment is re-attempted
+// before it is recorded as Failed.
+const retries = 1
+
 // run executes one experiment against g, with the stuck-at skip off when
 // noSkip is set, and never panics: a panicking experiment is re-attempted
-// up to cfg.Retries times on a fresh replay scratch (the old one may be
-// mid-experiment) and then recorded as Failed.
+// up to retries times on a fresh replay scratch (the old one may be
+// mid-experiment) and then recorded as Failed, so a poisoned experiment
+// costs one dataset row, not the campaign.
 func (w *worker) run(g *lockstep.Golden, e Experiment, noSkip bool) lockstep.Outcome {
-	cfg := &w.en.cfg
 	for attempt := 0; ; attempt++ {
-		if w.rep == nil && !cfg.Legacy {
+		if w.rep == nil {
 			w.rep = lockstep.NewReplayer()
 		}
 		out, panicked := w.once(e, g, noSkip)
@@ -491,7 +495,7 @@ func (w *worker) run(g *lockstep.Golden, e Experiment, noSkip bool) lockstep.Out
 			return out
 		}
 		w.rep = nil
-		if attempt >= cfg.Retries {
+		if attempt >= retries {
 			return lockstep.Outcome{Failed: true}
 		}
 	}
@@ -505,12 +509,9 @@ func (w *worker) once(e Experiment, g *lockstep.Golden, noSkip bool) (out lockst
 		}
 	}()
 	cfg := &w.en.cfg
-	switch {
-	case cfg.Legacy:
-		out = g.InjectLegacyMode(e.injection(), cfg.Mode, w.en.window)
-	case noSkip:
+	if noSkip {
 		out = w.rep.InjectModeNoSkip(g, e.injection(), cfg.Mode, w.en.window)
-	default:
+	} else {
 		out = w.rep.InjectMode(g, e.injection(), cfg.Mode, w.en.window)
 	}
 	if cfg.testHook != nil {

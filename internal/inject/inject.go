@@ -103,11 +103,6 @@ type Config struct {
 	// worker count (the plan fixes each experiment's schedule and records
 	// merge back in plan order).
 	Workers int
-	// Legacy runs experiments on the original dual-CPU simulation instead
-	// of the golden-trace replay path. Roughly half the throughput; kept
-	// as the differential-testing oracle (outcomes are bit-identical to
-	// the replay path, which the test suite asserts).
-	Legacy bool
 	// NoPrune disables static fault-equivalence pruning, simulating every
 	// experiment even when the golden run's liveness and register-escape
 	// analysis proves its outcome, and turns off the replay's stuck-at
@@ -158,12 +153,6 @@ type Config struct {
 	// fingerprint.
 	Cancel <-chan struct{}
 
-	// Retries is how many times a panicking experiment is re-attempted
-	// before being recorded as Failed; 0 means a default of 1, negative
-	// disables retries. Panics never escape a worker: a poisoned
-	// experiment costs one dataset row, not the campaign.
-	Retries int
-
 	// testHook, when set, runs at the end of every simulated experiment
 	// attempt and may rewrite its outcome. It exists so tests can inject
 	// panics and wrong outcomes into the worker pool to exercise the
@@ -204,12 +193,6 @@ func (c *Config) normalize() error {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 4096
-	}
-	switch {
-	case c.Retries == 0:
-		c.Retries = 1
-	case c.Retries < 0:
-		c.Retries = 0
 	}
 	if c.Resume && c.CheckpointPath == "" {
 		return &ConfigError{Field: "Resume", Reason: "requires CheckpointPath"}

@@ -4,37 +4,52 @@ import (
 	"bytes"
 	"testing"
 
+	"lockstep/internal/dataset"
+	"lockstep/internal/lockstep"
 	"lockstep/internal/telemetry"
+	"lockstep/internal/workload"
 )
 
 // TestLegacyOracleDatasetIdentical is the campaign-level differential
-// test: the same config run on the golden-trace replay path and on the
-// legacy dual-CPU oracle (Config.Legacy) must produce byte-identical
-// datasets — every record and the CSV serialization. Together with
-// TestWorkerCountInvariance this pins the replay optimization to the
-// pre-existing semantics at any worker count.
+// test: the pruned replay campaign must be byte-identical to a dataset
+// rendered from the dual-CPU oracle (Golden.InjectLegacyMode) at every
+// plan index, pruned sites included — every record and the CSV
+// serialization. Together with TestWorkerCountInvariance this pins the
+// replay path and static pruning to the oracle's semantics at any worker
+// count.
 func TestLegacyOracleDatasetIdentical(t *testing.T) {
-	replay := invarianceConfig()
-	replay.Kernels = []string{"ttsprk", "rspeed"}
-	replay.Workers = 4
-	a, err := Run(replay)
+	cfg := invarianceConfig()
+	cfg.Kernels = []string{"ttsprk", "rspeed"}
+	cfg.Workers = 4
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	legacy := replay
-	legacy.Legacy = true
-	b, err := Run(legacy)
+	plan, err := cfg.Plan()
 	if err != nil {
 		t.Fatal(err)
+	}
+	b := &dataset.Dataset{}
+	goldens := map[string]*lockstep.Golden{}
+	for _, e := range plan {
+		g := goldens[e.Kernel]
+		if g == nil {
+			if g, err = lockstep.NewGolden(workload.ByName(e.Kernel), cfg.RunCycles, 1); err != nil {
+				t.Fatal(err)
+			}
+			goldens[e.Kernel] = g
+		}
+		out := g.InjectLegacyMode(e.injection(), cfg.Mode, lockstep.StopLatency)
+		b.Records = append(b.Records, recordFor(e, out, cfg.Mode))
 	}
 
 	if a.Len() != b.Len() {
-		t.Fatalf("dataset lengths differ: replay=%d legacy=%d", a.Len(), b.Len())
+		t.Fatalf("dataset lengths differ: replay=%d oracle=%d", a.Len(), b.Len())
 	}
 	for i := range a.Records {
 		if a.Records[i] != b.Records[i] {
-			t.Fatalf("record %d differs between paths:\nreplay: %+v\nlegacy: %+v",
+			t.Fatalf("record %d differs between paths:\nreplay: %+v\noracle: %+v",
 				i, a.Records[i], b.Records[i])
 		}
 	}
@@ -46,7 +61,7 @@ func TestLegacyOracleDatasetIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
-		t.Fatal("CSV serializations differ between replay and legacy paths")
+		t.Fatal("CSV serializations differ between the replay campaign and the oracle")
 	}
 }
 

@@ -28,9 +28,8 @@ type DMR struct {
 
 	entry   uint32
 	kernel  *workload.Kernel
-	fault   Injection
+	fault   fault
 	faultOn bool
-	softHot bool
 }
 
 // NewDMR builds a dual lockstep system running the kernel.
@@ -50,43 +49,29 @@ func NewDMR(k *workload.Kernel) (*DMR, error) {
 // Arm schedules fault forcing on the redundant CPU from inj.Cycle
 // (absolute cycle count) onward.
 func (d *DMR) Arm(inj Injection) {
-	d.fault = inj
+	d.fault = fault{inj: inj}
 	d.faultOn = true
-	d.softHot = false
 }
 
 // Disarm cancels fault forcing (e.g., after a repaired transient).
 func (d *DMR) Disarm() {
 	d.faultOn = false
-	d.softHot = false
+}
+
+// step advances both CPUs one cycle and applies any armed fault.
+func (d *DMR) step() {
+	d.Cycle++
+	d.Main.StepCycle()
+	d.Red.StepCycle()
+	if d.faultOn {
+		d.fault.edge(&d.Red.State, &d.Main.State, d.Cycle)
+	}
 }
 
 // Step advances both CPUs one cycle, applies any armed fault, and feeds
 // the checker. It returns true on the cycle the checker latches an error.
 func (d *DMR) Step() bool {
-	d.Cycle++
-	d.Main.StepCycle()
-	d.Red.StepCycle()
-	if d.faultOn && d.Cycle >= d.fault.Cycle {
-		st := &d.Red.State
-		switch d.fault.Kind {
-		case SoftFlip:
-			switch {
-			case d.Cycle == d.fault.Cycle:
-				cpu.FlipBit(st, d.fault.Flop)
-				d.softHot = true
-			case d.softHot:
-				// The transient passes; the flop recovers to the
-				// fault-free value.
-				cpu.ForceBit(st, d.fault.Flop, cpu.GetBit(&d.Main.State, d.fault.Flop))
-				d.softHot = false
-			}
-		case Stuck0:
-			cpu.ForceBit(st, d.fault.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(st, d.fault.Flop, true)
-		}
-	}
+	d.step()
 	om := d.Main.State.Outputs()
 	or := d.Red.State.Outputs()
 	return d.Chk.Compare(&om, &or)
@@ -104,28 +89,8 @@ func (d *DMR) RunToError(limit int) (dsr uint64, detectCycle int, ok bool) {
 			detectCycle = d.Cycle
 			dsr = d.Chk.DSR
 			for w := 1; w < StopLatency; w++ {
-				d.Cycle++
-				d.Main.StepCycle()
-				d.Red.StepCycle()
-				if d.faultOn {
-					switch d.fault.Kind {
-					case SoftFlip:
-						if d.softHot {
-							// The transient passes mid-window, exactly as
-							// in Step and the Inject harness.
-							cpu.ForceBit(&d.Red.State, d.fault.Flop,
-								cpu.GetBit(&d.Main.State, d.fault.Flop))
-							d.softHot = false
-						}
-					case Stuck0:
-						cpu.ForceBit(&d.Red.State, d.fault.Flop, false)
-					case Stuck1:
-						cpu.ForceBit(&d.Red.State, d.fault.Flop, true)
-					}
-				}
-				om := d.Main.State.Outputs()
-				or := d.Red.State.Outputs()
-				dsr |= cpu.Diverge(&om, &or)
+				d.step()
+				dsr |= diverge(&d.Main.State, &d.Red.State)
 			}
 			d.Chk.DSR = dsr
 			return dsr, detectCycle, true
@@ -151,6 +116,6 @@ func (d *DMR) Restart() error {
 	d.Main.State.Reset(d.entry)
 	d.Red.State.Reset(d.entry)
 	d.Chk.Reset()
-	d.softHot = false
+	d.fault.hot = false
 	return nil
 }

@@ -1,9 +1,6 @@
 package lockstep
 
-import (
-	"lockstep/internal/cpu"
-	"lockstep/internal/mem"
-)
+import "lockstep/internal/cpu"
 
 // This file is the mode dispatch layer of the injection harness: one
 // entry point per execution path (replay fast path, full-simulation
@@ -160,48 +157,6 @@ func (r *Replayer) tmrRecheck(g *Golden, e int, inj Injection) bool {
 	return true
 }
 
-// recoverTMR applies the forward-recovery state edit of TMR.ForwardRecover
-// to one architectural state: reset at the majority's PC, keep its
-// register file, discard all microarchitectural state.
-func recoverTMR(st *cpu.State) {
-	pc, regs := st.PC, st.Regs
-	st.Reset(pc)
-	st.Regs = regs
-}
-
-// forceStuck re-forces a stuck-at fault; soft faults are left alone (the
-// transient has passed by any recovery point).
-func forceStuck(st *cpu.State, inj Injection) {
-	switch inj.Kind {
-	case Stuck0:
-		cpu.ForceBit(st, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(st, inj.Flop, true)
-	}
-}
-
-// vote3 runs the majority voter over three output vectors, with the same
-// semantics as TMR.Step: when exactly one CPU disagrees its divergence
-// map against the majority is the DSR; when all three disagree the maps
-// are OR-ed and no erring CPU is named.
-func vote3(o0, o1, o2 *cpu.OutVec) VoteResult {
-	d01 := cpu.Diverge(o0, o1)
-	d02 := cpu.Diverge(o0, o2)
-	d12 := cpu.Diverge(o1, o2)
-	switch {
-	case d01 == 0 && d02 == 0 && d12 == 0:
-		return VoteResult{Erring: -1}
-	case d01 == 0:
-		return VoteResult{Diverged: true, DSR: d02, Erring: 2}
-	case d02 == 0:
-		return VoteResult{Diverged: true, DSR: d01, Erring: 1}
-	case d12 == 0:
-		return VoteResult{Diverged: true, DSR: d01, Erring: 0}
-	default:
-		return VoteResult{Diverged: true, DSR: d01 | d02 | d12, Erring: -1}
-	}
-}
-
 // injectTMRLegacy is the TMR differential oracle: three live CPUs (bus
 // driver plus two compare-only monitors, the faulty one being CPU 2),
 // a genuine per-cycle majority vote, and the forward-recovery recheck run
@@ -212,79 +167,47 @@ func (g *Golden) injectTMRLegacy(inj Injection, window int) Outcome {
 	if inj.Cycle < 0 || inj.Cycle >= g.TotalCycles {
 		return Outcome{}
 	}
-	if window < 1 {
-		window = 1
-	}
-	sys, main := g.restore(inj.Cycle)
-	mon := main.Fork(mem.Monitor{Sys: sys})
-	red := main.Fork(mem.Monitor{Sys: sys})
-	switch inj.Kind {
-	case SoftFlip:
-		cpu.FlipBit(&red.State, inj.Flop)
-	case Stuck0:
-		cpu.ForceBit(&red.State, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(&red.State, inj.Flop, true)
-	}
-
-	softArmed := inj.Kind == SoftFlip
-	stepAll := func() {
-		main.StepCycle()
+	p := g.restorePair(inj)
+	mon := p.main.Fork(p.red.Bus) // a second compare-only monitor
+	step := func() {
+		p.step()
 		mon.StepCycle()
-		red.StepCycle()
-		if softArmed {
-			cpu.ForceBit(&red.State, inj.Flop, cpu.GetBit(&main.State, inj.Flop))
-			softArmed = false
-		}
-		forceStuck(&red.State, inj)
 	}
-	for cyc := inj.Cycle; cyc < g.TotalCycles; cyc++ {
-		o0 := main.State.Outputs()
-		o1 := mon.State.Outputs()
-		o2 := red.State.Outputs()
-		if v := vote3(&o0, &o1, &o2); v.Diverged {
-			detect := cyc
-			dsr := v.DSR
-			for w := 1; w < window && cyc+1 < g.TotalCycles; w++ {
-				stepAll()
-				cyc++
-				o0 = main.State.Outputs()
-				o1 = mon.State.Outputs()
-				o2 = red.State.Outputs()
-				dsr |= vote3(&o0, &o1, &o2).DSR
+	vote := func() VoteResult {
+		o0, o1, o2 := p.main.State.Outputs(), mon.State.Outputs(), p.red.State.Outputs()
+		return vote3(&o0, &o1, &o2)
+	}
+	for ; p.cycle < g.TotalCycles; step() {
+		v := vote()
+		if !v.Diverged {
+			if p.converged() {
+				return Outcome{Converged: true}
 			}
-			recordDSR("inject", dsr)
-			// Forward recovery on the oracle's own triple: restore the
-			// majority architectural state (main and mon are bit-identical,
-			// either is the majority) into every core — including the
-			// erring one — then watch the vote for TMRRecheckCycles.
-			pc, regs := main.State.PC, main.State.Regs
-			for _, c := range [...]*cpu.CPU{main, mon, red} {
-				c.State.Reset(pc)
-				c.State.Regs = regs
-			}
-			softArmed = false
-			forceStuck(&red.State, inj)
-			conv := true
-			for i := 0; i < TMRRecheckCycles; i++ {
-				o0 = main.State.Outputs()
-				o1 = mon.State.Outputs()
-				o2 = red.State.Outputs()
-				if vote3(&o0, &o1, &o2).Diverged {
-					conv = false
-					break
-				}
-				main.StepCycle()
-				mon.StepCycle()
-				red.StepCycle()
-				forceStuck(&red.State, inj)
-			}
-			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr, Converged: conv}
+			continue
 		}
-		if inj.Kind == SoftFlip && !softArmed && red.State == main.State {
-			return Outcome{Converged: true}
+		detect, dsr := p.cycle, v.DSR
+		for w := 1; w < window && p.cycle+1 < g.TotalCycles; w++ {
+			step()
+			dsr |= vote().DSR
 		}
-		stepAll()
+		recordDSR("inject", dsr)
+		// Forward recovery on the oracle's own triple: restore the
+		// majority architectural state (main and mon are bit-identical,
+		// either is the majority) into every core — including the erring
+		// one, on which a stuck-at is forced again — then watch the vote
+		// for TMRRecheckCycles.
+		recoverTMR(&p.main.State)
+		mon.State, p.red.State = p.main.State, p.main.State
+		p.fault.hold(&p.red.State, &p.main.State)
+		conv := true
+		for i := 0; i < TMRRecheckCycles; i++ {
+			if vote().Diverged {
+				conv = false
+				break
+			}
+			step()
+		}
+		return Outcome{Detected: true, DetectCycle: detect, DSR: dsr, Converged: conv}
 	}
 	return Outcome{}
 }

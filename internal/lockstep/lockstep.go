@@ -222,8 +222,8 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 
 // restore returns a fresh system and golden CPU at the end of cycle: the
 // CPU state is the recorded one and the RAM is the reset image with the
-// write log applied up to cycle. It is the legacy dual-CPU path's entry
-// point; the replay path positions a mem.ReplayBus instead (see
+// write log applied up to cycle. It is the oracle paths' entry point
+// (restorePair); the replay path positions a mem.ReplayBus instead (see
 // Replayer).
 func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU) {
 	sys := mem.NewSystem()
@@ -240,11 +240,11 @@ func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU) {
 // injectLegacyHorizon is the original dual-CPU experiment, generalized
 // over the lockstep mode: the golden (main) CPU is re-simulated to drive
 // the memory system while the redundant CPU consumes the same inputs with
-// fault forcing applied. It mirrors Replayer.injectHorizon: `horizon`
-// bounds the compared program cycles and `shift` moves detection cycles
-// to the wall clock (see the mode rationale there). It is twice the
-// simulation work of the replay path and is kept as the differential-
-// testing oracle (and behind the campaign drivers' -legacy-inject flag).
+// the fault held on it (see fault). It mirrors Replayer.injectHorizon:
+// `horizon` bounds the compared program cycles and `shift` moves
+// detection cycles to the wall clock (see the mode rationale there). It
+// is twice the simulation work of the replay path and is kept as its
+// differential-testing oracle.
 func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) Outcome {
 	if horizon > g.TotalCycles {
 		horizon = g.TotalCycles
@@ -252,68 +252,24 @@ func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) 
 	if inj.Cycle < 0 || inj.Cycle >= horizon {
 		return Outcome{}
 	}
-	if window < 1 {
-		window = 1
-	}
-	// The redundant CPU is bit-identical to the main one until the fault
-	// applies.
-	sys, main := g.restore(inj.Cycle)
-	red := main.Fork(mem.Monitor{Sys: sys})
-
-	// Apply the fault after the injection-cycle clock edge. A soft fault
-	// inverts the flop for exactly one cycle — per Section III-B, "its
-	// effect on the sequential element will disappear in the next cycle" —
-	// while downstream corruption it caused propagates naturally. Stuck-at
-	// faults are re-forced after every clock edge.
-	switch inj.Kind {
-	case SoftFlip:
-		cpu.FlipBit(&red.State, inj.Flop)
-	case Stuck0:
-		cpu.ForceBit(&red.State, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(&red.State, inj.Flop, true)
-	}
-
-	softArmed := inj.Kind == SoftFlip
-	stepFaulty := func() {
-		main.StepCycle()
-		red.StepCycle()
-		switch inj.Kind {
-		case SoftFlip:
-			if softArmed {
-				// The transient has passed: the flop itself recovers.
-				cpu.ForceBit(&red.State, inj.Flop, cpu.GetBit(&main.State, inj.Flop))
-				softArmed = false
-			}
-		case Stuck0:
-			cpu.ForceBit(&red.State, inj.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(&red.State, inj.Flop, true)
-		}
-	}
-	for cyc := inj.Cycle; cyc < horizon; cyc++ {
-		om := main.State.Outputs()
-		or := red.State.Outputs()
-		if dsr := cpu.Diverge(&om, &or); dsr != 0 {
+	p := g.restorePair(inj)
+	for ; p.cycle < horizon; p.step() {
+		if dsr := p.diverge(); dsr != 0 {
 			// Error detected. The checker's error output takes the stop
 			// window to actually halt the CPUs; the DSR keeps
 			// OR-accumulating per-SC divergences during that window
 			// (Figure 6's DSR bits are set, never cleared, until read).
-			detect := cyc + shift
-			for w := 1; w < window && cyc+1 < horizon; w++ {
-				stepFaulty()
-				cyc++
-				om = main.State.Outputs()
-				or = red.State.Outputs()
-				dsr |= cpu.Diverge(&om, &or)
+			detect := p.cycle + shift
+			for w := 1; w < window && p.cycle+1 < horizon; w++ {
+				p.step()
+				dsr |= p.diverge()
 			}
 			recordDSR("inject", dsr)
 			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 		}
-		if inj.Kind == SoftFlip && !softArmed && red.State == main.State {
+		if p.converged() {
 			return Outcome{Converged: true}
 		}
-		stepFaulty()
 	}
 	// Horizon reached without divergence: masked.
 	return Outcome{}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"lockstep/internal/cpu"
 )
 
 // ModeKind enumerates the lockstep organizations the campaign harness can
@@ -98,71 +96,4 @@ func (m Mode) DetectShift() int {
 		return m.Slip
 	}
 	return 0
-}
-
-// SlipChecker is the live mode-aware lockstep checker: the main CPU's
-// output vectors are delayed through an N-deep ring so the redundant
-// CPU's outputs — produced N wall cycles later — are compared against the
-// main vector of the same program cycle. N == 0 degenerates to the plain
-// per-cycle Checker. Like Checker, the first divergence latches the DSR
-// and the checker then holds its state.
-type SlipChecker struct {
-	DSR      uint64 // diverged-SC map latched at first error
-	Error    bool   // sticky lockstep error flag
-	ErrCycle int    // wall cycle the error was latched
-
-	n     int          // stagger depth
-	ring  []cpu.OutVec // last n main vectors, oldest at head
-	head  int
-	seen  int // main vectors buffered so far
-	cycle int
-}
-
-// NewSlipChecker builds a checker for an n-cycle stagger. n must be >= 0.
-func NewSlipChecker(n int) *SlipChecker {
-	if n < 0 {
-		panic("lockstep: negative slip")
-	}
-	return &SlipChecker{n: n, ring: make([]cpu.OutVec, n)}
-}
-
-// Compare feeds one wall cycle: the main CPU's output vector for program
-// cycle t and the redundant CPU's output vector for program cycle t-n
-// (zero-valued/ignored until the redundant CPU has started, i.e. for the
-// first n wall cycles). It returns true when this cycle latched a new
-// error.
-func (c *SlipChecker) Compare(main, red *cpu.OutVec) bool {
-	c.cycle++
-	if c.n == 0 {
-		return c.latch(cpu.Diverge(main, red))
-	}
-	delayed := c.ring[c.head]
-	c.ring[c.head] = *main
-	c.head = (c.head + 1) % c.n
-	if c.seen < c.n {
-		// The redundant CPU has not reached this program cycle yet.
-		c.seen++
-		return false
-	}
-	return c.latch(cpu.Diverge(&delayed, red))
-}
-
-func (c *SlipChecker) latch(dsr uint64) bool {
-	if c.Error || dsr == 0 {
-		return false
-	}
-	c.DSR = dsr
-	c.Error = true
-	c.ErrCycle = c.cycle
-	recordDSR("checker", dsr)
-	return true
-}
-
-// Reset clears the checker for reuse after error handling, keeping the
-// stagger depth.
-func (c *SlipChecker) Reset() {
-	*c = SlipChecker{n: c.n, ring: c.ring}
-	for i := range c.ring {
-		c.ring[i] = cpu.OutVec{}
-	}
 }

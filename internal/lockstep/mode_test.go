@@ -211,65 +211,6 @@ func TestModePruneSoundness(t *testing.T) {
 	}
 }
 
-// TestSlipCheckerDelaysCompare exercises the live mode-aware checker: a
-// divergence at program cycle c must latch at wall cycle c+N with the
-// same DSR a plain checker latches at c.
-func TestSlipCheckerDelaysCompare(t *testing.T) {
-	const n = 4
-	sc := NewSlipChecker(n)
-	plain := &Checker{}
-	// Synthesize output streams: golden constant, red diverges in SC 3 at
-	// program cycle 10.
-	mk := func(cyc int, diverged bool) (*cpu.OutVec, *cpu.OutVec) {
-		var m, r cpu.OutVec
-		m[0] = uint32(cyc) // some changing signal, identical in both
-		r[0] = uint32(cyc)
-		if diverged {
-			r[3] = 0xdead
-		}
-		return &m, &r
-	}
-	for cyc := 0; cyc < 32; cyc++ {
-		m, r := mk(cyc, cyc >= 10)
-		plain.Compare(m, r)
-		// Feed the slip checker in wall time: the red vector lags n
-		// cycles behind the main vector.
-		mWall, _ := mk(cyc, false)
-		var rWall *cpu.OutVec
-		if cyc >= n {
-			_, rWall = mk(cyc-n, cyc-n >= 10)
-		} else {
-			rWall = &cpu.OutVec{}
-		}
-		sc.Compare(mWall, rWall)
-	}
-	if !plain.Error || !sc.Error {
-		t.Fatalf("checkers did not latch: plain=%v slip=%v", plain.Error, sc.Error)
-	}
-	if sc.ErrCycle != plain.ErrCycle+n {
-		t.Fatalf("slip latch at wall cycle %d, want %d (+%d)", sc.ErrCycle, plain.ErrCycle+n, n)
-	}
-	if sc.DSR != plain.DSR {
-		t.Fatalf("slip DSR %x != plain %x", sc.DSR, plain.DSR)
-	}
-	sc.Reset()
-	if sc.Error || sc.DSR != 0 {
-		t.Fatal("Reset did not clear the latch")
-	}
-}
-
-func TestSlipCheckerZeroDepth(t *testing.T) {
-	sc := NewSlipChecker(0)
-	var m, r cpu.OutVec
-	r[5] = 1
-	if !sc.Compare(&m, &r) {
-		t.Fatal("zero-depth slip checker must compare immediately")
-	}
-	if sc.ErrCycle != 1 {
-		t.Fatalf("ErrCycle = %d, want 1", sc.ErrCycle)
-	}
-}
-
 func FuzzModeParse(f *testing.F) {
 	for _, s := range []string{"", "dcls", "tmr", "slip:0", "slip:12", "slip:-3",
 		"slip:+1", "slip:007", "slip:", "slip:9999999999999999999", "dmr", "tmr\n"} {

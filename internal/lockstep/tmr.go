@@ -26,7 +26,7 @@ type TMR struct {
 
 // armedFault is one scheduled fault forcing on one CPU of the triple.
 type armedFault struct {
-	inj Injection
+	fault
 	cpu int
 }
 
@@ -50,7 +50,7 @@ func NewTMR(k *workload.Kernel) (*TMR, error) {
 // Successive calls accumulate: arming faults on two CPUs models the
 // double-fault case where the majority vote becomes ambiguous.
 func (t *TMR) Arm(cpuIdx int, inj Injection) {
-	t.faults = append(t.faults, armedFault{inj: inj, cpu: cpuIdx})
+	t.faults = append(t.faults, armedFault{fault: fault{inj: inj}, cpu: cpuIdx})
 }
 
 // VoteResult is the majority voter's view of one cycle.
@@ -69,33 +69,23 @@ func (t *TMR) Step() VoteResult {
 	}
 	for i := range t.faults {
 		f := &t.faults[i]
-		if t.Cycle < f.inj.Cycle {
-			continue
-		}
-		st := &t.CPUs[f.cpu].State
-		switch f.inj.Kind {
-		case SoftFlip:
-			switch t.Cycle {
-			case f.inj.Cycle:
-				cpu.FlipBit(st, f.inj.Flop)
-			case f.inj.Cycle + 1:
-				// The transient passes: restore the flop to the value a
-				// (presumed) fault-free neighbour CPU holds.
-				ref := &t.CPUs[(f.cpu+1)%3].State
-				cpu.ForceBit(st, f.inj.Flop, cpu.GetBit(ref, f.inj.Flop))
-			}
-		case Stuck0:
-			cpu.ForceBit(st, f.inj.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(st, f.inj.Flop, true)
-		}
+		// A transient recovers to the value a (presumed) fault-free
+		// neighbour CPU holds.
+		f.edge(&t.CPUs[f.cpu].State, &t.CPUs[(f.cpu+1)%3].State, t.Cycle)
 	}
 	o0 := t.CPUs[0].State.Outputs()
 	o1 := t.CPUs[1].State.Outputs()
 	o2 := t.CPUs[2].State.Outputs()
-	d01 := cpu.Diverge(&o0, &o1)
-	d02 := cpu.Diverge(&o0, &o2)
-	d12 := cpu.Diverge(&o1, &o2)
+	return vote3(&o0, &o1, &o2)
+}
+
+// vote3 is the majority voter over three output vectors: when exactly
+// one CPU disagrees its divergence map against the majority is the DSR;
+// when all three disagree the maps are OR-ed and no erring CPU is named.
+func vote3(o0, o1, o2 *cpu.OutVec) VoteResult {
+	d01 := cpu.Diverge(o0, o1)
+	d02 := cpu.Diverge(o0, o2)
+	d12 := cpu.Diverge(o1, o2)
 	switch {
 	case d01 == 0 && d02 == 0 && d12 == 0:
 		return VoteResult{Erring: -1}
@@ -120,15 +110,20 @@ func (t *TMR) Step() VoteResult {
 // only invoking this after the diagnostic flow has classified the error as
 // soft (or after the voter identified the erring CPU).
 func (t *TMR) ForwardRecover(majority int) uint32 {
-	arch := t.CPUs[majority].State
-	// Resume from the next fetch address of the majority CPU with its
-	// register file; all transient pipeline state is discarded.
-	pc := arch.PC
-	regs := arch.Regs
+	st := t.CPUs[majority].State
+	recoverTMR(&st)
 	for i := range t.CPUs {
-		t.CPUs[i].State.Reset(pc)
-		t.CPUs[i].State.Regs = regs
+		t.CPUs[i].State = st
 	}
 	t.faults = t.faults[:0]
-	return pc
+	return st.PC
+}
+
+// recoverTMR is the forward-recovery state edit: it resets st at its PC
+// (the next fetch address) and keeps its register file, discarding all
+// microarchitectural state.
+func recoverTMR(st *cpu.State) {
+	pc, regs := st.PC, st.Regs
+	st.Reset(pc)
+	st.Regs = regs
 }

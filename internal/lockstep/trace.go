@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"lockstep/internal/cpu"
-	"lockstep/internal/mem"
 )
 
 // DivergenceTrace records the per-cycle diverged-SC maps of one injection
@@ -30,53 +29,24 @@ func (g *Golden) Trace(inj Injection, window int) DivergenceTrace {
 	if inj.Cycle < 0 || inj.Cycle >= g.TotalCycles || window < 1 {
 		return tr
 	}
-	sys, main := g.restore(inj.Cycle)
-	red := cpu.CPU{State: main.State, Bus: mem.Monitor{Sys: sys}}
-	switch inj.Kind {
-	case SoftFlip:
-		cpu.FlipBit(&red.State, inj.Flop)
-	case Stuck0:
-		cpu.ForceBit(&red.State, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(&red.State, inj.Flop, true)
-	}
-	softArmed := inj.Kind == SoftFlip
-	step := func() {
-		main.StepCycle()
-		red.StepCycle()
-		switch inj.Kind {
-		case SoftFlip:
-			if softArmed {
-				cpu.ForceBit(&red.State, inj.Flop, cpu.GetBit(&main.State, inj.Flop))
-				softArmed = false
-			}
-		case Stuck0:
-			cpu.ForceBit(&red.State, inj.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(&red.State, inj.Flop, true)
-		}
-	}
-	for cyc := inj.Cycle; cyc < g.TotalCycles; cyc++ {
-		om := main.State.Outputs()
-		or := red.State.Outputs()
-		d := cpu.Diverge(&om, &or)
+	p := g.restorePair(inj)
+	for ; p.cycle < g.TotalCycles; p.step() {
+		d := p.diverge()
 		if len(tr.Maps) > 0 || d != 0 {
 			if len(tr.Maps) == 0 {
-				tr.Outcome = Outcome{Detected: true, DetectCycle: cyc}
+				tr.Outcome = Outcome{Detected: true, DetectCycle: p.cycle}
 			}
-			tr.Cycles = append(tr.Cycles, cyc)
+			tr.Cycles = append(tr.Cycles, p.cycle)
 			tr.Maps = append(tr.Maps, d)
 			tr.Outcome.DSR |= d
 			if len(tr.Maps) >= window {
 				return tr
 			}
 		}
-		if inj.Kind == SoftFlip && !softArmed && len(tr.Maps) == 0 &&
-			red.State == main.State {
+		if len(tr.Maps) == 0 && p.converged() {
 			tr.Outcome = Outcome{Converged: true}
 			return tr
 		}
-		step()
 	}
 	return tr
 }

@@ -19,7 +19,7 @@ func sharedContext(t *testing.T) *experiments.Context {
 	t.Helper()
 	ctxOnce.Do(func() {
 		scale := experiments.Small
-		scale.FlopStride = 12
+		scale.Config.FlopStride = 12
 		ctx, ctxErr = experiments.NewContext(scale, nil)
 	})
 	if ctxErr != nil {
