@@ -1,5 +1,6 @@
-# CI entry points. `make ci` is the gate: gofmt, vet, build, the full
-# test suite under the race detector, the campaign determinism check (a
+# CI entry points. `make ci` is the gate: gofmt, vet, build, a check that
+# every test name a gate's -run pattern lists still names a test, the
+# full test suite under the race detector, the campaign determinism check (a
 # serial vs workers=4 Small-scale campaign must be byte-identical, the
 # replay path must match the legacy dual-CPU oracle, the pruned
 # campaign must match the -no-prune one, and — since the plan fixes
@@ -19,9 +20,9 @@
 # self-test of the benchmark (perfbench/, run with `bash perfbench/run.sh`).
 GO ?= go
 
-.PHONY: ci fmt vet build test race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke serve-slo swap-determinism bench-selftest cover bench bench-quick bench-ab fuzz
+.PHONY: ci fmt vet build gate-names test race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke serve-slo swap-determinism bench-selftest cover bench bench-quick bench-ab fuzz
 
-ci: fmt vet build race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke swap-determinism serve-slo bench-selftest
+ci: fmt vet build gate-names race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke swap-determinism serve-slo bench-selftest
 
 # Every tracked Go file must be gofmt-clean; the target lists the
 # offenders and fails.
@@ -35,6 +36,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Every name a gate below lists in `-run` must match a test of the
+# packages that line runs, under its -race and -tags flags: `go test
+# -run` passes when a name matches nothing, so a renamed test would
+# silently drop out of its gate.
+gate-names:
+	GO='$(GO)' bash scripts/check-gate-names.sh Makefile
 
 test:
 	$(GO) test ./...

@@ -29,7 +29,9 @@
 //
 // Experiments: table1 units table2 table3 table4 fig4 fig5 fig11 fig12
 // fig13 fig14 fig15 fig16 onoffchip lbist spread ablation window summary
-// all.
+// all. They print in a fixed order whatever the order of -exp; an
+// unknown name exits 1, before any campaign runs, and lists the known
+// ones.
 // ("window" re-runs reduced campaigns at several checker stop-latency
 // settings, so it takes noticeably longer than the others.) Figures
 // 12/13 (and 15/16) share one computation and print together. -html
@@ -41,7 +43,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"lockstep/internal/atomicfile"
@@ -98,7 +102,89 @@ func main() {
 	}
 }
 
+// experiment is one table or figure -exp selects by any of its names.
+type experiment struct {
+	names []string
+	print func(ctx *experiments.Context, out io.Writer) error
+}
+
+// catalog lists every experiment in the order they print.
+var catalog = []experiment{
+	{[]string{"summary"}, func(c *experiments.Context, w io.Writer) error { experiments.PrintSummary(w, c.Summary()); return nil }},
+	{[]string{"table1"}, func(c *experiments.Context, w io.Writer) error { c.Table1().Print(w); return nil }},
+	{[]string{"units"}, func(c *experiments.Context, w io.Writer) error {
+		c.Units(core.Coarse7).Print(w)
+		c.Units(core.Fine13).Print(w)
+		return nil
+	}},
+	{[]string{"table2"}, func(c *experiments.Context, w io.Writer) error { c.Table2().Print(w); return nil }},
+	{[]string{"table3"}, func(c *experiments.Context, w io.Writer) error { c.Table3().Print(w); return nil }},
+	{[]string{"table4"}, func(c *experiments.Context, w io.Writer) error { experiments.PrintTable4(w, c.Table4()); return nil }},
+	{[]string{"fig4"}, func(c *experiments.Context, w io.Writer) error { c.FigUnitBC(true).Print(w); return nil }},
+	{[]string{"fig5"}, func(c *experiments.Context, w io.Writer) error { c.FigUnitBC(false).Print(w); return nil }},
+	{[]string{"fig11"}, func(c *experiments.Context, w io.Writer) error {
+		c.Compare(core.Coarse7, sbist.OnChipTableAccess).Print(w)
+		return nil
+	}},
+	{[]string{"onoffchip"}, func(c *experiments.Context, w io.Writer) error { c.OnOffChipAnalysis().Print(w); return nil }},
+	{[]string{"fig12", "fig13"}, func(c *experiments.Context, w io.Writer) error { c.SweepTopK(core.Coarse7).Print(w); return nil }},
+	{[]string{"fig14"}, func(c *experiments.Context, w io.Writer) error {
+		c.Compare(core.Fine13, sbist.OnChipTableAccess).Print(w)
+		return nil
+	}},
+	{[]string{"fig15", "fig16"}, func(c *experiments.Context, w io.Writer) error { c.SweepTopK(core.Fine13).Print(w); return nil }},
+	{[]string{"lbist"}, func(c *experiments.Context, w io.Writer) error {
+		c.CompareLBIST(core.Coarse7, sbist.OffChipTableAccess).Print(w)
+		return nil
+	}},
+	{[]string{"spread"}, func(c *experiments.Context, w io.Writer) error { c.SpreadAnalysis().Print(w); return nil }},
+	{[]string{"ablation"}, func(c *experiments.Context, w io.Writer) error { c.AblationDynamic().Print(w); return nil }},
+	{[]string{"window"}, func(c *experiments.Context, w io.Writer) error {
+		sw, err := c.SweepStopWindow(nil)
+		if err != nil {
+			return err
+		}
+		sw.Print(w)
+		return nil
+	}},
+}
+
+// selectExperiments resolves a comma-separated -exp list into the
+// catalog entries it names, in catalog order. An unknown name is an
+// error that lists the known ones.
+func selectExperiments(list string) ([]experiment, error) {
+	known := []string{"all"}
+	for _, e := range catalog {
+		known = append(known, e.names...)
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if name == "" {
+			continue
+		}
+		if !slices.Contains(known, name) {
+			return nil, fmt.Errorf("unknown experiment %q in -exp (known: %s)", name, strings.Join(known, ", "))
+		}
+		want[name] = true
+	}
+	var sel []experiment
+	for _, e := range catalog {
+		if want["all"] || slices.ContainsFunc(e.names, func(n string) bool { return want[n] }) {
+			sel = append(sel, e)
+		}
+	}
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("no experiment in -exp %q", list)
+	}
+	return sel, nil
+}
+
 func run(o options) error {
+	sel, err := selectExperiments(o.expList)
+	if err != nil {
+		return err
+	}
 	quiet := o.quiet
 	if o.pprofAddr != "" {
 		url, err := telemetry.ServeDebug(o.pprofAddr)
@@ -193,100 +279,10 @@ func run(o options) error {
 		}
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(o.expList, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	all := want["all"]
-	sel := func(names ...string) bool {
-		if all {
-			return true
-		}
-		for _, n := range names {
-			if want[n] {
-				return true
-			}
-		}
-		return false
-	}
-	ran := false
-	out := os.Stdout
-
-	if sel("summary") {
-		experiments.PrintSummary(out, ctx.Summary())
-		ran = true
-	}
-	if sel("table1") {
-		ctx.Table1().Print(out)
-		ran = true
-	}
-	if sel("units") {
-		ctx.Units(core.Coarse7).Print(out)
-		ctx.Units(core.Fine13).Print(out)
-		ran = true
-	}
-	if sel("table2") {
-		ctx.Table2().Print(out)
-		ran = true
-	}
-	if sel("table3") {
-		ctx.Table3().Print(out)
-		ran = true
-	}
-	if sel("table4") {
-		experiments.PrintTable4(out, ctx.Table4())
-		ran = true
-	}
-	if sel("fig4") {
-		ctx.FigUnitBC(true).Print(out)
-		ran = true
-	}
-	if sel("fig5") {
-		ctx.FigUnitBC(false).Print(out)
-		ran = true
-	}
-	if sel("fig11") {
-		ctx.Compare(core.Coarse7, sbist.OnChipTableAccess).Print(out)
-		ran = true
-	}
-	if sel("onoffchip") {
-		ctx.OnOffChipAnalysis().Print(out)
-		ran = true
-	}
-	if sel("fig12", "fig13") {
-		ctx.SweepTopK(core.Coarse7).Print(out)
-		ran = true
-	}
-	if sel("fig14") {
-		ctx.Compare(core.Fine13, sbist.OnChipTableAccess).Print(out)
-		ran = true
-	}
-	if sel("fig15", "fig16") {
-		ctx.SweepTopK(core.Fine13).Print(out)
-		ran = true
-	}
-	if sel("lbist") {
-		ctx.CompareLBIST(core.Coarse7, sbist.OffChipTableAccess).Print(out)
-		ran = true
-	}
-	if sel("spread") {
-		ctx.SpreadAnalysis().Print(out)
-		ran = true
-	}
-	if sel("ablation") {
-		ctx.AblationDynamic().Print(out)
-		ran = true
-	}
-	if sel("window") {
-		sw, err := ctx.SweepStopWindow(nil)
-		if err != nil {
+	for _, e := range sel {
+		if err := e.print(ctx, os.Stdout); err != nil {
 			return err
 		}
-		sw.Print(out)
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("no known experiment in %q", o.expList)
 	}
 	if o.metrics != "" {
 		if err := telemetry.Default.WriteJSONFile(o.metrics); err != nil {

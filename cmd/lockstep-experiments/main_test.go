@@ -157,3 +157,21 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	}
 }
+
+// TestRunRejectsUnknownExperiment: a typo in -exp fails the run, naming
+// the unknown experiment and listing the known ones, instead of printing
+// the experiments it did recognise and exiting 0.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	path := writeSmallCampaign(t)
+	old := os.Stdout
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = null
+	defer func() { os.Stdout = old; null.Close() }()
+	err = run(options{scaleName: "small", expList: "table2,tabel9", dataPath: path, quiet: true})
+	if err == nil || !strings.Contains(err.Error(), `"tabel9"`) || !strings.Contains(err.Error(), "table2") {
+		t.Fatalf("-exp table2,tabel9: got %v, want an error naming tabel9 and the known experiments", err)
+	}
+}

@@ -46,6 +46,10 @@
 // run at any worker count and any lease size; a worker killed mid-span
 // merely lets its lease expire and the span is re-issued. -checkpoint and
 // -resume work on the coordinator exactly as for a local campaign.
+// -lease-size and -lease-ttl are coordinator settings: the coordinator
+// alone sizes every lease, and a worker ignores both. A worker of an
+// older build that still asks for its own lease length is refused with
+// 400 bad_request.
 package main
 
 import (
@@ -89,7 +93,7 @@ func main() {
 
 		distribute = flag.String("distribute", "", "coordinate a distributed campaign: serve span leases on this address (e.g. 0.0.0.0:9090) and merge worker spans")
 		join       = flag.String("join", "", "join a distributed campaign as a worker: coordinator campaign URL (http://host:port/v1/campaigns/DIGEST)")
-		leaseSize  = flag.Int("lease-size", 0, "span lease length in plan indices (coordinator default / worker preference; 0 = 512)")
+		leaseSize  = flag.Int("lease-size", 0, "coordinator (-distribute) span lease length in plan indices (0 = 512); the coordinator alone sizes leases")
 		leaseTTL   = flag.Duration("lease-ttl", 0, "coordinator lease TTL before an uncommitted span is re-issued (0 = 30s)")
 		workerName = flag.String("worker-name", "", "stable worker identity for -join (default host-pid)")
 	)
@@ -133,7 +137,7 @@ func main() {
 	case *distribute != "":
 		err = runDistribute(cfg, *distribute, *leaseSize, *leaseTTL, *out, *metrics, *summary, os.Stderr)
 	case *join != "":
-		err = runJoin(*join, *workerName, *leaseSize, *workers, *metrics, *summary, os.Stderr)
+		err = runJoin(*join, *workerName, *workers, *metrics, *summary, os.Stderr)
 	default:
 		err = run(cfg, *out, *metrics, *pprofAddr, *summary, os.Stderr)
 	}
@@ -215,7 +219,7 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 // runJoin executes leases as a distributed-campaign worker until the
 // coordinator reports the campaign done. Workers produce no local
 // dataset — outcomes go to the coordinator — so -o is unused here.
-func runJoin(url, name string, leaseSize, workers int, metricsPath string, summary bool, errw io.Writer) error {
+func runJoin(url, name string, workers int, metricsPath string, summary bool, errw io.Writer) error {
 	if name == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -226,7 +230,7 @@ func runJoin(url, name string, leaseSize, workers int, metricsPath string, summa
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	st, err := server.RunWorker(ctx, server.WorkerOptions{
-		URL: url, Name: name, LeaseSize: leaseSize, InjectWorkers: workers,
+		URL: url, Name: name, InjectWorkers: workers,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(errw, "worker %s: %s\n", name, fmt.Sprintf(format, args...))
 		},

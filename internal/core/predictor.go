@@ -124,11 +124,9 @@ func (d *SetDict) PTARBits() int {
 // descending order of probability score, and the 1-bit error type
 // prediction (true = hard).
 type Entry struct {
-	Order    []uint8   // all units, most likely first
-	Scores   []float64 // probability score per unit (aligned with unit IDs)
-	HardBit  bool
-	SoftProb float64 // training soft-error probability of this set
-	Count    int     // training samples behind this entry
+	Order   []uint8 // most likely first: every unit, or the table's TopK
+	HardBit bool
+	Count   int // training samples behind this entry
 }
 
 // Table is the trained prediction table.
@@ -137,7 +135,7 @@ type Table struct {
 	Dict    *SetDict
 	Entries []Entry // indexed by set ID
 	Default Entry   // the extra entry for unobserved sets
-	TopK    int     // units actually stored per entry (0 = all)
+	TopK    int     // units stored per entry, the default's included (0 = all)
 }
 
 // Prediction is the table's answer for one detected error.
@@ -151,7 +149,8 @@ type Prediction struct {
 // granularity, per the paper's Section IV-C2: for every diverged SC set,
 // the probability score of each unit is its histogram count divided by the
 // set's total count, and the error-type bit is set if hard errors dominate
-// the set. topK limits how many units each entry stores (0 keeps all).
+// the set. topK limits how many units each entry stores, the default
+// entry's included (0 keeps all), exactly as the table image stores them.
 func Train(train *dataset.Dataset, gran Granularity, topK int) *Table {
 	nu := gran.Units()
 	dict := NewSetDict()
@@ -204,26 +203,30 @@ func Train(train *dataset.Dataset, gran Granularity, topK int) *Table {
 			scores[u] = h.unit[u] / total
 			global[u] += h.unit[u]
 		}
-		order := orderFromScores(scores)
 		softScore := float64(h.soft) / totalSoft
 		hardScore := float64(h.hard) / totalHard
 		t.Entries[id] = Entry{
-			Order:    order,
-			Scores:   scores,
-			HardBit:  hardScore > softScore,
-			SoftProb: float64(h.soft) / total,
-			Count:    h.hard + h.soft,
+			Order:   t.stored(orderFromScores(scores)),
+			HardBit: hardScore > softScore,
+			Count:   h.hard + h.soft,
 		}
 	}
 	// Default entry: unobserved sets are always treated as hard errors and
 	// use the default order of CPU units (Section III-C). We use the
 	// global manifestation histogram as that default order.
 	t.Default = Entry{
-		Order:   orderFromScores(stats.Normalize(global)),
-		Scores:  stats.Normalize(global),
+		Order:   t.stored(orderFromScores(stats.Normalize(global))),
 		HardBit: true,
 	}
 	return t
+}
+
+// stored cuts a full unit order to the units an entry stores.
+func (t *Table) stored(order []uint8) []uint8 {
+	if t.TopK > 0 && t.TopK < len(order) {
+		return order[:t.TopK]
+	}
+	return order
 }
 
 func orderFromScores(scores []float64) []uint8 {
@@ -240,17 +243,11 @@ func orderFromScores(scores []float64) []uint8 {
 // returned, with Known=false.
 func (t *Table) Predict(dsr uint64) Prediction {
 	id, ok := t.Dict.ID(dsr)
-	var e *Entry
+	e := &t.Default
 	if ok {
 		e = &t.Entries[id]
-	} else {
-		e = &t.Default
 	}
-	order := e.Order
-	if t.TopK > 0 && t.TopK < len(order) && ok {
-		order = order[:t.TopK]
-	}
-	return Prediction{Units: order, Hard: e.HardBit, Known: ok}
+	return Prediction{Units: e.Order, Hard: e.HardBit, Known: ok}
 }
 
 // PredictOrder returns the full diagnostic order implied by a prediction:

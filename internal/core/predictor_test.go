@@ -167,9 +167,9 @@ func TestTopKTruncation(t *testing.T) {
 	if len(p.Units) != 3 {
 		t.Fatalf("top-3 table returned %d units", len(p.Units))
 	}
-	// The default entry is never truncated.
-	if d := table.Predict(0xFFFF); len(d.Units) != 7 {
-		t.Fatalf("default entry truncated to %d", len(d.Units))
+	// The default entry stores top-3 too, as the table image does.
+	if d := table.Predict(0xFFFF); len(d.Units) != 3 {
+		t.Fatalf("top-3 table's default entry returned %d units", len(d.Units))
 	}
 }
 

@@ -58,14 +58,10 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 		if err := put(boolByte(e.HardBit)); err != nil {
 			return err
 		}
-		order := e.Order
-		if t.TopK > 0 && t.TopK < len(order) {
-			order = order[:t.TopK]
-		}
-		if err := put(uint8(len(order))); err != nil {
+		if err := put(uint8(len(e.Order))); err != nil {
 			return err
 		}
-		return put(order)
+		return put(e.Order)
 	}
 	for id := range t.Entries {
 		if err := writeEntry(t.Dict.Set(id), &t.Entries[id]); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lockstep/internal/dataset"
@@ -61,6 +62,42 @@ func TestTableSerializationRoundTrip(t *testing.T) {
 			b := got.Predict(0xFFFFFFFFFF)
 			if a.Hard != b.Hard || a.Known != b.Known {
 				t.Fatalf("default mismatch: %+v vs %+v", a, b)
+			}
+		}
+	}
+}
+
+// TestTopKPredictMatchesImage: a top-K table answers every DSR alike in
+// memory and decoded from its image, at every K and both granularities:
+// each trained set and 1,000 untrained ones, which hit the default entry.
+func TestTopKPredictMatchesImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, gran := range []Granularity{Coarse7, Fine13} {
+		for _, topK := range []int{0, 1, 3, gran.Units()} {
+			orig := Train(randomTrainingSet(rng, 500), gran, topK)
+			var buf bytes.Buffer
+			if _, err := orig.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			img, err := ReadTable(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dsrs []uint64
+			for id := 0; id < orig.Dict.Len(); id++ {
+				dsrs = append(dsrs, orig.Dict.Set(id))
+			}
+			for i := uint64(0); i < 1000; i++ {
+				dsr := 1<<40 | i // randomTrainingSet draws DSRs below 1025
+				if _, ok := orig.Dict.ID(dsr); ok {
+					t.Fatalf("DSR %#x unexpectedly trained", dsr)
+				}
+				dsrs = append(dsrs, dsr)
+			}
+			for _, dsr := range dsrs {
+				if a, b := orig.Predict(dsr), img.Predict(dsr); !reflect.DeepEqual(a, b) {
+					t.Fatalf("%v top-%d, DSR %#x: in memory %+v, from the image %+v", gran, topK, dsr, a, b)
+				}
 			}
 		}
 	}

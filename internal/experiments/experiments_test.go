@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -340,6 +341,29 @@ func TestSweepStopWindow(t *testing.T) {
 	sw.Print(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("empty print")
+	}
+}
+
+// TestSweepStopWindowLeavesCheckpoint: the sweep's reduced campaigns
+// neither overwrite the checkpoint the scale's config names nor try to
+// resume from it.
+func TestSweepStopWindowLeavesCheckpoint(t *testing.T) {
+	c := *sharedContext(t)
+	path := filepath.Join(t.TempDir(), "campaign.lsc")
+	want := []byte("the scale campaign's checkpoint")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c.Scale.Config.CheckpointPath = path
+	c.Scale.Config.CheckpointEvery = 1
+	for _, resume := range []bool{false, true} {
+		c.Scale.Config.Resume = resume
+		if _, err := c.SweepStopWindow([]int{12}); err != nil {
+			t.Fatalf("resume %v: %v", resume, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("resume %v: the sweep rewrote the scale's checkpoint (%d bytes, %v)", resume, len(got), err)
+		}
 	}
 }
 

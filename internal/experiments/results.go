@@ -706,6 +706,9 @@ func (c *Context) SweepStopWindow(windows []int) (WindowSweep, error) {
 	}
 	sw := WindowSweep{Windows: windows}
 	cfg := c.Scale.Config
+	// The reduced campaigns are not the scale's campaign: they neither
+	// resume from its checkpoint nor overwrite it.
+	cfg.CheckpointPath, cfg.CheckpointEvery, cfg.Resume = "", 0, false
 	cfg.FlopStride *= 4
 	if len(cfg.Kernels) == 0 {
 		cfg.Kernels = []string{"ttsprk", "rspeed", "matrix"}

@@ -35,6 +35,7 @@ package inject
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,11 +129,11 @@ func (s LeaseStatus) String() string {
 	return fmt.Sprintf("LeaseStatus(%d)", int(s))
 }
 
-// LeaseRequest asks the coordinator for a span lease.
+// LeaseRequest asks the coordinator for a span lease. The coordinator
+// alone sizes the lease (DistConfig.LeaseSize).
 type LeaseRequest struct {
-	Worker string `json:"worker"`         // stable worker identity (affinity + per-worker stats)
-	Digest string `json:"digest"`         // campaign fingerprint digest the worker was joined with
-	Want   int    `json:"want,omitempty"` // preferred span length; 0 = coordinator default
+	Worker string `json:"worker"` // stable worker identity (affinity + per-worker stats)
+	Digest string `json:"digest"` // campaign fingerprint digest the worker was joined with
 }
 
 // LeaseReply answers a LeaseRequest. FP, Total and Done are always set;
@@ -174,9 +175,10 @@ type SpanReply struct {
 
 // DistConfig sizes the coordinator's lease policy.
 type DistConfig struct {
-	// LeaseSize is the default span length in plan indices (0 = 512).
-	// Workers may ask for less or more; grants are clamped to the kernel
-	// block containing the span so one lease never straddles two goldens.
+	// LeaseSize is the span length of a lease in plan indices (0 = 512,
+	// at most MaxLeaseSpan). A lease ends early at the end of its free
+	// span, which never straddles two kernel blocks, so one lease never
+	// needs two goldens.
 	LeaseSize int
 	// LeaseTTL is how long a worker holds an uncommitted lease before it
 	// is re-issued (0 = 30s). Pick it well above a span's execution time:
@@ -204,17 +206,15 @@ func (dc *DistConfig) normalize() {
 
 // leaseState is one outstanding lease.
 type leaseState struct {
-	id       uint64
 	sp       Span
-	worker   string
 	deadline time.Time
-	reissued bool // the span had been leased before (expiry path)
 }
 
-// freeSpan is an unleased, uncovered plan-index range.
+// freeSpan is an unleased, uncovered plan-index range inside one kernel
+// block.
 type freeSpan struct {
 	Span
-	reissued bool
+	reissued bool // the span had been leased before (expiry path)
 }
 
 // distWorker is the coordinator's per-worker bookkeeping: the kernel
@@ -243,7 +243,8 @@ type Coordinator struct {
 	total  int
 	dc     DistConfig
 	// kernelBlock is the plan-index length of one kernel's contiguous
-	// block (the plan is kernel-major with equal-sized blocks).
+	// block (Config.perKernel: the plan is kernel-major with equal-sized
+	// blocks).
 	kernelBlock int
 	start       time.Time
 
@@ -297,7 +298,7 @@ func NewCoordinator(cfg Config, dc DistConfig) (*Coordinator, error) {
 		plan:        plan,
 		total:       total,
 		dc:          dc,
-		kernelBlock: total / len(cfg.Kernels),
+		kernelBlock: cfg.perKernel(),
 		start:       dc.now(),
 		records:     make([]dataset.Record, total),
 		done:        make([]atomic.Bool, total),
@@ -317,14 +318,18 @@ func NewCoordinator(cfg Config, dc DistConfig) (*Coordinator, error) {
 		}
 		c.doneN = c.restored
 	}
-	// The free list is the complement of the restored spans, in order.
-	lo := 0
-	for i := 0; i <= total; i++ {
-		if i == total || c.done[i].Load() {
-			if lo < i {
-				c.free = append(c.free, freeSpan{Span: Span{Lo: lo, Hi: i}})
-			}
-			lo = i + 1
+	// The free list is the complement of the restored spans, in order,
+	// cut at kernel-block bounds: every free span lies inside one block,
+	// and leases, carved from span heads and returned whole on expiry,
+	// keep it so.
+	for i := 0; i < total; i++ {
+		if c.done[i].Load() {
+			continue
+		}
+		if n := len(c.free); n > 0 && c.free[n-1].Hi == i && i%c.kernelBlock != 0 {
+			c.free[n-1].Hi++
+		} else {
+			c.free = append(c.free, freeSpan{Span: Span{Lo: i, Hi: i + 1}})
 		}
 	}
 	if cfg.CheckpointPath != "" {
@@ -358,24 +363,7 @@ func (c *Coordinator) Progress() (done, total int) {
 }
 
 // blockOf maps a plan index onto its kernel-block index.
-func (c *Coordinator) blockOf(idx int) int {
-	if c.kernelBlock <= 0 {
-		return 0
-	}
-	return idx / c.kernelBlock
-}
-
-// blockEnd returns the plan index ending the kernel block containing idx.
-func (c *Coordinator) blockEnd(idx int) int {
-	if c.kernelBlock <= 0 {
-		return c.total
-	}
-	end := (idx/c.kernelBlock + 1) * c.kernelBlock
-	if end > c.total {
-		end = c.total
-	}
-	return end
-}
+func (c *Coordinator) blockOf(idx int) int { return idx / c.kernelBlock }
 
 // expire returns every overdue lease's span to the free pool (marked for
 // re-issue). Expiry is lazy — checked whenever a worker asks for work —
@@ -387,78 +375,44 @@ func (c *Coordinator) expire(now time.Time) {
 			continue
 		}
 		delete(c.leases, id)
-		c.insertFree(freeSpan{Span: ls.sp, reissued: true})
+		at, _ := slices.BinarySearchFunc(c.free, ls.sp.Lo, func(f freeSpan, lo int) int { return f.Lo - lo })
+		c.free = slices.Insert(c.free, at, freeSpan{Span: ls.sp, reissued: true})
 		c.expired++
 		c.telExpired.Inc()
 	}
 }
 
-// insertFree puts sp back into the sorted free list.
-func (c *Coordinator) insertFree(sp freeSpan) {
-	at := len(c.free)
-	for i, f := range c.free {
-		if sp.Lo < f.Lo {
-			at = i
-			break
-		}
-	}
-	c.free = append(c.free, freeSpan{})
-	copy(c.free[at+1:], c.free[at:])
-	c.free[at] = sp
-}
-
-// pickFree chooses where the worker's next lease is cut from: the
-// worker's current kernel block if it still has free work (so the
-// worker keeps reusing the golden it already built), else the block
-// with the fewest active leases that still has free work (spreading
+// pickFree returns the index of the free span the worker's next lease
+// is carved from, -1 if there is none: the first free span of the
+// worker's current kernel block if that block still has free work (so
+// the worker keeps reusing the golden it already built), else the first
+// free span of the block with the fewest active leases (spreading
 // workers across kernels so a cluster builds each golden as few times
-// as possible), lowest block index on ties. Free spans may straddle
-// block boundaries, so the pick is a (free index, cut plan index) pair;
-// Acquire carves the lease out of the span starting at the cut. block
-// is the worker's current kernel block, -1 for a worker without a lease.
-func (c *Coordinator) pickFree(block int) (int, int) {
-	if len(c.free) == 0 {
-		return -1, 0
-	}
-	firstIn := map[int]int{} // block -> first intersecting free index
-	cutAt := map[int]int{}   // block -> plan index to cut at
-	for i, f := range c.free {
-		for b := c.blockOf(f.Lo); b <= c.blockOf(f.Hi-1); b++ {
-			if _, ok := firstIn[b]; ok {
-				continue
-			}
-			firstIn[b] = i
-			lo := f.Lo
-			if bs := b * c.kernelBlock; lo < bs {
-				lo = bs
-			}
-			cutAt[b] = lo
-		}
-	}
-	if block >= 0 {
-		if i, ok := firstIn[block]; ok {
-			return i, cutAt[block]
-		}
-	}
-	active := map[int]int{}
+// as possible), lowest block index on ties. block is the worker's
+// current kernel block, -1 for a worker without a lease.
+func (c *Coordinator) pickFree(block int) int {
+	active := make([]int, len(c.cfg.Kernels))
 	for _, ls := range c.leases {
 		active[c.blockOf(ls.sp.Lo)]++
 	}
-	best, bestLoad := -1, -1
-	for b := range firstIn {
-		if best == -1 || active[b] < bestLoad || (active[b] == bestLoad && b < best) {
-			best, bestLoad = b, active[b]
+	best := -1
+	for i, f := range c.free {
+		b := c.blockOf(f.Lo)
+		if b == block {
+			return i
+		}
+		if best < 0 || active[b] < active[c.blockOf(c.free[best].Lo)] {
+			best = i
 		}
 	}
-	return firstIn[best], cutAt[best]
+	return best
 }
 
 // Acquire answers one worker's lease request. digest must match the
-// campaign (see StaleFingerprintError); want is the preferred span
-// length (0 = the coordinator's default). The reply is ready for the
+// campaign (see StaleFingerprintError). The reply is ready for the
 // wire: it carries the fingerprint, progress, and — when granted — the
 // lease ID, span and TTL.
-func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, error) {
+func (c *Coordinator) Acquire(worker, digest string) (*LeaseReply, error) {
 	if err := checkNames(worker, digest); err != nil {
 		return nil, err
 	}
@@ -484,7 +438,7 @@ func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, err
 	if w != nil {
 		block = w.block
 	}
-	i, lo := c.pickFree(block)
+	i := c.pickFree(block)
 	if i < 0 {
 		reply.Status = LeaseWait
 		// All spans are leased out (or restored): the wait ends either by
@@ -502,43 +456,14 @@ func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, err
 		return reply, nil
 	}
 	f := c.free[i]
-	size := want
-	if size <= 0 {
-		size = c.dc.LeaseSize
-	}
-	if size > MaxLeaseSpan {
-		size = MaxLeaseSpan
-	}
-	hi := lo + size
-	if end := c.blockEnd(lo); hi > end {
-		hi = end
-	}
-	if hi > f.Hi {
-		hi = f.Hi
-	}
-	sp := Span{Lo: lo, Hi: hi}
-	switch {
-	case lo == f.Lo && hi == f.Hi:
-		c.free = append(c.free[:i], c.free[i+1:]...)
-	case lo == f.Lo:
-		c.free[i].Lo = hi
-	case hi == f.Hi:
-		c.free[i].Hi = lo
-	default:
-		// Cut from the middle of a straddling span: keep the head in
-		// place, give the tail its own free entry.
-		c.free[i].Hi = lo
-		c.insertFree(freeSpan{Span: Span{Lo: hi, Hi: f.Hi}, reissued: f.reissued})
+	sp := Span{Lo: f.Lo, Hi: min(f.Lo+c.dc.LeaseSize, f.Hi)}
+	if sp.Hi == f.Hi {
+		c.free = slices.Delete(c.free, i, i+1)
+	} else {
+		c.free[i].Lo = sp.Hi
 	}
 	c.nextID++
-	ls := &leaseState{
-		id:       c.nextID,
-		sp:       sp,
-		worker:   worker,
-		deadline: c.dc.now().Add(c.dc.LeaseTTL),
-		reissued: f.reissued,
-	}
-	c.leases[ls.id] = ls
+	c.leases[c.nextID] = &leaseState{sp: sp, deadline: c.dc.now().Add(c.dc.LeaseTTL)}
 	if w == nil {
 		// A worker is known from its first lease on, so a name that only
 		// ever waits leaves no entry and no gauge behind.
@@ -553,7 +478,7 @@ func (c *Coordinator) Acquire(worker, digest string, want int) (*LeaseReply, err
 		c.telReissued.Inc()
 	}
 	reply.Status = LeaseGranted
-	reply.LeaseID = ls.id
+	reply.LeaseID = c.nextID
 	reply.Span = sp
 	reply.TTL = c.dc.LeaseTTL
 	return reply, nil

@@ -46,7 +46,7 @@ func drainCampaign(t *testing.T, co *Coordinator, cfg Config, workers ...string)
 	runners := map[string]*SpanRunner{}
 	for i := 0; ; i = (i + 1) % len(workers) {
 		w := workers[i]
-		reply, err := co.Acquire(w, co.Digest(), 0)
+		reply, err := co.Acquire(w, co.Digest())
 		if err != nil {
 			t.Fatalf("worker %s: acquire: %v", w, err)
 		}
@@ -161,7 +161,7 @@ func TestLeaseKernelAffinity(t *testing.T) {
 	for granted {
 		granted = false
 		for _, name := range workers {
-			reply, err := co.Acquire(name, co.Digest(), 0)
+			reply, err := co.Acquire(name, co.Digest())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func TestDrainWorkers(t *testing.T) {
 	if el := time.Since(start); el < 50*time.Millisecond {
 		t.Fatalf("DrainWorkers returned after %v with straggler %s outstanding; want the full timeout", el, stragglers[0])
 	}
-	reply, err := co.Acquire(stragglers[0], co.Digest(), 0)
+	reply, err := co.Acquire(stragglers[0], co.Digest())
 	if err != nil || reply.Status != LeaseDone {
 		t.Fatalf("straggler acquire = %+v, %v; want LeaseDone", reply, err)
 	}
@@ -257,7 +257,7 @@ func TestDrainWorkersCoversWaitOnlyWorker(t *testing.T) {
 	}
 	var leases []*LeaseReply
 	for {
-		reply, err := co.Acquire("holder", co.Digest(), 0)
+		reply, err := co.Acquire("holder", co.Digest())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestDrainWorkersCoversWaitOnlyWorker(t *testing.T) {
 		leases = append(leases, reply)
 	}
 	waitAt := time.Now()
-	reply, err := co.Acquire("late", co.Digest(), 0)
+	reply, err := co.Acquire("late", co.Digest())
 	if err != nil || reply.Status != LeaseWait {
 		t.Fatalf("late acquire = %+v, %v; want a wait", reply, err)
 	}
@@ -299,7 +299,7 @@ func TestDrainWorkersCoversWaitOnlyWorker(t *testing.T) {
 	if el := time.Since(waitAt); el < reply.Retry {
 		t.Fatalf("DrainWorkers returned %v after the wait reply, before the waiting worker's %v poll", el, reply.Retry)
 	}
-	if reply, err := co.Acquire("late", co.Digest(), 0); err != nil || reply.Status != LeaseDone {
+	if reply, err := co.Acquire("late", co.Digest()); err != nil || reply.Status != LeaseDone {
 		t.Fatalf("late poll after drain = %+v, %v; want LeaseDone", reply, err)
 	}
 }
@@ -315,7 +315,7 @@ func TestWaitingWorkersLeaveNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		reply, err := co.Acquire("holder", co.Digest(), 0)
+		reply, err := co.Acquire("holder", co.Digest())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestWaitingWorkersLeaveNoState(t *testing.T) {
 	}
 	workers, perSec := co.Stats().Workers, gauges()
 	for i := 0; i < 5000; i++ {
-		reply, err := co.Acquire(fmt.Sprintf("idle-%d", i), co.Digest(), 0)
+		reply, err := co.Acquire(fmt.Sprintf("idle-%d", i), co.Digest())
 		if err != nil || reply.Status != LeaseWait {
 			t.Fatalf("acquire %d: status %v, %v; want a wait", i, reply.Status, err)
 		}
@@ -360,7 +360,7 @@ func TestLeaseExpiryReissue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := co.Acquire("dead", co.Digest(), 0)
+	lease, err := co.Acquire("dead", co.Digest())
 	if err != nil || lease.Status != LeaseGranted {
 		t.Fatalf("acquire: %v (status %v)", err, lease.Status)
 	}
@@ -382,7 +382,7 @@ func TestLeaseExpiryReissue(t *testing.T) {
 
 	// The worker "dies": its TTL passes before it commits.
 	*now = now.Add(dc.LeaseTTL + time.Second)
-	reissued, err := co.Acquire("live", co.Digest(), 0)
+	reissued, err := co.Acquire("live", co.Digest())
 	if err != nil || reissued.Status != LeaseGranted {
 		t.Fatalf("re-acquire: %v (status %v)", err, reissued.Status)
 	}
@@ -428,7 +428,7 @@ func TestCommitRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := co.Acquire("w", co.Digest(), 0)
+	lease, err := co.Acquire("w", co.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestCommitRejections(t *testing.T) {
 
 	t.Run("stale fingerprint acquire", func(t *testing.T) {
 		var sfe *StaleFingerprintError
-		if _, err := co.Acquire("w", "deadbeef", 0); !errors.As(err, &sfe) {
+		if _, err := co.Acquire("w", "deadbeef"); !errors.As(err, &sfe) {
 			t.Fatalf("got %v, want *StaleFingerprintError", err)
 		}
 	})
@@ -467,7 +467,7 @@ func TestCommitRejections(t *testing.T) {
 	})
 	t.Run("long worker name acquire", func(t *testing.T) {
 		var me *MessageError
-		if _, err := co.Acquire(long, co.Digest(), 0); !errors.As(err, &me) {
+		if _, err := co.Acquire(long, co.Digest()); !errors.As(err, &me) {
 			t.Fatalf("got %v, want *MessageError", err)
 		}
 	})
@@ -546,7 +546,7 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	committed := 0
 	for committed < co.Total()/2 {
-		reply, err := co.Acquire("a", co.Digest(), 0)
+		reply, err := co.Acquire("a", co.Digest())
 		if err != nil || reply.Status != LeaseGranted {
 			t.Fatalf("acquire: %v (status %v)", err, reply.Status)
 		}

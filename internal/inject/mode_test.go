@@ -139,7 +139,7 @@ func TestCrossModeDistributedRefusal(t *testing.T) {
 		t.Fatal("slip:8 campaign has the same digest as the dcls campaign; cross-mode spans would merge")
 	}
 	var sfe *StaleFingerprintError
-	if _, err := co.Acquire("w", runner.Digest(), 0); !errors.As(err, &sfe) {
+	if _, err := co.Acquire("w", runner.Digest()); !errors.As(err, &sfe) {
 		t.Fatalf("cross-mode acquire: got %v, want *StaleFingerprintError", err)
 	}
 	if _, err := co.Commit(&SpanSubmit{Worker: "w", Digest: runner.Digest(), Span: Span{0, 1}}); !errors.As(err, &sfe) {

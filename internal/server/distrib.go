@@ -43,7 +43,7 @@ func serveLease(co *inject.Coordinator, w http.ResponseWriter, r *http.Request) 
 	if err := readJSON(w, r, maxLeaseBody, &req); err != nil {
 		return err
 	}
-	reply, err := co.Acquire(req.Worker, req.Digest, req.Want)
+	reply, err := co.Acquire(req.Worker, req.Digest)
 	if err != nil {
 		return injectAPIError(err)
 	}

@@ -261,6 +261,10 @@ func TestDistributedEndpointErrors(t *testing.T) {
 		{"span garbage body", spans, "not a span submission", http.StatusBadRequest, "bad_request", ""},
 		{"lease unknown field", leases, `{"worker":"w","digest":"` + id + `","records":[]}`,
 			http.StatusBadRequest, "bad_request", ""},
+		// Lease length is the coordinator's alone: a worker build that
+		// still asks for its own is refused, not silently resized.
+		{"lease asks for a length", leases, `{"worker":"w","digest":"` + id + `","want":4}`,
+			http.StatusBadRequest, "bad_request", ""},
 		{"lease trailing data", leases, `{"worker":"w","digest":"` + id + `"} {}`,
 			http.StatusBadRequest, "bad_request", ""},
 		{"lease trailing brace", leases, `{"worker":"w","digest":"` + id + `"}}`,

@@ -25,7 +25,8 @@ import (
 	"lockstep/internal/inject"
 )
 
-// WorkerOptions configures one RunWorker loop.
+// WorkerOptions configures one RunWorker loop. The coordinator alone
+// sizes each lease.
 type WorkerOptions struct {
 	// URL is the coordinator's campaign URL:
 	// http://host:port/v1/campaigns/<digest>. The trailing path segment
@@ -34,14 +35,8 @@ type WorkerOptions struct {
 	// Name is the worker's stable identity; the coordinator uses it for
 	// lease affinity and per-worker throughput gauges.
 	Name string
-	// LeaseSize is the preferred span length per lease (0 = coordinator
-	// default).
-	LeaseSize int
 	// InjectWorkers is the in-span experiment parallelism (0 = all CPUs).
 	InjectWorkers int
-	// Client overrides the HTTP client (default: http.DefaultClient with
-	// a 30s timeout).
-	Client *http.Client
 	// Logf, if non-nil, receives one line per lease and per retry.
 	Logf func(format string, args ...any)
 
@@ -82,10 +77,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 	if opt.Name == "" {
 		opt.Name = "worker"
 	}
-	client := opt.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	client := &http.Client{Timeout: 30 * time.Second}
 	logf := opt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -98,9 +90,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		reply, err := leaseOnce(ctx, client, url, &inject.LeaseRequest{
-			Worker: opt.Name, Digest: digest, Want: opt.LeaseSize,
-		})
+		reply, err := leaseOnce(ctx, client, url, &inject.LeaseRequest{Worker: opt.Name, Digest: digest})
 		if err != nil {
 			if fatal, wait, werr := classify(err, &transient, maxTransient); fatal {
 				return st, werr

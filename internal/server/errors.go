@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 
 	"lockstep/internal/inject"
 )
@@ -81,9 +82,18 @@ func injectAPIError(err error) error {
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		return nil, bodyError(err)
 	}
 	return body, nil
+}
+
+// bodyError answers a failed body read: a read the request deadline cut
+// off gets the 504 of every expired request, any other failure a 400.
+func bodyError(err error) error {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return errf(http.StatusGatewayTimeout, "deadline_exceeded", "request deadline exceeded reading the body")
+	}
+	return errf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
 }
 
 // decodeJSON decodes one JSON value from data into v the way every

@@ -173,8 +173,8 @@ func FuzzDistributedRequest(f *testing.F) {
 
 	// Valid bodies of both kinds: a lease request, and a submission over
 	// a granted lease, detected at the last cycle of the horizon.
-	f.Add(false, mustJSON(&inject.LeaseRequest{Worker: "w", Digest: digest, Want: 4}))
-	lease, err := co.Acquire("w", digest, 0)
+	f.Add(false, mustJSON(&inject.LeaseRequest{Worker: "w", Digest: digest}))
+	lease, err := co.Acquire("w", digest)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 			"request body exceeds %d bytes", maxPredictBody)
 	}
 	if err != nil {
-		return errf(http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		return bodyError(err)
 	}
 
 	out, n, err := s.predictBytes(r.Context(), b, sc, body)

@@ -69,14 +69,15 @@ type Options struct {
 	// queueing.
 	MaxInFlight int
 	// RequestTimeout is the per-request deadline (default 10s); an
-	// expired deadline answers 504 deadline_exceeded.
+	// expired deadline answers 504 deadline_exceeded. It bounds the
+	// request body's read too.
 	RequestTimeout time.Duration
 	// MaxBatch bounds the DSR count of one predict request (default
 	// 1024); larger batches are answered 413 batch_too_large.
 	MaxBatch int
 	// LeaseSize is the default span length (in plan indices) of a
 	// distributed-campaign lease (default 512); a request's lease_size
-	// and a worker's preference override it per campaign / per lease.
+	// overrides it per campaign. Workers cannot choose their own.
 	LeaseSize int
 	// LeaseTTL is how long a worker holds an uncommitted span lease
 	// before the coordinator re-issues it (default 30s).
@@ -253,6 +254,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opt.RequestTimeout)
 	defer cancel()
+	if r.ContentLength != 0 {
+		// The deadline also ends the body read, so a client that trickles
+		// its body cannot hold a limiter slot past it. net/http clears the
+		// read deadline once the body is read to its end. A request
+		// without a body is left alone: its connection's background read
+		// is already waiting, and a deadline on it would cancel every later
+		// request on the connection once it fired.
+		deadline, _ := ctx.Deadline()
+		http.NewResponseController(w).SetReadDeadline(deadline)
+	}
 	s.mux.ServeHTTP(w, r.WithContext(ctx))
 }
 
@@ -271,7 +282,7 @@ const (
 // the Server in lockstep-serve, a Distributor in the lockstep-inject
 // -distribute coordinator. It bounds only header reads and idle
 // keep-alive time, so a large dataset download or span upload is not
-// cut off.
+// cut off; the Server bounds each body read by its request deadline.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -388,6 +388,62 @@ func TestHTTPServerClosesPartialRequest(t *testing.T) {
 	}
 }
 
+// TestTrickledBodyReleasesSlot: a client that sends its headers and one
+// byte of a 100-byte predict body holds the server's only limiter slot
+// for the request deadline, not as long as it likes. Its request is
+// answered 504, and a second client then gets 200.
+func TestTrickledBodyReleasesSlot(t *testing.T) {
+	t.Parallel()
+	s := newTestServer(t, func(o *Options) {
+		o.MaxInFlight = 1
+		o.RequestTimeout = 200 * time.Millisecond
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := NewHTTPServer(s)
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/predict HTTP/1.1\r\nHost: lockstep\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{")); err != nil {
+		t.Fatal(err)
+	}
+	for start := time.Now(); s.inFlight.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the trickled request never claimed the limiter slot")
+		}
+	}
+
+	url := "http://" + ln.Addr().String() + "/v1/predict"
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		resp, err := http.Post(url, "application/json", strings.NewReader(`{"dsr":"1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
+			t.Fatalf("second client: %d while a trickled body holds the slot; want 200 once the request deadline ends it", resp.StatusCode)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, _ := io.ReadAll(conn)
+	if !strings.HasPrefix(string(reply), "HTTP/1.1 504") {
+		t.Fatalf("trickled request answered %q, want 504", reply)
+	}
+}
+
 // waitJob polls the status endpoint until the job reaches a terminal
 // state (or the want state) and returns the final status body.
 func waitJob(t *testing.T, s *Server, id, want string) map[string]any {

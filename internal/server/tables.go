@@ -48,7 +48,6 @@ const activeFile = "ACTIVE"
 type tableBundle struct {
 	table *core.Table
 	dense *denseTable
-	cfg   sbist.Config
 	// image is the serialized form (core.Table.WriteTo) — the same bytes
 	// lockstep-train -o writes — and version is the first 8 bytes of the
 	// SHA-256 over the image (plus the mode string for non-dcls bundles),
@@ -93,7 +92,6 @@ func newTableBundle(table *core.Table, cfg sbist.Config, source string, mode loc
 	return &tableBundle{
 		table:   table,
 		dense:   dense,
-		cfg:     cfg,
 		image:   buf.Bytes(),
 		version: version,
 		etag:    `"` + version + `"`,

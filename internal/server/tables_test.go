@@ -327,6 +327,43 @@ func TestTablesPersistenceAcrossRestart(t *testing.T) {
 	drain(s3)
 }
 
+// TestTopKBundleSameAnswerAcrossRestart: a top-3 table answers a DSR it
+// was never trained on (the default entry) with the same body, under
+// the same ETag, before a restart and after it, when it is read back
+// from its image.
+func TestTopKBundleSameAnswerAcrossRestart(t *testing.T) {
+	_, csv, _ := testFixture(t)
+	dir := t.TempDir()
+	s1, err := New(Options{DataDir: dir, Registry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := do(t, s1, "POST", "/v1/tables", `{"dataset_csv":`+jsonString(t, csv)+`,"topk":3}`)
+	if code != http.StatusCreated {
+		t.Fatalf("train: %d %v", code, body)
+	}
+	const untrained = `{"dsr":"3fffffffffffffff"}`
+	before := doRaw(s1, "POST", "/v1/predict", untrained)
+	if before.Code != http.StatusOK || !strings.Contains(before.Body.String(), `"known":false`) {
+		t.Fatalf("predict before restart: %d %s, want an untrained DSR's answer", before.Code, before.Body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Options{DataDir: dir, Registry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain(ctx)
+	after := doRaw(s2, "POST", "/v1/predict", untrained)
+	if after.Code != http.StatusOK || after.Header().Get("ETag") != before.Header().Get("ETag") || after.Body.String() != before.Body.String() {
+		t.Fatalf("after restart: %d ETag %s\n%s\nbefore: ETag %s\n%s", after.Code, after.Header().Get("ETag"), after.Body,
+			before.Header().Get("ETag"), before.Body)
+	}
+}
+
 // TestCampaignTrainAndSwap: a campaign submitted with "train": true
 // trains from its own dataset on completion and atomically swaps the
 // result in; the job status and manifest record the version, and the
