@@ -86,18 +86,22 @@ resume-determinism:
 # must merge to the byte-identical single-machine dataset at any worker
 # count and lease size and in every lockstep mode (in-process
 # coordinator, HTTP through lockstep-serve under dcls, tmr and slip:16,
-# and the standalone Distributor), survive lease expiry/re-issue and
-# duplicate spans, refuse every malformed lease or span body with a 400
-# in the JSON error envelope (the fuzz target's seed corpus included),
-# fit the worst-case span submission in the body limit, resume a
-# half-merged campaign from its checkpoint, and — against the real
-# binaries — stay byte-identical after a worker is SIGKILLed mid-span. A
-# worker node's spans of one kernel block build its golden once, and
-# spans over more kernels than the bound evict the least recently used
-# golden (TestSpanRunnerGoldenReuse).
+# and the standalone -distribute coordinator), survive lease
+# expiry/re-issue and duplicate spans, refuse every malformed lease or
+# span body with a 400 in the JSON error envelope (the fuzz target's seed
+# corpus included), fit the worst-case span submission in the body
+# limit, resume a half-merged campaign from its checkpoint, and —
+# against the real binaries — stay byte-identical after a worker is
+# SIGKILLed mid-span. Both hosts serve through one edge: each answers a
+# full limiter with 429, an expired deadline with 504 and a trickled
+# body within the deadline, and a worker retries the 429, resends a
+# refused span commit and finishes (TestWorkerRetriesOverload). A worker
+# node's spans of one kernel block build its golden once, and spans over
+# more kernels than the bound evict the least recently used golden
+# (TestSpanRunnerGoldenReuse).
 distributed-determinism:
 	$(GO) test -race -run 'TestDistributedMatchesRun|TestLeaseKernelAffinity|TestLeaseExpiryReissue|TestDrainWorkers|TestCommitRejections|TestCoordinatorResume|TestSpanRunnerMatchesRun|TestSpanRunnerGoldenReuse|TestFingerprintConfigRoundTrip' -count=1 ./internal/inject/
-	$(GO) test -race -run 'TestDistributedCampaignMatchesDirect|TestDistributorMatchesDirect|TestDistributedEndpointErrors|TestDistributedRestartResume|TestSubmitForeignCheckpointRejected|TestWorstCaseSpanFitsBody|FuzzDistributedRequest' -count=1 ./internal/server/
+	$(GO) test -race -run 'TestDistributedCampaignMatchesDirect|TestDistributorMatchesDirect|TestDistributedEndpointErrors|TestDistributedRestartResume|TestSubmitForeignCheckpointRejected|TestWorstCaseSpanFitsBody|FuzzDistributedRequest|TestWorkerRetriesOverload|TestTrickledBodyReleasesSlot|TestConcurrencyLimiter|TestDeadlineExceeded' -count=1 ./internal/server/
 	$(GO) test -run 'TestDistributedKillWorkerEquivalence|TestDistributeJoinExclusive' -count=1 ./cmd/lockstep-inject/
 
 # The lockstep-mode determinism gate: (a) a dcls campaign reproduces the

@@ -45,7 +45,9 @@
 // outcomes back. The merged dataset is byte-identical to a single-machine
 // run at any worker count and any lease size; a worker killed mid-span
 // merely lets its lease expire and the span is re-issued. -checkpoint and
-// -resume work on the coordinator exactly as for a local campaign.
+// -resume work on the coordinator exactly as for a local campaign. It
+// serves through lockstep-serve's HTTP edge: 64 requests in flight, a 10 s
+// deadline, request metrics. A worker retries a 429 or 5xx with backoff.
 // -lease-size and -lease-ttl are coordinator settings: the coordinator
 // alone sizes every lease, and a worker ignores both. A worker of an
 // older build that still asks for its own lease length is refused with

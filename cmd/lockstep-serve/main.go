@@ -107,7 +107,6 @@ func run(opt server.Options, addr, tablePath string, tblAccess int64, metricsPat
 			return fmt.Errorf("reading table %s: %w", tablePath, err)
 		}
 		opt.Table = table
-		opt.SBIST = sbist.NewConfig(table.Gran, nil, tblAccess)
 		fmt.Fprintf(errw, "lockstep-serve: loaded table %s (%s, %d sets, %d table bits)\n",
 			tablePath, table.Gran, table.Dict.Len(), table.TableBits())
 	}

@@ -81,9 +81,11 @@ func run(w io.Writer, dataPath string, granFlag, topK int, trainFrac float64, se
 	soft, hard, overall := table.TypeAccuracy(balanced)
 	fmt.Fprintf(w, "  held-out type accuracy (balanced): soft %.1f%%, hard %.1f%%, overall %.1f%%\n",
 		100*soft, 100*hard, 100*overall)
-	for _, k := range []int{1, 2, 3, effectiveK(table)} {
-		fmt.Fprintf(w, "  held-out location accuracy (top-%d): %.1f%%\n",
-			k, 100*table.LocationAccuracy(balanced, k))
+	for k, eff := 1, effectiveK(table); k <= eff; k++ {
+		if k <= 3 || k == eff {
+			fmt.Fprintf(w, "  held-out location accuracy (top-%d): %.1f%%\n",
+				k, 100*table.LocationAccuracy(balanced, k))
+		}
 	}
 
 	if outImage != "" {

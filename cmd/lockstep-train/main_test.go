@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,6 +64,30 @@ func TestTrainCLI(t *testing.T) {
 	}
 	if fi, err := os.Stat(img); err != nil || fi.Size() == 0 {
 		t.Fatalf("table image not written: %v", err)
+	}
+	checkTopKLines(t, out.String(), 3)
+
+	// A top-1 table stores one unit per entry: no other K can differ.
+	out.Reset()
+	if err := run(&out, path, 7, 1, 0.8, 1, 0, ""); err != nil {
+		t.Fatalf("top-1: %v", err)
+	}
+	checkTopKLines(t, out.String(), 1)
+}
+
+// checkTopKLines checks that a report of a top-k table (k <= 3) prints
+// the held-out location accuracy once for each K up to k, and for no
+// other K.
+func checkTopKLines(t *testing.T, report string, k int) {
+	t.Helper()
+	for K := 1; K <= 13; K++ {
+		want := 0
+		if K <= k {
+			want = 1
+		}
+		if got := strings.Count(report, fmt.Sprintf("(top-%d)", K)); got != want {
+			t.Fatalf("top-%d table: the report has %d top-%d lines, want %d:\n%s", k, got, K, want, report)
+		}
 	}
 }
 

@@ -240,8 +240,7 @@ type manifest struct {
 type jobManager struct {
 	dir        string
 	maxWorkers int
-	leaseSize  int
-	leaseTTL   time.Duration
+	dist       inject.DistConfig // lease defaults of distributed jobs
 	reg        *telemetry.Registry
 	// tables receives the trained-and-swapped table of a "train": true
 	// job on completion.
@@ -267,17 +266,22 @@ func newJobManager(opt Options, reg *telemetry.Registry, tables *tableManager) (
 	m := &jobManager{
 		dir:        opt.DataDir,
 		maxWorkers: opt.InjectWorkers,
-		leaseSize:  opt.LeaseSize,
-		leaseTTL:   opt.LeaseTTL,
+		dist:       inject.DistConfig{LeaseSize: opt.LeaseSize, LeaseTTL: opt.LeaseTTL},
 		reg:        reg,
 		tables:     tables,
 		jobs:       map[string]*job{},
 		active:     map[string]*inject.Coordinator{},
-		queue:      make(chan *job, opt.QueueDepth),
 		cancel:     make(chan struct{}),
 	}
-	if err := m.adopt(); err != nil {
+	queued, err := m.adopt()
+	if err != nil {
 		return nil, err
+	}
+	// Every unfinished job fits, however many (no worker runs yet to make
+	// room); submit refuses new ones while queueDepth of them wait.
+	m.queue = make(chan *job, max(queueDepth, len(queued)))
+	for _, j := range queued {
+		m.queue <- j
 	}
 	for i := 0; i < opt.CampaignWorkers; i++ {
 		m.wg.Add(1)
@@ -288,23 +292,23 @@ func newJobManager(opt Options, reg *telemetry.Registry, tables *tableManager) (
 
 // adopt loads every persisted job from the data directory: done/failed
 // jobs become visible again, queued ones (including jobs a previous
-// server drained mid-run) are re-queued and will resume from their
-// checkpoint, and jobs whose request no longer validates are listed as
-// failed.
-func (m *jobManager) adopt() error {
+// server drained mid-run) are returned in manifest order to be re-queued
+// and will resume from their checkpoint, and jobs whose request no
+// longer validates are listed as failed.
+func (m *jobManager) adopt() (queued []*job, err error) {
 	names, err := filepath.Glob(filepath.Join(m.dir, "*.job.json"))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		data, err := os.ReadFile(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var mf manifest
 		if err := json.Unmarshal(data, &mf); err != nil {
-			return fmt.Errorf("manifest %s: %w", name, err)
+			return nil, fmt.Errorf("manifest %s: %w", name, err)
 		}
 		_, cfg, err := parseCampaignRequest(mustJSON(mf.Request), m.maxWorkers)
 		j := &job{ID: mf.ID, Req: mf.Request, Cfg: cfg, Total: mf.Total, state: mf.State}
@@ -330,13 +334,13 @@ func (m *jobManager) adopt() error {
 			if ck, err := inject.ReadCheckpoint(m.ckPath(j.ID)); err == nil {
 				j.done.Store(int64(ck.DoneCount()))
 			}
-			m.queue <- j
+			queued = append(queued, j)
 			m.reg.Counter("server.jobs", telemetry.L("event", "adopted")).Inc()
 		}
 		m.jobs[j.ID] = j
 		m.order = append(m.order, j.ID)
 	}
-	return nil
+	return queued, nil
 }
 
 func mustJSON(v any) []byte {
@@ -400,14 +404,15 @@ func (m *jobManager) submit(req campaignRequest, cfg inject.Config) (*job, bool,
 		m.mu.Unlock()
 		return nil, false, errf(http.StatusServiceUnavailable, "shutting_down", "server is draining; resubmit after restart")
 	}
-	j := &job{ID: id, Req: req, Cfg: cfg, Total: total, state: stateQueued}
-	select {
-	case m.queue <- j:
-	default:
+	if len(m.queue) >= queueDepth {
 		m.mu.Unlock()
 		return nil, false, errf(http.StatusTooManyRequests, "queue_full",
-			"campaign queue is full (%d queued); retry later", cap(m.queue))
+			"campaign queue is full (%d queued); retry later", queueDepth)
 	}
+	// Only submit sends after start-up, under mu, and the queue holds at
+	// least queueDepth jobs: this send cannot block.
+	j := &job{ID: id, Req: req, Cfg: cfg, Total: total, state: stateQueued}
+	m.queue <- j
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.mu.Unlock()
@@ -473,7 +478,7 @@ func (m *jobManager) run(j *job) {
 // drain signal cancels it exactly like a local job — a final checkpoint
 // covers every merged span and a restart resumes the campaign.
 func (m *jobManager) runDistributed(j *job, cfg inject.Config) {
-	dc := inject.DistConfig{LeaseSize: m.leaseSize, LeaseTTL: m.leaseTTL}
+	dc := m.dist
 	if j.Req.LeaseSize > 0 {
 		dc.LeaseSize = j.Req.LeaseSize
 	}

@@ -16,7 +16,7 @@
 // built against a different trace version) is refused with 409
 // fingerprint_mismatch before it can touch the dataset. The same two
 // routes are served by any lockstep-serve running a distribute:true
-// campaign job, and by the standalone Distributor that backs
+// campaign job, and by the Server that NewDistributor builds for
 // `lockstep-inject -distribute` — workers cannot tell the difference.
 package server
 
@@ -138,28 +138,34 @@ func (s *Server) handleCampaignSpan(w http.ResponseWriter, r *http.Request) erro
 		Message: fmt.Sprintf("campaign %s has no live coordinator to accept spans", j.ID)}
 }
 
-// Distributor serves the distributed-campaign endpoints for exactly
+// NewDistributor serves the distributed-campaign endpoints of exactly
 // one coordinator — the `lockstep-inject -distribute` topology, where a
-// campaign CLI is the coordinator and no full lockstep-serve exists. The
-// routes match lockstep-serve's byte for byte, so `lockstep-inject
-// -join` works identically against either.
-type Distributor struct {
-	co  *inject.Coordinator
-	mux *http.ServeMux
-}
-
-// NewDistributor builds the handler for co.
-func NewDistributor(co *inject.Coordinator) *Distributor {
-	d := &Distributor{co: co, mux: http.NewServeMux()}
-	d.mux.HandleFunc("POST /v1/campaigns/{id}/leases", d.wrap(func(w http.ResponseWriter, r *http.Request) error {
-		return serveLease(d.co, w, r)
+// campaign CLI is the coordinator and no full lockstep-serve exists. It
+// is a Server with only the three coordinator routes, so it has
+// lockstep-serve's limiter, deadlines, error envelope and metrics at
+// their defaults, and `lockstep-inject -join` works identically against
+// either.
+func NewDistributor(co *inject.Coordinator) http.Handler {
+	s := newServer(Options{})
+	// ours answers 404 unless the {id} path segment is co's campaign.
+	ours := func(h endpoint) endpoint {
+		return func(w http.ResponseWriter, r *http.Request) error {
+			if id := r.PathValue("id"); id != co.Digest() {
+				return &apiError{Status: http.StatusNotFound, Code: "unknown_job",
+					Message: fmt.Sprintf("this coordinator serves campaign %s, not %q", co.Digest(), id), Field: "id"}
+			}
+			return h(w, r)
+		}
+	}
+	s.handle("POST /v1/campaigns/{id}/leases", "campaign-lease", ours(func(w http.ResponseWriter, r *http.Request) error {
+		return serveLease(co, w, r)
 	}))
-	d.mux.HandleFunc("POST /v1/campaigns/{id}/spans", d.wrap(func(w http.ResponseWriter, r *http.Request) error {
-		_, err := serveSpan(d.co, w, r)
+	s.handle("POST /v1/campaigns/{id}/spans", "campaign-span", ours(func(w http.ResponseWriter, r *http.Request) error {
+		_, err := serveSpan(co, w, r)
 		return err
 	}))
-	d.mux.HandleFunc("GET /v1/campaigns/{id}", d.wrap(func(w http.ResponseWriter, r *http.Request) error {
-		done, total := d.co.Progress()
+	s.handle("GET /v1/campaigns/{id}", "campaign-status", ours(func(w http.ResponseWriter, r *http.Request) error {
+		done, total := co.Progress()
 		state := stateRunning
 		if done == total {
 			state = stateDone
@@ -169,28 +175,8 @@ func NewDistributor(co *inject.Coordinator) *Distributor {
 			State string `json:"state"`
 			Done  int    `json:"done"`
 			Total int    `json:"total"`
-		}{d.co.Digest(), state, done, total})
+		}{co.Digest(), state, done, total})
 		return nil
 	}))
-	return d
-}
-
-// wrap checks the {id} path segment against the coordinator's campaign
-// and renders endpoint errors through the structured envelope.
-func (d *Distributor) wrap(h endpoint) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if id := r.PathValue("id"); id != d.co.Digest() {
-			writeError(w, &apiError{Status: http.StatusNotFound, Code: "unknown_job",
-				Message: fmt.Sprintf("this coordinator serves campaign %s, not %q", d.co.Digest(), id), Field: "id"})
-			return
-		}
-		if err := h(w, r); err != nil {
-			writeError(w, err)
-		}
-	}
-}
-
-// ServeHTTP implements http.Handler.
-func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	d.mux.ServeHTTP(w, r)
+	return s
 }

@@ -190,6 +190,116 @@ func TestDistributorMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestWorkerRetriesOverload: a worker that meets a full limiter retries
+// the 429 as it would a 5xx instead of exiting, and resends a refused
+// span commit instead of dropping the span. On either host the only
+// limiter slot is held for 300 ms as the worker joins, and again as it
+// commits its first span. The worker must finish, the dataset must
+// match a direct run, and server.requests must count one lease and one
+// span answered 200 for each span the worker landed.
+func TestWorkerRetriesOverload(t *testing.T) {
+	_, wantCSV, _ := testFixture(t)
+
+	serve := newTestServer(t, func(o *Options) { o.MaxInFlight = 1 })
+	code, body := do(t, serve, "POST", "/v1/campaigns", distCampaignJSON)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d %v", code, body)
+	}
+	id := body["id"].(string)
+	// Every lease the worker asks for is then granted, none is a wait.
+	for start := time.Now(); serve.jobs.coordinator(id) == nil; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 30*time.Second {
+			t.Fatal("the distributed job never started its coordinator")
+		}
+	}
+
+	co, err := inject.NewCoordinator(trainingCampaign(), inject.DistConfig{LeaseSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewDistributor(co).(*Server)
+	coord.limiter = make(chan struct{}, 1)
+
+	hosts := []struct {
+		name    string
+		s       *Server
+		dataset func(t *testing.T) []byte
+	}{
+		{"lockstep-serve", serve, func(t *testing.T) []byte {
+			waitJob(t, serve, id, stateDone)
+			code, body := do(t, serve, "GET", "/v1/campaigns/"+id+"/dataset", "")
+			if code != http.StatusOK {
+				t.Fatalf("dataset: status %d", code)
+			}
+			return []byte(body["raw"].(string))
+		}},
+		{"coordinator", coord, func(t *testing.T) []byte {
+			if err := co.WaitDone(nil); err != nil {
+				t.Fatal(err)
+			}
+			ds, _, err := co.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := ds.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}},
+	}
+	for _, h := range hosts {
+		t.Run(h.name, func(t *testing.T) {
+			ok := func(route string) *telemetry.Counter {
+				return h.s.reg.Counter("server.requests", telemetry.L("route", route), telemetry.L("status", "200"))
+			}
+			leases0, spans0, throttled0 := ok("campaign-lease").Value(), ok("campaign-span").Value(), h.s.throttled.Value()
+			ts := httptest.NewServer(h.s)
+			t.Cleanup(ts.Close)
+			hold := func() {
+				h.s.limiter <- struct{}{}
+				time.AfterFunc(300*time.Millisecond, func() { <-h.s.limiter })
+			}
+
+			// gate holds the worker's first span until the slot is held
+			// again, so that span's commit meets the full limiter.
+			gate := &sync.Mutex{}
+			gate.Lock()
+			hold()
+			var st WorkerStats
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				st, err = RunWorker(context.Background(), WorkerOptions{
+					URL: ts.URL + "/v1/campaigns/" + id, Name: "w", InjectWorkers: 1, gate: gate,
+				})
+				done <- err
+			}()
+			for start := time.Now(); ok("campaign-lease").Value() == leases0; time.Sleep(time.Millisecond) {
+				if time.Since(start) > 30*time.Second {
+					t.Fatal("the worker never got its first lease")
+				}
+			}
+			hold()
+			gate.Unlock()
+			if err := <-done; err != nil {
+				t.Fatalf("worker: %v (stats %+v)", err, st)
+			}
+			if n := h.s.throttled.Value() - throttled0; n < 2 {
+				t.Fatalf("the worker met the full limiter %d times, want at least 2", n)
+			}
+			if !bytes.Equal(h.dataset(t), wantCSV) {
+				t.Fatal("dataset differs from direct inject.Run")
+			}
+			leases, spans := ok("campaign-lease").Value()-leases0, ok("campaign-span").Value()-spans0
+			if leases != int64(st.Spans) || spans != int64(st.Spans) || st.Expired != 0 {
+				t.Fatalf("server.requests counts %d leases and %d spans answered 200; the worker landed %d spans (%d expired)",
+					leases, spans, st.Spans, st.Expired)
+			}
+		})
+	}
+}
+
 // TestDistributedEndpointErrors pins the structured error envelope on
 // the lease and span paths: stable codes, right statuses. A body that
 // does not decode, and a submission no campaign state could accept, is a

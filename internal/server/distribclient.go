@@ -1,7 +1,7 @@
 // Worker-node client for distributed campaigns: the `lockstep-inject
 // -join` loop. RunWorker pulls span leases from a coordinator (a
 // lockstep-serve campaign job or a `lockstep-inject -distribute`
-// Distributor — the endpoints are identical), reconstructs the campaign
+// coordinator — the endpoints are identical), reconstructs the campaign
 // from the coordinator's fingerprint, executes each leased span through
 // the same pruned-replay path a local campaign uses, and sends the
 // outcomes back as JSON; the coordinator renders the dataset rows. The
@@ -153,11 +153,23 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 			return st, err
 		}
 
-		ack, err := spanOnce(ctx, client, url, &inject.SpanSubmit{
+		sub := &inject.SpanSubmit{
 			Worker: opt.Name, Digest: digest, LeaseID: reply.LeaseID, Span: reply.Span,
 			BusyUS: busy.Microseconds(), Pruned: spanStats.Pruned, OracleChecked: spanStats.OracleChecked,
 			Outcomes: outcomes,
-		})
+		}
+		ack, err := spanOnce(ctx, client, url, sub)
+		for err != nil && errorCode(err) != "lease_expired" {
+			// Commits are idempotent, so a transient failure resends the
+			// span: dropping it would idle the span until its lease expired.
+			if fatal, wait, werr := classify(err, &transient, maxTransient); fatal {
+				return st, werr
+			} else if serr := sleepCtx(ctx, wait); serr != nil {
+				return st, serr
+			}
+			logf("lease %d: commit failed (retrying): %v", reply.LeaseID, err)
+			ack, err = spanOnce(ctx, client, url, sub)
+		}
 		switch {
 		case err == nil:
 			st.Spans++
@@ -179,15 +191,6 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 			// worker's identical outcomes will land. Drop ours.
 			st.Expired++
 			logf("lease %d: expired before commit; span re-issued elsewhere", reply.LeaseID)
-		default:
-			if fatal, wait, werr := classify(err, &transient, maxTransient); fatal {
-				return st, werr
-			} else if serr := sleepCtx(ctx, wait); serr != nil {
-				return st, serr
-			}
-			logf("span commit failed (dropping span, re-leasing): %v", err)
-			// The lease will expire and the span re-issue — possibly to
-			// us. Nothing to clean up: commits are idempotent.
 		}
 	}
 }
@@ -214,11 +217,11 @@ func errorCode(err error) string {
 
 // classify decides whether an error ends the worker. Structured 4xx
 // rejections are fatal (the server told us exactly why we cannot
-// proceed); network errors and 5xx are transient up to the cap, with
-// linear backoff.
+// proceed), except a 429 from a full limiter; it, network errors and
+// 5xx are transient up to the cap, with linear backoff.
 func classify(err error, transient *int, max int) (fatal bool, wait time.Duration, out error) {
 	var rej *apiRejection
-	if errors.As(err, &rej) && rej.Status < 500 {
+	if errors.As(err, &rej) && rej.Status < 500 && rej.Status != http.StatusTooManyRequests {
 		return true, 0, err
 	}
 	*transient++

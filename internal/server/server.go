@@ -19,7 +19,10 @@
 // with stable codes, request/latency/in-flight metrics in the telemetry
 // registry, and graceful shutdown — Drain cancels running campaigns at a
 // checkpoint boundary so a restarted server resumes them with
-// byte-identical final datasets.
+// byte-identical final datasets. The `lockstep-inject -distribute`
+// coordinator is a Server too (NewDistributor), with only the lease,
+// span and status routes: Server.handle and Server.ServeHTTP are the
+// one edge both hosts go through.
 package server
 
 import (
@@ -42,12 +45,9 @@ type Options struct {
 	// via POST /v1/tables or adopted from DataDir; the campaign API stays
 	// available either way.
 	Table *core.Table
-	// SBIST is the latency environment used to name units and annotate
-	// predictions; zero value means sbist.NewConfig(table granularity,
-	// nil, OnChipTableAccess) when a table is present.
-	SBIST sbist.Config
-	// TableAccess is the prediction-table read latency (cycles) applied
-	// to tables trained server-side (default sbist.OnChipTableAccess).
+	// TableAccess is the prediction-table read latency (cycles) of the
+	// SBIST latency model that annotates every served table's predictions
+	// (default sbist.OnChipTableAccess).
 	TableAccess int64
 	// DataDir is where campaign jobs persist their manifest, checkpoint
 	// and dataset. Required for the campaign API; jobs found in it at
@@ -61,9 +61,6 @@ type Options struct {
 	// upper bound: the request's workers field is clamped to it; 0 means
 	// runtime.NumCPU via inject's own default).
 	InjectWorkers int
-	// QueueDepth bounds the campaign job queue (default 256); a full
-	// queue answers 429 queue_full.
-	QueueDepth int
 	// MaxInFlight bounds concurrent HTTP requests (default 64); excess
 	// requests are answered 429 overloaded immediately instead of
 	// queueing.
@@ -76,22 +73,23 @@ type Options struct {
 	// 1024); larger batches are answered 413 batch_too_large.
 	MaxBatch int
 	// LeaseSize is the default span length (in plan indices) of a
-	// distributed-campaign lease (default 512); a request's lease_size
-	// overrides it per campaign. Workers cannot choose their own.
+	// distributed-campaign lease (0 = inject's 512); a request's
+	// lease_size overrides it per campaign.
 	LeaseSize int
 	// LeaseTTL is how long a worker holds an uncommitted span lease
-	// before the coordinator re-issues it (default 30s).
+	// before the coordinator re-issues it (0 = inject's 30s).
 	LeaseTTL time.Duration
 	// Registry receives the server's metrics (default telemetry.Default).
 	Registry *telemetry.Registry
 }
 
+// queueDepth bounds the campaign job queue; a submission to a full queue
+// is answered 429 queue_full.
+const queueDepth = 256
+
 func (o *Options) normalize() {
 	if o.CampaignWorkers <= 0 {
 		o.CampaignWorkers = 1
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 64
@@ -102,20 +100,11 @@ func (o *Options) normalize() {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1024
 	}
-	if o.LeaseSize <= 0 {
-		o.LeaseSize = 512
-	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 30 * time.Second
-	}
 	if o.Registry == nil {
 		o.Registry = telemetry.Default
 	}
 	if o.TableAccess <= 0 {
 		o.TableAccess = sbist.OnChipTableAccess
-	}
-	if o.Table != nil && o.SBIST.STL == nil {
-		o.SBIST = sbist.NewConfig(o.Table.Gran, nil, o.TableAccess)
 	}
 }
 
@@ -146,12 +135,11 @@ type Server struct {
 	testHold <-chan struct{}
 }
 
-// New builds the service and adopts any campaign jobs already persisted
-// in Options.DataDir: finished jobs become downloadable again and
-// unfinished ones are re-queued, resuming from their checkpoint.
-func New(opt Options) (*Server, error) {
+// newServer builds the HTTP edge every route goes through — the mux,
+// the concurrency limiter and its metric handles — with no route yet.
+func newServer(opt Options) *Server {
 	opt.normalize()
-	s := &Server{
+	return &Server{
 		opt:       opt,
 		reg:       opt.Registry,
 		mux:       http.NewServeMux(),
@@ -159,15 +147,22 @@ func New(opt Options) (*Server, error) {
 		inFlight:  opt.Registry.Gauge("server.in_flight"),
 		throttled: opt.Registry.Counter("server.throttled"),
 	}
-	s.predictions = opt.Registry.Counter("server.predictions")
-	s.predictBatch = opt.Registry.Histogram("server.predict_batch", telemetry.PopBuckets)
-	tables, err := newTableManager(opt)
+}
+
+// New builds the service and adopts any campaign jobs already persisted
+// in Options.DataDir: finished jobs become downloadable again and
+// unfinished ones are re-queued, resuming from their checkpoint.
+func New(opt Options) (*Server, error) {
+	s := newServer(opt)
+	s.predictions = s.reg.Counter("server.predictions")
+	s.predictBatch = s.reg.Histogram("server.predict_batch", telemetry.PopBuckets)
+	tables, err := newTableManager(s.opt)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s.tables = tables
-	if opt.DataDir != "" {
-		jobs, err := newJobManager(opt, s.reg, tables)
+	if s.opt.DataDir != "" {
+		jobs, err := newJobManager(s.opt, s.reg, tables)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
@@ -279,10 +274,11 @@ const (
 )
 
 // NewHTTPServer returns the http.Server that serves h on a listener:
-// the Server in lockstep-serve, a Distributor in the lockstep-inject
-// -distribute coordinator. It bounds only header reads and idle
-// keep-alive time, so a large dataset download or span upload is not
-// cut off; the Server bounds each body read by its request deadline.
+// the Server of lockstep-serve or the one NewDistributor builds for the
+// lockstep-inject -distribute coordinator. It bounds only header reads
+// and idle keep-alive time, so a large dataset download or span upload
+// is not cut off; the Server bounds each body read by its request
+// deadline.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -291,65 +293,112 @@ func TestPredictWithoutTable(t *testing.T) {
 	}
 }
 
+// edgeHost is one of the two hosts that serve through the Server's edge:
+// lockstep-serve, and the -distribute coordinator NewDistributor builds.
+type edgeHost struct {
+	name string
+	s    *Server
+	// posts are POST routes with a JSON body; posts[0] answers ok with
+	// 200.
+	posts []string
+	ok    string
+}
+
+// edgeHosts builds both hosts with the limiter and request deadline
+// given (zero keeps the default). The coordinator takes no Options, so
+// its limiter and deadline are set on the *Server itself.
+func edgeHosts(t *testing.T, maxInFlight int, timeout time.Duration) []edgeHost {
+	t.Helper()
+	serve := newTestServer(t, func(o *Options) {
+		o.MaxInFlight = maxInFlight
+		o.RequestTimeout = timeout
+	})
+	co, err := inject.NewCoordinator(trainingCampaign(), inject.DistConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewDistributor(co).(*Server)
+	if maxInFlight > 0 {
+		coord.limiter = make(chan struct{}, maxInFlight)
+	}
+	if timeout > 0 {
+		coord.opt.RequestTimeout = timeout
+	}
+	campaign := "/v1/campaigns/" + co.Digest()
+	return []edgeHost{
+		{"lockstep-serve", serve, []string{"/v1/predict", "/v1/campaigns"}, `{"dsr":"1"}`},
+		{"coordinator", coord, []string{campaign + "/leases", campaign + "/spans"},
+			`{"worker":"w","digest":"` + co.Digest() + `"}`},
+	}
+}
+
 // TestDeadlineExceeded: an expired per-request deadline answers 504 with
-// the structured envelope on every endpoint.
+// the structured envelope on every endpoint of both hosts.
 func TestDeadlineExceeded(t *testing.T) {
-	s := newTestServer(t, func(o *Options) { o.RequestTimeout = time.Nanosecond })
-	for _, path := range []string{"/v1/predict", "/v1/campaigns"} {
-		code, body := do(t, s, "POST", path, `{}`)
-		if code != http.StatusGatewayTimeout || apiErrOf(t, body)["code"] != "deadline_exceeded" {
-			t.Fatalf("%s: %d %v, want 504 deadline_exceeded", path, code, body)
+	for _, h := range edgeHosts(t, 0, time.Nanosecond) {
+		for _, path := range h.posts {
+			code, body := do(t, h.s, "POST", path, `{}`)
+			if code != http.StatusGatewayTimeout || apiErrOf(t, body)["code"] != "deadline_exceeded" {
+				t.Fatalf("%s %s: %d %v, want 504 deadline_exceeded", h.name, path, code, body)
+			}
 		}
 	}
 }
 
-// TestConcurrencyLimiter: with the limiter full, requests get an
-// immediate structured 429 and the throttle counter moves; once the slot
-// frees, requests flow again.
+// TestConcurrencyLimiter: with the limiter full, requests to either
+// host get an immediate structured 429 and the throttle counter moves;
+// once the slot frees, requests flow again.
 func TestConcurrencyLimiter(t *testing.T) {
-	s := newTestServer(t, func(o *Options) { o.MaxInFlight = 1 })
-	hold := make(chan struct{})
-	s.testHold = hold
+	for _, h := range edgeHosts(t, 1, 0) {
+		t.Run(h.name, func(t *testing.T) {
+			s := h.s
+			// The coordinator counts into telemetry.Default, which other
+			// tests share.
+			throttled := s.throttled.Value()
+			hold := make(chan struct{})
+			s.testHold = hold
 
-	release := make(chan int, 1)
-	go func() {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-		release <- rec.Code
-	}()
-	// Wait until the held request owns the only slot.
-	for i := 0; s.inFlight.Value() == 0; i++ {
-		if i > 1000 {
-			t.Fatal("held request never claimed the limiter slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			release := make(chan int, 1)
+			go func() {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest("POST", h.posts[0], strings.NewReader(h.ok)))
+				release <- rec.Code
+			}()
+			// Wait until the held request owns the only slot.
+			for i := 0; s.inFlight.Value() == 0; i++ {
+				if i > 1000 {
+					t.Fatal("held request never claimed the limiter slot")
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("limiter full: status %d, want 429", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	var envelope struct {
-		Error struct{ Code string }
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error.Code != "overloaded" {
-		t.Fatalf("429 body %q (err %v), want overloaded envelope", rec.Body.String(), err)
-	}
-	if s.throttled.Value() != 1 {
-		t.Fatalf("throttled counter %d, want 1", s.throttled.Value())
-	}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", h.posts[0], strings.NewReader(h.ok)))
+			if rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("limiter full: status %d, want 429", rec.Code)
+			}
+			if rec.Header().Get("Retry-After") == "" {
+				t.Fatal("429 without Retry-After")
+			}
+			var envelope struct {
+				Error struct{ Code string }
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error.Code != "overloaded" {
+				t.Fatalf("429 body %q (err %v), want overloaded envelope", rec.Body.String(), err)
+			}
+			if n := s.throttled.Value() - throttled; n != 1 {
+				t.Fatalf("throttled counter moved by %d, want 1", n)
+			}
 
-	close(hold)
-	if code := <-release; code != http.StatusOK {
-		t.Fatalf("held request finished with %d", code)
-	}
-	s.testHold = nil
-	if code, _ := do(t, s, "GET", "/healthz", ""); code != http.StatusOK {
-		t.Fatalf("after release: status %d", code)
+			close(hold)
+			if code := <-release; code != http.StatusOK {
+				t.Fatalf("held request finished with %d", code)
+			}
+			s.testHold = nil
+			if code, _ := do(t, s, "POST", h.posts[0], h.ok); code != http.StatusOK {
+				t.Fatalf("after release: status %d", code)
+			}
+		})
 	}
 }
 
@@ -388,59 +437,60 @@ func TestHTTPServerClosesPartialRequest(t *testing.T) {
 	}
 }
 
-// TestTrickledBodyReleasesSlot: a client that sends its headers and one
-// byte of a 100-byte predict body holds the server's only limiter slot
+// TestTrickledBodyReleasesSlot: on either host, a client that sends its
+// headers and one byte of a 100-byte body holds the only limiter slot
 // for the request deadline, not as long as it likes. Its request is
 // answered 504, and a second client then gets 200.
 func TestTrickledBodyReleasesSlot(t *testing.T) {
 	t.Parallel()
-	s := newTestServer(t, func(o *Options) {
-		o.MaxInFlight = 1
-		o.RequestTimeout = 200 * time.Millisecond
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := NewHTTPServer(s)
-	go hs.Serve(ln)
-	defer hs.Close()
+	for _, h := range edgeHosts(t, 1, 200*time.Millisecond) {
+		t.Run(h.name, func(t *testing.T) {
+			t.Parallel()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := NewHTTPServer(h.s)
+			go hs.Serve(ln)
+			defer hs.Close()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("POST /v1/predict HTTP/1.1\r\nHost: lockstep\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{")); err != nil {
-		t.Fatal(err)
-	}
-	for start := time.Now(); s.inFlight.Value() == 0; time.Sleep(time.Millisecond) {
-		if time.Since(start) > 5*time.Second {
-			t.Fatal("the trickled request never claimed the limiter slot")
-		}
-	}
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("POST " + h.posts[0] + " HTTP/1.1\r\nHost: lockstep\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{")); err != nil {
+				t.Fatal(err)
+			}
+			for start := time.Now(); h.s.inFlight.Value() == 0; time.Sleep(time.Millisecond) {
+				if time.Since(start) > 5*time.Second {
+					t.Fatal("the trickled request never claimed the limiter slot")
+				}
+			}
 
-	url := "http://" + ln.Addr().String() + "/v1/predict"
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		resp, err := http.Post(url, "application/json", strings.NewReader(`{"dsr":"1"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
-			t.Fatalf("second client: %d while a trickled body holds the slot; want 200 once the request deadline ends it", resp.StatusCode)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	reply, _ := io.ReadAll(conn)
-	if !strings.HasPrefix(string(reply), "HTTP/1.1 504") {
-		t.Fatalf("trickled request answered %q, want 504", reply)
+			url := "http://" + ln.Addr().String() + h.posts[0]
+			deadline := time.Now().Add(3 * time.Second)
+			for {
+				resp, err := http.Post(url, "application/json", strings.NewReader(h.ok))
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+				if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
+					t.Fatalf("second client: %d while a trickled body holds the slot; want 200 once the request deadline ends it", resp.StatusCode)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			reply, _ := io.ReadAll(conn)
+			if !strings.HasPrefix(string(reply), "HTTP/1.1 504") {
+				t.Fatalf("trickled request answered %q, want 504", reply)
+			}
+		})
 	}
 }
 
@@ -660,6 +710,82 @@ func TestAdoptRefusedManifest(t *testing.T) {
 	}
 	if code, st := do(t, s2, "GET", "/v1/campaigns/"+valid, ""); code != http.StatusOK || st["state"] != stateDone {
 		t.Fatalf("valid job after restart: %d %v", code, st)
+	}
+}
+
+// TestAdoptMoreJobsThanQueue: a data directory can hold more unfinished
+// jobs than the queue admits — a full queue plus the job that ran when
+// the server was drained. A restart adopts every one of them without
+// blocking and queues them in manifest order, and a new submission is
+// still refused with 429 queue_full while the queue is full.
+func TestAdoptMoreJobsThanQueue(t *testing.T) {
+	dir := t.TempDir()
+	// Distributed jobs: the one that runs waits for workers that never
+	// come, so the rest stay queued while the test looks at them.
+	var ids []string
+	for seed := 1; seed <= queueDepth+1; seed++ {
+		body := fmt.Sprintf(`{"kernels":["ttsprk"],"run_cycles":2000,"flop_stride":24,"seed":%d,"distribute":true}`, seed)
+		req, cfg, err := parseCampaignRequest([]byte(body), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := jobID(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, err := cfg.Total()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mf := mustJSON(manifest{ID: id, Request: req, Total: total, State: stateQueued})
+		if err := os.WriteFile(filepath.Join(dir, id+".job.json"), mf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+
+	started := make(chan *Server, 1)
+	go func() {
+		s, err := New(Options{DataDir: dir, Registry: telemetry.New()})
+		if err != nil {
+			t.Error(err)
+		}
+		started <- s
+	}()
+	var s *Server
+	select {
+	case s = <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("New has not returned after 10s with %d unfinished jobs on disk", len(ids))
+	}
+	if s == nil {
+		t.FailNow()
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+
+	waitJob(t, s, ids[0], stateRunning)
+	code, body := do(t, s, "POST", "/v1/campaigns", campaignJSON)
+	if code != http.StatusTooManyRequests || apiErrOf(t, body)["code"] != "queue_full" {
+		t.Fatalf("submit to a full queue: %d %v, want 429 queue_full", code, body)
+	}
+	// The worker is held by the first job, so the queue can be read out
+	// here: every other adopted job, in manifest order.
+	for _, id := range ids[1:] {
+		select {
+		case j := <-s.jobs.queue:
+			if j.ID != id {
+				t.Fatalf("queued job %s, want %s (manifest order)", j.ID, id)
+			}
+		default:
+			t.Fatalf("queue ran out before job %s", id)
+		}
 	}
 }
 

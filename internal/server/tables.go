@@ -66,8 +66,9 @@ type tableBundle struct {
 	mode lockstep.Mode
 }
 
-// newTableBundle builds the immutable serving form of a trained table.
-func newTableBundle(table *core.Table, cfg sbist.Config, source string, mode lockstep.Mode) (*tableBundle, error) {
+// newTableBundle builds the immutable serving form of a trained table,
+// whose reads take access cycles.
+func newTableBundle(table *core.Table, access int64, source string, mode lockstep.Mode) (*tableBundle, error) {
 	var buf bytes.Buffer
 	if _, err := table.WriteTo(&buf); err != nil {
 		return nil, fmt.Errorf("serializing table: %w", err)
@@ -85,7 +86,7 @@ func newTableBundle(table *core.Table, cfg sbist.Config, source string, mode loc
 	}
 	sum := h.Sum(nil)
 	version := hex.EncodeToString(sum[:8])
-	dense, err := newDenseTable(table, cfg)
+	dense, err := newDenseTable(table, sbist.NewConfig(table.Gran, nil, access))
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +140,7 @@ func newTableManager(opt Options) (*tableManager, error) {
 		}
 	}
 	if opt.Table != nil {
-		b, err := newTableBundle(opt.Table, opt.SBIST, "startup", lockstep.Mode{})
+		b, err := newTableBundle(opt.Table, m.access, "startup", lockstep.Mode{})
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +187,7 @@ func (m *tableManager) adopt() error {
 		} else if !os.IsNotExist(err) {
 			return err
 		}
-		b, err := newTableBundle(table, sbist.NewConfig(table.Gran, nil, m.access), "adopted", mode)
+		b, err := newTableBundle(table, m.access, "adopted", mode)
 		if err != nil {
 			return fmt.Errorf("table image %s: %w", name, err)
 		}
@@ -307,7 +308,7 @@ func (m *tableManager) train(ds *dataset.Dataset, spec trainSpec, source string)
 	}
 	rng := rand.New(rand.NewSource(spec.seed))
 	table, _, _ := core.TrainSplit(ds, rng, spec.gran, spec.topK, spec.frac)
-	b, err := newTableBundle(table, sbist.NewConfig(spec.gran, nil, m.access), source, mode)
+	b, err := newTableBundle(table, m.access, source, mode)
 	if err != nil {
 		return nil, err
 	}
