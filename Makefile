@@ -176,10 +176,13 @@ serve-smoke:
 # must be byte-identical to the render of exactly the table named by its
 # ETag (torn-read freedom of the atomic bundle swap); a table trained
 # server-side must be byte-identical to the offline lockstep-train
-# pipeline on the same dataset; and a restart must adopt the
-# last-activated version.
+# pipeline on the same dataset; a restart must adopt the
+# last-activated version; a table is registered only once its files are
+# written (TestTablesPersistBeforePublish); and a tmr or slip table's
+# .mode sidecar is written before its image, so a failed write cannot
+# leave an image that blocks the next start (TestTablesSidecarBeforeImage).
 swap-determinism:
-	$(GO) test -race -run 'TestSwapAtomicityUnderRace|TestTrainingParityWithOffline|TestTablesPersistenceAcrossRestart|TestCampaignTrainAndSwap' -count=1 ./internal/server/
+	$(GO) test -race -run 'TestSwapAtomicityUnderRace|TestTrainingParityWithOffline|TestTablesPersistenceAcrossRestart|TestCampaignTrainAndSwap|TestTablesPersistBeforePublish|TestTablesSidecarBeforeImage' -count=1 ./internal/server/
 
 # Coverage report with per-package floors: internal/telemetry is the
 # observability backbone (>= 60%), internal/inject carries the campaign,

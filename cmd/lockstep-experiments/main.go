@@ -8,24 +8,22 @@
 //	lockstep-experiments [-scale small|default|full] [-exp all|table1|...]
 //	                     [-data campaign.csv] [-save campaign.csv]
 //	                     [-html report.html] [-workers N] [-quiet]
-//	                     [-checkpoint ck.lsc] [-checkpoint-every N] [-resume]
 //	                     [-metrics snapshot.json] [-pprof addr]
-//	                     [-no-prune] [-mode dcls|slip:N|tmr]
+//	                     [-mode dcls|slip:N|tmr]
 //
 // The campaign shards across -workers parallel executors (default: all
 // CPUs). The dataset is bit-identical for every worker count, so -workers
 // only changes wall-clock time; the throughput line reports it.
-// -no-prune disables the static fault-equivalence pruning of
-// provably-masked sites and the replay's stuck-at skip, which reasons
-// with the same analysis; it produces the bit-identical dataset at lower
-// throughput and is kept as the differential-testing oracle.
 //
-// -checkpoint makes the campaign phase crash-safe (an atomic resumable
-// checkpoint every -checkpoint-every completed experiments); after an
-// interruption, rerunning with -resume continues the campaign from the
-// checkpoint and still reproduces the byte-identical dataset, then runs
-// the selected experiments. -resume refuses on a corrupt checkpoint or
-// when any schedule-relevant flag differs from the checkpointed campaign.
+// A campaign that needs checkpoints, resumption or the unpruned
+// differential-oracle path runs under lockstep-inject, which owns those
+// flags, and -data then reads its CSV. These lockstep-inject flags write
+// each scale's campaign byte for byte (give both commands the same
+// -mode):
+//
+//	small    -kernels ttsprk,rspeed,matrix -cycles 8000 -stride 6
+//	default  no flags
+//	full     -cycles 20000 -inj 2
 //
 // Experiments: table1 units table2 table3 table4 fig4 fig5 fig11 fig12
 // fig13 fig14 fig15 fig16 onoffchip lbist spread ablation window summary
@@ -62,20 +60,16 @@ import (
 
 // options carries every CLI knob of one invocation.
 type options struct {
-	scaleName  string
-	expList    string
-	dataPath   string
-	savePath   string
-	htmlPath   string
-	metrics    string
-	pprofAddr  string
-	checkpoint string
-	ckptEvery  int
-	resume     bool
-	workers    int
-	noPrune    bool
-	mode       string
-	quiet      bool
+	scaleName string
+	expList   string
+	dataPath  string
+	savePath  string
+	htmlPath  string
+	metrics   string
+	pprofAddr string
+	workers   int
+	mode      string
+	quiet     bool
 }
 
 func main() {
@@ -89,11 +83,7 @@ func main() {
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress progress output")
 	flag.StringVar(&o.metrics, "metrics", "", "write the telemetry JSON snapshot to this path after the run")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-	flag.BoolVar(&o.noPrune, "no-prune", false, "disable static fault-equivalence pruning and the replay's stuck-at skip (same dataset, slower; the differential-oracle path)")
 	flag.StringVar(&o.mode, "mode", "dcls", "lockstep mode the campaign runs under: dcls, slip:N or tmr")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "periodically write an atomic resumable campaign checkpoint to this path")
-	flag.IntVar(&o.ckptEvery, "checkpoint-every", 0, "completed experiments between checkpoint writes (0 = default 4096)")
-	flag.BoolVar(&o.resume, "resume", false, "resume the campaign from -checkpoint; refuses on a corrupt checkpoint or config mismatch")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -201,13 +191,9 @@ func run(o options) error {
 	}
 	cfg := &scale.Config
 	cfg.Workers = o.workers
-	cfg.NoPrune = o.noPrune
 	if cfg.Mode, err = lockstep.ParseMode(o.mode); err != nil {
 		return err
 	}
-	cfg.CheckpointPath = o.checkpoint
-	cfg.CheckpointEvery = o.ckptEvery
-	cfg.Resume = o.resume
 
 	var ctx *experiments.Context
 	if o.dataPath != "" {

@@ -9,7 +9,7 @@
 //	               [-lease-size N] [-lease-ttl D]
 //	               [-max-inflight N] [-max-batch N]
 //	               [-request-timeout D] [-drain-timeout D]
-//	               [-table-access N] [-metrics snapshot.json] [-pprof addr]
+//	               [-metrics snapshot.json] [-pprof addr]
 //
 // With -table, POST /v1/predict maps DSR snapshots through the trained
 // prediction table (the paper's DSR → PTAR → table-entry flow) to a
@@ -23,8 +23,8 @@
 // pull span leases from POST /v1/campaigns/{id}/leases, execute them,
 // and push their outcomes back to POST /v1/campaigns/{id}/spans as
 // JSON; the server renders the dataset rows from its own plan.
-// -lease-size and -lease-ttl set the defaults for span length and
-// re-issue timeout.
+// -lease-size and -lease-ttl set the span length and re-issue timeout of
+// every distributed campaign; a submission cannot override them.
 //
 // SIGINT/SIGTERM drains gracefully: running campaigns stop at the next
 // experiment boundary and write a final checkpoint, in-flight HTTP
@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"lockstep/internal/core"
-	"lockstep/internal/sbist"
 	"lockstep/internal/server"
 	"lockstep/internal/telemetry"
 )
@@ -64,7 +63,6 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 1024, "max DSRs in one predict request")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request deadline (504 when exceeded)")
 		drainTime  = flag.Duration("drain-timeout", time.Minute, "graceful shutdown budget for draining jobs and requests")
-		tblAccess  = flag.Int64("table-access", sbist.OnChipTableAccess, "prediction table read latency in cycles (annotates predictions)")
 		metrics    = flag.String("metrics", "", "write the telemetry JSON snapshot to this path on shutdown")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address")
 	)
@@ -80,7 +78,7 @@ func main() {
 		MaxBatch:        *maxBatch,
 		RequestTimeout:  *reqTimeout,
 	}
-	if err := run(opt, *addr, *tablePath, *tblAccess, *metrics, *pprofAddr, *drainTime, os.Stderr); err != nil {
+	if err := run(opt, *addr, *tablePath, *metrics, *pprofAddr, *drainTime, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "lockstep-serve:", err)
 		os.Exit(1)
 	}
@@ -89,7 +87,7 @@ func main() {
 // run builds the service, serves it until SIGINT/SIGTERM, then drains:
 // campaigns checkpoint and stop, in-flight requests finish, the optional
 // metrics snapshot is written, and run returns nil for a clean exit 0.
-func run(opt server.Options, addr, tablePath string, tblAccess int64, metricsPath, pprofAddr string, drainTimeout time.Duration, errw io.Writer) error {
+func run(opt server.Options, addr, tablePath, metricsPath, pprofAddr string, drainTimeout time.Duration, errw io.Writer) error {
 	// The handler goes in before anything starts: a signal that arrives
 	// during start-up waits in sig and then drains the server, instead of
 	// killing the process with no checkpoint.
@@ -110,7 +108,6 @@ func run(opt server.Options, addr, tablePath string, tblAccess int64, metricsPat
 		fmt.Fprintf(errw, "lockstep-serve: loaded table %s (%s, %d sets, %d table bits)\n",
 			tablePath, table.Gran, table.Dict.Len(), table.TableBits())
 	}
-	opt.TableAccess = tblAccess
 	if pprofAddr != "" {
 		url, err := telemetry.ServeDebug(pprofAddr)
 		if err != nil {

@@ -263,21 +263,26 @@ func (m PredComb) Name() string { return "pred-comb" }
 
 func (m PredComb) React(r dataset.Record, rng *rand.Rand) Result {
 	order, predHard := m.Table.PredictOrder(r.DSR, rng)
-	base := m.Cfg.TableAccess
+	return m.Cfg.reactPredicted(order, predHard, r)
+}
+
+// reactPredicted is the Figure 9c reaction to a predicted unit order and
+// error type, shared by the static and dynamic type predictors.
+func (c Config) reactPredicted(order []uint8, predHard bool, r dataset.Record) Result {
 	if predHard {
 		// Same flow as location-only: scan; if no hard fault found the
 		// error was soft (type misprediction) and the system restarts.
-		return m.Cfg.reactBIST(order, r, base)
+		return c.reactBIST(order, r, c.TableAccess)
 	}
 	// Predicted soft: reset & restart immediately.
 	if !r.Hard() {
-		return Result{Cycles: base + m.Cfg.RestartOf(r.Kernel), UnitsTested: 0, SBISTRun: false}
+		return Result{Cycles: c.TableAccess + c.RestartOf(r.Kernel)}
 	}
 	// Type misprediction on a hard error: the recurrence is treated as
 	// hard and diagnosed in the predicted order.
-	cycles, tested := m.Cfg.scan(order, m.Cfg.Gran.UnitOf(r))
+	cycles, tested := c.scan(order, c.Gran.UnitOf(r))
 	return Result{
-		Cycles:      base + m.Cfg.RestartOf(r.Kernel) + m.Cfg.TableAccess + cycles,
+		Cycles:      c.TableAccess + c.RestartOf(r.Kernel) + c.TableAccess + cycles,
 		UnitsTested: tested,
 		SBISTRun:    true,
 	}
@@ -297,20 +302,7 @@ func (m PredDynamic) Name() string { return "pred-dynamic" }
 
 func (m PredDynamic) React(r dataset.Record, rng *rand.Rand) Result {
 	p := m.Dyn.Predict(r.DSR)
-	res := func() Result {
-		if p.Hard {
-			return m.Cfg.reactBIST(p.Units, r, m.Cfg.TableAccess)
-		}
-		if !r.Hard() {
-			return Result{Cycles: m.Cfg.TableAccess + m.Cfg.RestartOf(r.Kernel)}
-		}
-		cycles, tested := m.Cfg.scan(p.Units, m.Cfg.Gran.UnitOf(r))
-		return Result{
-			Cycles:      m.Cfg.TableAccess + m.Cfg.RestartOf(r.Kernel) + m.Cfg.TableAccess + cycles,
-			UnitsTested: tested,
-			SBISTRun:    true,
-		}
-	}()
+	res := m.Cfg.reactPredicted(p.Units, p.Hard, r)
 	// Diagnosis (BIST or recurrence) reveals the truth; learn from it.
 	m.Dyn.Observe(r.DSR, m.Cfg.Gran.UnitOf(r), r.Hard())
 	return res
@@ -360,11 +352,4 @@ func Evaluate(m Model, test *dataset.Dataset, seed int64) Eval {
 		e.SBISTShare = sbist / float64(n)
 	}
 	return e
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

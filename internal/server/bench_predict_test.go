@@ -173,7 +173,7 @@ func BenchmarkPredictDecode(b *testing.B) {
 func BenchmarkPredictRender(b *testing.B) {
 	_, _, table := fixtureData()
 	cfg := sbist.NewConfig(table.Gran, nil, sbist.OnChipTableAccess)
-	dense, err := newDenseTable(table, cfg)
+	dense, err := newDenseTable(table)
 	if err != nil {
 		b.Fatal(err)
 	}

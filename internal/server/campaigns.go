@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lockstep/internal/atomicfile"
 	"lockstep/internal/core"
@@ -60,13 +59,10 @@ type campaignRequest struct {
 	// worker nodes over POST /v1/campaigns/{id}/leases and merges their
 	// span submissions. The dataset is byte-identical to a local run, so
 	// distribution is an execution knob, not part of the job identity.
+	// Lease length and TTL are the server's (Options.LeaseSize and
+	// LeaseTTL); a submission naming either is refused as an unknown
+	// field.
 	Distribute bool `json:"distribute,omitempty"`
-	// LeaseSize overrides the coordinator's default span length
-	// (0 = the server's -lease-size).
-	LeaseSize int `json:"lease_size,omitempty"`
-	// LeaseTTLMS overrides how long (milliseconds) a worker holds an
-	// uncommitted lease before re-issue (0 = the server's -lease-ttl).
-	LeaseTTLMS int `json:"lease_ttl_ms,omitempty"`
 	// Train closes the campaign→train→serve loop in one submission: when
 	// the job completes, its dataset is run through the shared training
 	// pipeline (train_frac 1, split seed 1 — exactly what POST /v1/tables
@@ -129,7 +125,6 @@ func parseCampaignRequest(data []byte, maxWorkers int) (campaignRequest, inject.
 		{"injections_per_flop_kind", req.InjectionsPerFlopKind},
 		{"flop_stride", req.FlopStride}, {"stop_latency", req.StopLatency},
 		{"workers", req.Workers}, {"checkpoint_every", req.CheckpointEvery},
-		{"lease_size", req.LeaseSize}, {"lease_ttl_ms", req.LeaseTTLMS},
 		{"train_topk", req.TrainTopK},
 	} {
 		if f.v < 0 {
@@ -240,7 +235,7 @@ type manifest struct {
 type jobManager struct {
 	dir        string
 	maxWorkers int
-	dist       inject.DistConfig // lease defaults of distributed jobs
+	dist       inject.DistConfig // lease length and TTL of every distributed job
 	reg        *telemetry.Registry
 	// tables receives the trained-and-swapped table of a "train": true
 	// job on completion.
@@ -478,14 +473,7 @@ func (m *jobManager) run(j *job) {
 // drain signal cancels it exactly like a local job — a final checkpoint
 // covers every merged span and a restart resumes the campaign.
 func (m *jobManager) runDistributed(j *job, cfg inject.Config) {
-	dc := m.dist
-	if j.Req.LeaseSize > 0 {
-		dc.LeaseSize = j.Req.LeaseSize
-	}
-	if j.Req.LeaseTTLMS > 0 {
-		dc.LeaseTTL = time.Duration(j.Req.LeaseTTLMS) * time.Millisecond
-	}
-	co, err := inject.NewCoordinator(cfg, dc)
+	co, err := inject.NewCoordinator(cfg, m.dist)
 	if err != nil {
 		m.finish(j, nil, inject.Stats{}, err)
 		return

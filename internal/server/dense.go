@@ -46,12 +46,14 @@ type denseTable struct {
 const defaultMarker = "@"
 
 // newDenseTable flattens a trained table into its serving form. It is
-// built through tablePathPrediction — the PR-5 table path — entry by
-// entry, which is what guarantees the dense path's bytes are identical
-// to that path's output (the equivalence tests re-check this for every
-// trained DSR and a fuzz-derived sample of unobserved ones).
-func newDenseTable(table *core.Table, cfg sbist.Config) (*denseTable, error) {
-	h := handler.New(table, cfg)
+// built through tablePathPrediction entry by entry, which is what
+// guarantees the dense path's bytes are identical to that path's output
+// (the equivalence tests re-check this for every trained DSR and a
+// fuzz-derived sample of unobserved ones). A prediction names units at
+// the table's granularity and reads no latency, so the handler gets a
+// latency config that holds the granularity alone.
+func newDenseTable(table *core.Table) (*denseTable, error) {
+	h := handler.New(table, sbist.Config{Gran: table.Gran})
 	n := table.Dict.Len()
 	d := &denseTable{dict: table.Dict, known: make([][]byte, n)}
 

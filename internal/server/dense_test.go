@@ -47,7 +47,7 @@ func fuzzSeedRNG(t testing.TB) *rand.Rand {
 func TestDenseMatchesTablePath(t *testing.T) {
 	_, _, table := testFixture(t)
 	cfg := sbist.NewConfig(table.Gran, nil, sbist.OnChipTableAccess)
-	dense, err := newDenseTable(table, cfg)
+	dense, err := newDenseTable(table)
 	if err != nil {
 		t.Fatal(err)
 	}

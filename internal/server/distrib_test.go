@@ -19,8 +19,9 @@ import (
 	"lockstep/internal/telemetry"
 )
 
-// distCampaignJSON submits trainingCampaign as a distributed job.
-const distCampaignJSON = `{"kernels":["ttsprk"],"run_cycles":3000,"flop_stride":24,"seed":9,"distribute":true,"lease_size":32}`
+// distCampaignJSON submits trainingCampaign as a distributed job. Tests
+// that need it to span several leases set the server's LeaseSize to 32.
+const distCampaignJSON = `{"kernels":["ttsprk"],"run_cycles":3000,"flop_stride":24,"seed":9,"distribute":true}`
 
 // postMsg POSTs msg to path on h — JSON-encoded, or verbatim when it is
 // a string — and returns the status and the raw response body.
@@ -108,7 +109,7 @@ func TestDistributedCampaignMatchesDirect(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s := newTestServer(t, nil)
+			s := newTestServer(t, func(o *Options) { o.LeaseSize = 32 })
 			ts := httptest.NewServer(s)
 			t.Cleanup(ts.Close)
 
@@ -200,7 +201,7 @@ func TestDistributorMatchesDirect(t *testing.T) {
 func TestWorkerRetriesOverload(t *testing.T) {
 	_, wantCSV, _ := testFixture(t)
 
-	serve := newTestServer(t, func(o *Options) { o.MaxInFlight = 1 })
+	serve := newTestServer(t, func(o *Options) { o.LeaseSize, o.MaxInFlight = 32, 1 })
 	code, body := do(t, serve, "POST", "/v1/campaigns", distCampaignJSON)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d %v", code, body)
@@ -306,6 +307,7 @@ func TestWorkerRetriesOverload(t *testing.T) {
 // 400 bad_request — never a 5xx, which a worker would retry.
 func TestDistributedEndpointErrors(t *testing.T) {
 	s := newTestServer(t, func(o *Options) {
+		o.LeaseSize = 32
 		o.LeaseTTL = time.Millisecond // expire leases nearly instantly
 	})
 	code, body := do(t, s, "POST", "/v1/campaigns", distCampaignJSON)

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"lockstep/internal/core"
-	"lockstep/internal/sbist"
 	"lockstep/internal/telemetry"
 )
 
@@ -45,10 +44,6 @@ type Options struct {
 	// via POST /v1/tables or adopted from DataDir; the campaign API stays
 	// available either way.
 	Table *core.Table
-	// TableAccess is the prediction-table read latency (cycles) of the
-	// SBIST latency model that annotates every served table's predictions
-	// (default sbist.OnChipTableAccess).
-	TableAccess int64
 	// DataDir is where campaign jobs persist their manifest, checkpoint
 	// and dataset. Required for the campaign API; jobs found in it at
 	// startup are adopted (completed ones become downloadable, unfinished
@@ -72,9 +67,9 @@ type Options struct {
 	// MaxBatch bounds the DSR count of one predict request (default
 	// 1024); larger batches are answered 413 batch_too_large.
 	MaxBatch int
-	// LeaseSize is the default span length (in plan indices) of a
-	// distributed-campaign lease (0 = inject's 512); a request's
-	// lease_size overrides it per campaign.
+	// LeaseSize is the span length (in plan indices) of every
+	// distributed-campaign lease (0 = inject's 512); only the operator
+	// sets it, no submission can.
 	LeaseSize int
 	// LeaseTTL is how long a worker holds an uncommitted span lease
 	// before the coordinator re-issues it (0 = inject's 30s).
@@ -102,9 +97,6 @@ func (o *Options) normalize() {
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.Default
-	}
-	if o.TableAccess <= 0 {
-		o.TableAccess = sbist.OnChipTableAccess
 	}
 }
 

@@ -157,6 +157,9 @@ func TestEndpointErrors(t *testing.T) {
 		{"oversized batch", "POST", "/v1/predict", oversizedBatch(4097), http.StatusRequestEntityTooLarge, "batch_too_large", "dsrs", ""},
 		{"campaign malformed", "POST", "/v1/campaigns", "[1,2]", http.StatusBadRequest, "bad_request", "", ""},
 		{"campaign trailing close delimiter", "POST", "/v1/campaigns", campaignJSON + "}", http.StatusBadRequest, "bad_request", "", ""},
+		// Lease length is the operator's (-lease-size): a submission that
+		// names one is refused, not silently given another length.
+		{"campaign names lease_size", "POST", "/v1/campaigns", strings.TrimSuffix(distCampaignJSON, "}") + `,"lease_size":32}`, http.StatusBadRequest, "bad_request", "", ""},
 		// The message must be the exact ConfigError rendering the
 		// lockstep-inject CLI prints, so both paths report the offending
 		// field identically.
@@ -666,7 +669,7 @@ func TestDrainAndRestartResume(t *testing.T) {
 // default 64 intervals, which older builds planned and ran; a restarted
 // server lists such a job as failed, with the config error naming the
 // field, whether it was done or queued, and adopts the valid jobs beside
-// it as usual.
+// it as usual, one whose request names lease fields included.
 func TestAdoptRefusedManifest(t *testing.T) {
 	dir := t.TempDir()
 	_, _, table := testFixture(t)
@@ -683,6 +686,17 @@ func TestAdoptRefusedManifest(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// A manifest whose request names the per-campaign lease fields, which
+	// submissions no longer accept, still adopts: manifests decode
+	// leniently and the job ID is the schedule's digest.
+	mf, err := os.ReadFile(s.jobs.mfPath(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf = bytes.Replace(mf, []byte(`"request":{`), []byte(`"request":{"lease_size":32,"lease_ttl_ms":500,`), 1)
+	if err := os.WriteFile(s.jobs.mfPath(valid), mf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	refused := map[string]string{"refused-done": stateDone, "refused-queued": stateQueued}

@@ -18,7 +18,6 @@ import (
 	"lockstep/internal/core"
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
-	"lockstep/internal/sbist"
 	"lockstep/internal/telemetry"
 )
 
@@ -26,8 +25,8 @@ import (
 // atomic swap of the serving table.
 //
 // The live artifact is a tableBundle — the trained *core.Table, its
-// precomputed denseTable, the SBIST latency config, the serialized table
-// image and a version digest — built once and never mutated afterwards.
+// precomputed denseTable, the serialized table image and a version
+// digest — built once and never mutated afterwards.
 // The bundle behind the single atomic.Pointer is what /v1/predict serves:
 // one Load() at the top of the request pins everything the response is
 // rendered from, so a concurrent swap can never mix two tables inside one
@@ -66,9 +65,8 @@ type tableBundle struct {
 	mode lockstep.Mode
 }
 
-// newTableBundle builds the immutable serving form of a trained table,
-// whose reads take access cycles.
-func newTableBundle(table *core.Table, access int64, source string, mode lockstep.Mode) (*tableBundle, error) {
+// newTableBundle builds the immutable serving form of a trained table.
+func newTableBundle(table *core.Table, source string, mode lockstep.Mode) (*tableBundle, error) {
 	var buf bytes.Buffer
 	if _, err := table.WriteTo(&buf); err != nil {
 		return nil, fmt.Errorf("serializing table: %w", err)
@@ -86,7 +84,7 @@ func newTableBundle(table *core.Table, access int64, source string, mode lockste
 	}
 	sum := h.Sum(nil)
 	version := hex.EncodeToString(sum[:8])
-	dense, err := newDenseTable(table, sbist.NewConfig(table.Gran, nil, access))
+	dense, err := newDenseTable(table)
 	if err != nil {
 		return nil, err
 	}
@@ -105,9 +103,8 @@ func newTableBundle(table *core.Table, access int64, source string, mode lockste
 // Registration and activation serialize on mu; the predict path never
 // touches mu — it does exactly one active.Load().
 type tableManager struct {
-	dir    string // "" = in-memory only; else <DataDir>/tables
-	access int64  // table read latency for newly trained bundles
-	reg    *telemetry.Registry
+	dir string // "" = in-memory only; else <DataDir>/tables
+	reg *telemetry.Registry
 
 	mu      sync.Mutex
 	bundles map[string]*tableBundle
@@ -125,7 +122,6 @@ type tableManager struct {
 // nothing was persisted.
 func newTableManager(opt Options) (*tableManager, error) {
 	m := &tableManager{
-		access:  opt.TableAccess,
 		reg:     opt.Registry,
 		bundles: map[string]*tableBundle{},
 		swaps:   opt.Registry.Counter("server.table_swaps"),
@@ -140,7 +136,7 @@ func newTableManager(opt Options) (*tableManager, error) {
 		}
 	}
 	if opt.Table != nil {
-		b, err := newTableBundle(opt.Table, m.access, "startup", lockstep.Mode{})
+		b, err := newTableBundle(opt.Table, "startup", lockstep.Mode{})
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +156,8 @@ func newTableManager(opt Options) (*tableManager, error) {
 // adopt loads every persisted table image and re-activates the persisted
 // active version. Image files whose content does not hash back to their
 // filename are refused — a table the server swaps in must be exactly the
-// bytes that were activated.
+// bytes that were activated. An adopted bundle is already on disk, so it
+// is published without being written again.
 func (m *tableManager) adopt() error {
 	names, err := filepath.Glob(filepath.Join(m.dir, "*.lspt"))
 	if err != nil {
@@ -187,16 +184,15 @@ func (m *tableManager) adopt() error {
 		} else if !os.IsNotExist(err) {
 			return err
 		}
-		b, err := newTableBundle(table, m.access, "adopted", mode)
+		b, err := newTableBundle(table, "adopted", mode)
 		if err != nil {
 			return fmt.Errorf("table image %s: %w", name, err)
 		}
 		if want := strings.TrimSuffix(filepath.Base(name), ".lspt"); b.version != want {
 			return fmt.Errorf("table image %s hashes to version %s", name, b.version)
 		}
-		if _, err := m.register(b); err != nil {
-			return err
-		}
+		m.bundles[b.version] = b
+		m.order = append(m.order, b.version)
 		m.reg.Counter("server.tables", telemetry.L("event", "adopted")).Inc()
 	}
 	data, err := os.ReadFile(filepath.Join(m.dir, activeFile))
@@ -216,28 +212,32 @@ func (m *tableManager) adopt() error {
 	return nil
 }
 
-// register adds a bundle to the registry (idempotently — re-training the
-// same dataset yields the same version and keeps the first bundle) and
-// persists its image.
+// register persists a bundle and then adds it to the registry
+// (idempotently — re-training the same dataset yields the same version
+// and keeps the first bundle). Persistence comes before visibility: a
+// version that can be listed or activated is one a restart adopts, and a
+// failed write leaves nothing registered, so a retry writes again. A
+// non-dcls bundle's .mode sidecar is written before its image: adoption
+// reads the mode from the sidecar, and an orphan sidecar matches no
+// *.lspt glob.
 func (m *tableManager) register(b *tableBundle) (*tableBundle, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if existing, ok := m.bundles[b.version]; ok {
-		m.mu.Unlock()
 		return existing, nil
 	}
-	m.bundles[b.version] = b
-	m.order = append(m.order, b.version)
-	m.mu.Unlock()
 	if m.dir != "" {
-		if err := atomicfile.Write(filepath.Join(m.dir, b.version+".lspt"), b.image); err != nil {
-			return nil, err
-		}
 		if b.mode != (lockstep.Mode{}) {
 			if err := atomicfile.Write(filepath.Join(m.dir, b.version+".mode"), []byte(b.mode.String()+"\n")); err != nil {
 				return nil, err
 			}
 		}
+		if err := atomicfile.Write(filepath.Join(m.dir, b.version+".lspt"), b.image); err != nil {
+			return nil, err
+		}
 	}
+	m.bundles[b.version] = b
+	m.order = append(m.order, b.version)
 	return b, nil
 }
 
@@ -308,7 +308,7 @@ func (m *tableManager) train(ds *dataset.Dataset, spec trainSpec, source string)
 	}
 	rng := rand.New(rand.NewSource(spec.seed))
 	table, _, _ := core.TrainSplit(ds, rng, spec.gran, spec.topK, spec.frac)
-	b, err := newTableBundle(table, m.access, source, mode)
+	b, err := newTableBundle(table, source, mode)
 	if err != nil {
 		return nil, err
 	}

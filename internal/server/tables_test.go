@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"lockstep/internal/core"
 	"lockstep/internal/dataset"
 	"lockstep/internal/handler"
+	"lockstep/internal/lockstep"
 	"lockstep/internal/sbist"
 	"lockstep/internal/telemetry"
 )
@@ -325,6 +328,116 @@ func TestTablesPersistenceAcrossRestart(t *testing.T) {
 		t.Fatalf("tableless restart predict: %d ETag %q", rec.Code, rec.Header().Get("ETag"))
 	}
 	drain(s3)
+}
+
+// TestTablesPersistBeforePublish: a table whose image cannot be written
+// is not registered. With the image path blocked, POST /v1/tables answers
+// 500 and leaves the version unlisted; once the path is clear, the same
+// POST writes the image, and a restart adopts the version it activated.
+func TestTablesPersistBeforePublish(t *testing.T) {
+	_, csv, table := testFixture(t)
+	dir := t.TempDir()
+	s1, err := New(Options{Table: table, DataDir: dir, Registry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bundle POST /v1/tables trains from csv at granularity 13.
+	ds, err := dataset.ReadCSV(bytes.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fine, _, _ := core.TrainSplit(ds, rand.New(rand.NewSource(1)), core.Fine13, 0, 1)
+	want, err := newTableBundle(fine, "upload", lockstep.Mode{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := filepath.Join(dir, "tables", want.version+".lspt")
+	if err := os.Mkdir(image, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	req := `{"dataset_csv":` + jsonString(t, csv) + `,"granularity":13}`
+	if code, body := do(t, s1, "POST", "/v1/tables", req); code != http.StatusInternalServerError {
+		t.Fatalf("train onto a blocked image path: %d %v, want 500", code, body)
+	}
+	if s1.tables.get(want.version) != nil {
+		t.Fatalf("version %s is registered though its image was never written", want.version)
+	}
+
+	if err := os.Remove(image); err != nil {
+		t.Fatal(err)
+	}
+	code, body := do(t, s1, "POST", "/v1/tables", req)
+	if code != http.StatusCreated || body["table"].(map[string]any)["version"] != want.version {
+		t.Fatalf("train after unblocking: %d %v, want 201 with version %s", code, body, want.version)
+	}
+	if got, err := os.ReadFile(image); err != nil || !bytes.Equal(got, want.image) {
+		t.Fatalf("image after a successful train: %v (%d bytes, want %d)", err, len(got), len(want.image))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Options{DataDir: dir, Registry: telemetry.New()})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer s2.Drain(ctx)
+	if got := s2.TableVersion(); got != want.version {
+		t.Fatalf("restart serves %q, want %s", got, want.version)
+	}
+}
+
+// TestTablesSidecarBeforeImage: a non-dcls bundle's .mode sidecar is
+// written before its image, so a failed sidecar write leaves no image
+// that adoption would read as dcls and refuse. With the sidecar path
+// blocked, registering a tmr bundle fails; after unblocking, a restart
+// starts, registers the bundle, and the next restart adopts it as tmr.
+func TestTablesSidecarBeforeImage(t *testing.T) {
+	_, _, table := testFixture(t)
+	dir := t.TempDir()
+	tmr := lockstep.Mode{Kind: lockstep.ModeTMR}
+	start := func() (*Server, error) {
+		s, err := New(Options{DataDir: dir, Registry: telemetry.New()})
+		if err == nil {
+			t.Cleanup(func() { s.Drain(context.Background()) })
+		}
+		return s, err
+	}
+	s1, err := start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newTableBundle(table, "upload", tmr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidecar := filepath.Join(dir, "tables", b.version+".mode")
+	if err := os.Mkdir(sidecar, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.tables.register(b); err == nil {
+		t.Fatal("registered a tmr bundle whose sidecar could not be written")
+	}
+	if err := os.Remove(sidecar); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := start()
+	if err != nil {
+		t.Fatalf("restart after a failed sidecar write: %v", err)
+	}
+	if _, err := s2.tables.register(b); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := start()
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if got := s3.tables.get(b.version); got == nil || got.mode != tmr {
+		t.Fatalf("restart did not adopt version %s under tmr", b.version)
+	}
 }
 
 // TestTopKBundleSameAnswerAcrossRestart: a top-3 table answers a DSR it
