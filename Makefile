@@ -57,8 +57,14 @@ race:
 # a fault-free replay must reproduce the recorded states and their
 # output vectors (TestGoldenTraceSelfCheck), the replay's one-pass word
 # compare must agree with ==, FlopLoc.EqualExcept and Outputs() equality
-# under every single-flop flip and force (TestDiffWordsMatchesCompares)
-# and FlopLoc.Force with ForceBit (TestFlopLocMatchesAccessors), and
+# under every single-flop flip and force, and its raw-word check
+# (DiffExcept) with that pass, also with garbage in State's padding
+# (TestDiffWordsMatchesCompares, TestFieldMaskSkipsPadding), the replay's
+# checker map (DivergeStates) must equal Diverge of the two Outputs()
+# vectors, in both argument orders, under every single-flop flip and
+# force of warm states of all 13 kernels and on random pairs with every
+# output strobe both ways (TestDivergeStatesMatchesOutputs),
+# FlopLoc.Force must agree with ForceBit (TestFlopLocMatchesAccessors), and
 # the plan, which fixes every dataset byte, must equal the original
 # one-rand.NewSource-per-group plan at 1, 3 and 7 workers while its
 # lazily seeded RNG matches math/rand draw for draw, and the dataset and
@@ -70,7 +76,7 @@ race:
 # built must resume to the uninterrupted dataset
 # (TestCancelThenResumeIdenticalDataset).
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestGoldenBound|TestCancelThenResumeIdenticalDataset|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestDiffWordsMatchesCompares|TestFieldMaskSkipsPadding|TestFlopLocMatchesAccessors|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestGoldenBound|TestCancelThenResumeIdenticalDataset|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestDiffWordsMatchesCompares|TestFieldMaskSkipsPadding|TestDivergeStatesMatchesOutputs|TestFlopLocMatchesAccessors|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
 		./internal/inject/ ./internal/lockstep/ ./internal/cpu/ ./internal/dataset/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
@@ -140,7 +146,12 @@ mode-determinism:
 # kernel checks that no detected CycCnt stuck-at is pruned. The exit gate
 # pins where the skip-off replay's exact re-convergence exit fires,
 # including at horizons placed on either side of the cycle where golden
-# leaves the stuck value.
+# leaves the stuck value. The counter-offset gate flips every CycCnt and
+# RetCnt flop on a cycle grid of the rdcyc probe and three reference
+# kernels: the replay with the skip on (which ends a soft fault that has
+# left only a sealed counter offset), the replay with it off and the
+# dual-CPU oracle must agree, and the probe must detect flips through
+# rdcyc (TestCounterOffsetExit).
 # The skip gate: on every replayed (unpruned) site of the reference
 # campaign plan (ttsprk, rspeed, puwmod; 6,000 cycles; stride 1; seed 1)
 # under dcls, slip:16 and tmr, the replay with the skip on must return
@@ -149,7 +160,7 @@ mode-determinism:
 # dual-CPU oracle's outcome. They run here, without -race, where they
 # take seconds instead of a minute.
 prune-soundness:
-	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestLivenessMatchesForwardBuilder|TestObservationPremise|TestContainmentSoundness|TestContainmentRdcycProbe|TestReconvergenceExit' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestLivenessMatchesForwardBuilder|TestObservationPremise|TestContainmentSoundness|TestContainmentRdcycProbe|TestCounterOffsetExit|TestReconvergenceExit' -count=1 ./internal/lockstep/
 	$(GO) test -run 'TestSkipMatchesNoSkip|TestSkipOffMatchesLegacyOnOracleSites' -count=1 ./internal/inject/
 
 # The telemetry layer's own contract, under -race: exact totals from
@@ -226,7 +237,7 @@ bench:
 # dual-CPU oracle vs the pruned campaign path on the same mix, the
 # campaign-dcls plan, the golden builds of all 13 kernels at 6,000 cycles
 # one after another (the golden share of campaign-tmr-ckpt's set-up),
-# the whole campaign-dcls campaign in process
+# the whole campaign-dcls and campaign-tmr-ckpt campaigns in process
 # (RunStats plus the dataset CSV, for A/B runs of engine changes), the
 # dataset CSV writer, and the predict decode, render and serve path
 # beside the encoding/json reference decoder and the table-path render.
@@ -235,7 +246,7 @@ bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkInject(Replay|Legacy|Pruned)$$' -benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkPlan$$' -benchmem -benchtime=200ms ./internal/inject/
 	$(GO) test -run '^$$' -bench 'BenchmarkNewGolden$$' -benchmem -benchtime=5x ./internal/lockstep/
-	$(GO) test -run '^$$' -bench 'BenchmarkCampaignDCLS$$' -benchmem -benchtime=5x ./internal/inject/
+	$(GO) test -run '^$$' -bench 'BenchmarkCampaign(DCLS|TMR)$$' -benchmem -benchtime=5x ./internal/inject/
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteCSV$$' -benchmem -benchtime=200ms ./internal/dataset/
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Decode|Render|E2E)' -benchmem -benchtime=200ms ./internal/server/
 

@@ -57,7 +57,7 @@ func main() {
 		dataDir    = flag.String("data", "", "campaign job directory (manifests, checkpoints, datasets); empty disables the campaign API")
 		campaigns  = flag.Int("campaign-workers", 1, "concurrent campaign jobs")
 		injWorkers = flag.Int("inject-workers", 0, "per-job experiment worker cap (0 = all CPUs)")
-		leaseSize  = flag.Int("lease-size", 0, "distributed campaigns: default span lease length in plan indices (0 = 512)")
+		leaseSize  = flag.Int("lease-size", 0, "distributed campaigns: span lease length in plan indices (0 = 512)")
 		leaseTTL   = flag.Duration("lease-ttl", 0, "distributed campaigns: lease TTL before an uncommitted span is re-issued (0 = 30s)")
 		inflight   = flag.Int("max-inflight", 64, "concurrent HTTP requests before answering 429")
 		maxBatch   = flag.Int("max-batch", 1024, "max DSRs in one predict request")

@@ -252,3 +252,82 @@ func Diverge(a, b *OutVec) uint64 {
 	}
 	return m
 }
+
+// DivergeStates returns Diverge of a.Outputs() and b.Outputs() without
+// building either vector: it reads the 24 output fields of both States,
+// counts a payload only while its strobes are set (Outputs'
+// qualification), and folds the nibble and byte lanes of each bus into
+// their SC bits with shifts and masks. The replay fast path uses it; the
+// oracles keep Outputs and Diverge, so each oracle gate still compares two
+// independent implementations (TestDivergeStatesMatchesOutputs holds this
+// one to theirs).
+func DivergeStates(a, b *State) uint64 {
+	dA, dB := a.DRe || a.DWe, b.DRe || b.DWe
+	eA, eB := a.ExtBusy || a.ExtRe || a.ExtWe, b.ExtBusy || b.ExtRe || b.ExtWe
+	wA, wB := a.MWValid && a.MWWen, b.MWValid && b.MWWen
+	return nibbleLanes(gate(a.IReqValid, a.IReqAddr)^gate(b.IReqValid, b.IReqAddr))<<SCIAddr0 |
+		differ(b2u(a.IReqValid), b2u(b.IReqValid))<<SCICtl |
+		nibbleLanes(gate(dA, a.DAddr)^gate(dB, b.DAddr))<<SCDAddr0 |
+		nibbleLanes(gate(a.DWe, a.DWData)^gate(b.DWe, b.DWData))<<SCDWData0 |
+		differ(b2u(a.DRe)|b2u(a.DWe)<<1, b2u(b.DRe)|b2u(b.DWe)<<1)<<SCDCtlRW |
+		differ(gate(dA, uint32(a.DBE&0xF)), gate(dB, uint32(b.DBE&0xF)))<<SCDCtlBE |
+		byteLanes(gate(eA, a.ExtAddr)^gate(eB, b.ExtAddr))<<SCExtAddr0 |
+		byteLanes(gate(a.ExtWe, a.ExtWData)^gate(b.ExtWe, b.ExtWData))<<SCExtWData0 |
+		differ(extCtl(a), extCtl(b))<<SCExtCtlRW |
+		differ(gate(eA, uint32(a.ExtBE&0xF)), gate(eB, uint32(b.ExtBE&0xF)))<<SCExtCtlBE |
+		byteLanes(gate(a.MWValid, a.MWPC)^gate(b.MWValid, b.MWPC))<<SCRetPC0 |
+		byteLanes(gate(a.MWValid, a.MWInstr)^gate(b.MWValid, b.MWInstr))<<SCRetInstr0 |
+		nibbleLanes(gate(wA, a.MWVal)^gate(wB, b.MWVal))<<SCWBData0 |
+		differ(b2u(a.MWValid)|b2u(a.MWWen)<<1, b2u(b.MWValid)|b2u(b.MWWen)<<1)<<SCWBCtl |
+		differ(gate(wA, uint32(a.MWRd&0xF)), gate(wB, uint32(b.MWRd&0xF)))<<SCWBReg |
+		byteLanes(gate(a.ExcValid, a.EPC)^gate(b.ExcValid, b.EPC))<<SCEPC0 |
+		differ(b2u(a.ExcValid), b2u(b.ExcValid))<<SCExcValid |
+		differ(b2u(a.Halted), b2u(b.Halted))<<SCHalted |
+		differ(gate(a.ExcValid, uint32(a.ExcCause&7)), gate(b.ExcValid, uint32(b.ExcCause&7)))<<SCExcCause
+}
+
+// extCtl is the SCExtCtlRW value of s.
+func extCtl(s *State) uint32 {
+	return b2u(s.ExtRe) | b2u(s.ExtWe)<<1 | b2u(s.ExtBusy)<<2 | uint32(s.ExtCnt&3)<<3
+}
+
+// gate is x while its strobe v is set, 0 otherwise.
+func gate(v bool, x uint32) uint32 {
+	if v {
+		return x
+	}
+	return 0
+}
+
+// differ is 1 if x != y, 0 otherwise.
+func differ(x, y uint32) uint64 {
+	if x != y {
+		return 1
+	}
+	return 0
+}
+
+// nibbleLanes returns the nonzero nibbles of x as an 8-bit set, bit i for
+// nibble i.
+func nibbleLanes(x uint32) uint64 {
+	x |= x >> 2
+	x |= x >> 1
+	x &= 0x11111111 // bit 4i: nibble i
+	x |= x >> 3
+	x &= 0x03030303 // bits 8j, 8j+1: nibbles 2j, 2j+1
+	x |= x >> 6
+	x &= 0x000F000F // bits 16k..16k+3: nibbles 4k..4k+3
+	return uint64((x | x>>12) & 0xFF)
+}
+
+// byteLanes returns the nonzero bytes of x as a 4-bit set, bit i for
+// byte i.
+func byteLanes(x uint32) uint64 {
+	x |= x >> 4
+	x |= x >> 2
+	x |= x >> 1
+	x &= 0x01010101 // bit 8i: byte i
+	x |= x >> 7
+	x &= 0x00030003 // bits 16j, 16j+1: bytes 2j, 2j+1
+	return uint64((x | x>>14) & 0xF)
+}

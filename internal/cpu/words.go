@@ -16,10 +16,15 @@ import (
 //
 //   - fieldMask covers every byte of every field, so padding never counts
 //     and a zero masked difference is exactly ==;
-//   - outWords covers the bytes of the 24 fields Outputs reads, word by
-//     word, so a zero difference there implies equal output vectors (not
-//     the converse: Outputs qualifies payload buses by their strobes);
+//   - outMask covers the bytes of the 24 fields Outputs reads, and
+//     outWords lists its nonzero words, so a zero difference there implies
+//     equal output vectors (not the converse: Outputs qualifies payload
+//     buses by their strobes);
 //   - bitFlop maps each bit of the view to the flop stored there.
+//
+// DiffExcept answers the replay's own question, "equal except at the
+// faulted flop", for the common case in which the answer is yes with one
+// raw compare of the words instead of the masked pass.
 
 // StateWords is the number of 64-bit words a State occupies.
 const StateWords = int(unsafe.Sizeof(State{}) / 8)
@@ -33,6 +38,7 @@ type WordMask [StateWords]uint64
 
 var (
 	fieldMask WordMask
+	outMask   WordMask
 	outWords  []outWord
 	bitFlop   [StateWords * 64]int16 // word-view bit -> flop index, -1 where no flop is stored
 )
@@ -53,13 +59,6 @@ func (s *State) Words() *[StateWords]uint64 {
 // bytes == compares, without the padding between fields.
 func FieldMask() WordMask { return fieldMask }
 
-// Except returns m without the bit of the flop at l.
-func (m WordMask) Except(l FlopLoc) WordMask {
-	w, bit := l.Word()
-	m[w] &^= bit
-	return m
-}
-
 // DiffWords compares a and b word by word. rest is nonzero iff they
 // differ in a bit m selects. outs is nonzero iff they differ in a byte of
 // a field Outputs reads, whatever m selects: outs == 0 implies
@@ -78,6 +77,33 @@ func DiffWords(a, b *State, m *WordMask) (rest, outs uint64) {
 		}
 	}
 	return rest, outs
+}
+
+// DiffExcept returns DiffWords(a, b, &m) for m the field mask without
+// l's bit, the same rest and outs, at less cost when a and b agree
+// everywhere but at l. It takes l's bit of a from b and compares the raw
+// words of the two with one array == (a memequal); only when they
+// differ, in a field or in padding, does it run the masked pass. a is
+// modified during the call and restored before it returns.
+func DiffExcept(a, b *State, l FlopLoc) (rest, outs uint64) {
+	x, y := a.Words(), b.Words()
+	w, bit := l.Word()
+	d := (x[w] ^ y[w]) & bit // l's bit, where a and b differ there
+	x[w] ^= d
+	if *x != *y {
+		// With l's bit equal, the field mask selects what m does.
+		rest, outs = DiffWords(a, b, &fieldMask)
+	}
+	x[w] ^= d
+	return rest, outs | d&outMask[w]
+}
+
+// OutputBit returns l's bit of the word view (Word) when l lies in a byte
+// of a field Outputs reads, and 0 otherwise: the outs DiffWords reports
+// for two States that differ at l alone.
+func (l FlopLoc) OutputBit() uint64 {
+	w, bit := l.Word()
+	return outMask[w] & bit
 }
 
 // FlopOfBit returns the flop stored at bit i of the word view (bit i%64
@@ -116,7 +142,6 @@ func buildWordTables() {
 		fieldMask.setBytes(f.Offset, f.Type.Size())
 	}
 	var s State
-	var outMask WordMask
 	for _, f := range [...][2]uintptr{
 		{unsafe.Offsetof(s.IReqAddr), unsafe.Sizeof(s.IReqAddr)},
 		{unsafe.Offsetof(s.IReqValid), unsafe.Sizeof(s.IReqValid)},

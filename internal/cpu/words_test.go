@@ -11,11 +11,12 @@ import (
 // checkDiff holds one DiffWords pass over a and b to the compares it
 // replaces: with the field mask, a zero rest is exactly a == b; with that
 // mask minus the flop at l, it is exactly l.EqualExcept(a, b); and a zero
-// outs implies equal output vectors.
+// outs implies equal output vectors. The replay's raw-word check,
+// DiffExcept, must return that pass's rest and outs and leave a as it
+// was; and where a and b differ at l alone, outs must be l.OutputBit().
 func checkDiff(t *testing.T, what string, a, b *cpu.State, l cpu.FlopLoc) {
 	t.Helper()
-	all := cpu.FieldMask()
-	except := all.Except(l)
+	all, except := cpu.FieldMask(), exceptMask(l)
 	rest, outs := cpu.DiffWords(a, b, &all)
 	if (rest == 0) != (*a == *b) {
 		t.Fatalf("%s: word pass says equal=%v, == says %v", what, rest == 0, *a == *b)
@@ -29,6 +30,36 @@ func checkDiff(t *testing.T, what string, a, b *cpu.State, l cpu.FlopLoc) {
 	}
 	if outs2 != outs {
 		t.Fatalf("%s: the output-field answer depends on the mask", what)
+	}
+	checkDiffExcept(t, what, a, b, l)
+	if rest == 0 && l.Bit(a) != l.Bit(b) && outs != l.OutputBit() {
+		t.Fatalf("%s: the states differ at the flop alone, outs %#x, OutputBit %#x", what, outs, l.OutputBit())
+	}
+}
+
+// exceptMask returns the field mask without the bit of the flop at l.
+func exceptMask(l cpu.FlopLoc) cpu.WordMask {
+	m := cpu.FieldMask()
+	w, bit := l.Word()
+	m[w] &^= bit
+	return m
+}
+
+// checkDiffExcept holds DiffExcept(a, b, l) to DiffWords(a, b, &m) for m
+// the field mask minus the flop at l, value for value, and checks that it
+// leaves every byte of a, padding included, as it found it.
+func checkDiffExcept(t *testing.T, what string, a, b *cpu.State, l cpu.FlopLoc) {
+	t.Helper()
+	except := exceptMask(l)
+	wantRest, wantOuts := cpu.DiffWords(a, b, &except)
+	before := *a.Words()
+	rest, outs := cpu.DiffExcept(a, b, l)
+	if rest != wantRest || outs != wantOuts {
+		t.Fatalf("%s: DiffExcept says rest %#x outs %#x, the masked pass rest %#x outs %#x",
+			what, rest, outs, wantRest, wantOuts)
+	}
+	if *a.Words() != before {
+		t.Fatalf("%s: DiffExcept changed its first State", what)
 	}
 }
 
@@ -100,8 +131,10 @@ func TestDiffWordsMatchesCompares(t *testing.T) {
 }
 
 // TestFieldMaskSkipsPadding: a State whose padding bytes hold garbage is
-// still == to the original, and the field-masked word pass agrees; the
-// word view maps a flop to each of the NumFlops set bits and to no other.
+// still == to the original, and the field-masked word pass agrees; so does
+// DiffExcept, whose raw compare then fails and whose masked fallback must
+// answer, under every single-flop flip; the word view maps a flop to each
+// of the NumFlops set bits and to no other.
 func TestFieldMaskSkipsPadding(t *testing.T) {
 	all := cpu.FieldMask()
 	var base cpu.State
@@ -125,6 +158,21 @@ func TestFieldMaskSkipsPadding(t *testing.T) {
 	}
 	if rest, outs := cpu.DiffWords(&s, &base, &all); rest != 0 || outs != 0 {
 		t.Fatalf("padding garbage counted by the word pass (rest %#x, outs %#x)", rest, outs)
+	}
+	for f := 0; f < cpu.NumFlops(); f++ {
+		l := cpu.LocOf(f)
+		if rest, outs := cpu.DiffExcept(&s, &base, l); rest != 0 || outs != 0 {
+			t.Fatalf("padding garbage counted by DiffExcept at %s (rest %#x, outs %#x)", cpu.FlopName(f), rest, outs)
+		}
+		flipped := s
+		copy(flipped.Words()[:], s.Words()[:]) // the padding garbage too
+		cpu.FlipBit(&flipped, f)
+		checkDiffExcept(t, "padding garbage, flip "+cpu.FlopName(f), &flipped, &base, l)
+		checkDiffExcept(t, "padding garbage, flip "+cpu.FlopName(f)+" vs other", &flipped, &base,
+			cpu.LocOf((f+97)%cpu.NumFlops()))
+		if rest, _ := cpu.DiffExcept(&flipped, &base, l); rest != 0 {
+			t.Fatalf("DiffExcept misses that the states agree except at %s", cpu.FlopName(f))
+		}
 	}
 	flops := 0
 	for i := 0; i < cpu.StateWords*64; i++ {

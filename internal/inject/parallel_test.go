@@ -3,10 +3,12 @@ package inject
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"lockstep/internal/dataset"
+	"lockstep/internal/lockstep"
 )
 
 // invarianceConfig is a trimmed Small-scale campaign: the same three
@@ -208,6 +210,29 @@ func TestProgressMonotonic(t *testing.T) {
 // times as one campaign.
 func BenchmarkCampaignDCLS(b *testing.B) {
 	cfg := dclsPlanShape(1)
+	exps := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ds, st, err := RunStats(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ds.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		exps += st.Executed()
+	}
+	b.ReportMetric(float64(exps)/b.Elapsed().Seconds(), "exp/s")
+}
+
+// BenchmarkCampaignTMR runs the campaign-tmr-ckpt benchmark workload in
+// process (all 13 kernels; 6,000 cycles; stride 4; TMR; seed 1; all CPUs;
+// a checkpoint every 4,096 experiments into a temporary directory):
+// RunStats and then the dataset CSV, the unit of work perfbench times as
+// one campaign.
+func BenchmarkCampaignTMR(b *testing.B) {
+	cfg := Config{RunCycles: 6000, FlopStride: 4, Seed: 1, Mode: lockstep.Mode{Kind: lockstep.ModeTMR},
+		CheckpointPath: filepath.Join(b.TempDir(), "campaign.ckpt"), CheckpointEvery: 4096}
 	exps := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

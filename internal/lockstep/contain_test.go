@@ -129,6 +129,60 @@ func TestContainmentRdcycProbe(t *testing.T) {
 	t.Logf("%d CycCnt stuck-ats detected, %d pruned", detected, pruned)
 }
 
+// TestCounterOffsetExit gates the replay's counter-offset exit. Soft
+// flips on every CycCnt and RetCnt flop, on a cycle grid of the rdcyc
+// probe and of the three reference kernels, must reach one outcome on the
+// fast path with the skip on (the only form that runs the exit), with it
+// off, and on the dual-CPU oracle. On the probe, where CycCnt escapes
+// through rdcyc, some CycCnt flips must be detected, so an exit that
+// ignored the escape table would mask them; and the exit must fire, which
+// shows as a Masked replay that stopped before the horizon.
+func TestCounterOffsetExit(t *testing.T) {
+	const cycles = 600
+	rep := NewReplayer()
+	sites, exits := 0, 0
+	for _, k := range []*workload.Kernel{rdcycProbe, workload.ByName("ttsprk"), workload.ByName("rspeed"), workload.ByName("puwmod")} {
+		g, err := NewGolden(k, cycles, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := 37
+		if k == rdcycProbe {
+			step = 5
+		}
+		detected := 0
+		for _, reg := range []string{"CycCnt", "RetCnt"} {
+			for _, f := range regFlops(t, reg) {
+				for c := 0; c < cycles; c += step {
+					inj := Injection{Flop: f, Kind: SoftFlip, Cycle: c}
+					got := rep.InjectMode(g, inj, Mode{}, StopLatency)
+					if got == (Outcome{}) && rep.bus.Cycle() < cycles {
+						exits++
+					}
+					noSkip := rep.InjectModeNoSkip(g, inj, Mode{}, StopLatency)
+					legacy := g.InjectLegacyMode(inj, Mode{}, StopLatency)
+					if got != noSkip || got != legacy {
+						t.Errorf("%s: soft flip at %s cycle %d: skip on %+v, skip off %+v, dual-CPU oracle %+v",
+							k.Name, cpu.FlopName(f), c, got, noSkip, legacy)
+					}
+					if got.Detected {
+						detected++
+					}
+					sites++
+				}
+			}
+		}
+		if k == rdcycProbe && detected == 0 {
+			t.Fatal("no counter flip detected on the rdcyc probe; it does not exercise the escape condition")
+		}
+		t.Logf("%s: %d counter flips detected", k.Name, detected)
+	}
+	if exits == 0 {
+		t.Fatal("the counter-offset exit never fired")
+	}
+	t.Logf("%d soft counter flips, %d ended by the exit", sites, exits)
+}
+
 // syncTrajectory simulates a stuck-at experiment cycle by cycle, with
 // neither the skip nor the re-convergence exit, until the outputs first
 // differ from golden or limit is reached. It returns the cycles at whose

@@ -79,6 +79,15 @@ func (p *pair) step() {
 // diverge is the checker's divergence map between the two output ports.
 func (p *pair) diverge() uint64 { return diverge(&p.main.State, &p.red.State) }
 
+// diverge is the checker's divergence map between the output ports of two
+// live CPU states: both vectors built, then Diverge. The oracle paths and
+// DMR use it; the replay fast path computes the same map with
+// cpu.DivergeStates.
+func diverge(a, b *cpu.State) uint64 {
+	oa, ob := a.Outputs(), b.Outputs()
+	return cpu.Diverge(&oa, &ob)
+}
+
 // converged reports whether a soft fault has passed and left the monitor
 // bit-identical to main. Convergence is absorbing: equal states driven by
 // the same bus stay equal.

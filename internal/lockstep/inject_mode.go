@@ -133,8 +133,8 @@ func (r *Replayer) injectTMR(g *Golden, inj Injection, window int, skip bool) Ou
 // the replay bus positioned at e is exact. The recovered main CPU leaves
 // the golden timeline, so it writes through the Replayer's journal, which
 // the recheck rolls back before returning. Each cycle's output check is
-// the word pass of injectHorizon: the output vectors are built and
-// compared only when the output fields of the two cores differ.
+// injectHorizon's: the word compare cpu.DiffExcept, and the checker map
+// cpu.DivergeStates only when the output fields of the two cores differ.
 func (r *Replayer) tmrRecheck(g *Golden, e int, inj Injection) bool {
 	r.seek(g, e)
 	main := &r.main
@@ -146,7 +146,7 @@ func (r *Replayer) tmrRecheck(g *Golden, e int, inj Injection) bool {
 	loc.Force(red, stuckVal)
 	defer r.journal.Rollback()
 	for i := 0; i < TMRRecheckCycles; i++ {
-		if _, outs := cpu.DiffWords(&main.State, red, &r.except); outs != 0 && diverge(&main.State, red) != 0 {
+		if _, outs := cpu.DiffExcept(red, &main.State, loc); outs != 0 && cpu.DivergeStates(&main.State, red) != 0 {
 			return false
 		}
 		main.StepCycle()

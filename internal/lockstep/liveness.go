@@ -439,6 +439,9 @@ type livenessTables struct {
 	// lvNever), and cond[w] the bits of the flops on each other stream.
 	always, tracked [cpu.StateWords]uint64
 	cond            [cpu.StateWords][]streamBits
+	// cycCnt is a flop of CycCnt: the replay's counter-offset exit reads
+	// its register's escape table entry (Golden.countersOnly).
+	cycCnt int
 }
 
 type streamBits struct {
@@ -458,6 +461,9 @@ func newLivenessTables() *livenessTables {
 	for ri, r := range cpu.Registry() {
 		base := cpu.FlopIndex(cpu.Flop{Reg: ri})
 		st, esc := streamForReg(r.Name), escapeForReg(r.Name)
+		if r.Name == "CycCnt" {
+			t.cycCnt = base
+		}
 		for bit := 0; bit < int(r.Width); bit++ {
 			f := base + bit
 			t.stream[f], t.escape[f] = uint8(st), uint8(esc)

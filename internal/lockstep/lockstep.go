@@ -125,8 +125,9 @@ func (o Outcome) ManifestationCycles(inj Injection) int {
 // CPU state at the end of every cycle, the reset RAM image with the RAM
 // write log, and the liveness tables, shared by all injections into that
 // kernel. The golden output vector of any cycle is a function of its
-// state (states[c].Outputs()); the replay loop computes it only on a
-// cycle whose output fields differ from the faulty CPU's.
+// state (states[c].Outputs()); the replay loop computes the checker's map
+// from the output fields (cpu.DivergeStates), and only on a cycle whose
+// output fields differ from the faulty CPU's.
 //
 // A Golden is immutable once NewGolden returns: every injection path
 // restores its own scratch state (per-worker, via Replayer) from the

@@ -99,8 +99,7 @@ func TestObservationPremise(t *testing.T) {
 					continue
 				}
 				cpu.StepInto(&next, &red, &bus)
-				except := cpu.FieldMask().Except(loc)
-				if rest, _ := cpu.DiffWords(&next, &g.states[c+1], &except); rest != 0 {
+				if rest, _ := cpu.DiffExcept(&next, &g.states[c+1], loc); rest != 0 {
 					t.Errorf("%s cycle %d: flipping unobserved %s reaches another flop: %s",
 						k.Name, c, cpu.FlopName(f), firstDiff(&next, &g.states[c+1], f))
 				}

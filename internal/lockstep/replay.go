@@ -43,11 +43,8 @@ type Replayer struct {
 	// red is the faulty CPU's state, double-buffered: each cycle steps
 	// one buffer into the other (cpu.StepInto) and swaps them, instead of
 	// copying the next state back.
-	red [2]cpu.State
-	// except selects every State field but the faulted flop, for the
-	// per-cycle word pass against golden (cpu.DiffWords).
-	except cpu.WordMask
-	main   cpu.CPU // the TMR recheck's recovered main CPU
+	red  [2]cpu.State
+	main cpu.CPU // the TMR recheck's recovered main CPU
 }
 
 // NewReplayer returns an empty Replayer. RAM-image buffers are allocated
@@ -88,8 +85,10 @@ func (r *Replayer) seek(g *Golden, c int) {
 //     the top of every cycle. The main CPU's outputs at cycle c are
 //     states[c].Outputs(), and Outputs is a pure function of 24 State
 //     fields, so when those fields equal golden's the vectors are equal
-//     and no compare is needed; only on a cycle whose output fields
-//     differ are both vectors built and diffed, which is exact there.
+//     and no compare is needed. On a cycle whose output fields differ,
+//     and on each cycle of the stop window, cpu.DivergeStates computes
+//     Diverge of states[c].Outputs() and the faulty CPU's outputs
+//     straight from the two states' output fields, which is exact.
 //   - Post-fault stepping: in the legacy path the redundant CPU is a bus
 //     monitor — its reads see the main CPU's memory image after the full
 //     cycle, which is precisely the AdvanceTo(cyc+1)-then-step image, and
@@ -103,11 +102,17 @@ func (r *Replayer) seek(g *Golden, c int) {
 //     flop's bit in states[inj.Cycle+1].
 //   - Convergence check: the legacy `red.State == main.State` compare is
 //     `red.State == states[cyc]`, on every cycle.
-//   - One word pass per cycle (cpu.DiffWords) answers all three compares
-//     against states[cyc]: masked with every field but the faulted flop F
-//     it says whether the faulty state equals golden except at F, F's own
-//     byte then says whether it equals golden (==), and the output-field
-//     mask says whether the output vectors can differ.
+//   - One word compare per cycle (cpu.DiffExcept) answers all three
+//     compares against states[cyc]: it says whether the faulty state
+//     equals golden except at the faulted flop F, F's own byte then says
+//     whether it equals golden (==), and its output-field answer says
+//     whether the output vectors can differ. It returns exactly what the
+//     masked pass cpu.DiffWords with every field but F would, and costs
+//     one raw compare of the words when the states agree except at F.
+//     After a stuck-at skip jump (below) its answer is known without a
+//     compare: the state is golden's except at F, whose golden value
+//     there differs from the stuck one, so the outputs can differ iff F
+//     lies in an output field (FlopLoc.OutputBit).
 //   - Stuck-at skip: suppose that at the top of iteration R the faulty
 //     state equals states[R] except at the stuck flop F, forced to v. If
 //     F is not observed at R (liveness.go), golden F equals v, or F is an
@@ -137,6 +142,18 @@ func (r *Replayer) seek(g *Golden, c int) {
 //     it. Where golden F's final stretch of v before the horizon begins
 //     is found once per experiment, on the first exact match, by a scan
 //     back from horizon-1 that stops at that match.
+//   - Counter-offset exit (skip on): suppose that at the top of iteration
+//     R a soft fault has recovered and left the faulty state equal to
+//     states[R] except in RetCnt, or in RetCnt and CycCnt where CycCnt
+//     escapes at no cycle from R on (escLast, liveness.go). Neither
+//     register is on the output port, and nothing but its own increment
+//     reads it ("Escape conditions" in liveness.go), so the outputs at R
+//     are golden's and the step to R+1 keeps the same offsets: cpu.step
+//     is the counters' only writer and adds the same increment in both
+//     machines. By induction the checker stays quiet to the horizon, and
+//     the state never equals golden again, since an offset to which
+//     equal increments are added never closes: the run is Masked from R
+//     on. The exit reads the escape table, so it is off with the skip.
 //
 // The run is generalized over the lockstep mode: it compares the first
 // `horizon` cycles of the golden trace (DCLS/TMR compare all TotalCycles;
@@ -162,7 +179,6 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	countReplayRestore()
 	r.seek(g, inj.Cycle)
 	loc := cpu.LocOf(inj.Flop)
-	r.except = cpu.FieldMask().Except(loc)
 	red, spare := &r.red[0], &r.red[1]
 	*red = g.states[inj.Cycle]
 	// The golden value the flop of a soft fault recovers to one cycle
@@ -180,6 +196,8 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	}
 
 	softArmed := inj.Kind == SoftFlip
+	// counters arms the counter-offset exit of a soft fault, with the skip.
+	counters := skip && inj.Kind == SoftFlip
 	skip = skip && inj.Kind.IsHard()
 	// exit arms the exact re-convergence exit of a stuck-at fault with the
 	// skip off; tail is the first cycle, no earlier than the first exact
@@ -204,7 +222,7 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	for cyc := inj.Cycle; cyc < horizon; cyc++ {
 		gold := &g.states[cyc]
 		// rest == 0: equal to golden except at F; outs == 0: equal outputs.
-		rest, outs := cpu.DiffWords(red, gold, &r.except)
+		rest, outs := cpu.DiffExcept(red, gold, loc)
 		if skip && rest == 0 {
 			next := g.exposure(inj.Flop, loc, stuckVal, cyc, horizon)
 			if next < 0 {
@@ -216,7 +234,9 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 				*red = *gold
 				loc.Force(red, stuckVal)
 				r.bus.AdvanceTo(next)
-				rest, outs = cpu.DiffWords(red, gold, &r.except)
+				// Golden F differs from stuckVal at an exposure, so red
+				// differs from gold at F alone: rest stays 0.
+				outs = loc.OutputBit()
 			}
 		}
 		synced := rest == 0 && loc.Bit(red) == loc.Bit(gold)
@@ -230,25 +250,30 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 			}
 		}
 		if outs != 0 {
-			if dsr := diverge(gold, red); dsr != 0 {
+			if dsr := cpu.DivergeStates(gold, red); dsr != 0 {
 				// Error detected; the DSR keeps OR-accumulating per-SC
 				// divergences during the checker stop window.
 				detect := cyc + shift
 				for w := 1; w < window && cyc+1 < horizon; w++ {
 					stepFaulty(cyc)
 					cyc++
-					if _, outs := cpu.DiffWords(red, &g.states[cyc], &r.except); outs != 0 {
-						dsr |= diverge(&g.states[cyc], red)
-					}
+					dsr |= cpu.DivergeStates(&g.states[cyc], red)
 				}
 				recordDSR("inject", dsr)
 				return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 			}
 		}
-		// Convergence is absorbing: an equal state driven by the same bus
-		// inputs stays equal, so it can never diverge into a detection.
-		if inj.Kind == SoftFlip && !softArmed && synced {
-			return Outcome{Converged: true}
+		if inj.Kind == SoftFlip && !softArmed {
+			// Convergence is absorbing: an equal state driven by the same
+			// bus inputs stays equal, so it can never diverge into a
+			// detection.
+			if synced {
+				return Outcome{Converged: true}
+			}
+			if counters && outs == 0 && g.countersOnly(red, gold, cyc) {
+				// Only a sealed counter offset is left: masked.
+				return Outcome{}
+			}
 		}
 		stepFaulty(cyc)
 	}
@@ -256,11 +281,21 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	return Outcome{}
 }
 
-// diverge is the checker's divergence map between the output ports of
-// the golden state gold and the faulty state red.
-func diverge(gold, red *cpu.State) uint64 {
-	og, or := gold.Outputs(), red.Outputs()
-	return cpu.Diverge(&og, &or)
+// countersOnly reports whether red differs from gold, at the top of
+// iteration cyc, at most in RetCnt, and in CycCnt where CycCnt escapes at
+// no cycle from cyc on: the offsets the counter-offset exit ends (see
+// injectHorizon). It compares the raw words with those counters taken
+// from gold, so a difference in padding only withholds the exit. red is
+// restored before it returns.
+func (g *Golden) countersOnly(red, gold *cpu.State, cyc int) bool {
+	ret, cnt := red.RetCnt, red.CycCnt
+	red.RetCnt = gold.RetCnt
+	if int(g.live.escLast[lvTables.cycCnt]) < cyc {
+		red.CycCnt = gold.CycCnt
+	}
+	same := *red.Words() == *gold.Words()
+	red.RetCnt, red.CycCnt = ret, cnt
+	return same
 }
 
 // settledFrom returns the first cycle c >= from such that the golden value
