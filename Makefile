@@ -83,9 +83,13 @@ determinism:
 # checkpoint prefix (in-process truncation) or after a SIGKILL of the real
 # binary at a seeded random checkpoint boundary (subprocess) must
 # reproduce the uninterrupted dataset byte for byte, and -resume must
-# refuse corrupt checkpoints and config mismatches with a named field.
+# refuse corrupt checkpoints and config mismatches with a named field. A
+# canceled campaign with Failed rows on both sides of the cut must resume
+# to the same dataset and the same Stats counts (restored Failed rows
+# included) through RunStats and through a Coordinator fed by SpanRunners
+# (TestResumeStatsAcrossDrivers).
 resume-determinism:
-	$(GO) test -run 'TestResumeProducesIdenticalDataset|TestResumeConfigMismatch|TestResumeRefusesBadCheckpoint|TestPanicContainment' -count=1 ./internal/inject/
+	$(GO) test -run 'TestResumeProducesIdenticalDataset|TestResumeConfigMismatch|TestResumeRefusesBadCheckpoint|TestPanicContainment|TestResumeStatsAcrossDrivers' -count=1 ./internal/inject/
 	$(GO) test -run 'TestKillResumeEquivalence|TestCLIResumeRefusals' -count=1 ./cmd/lockstep-inject/
 
 # The distributed-campaign contracts, explicitly: a span-lease campaign

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 	"lockstep/internal/clitest"
 	"lockstep/internal/core"
 	"lockstep/internal/inject"
+	"lockstep/internal/server"
 )
 
 func init()                 { clitest.Register(main) }
@@ -278,45 +280,97 @@ func TestServeSigtermMidJobResumes(t *testing.T) {
 	}
 }
 
+// postJSON POSTs msg as JSON to the live server and decodes its 200
+// reply into out.
+func postJSON(t *testing.T, url string, msg, out any) {
+	t.Helper()
+	body, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		data, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST %s: %d %s", url, resp.StatusCode, data)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// commitOneLease leases one span of the distributed campaign at url,
+// waiting while the job is queued, runs the span in process and commits
+// it. It returns the campaign-wide merged count the commit reports.
+func commitOneLease(t *testing.T, url string) int {
+	t.Helper()
+	id := url[strings.LastIndexByte(url, '/')+1:]
+	var lease inject.LeaseReply
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		postJSON(t, url+"/leases", &inject.LeaseRequest{Worker: "w", Digest: id}, &lease)
+		if lease.Status == inject.LeaseGranted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no lease granted: %+v", lease)
+		}
+	}
+	cfg, err := lease.FP.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := inject.NewSpanRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, st, err := runner.Run(lease.Span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack inject.SpanReply
+	postJSON(t, url+"/spans", &inject.SpanSubmit{
+		Worker: "w", Digest: id, LeaseID: lease.LeaseID, Span: lease.Span,
+		Pruned: st.Pruned, OracleChecked: st.OracleChecked, Outcomes: outs,
+	}, &ack)
+	return ack.Done
+}
+
 // TestServeTrainSwapAcrossRestart is the hot-table-reload contract
 // against the real binary: a campaign submitted with "train": true is
 // SIGTERMed mid-job before it can train; the restarted server serves the
 // old table while it resumes the job; on completion it trains from the
 // campaign's dataset and atomically swaps the new version in; and a
 // further restart — without the -table flag at all — adopts the trained
-// table as the persisted active version.
+// table as the persisted active version. The campaign is distributed and
+// the test is its only worker, so it cannot finish before the SIGTERM, nor
+// before the restarted server names its table, whatever the timing.
 func TestServeTrainSwapAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	img := filepath.Join(dir, "table.lspt")
 	writeTableImage(t, img)
 	dataDir := filepath.Join(dir, "jobs")
-	const stride = 2
+	const stride = 24
 
-	p, base := startServer(t, "-data", dataDir, "-table", img)
+	p, base := startServer(t, "-data", dataDir, "-table", img, "-lease-size", "16")
 	v0 := servingVersion(t, p)
 
 	code, sub := httpJSON(t, "POST", base+"/v1/campaigns",
-		e2eJSON(stride, `,"checkpoint_every":8,"workers":2,"no_prune":true,"train":true,"train_granularity":13`))
+		e2eJSON(stride, `,"checkpoint_every":8,"distribute":true,"train":true,"train_granularity":13`))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", code, sub)
 	}
 	id := sub["id"].(string)
 
-	// Let the campaign make real progress, then SIGTERM well before it can
-	// finish and train.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		_, st := httpJSON(t, "GET", base+"/v1/campaigns/"+id, "")
-		if st["state"].(string) == "done" {
-			t.Skip("campaign finished before SIGTERM could land mid-job")
-		}
-		if st["done"].(float64) >= 16 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign never progressed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Merge one span of 16 experiments, then SIGTERM: the rest of the
+	// campaign waits for a worker.
+	if done := commitOneLease(t, base+"/v1/campaigns/"+id); done != 16 {
+		t.Fatalf("first span merged %d experiments, want 16", done)
+	}
+	if _, st := httpJSON(t, "GET", base+"/v1/campaigns/"+id, ""); st["state"] != "running" || st["done"].(float64) != 16 {
+		t.Fatalf("job before SIGTERM: %v, want running with 16 done", st)
 	}
 	p.Signal(syscall.SIGTERM)
 	if res := p.Wait(); res.Code != 0 {
@@ -329,9 +383,17 @@ func TestServeTrainSwapAcrossRestart(t *testing.T) {
 	if got := servingVersion(t, p2); got != v0 {
 		t.Fatalf("restart serves version %s before training completed, want the old table %s", got, v0)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := server.RunWorker(ctx, server.WorkerOptions{URL: base2 + "/v1/campaigns/" + id, InjectWorkers: 2}); err != nil {
+		t.Fatal(err)
+	}
 
 	// The resumed job completes, trains from its own dataset, and swaps.
 	final := pollJob(t, base2, id, "done")
+	if restored := final["restored"].(float64); restored != 16 {
+		t.Fatalf("resumed job restored %v experiments, want 16", restored)
+	}
 	trained, _ := final["trained_table"].(string)
 	if trained == "" {
 		t.Fatalf("resumed train:true job finished without a trained table: %v", final)

@@ -138,11 +138,6 @@ func NewContextFromData(s Scale, ds *dataset.Dataset) (*Context, error) {
 	return c, nil
 }
 
-// Folds exposes the cross-validation folds (over the full log; training
-// and baseline derivation use each fold's train split, evaluation its
-// test split).
-func (c *Context) Folds() []dataset.Fold { return c.folds }
-
 // balancedTest returns fold fi's test split rebalanced to equal soft/hard
 // error counts, matching the paper's dataset construction (see
 // dataset.Balanced). Deterministic per fold.

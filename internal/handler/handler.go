@@ -133,88 +133,6 @@ func (h *Handler) HandleLive(d *lockstep.DMR, kernel string, faultyUnit int, har
 	return re, nil
 }
 
-// ForwardRecoveryCycles is the cost of the MMR forward recovery of
-// Section II: saving the majority's architectural state to memory,
-// resetting all CPUs and restoring the state to bring them back into
-// lockstep — far cheaper than a full task restart.
-const ForwardRecoveryCycles = 500
-
-// handleTMR reacts to a voted TMR error (Section II's MMR flow): the voter
-// has already identified the erring CPU, so a predicted-soft error is
-// healed by forward recovery (no task restart), and a predicted-hard error
-// is diagnosed by running STLs on the erring CPU only; a confirmed
-// permanent fault takes that CPU out of the vote while the system
-// continues in checked-dual mode.
-func (h *Handler) handleTMR(tmr *lockstep.TMR, vote lockstep.VoteResult, kernel string, faultyUnit int, hard bool) Reaction {
-	h.stlFinds = func(unit int) bool { return hard && unit == faultyUnit }
-	re := h.reactTMR(tmr, vote)
-	observe(re)
-	return re
-}
-
-// reactTMR is the MMR reaction flow proper; handleTMR wraps it with
-// telemetry.
-func (h *Handler) reactTMR(tmr *lockstep.TMR, vote lockstep.VoteResult) Reaction {
-	re := Reaction{DSR: vote.DSR, FaultyUnit: -1}
-	now := int64(0)
-	log := func(phase, note string) {
-		re.Timeline = append(re.Timeline, Event{Cycle: now, Phase: phase, Note: note})
-	}
-	log(PhaseDetect, fmt.Sprintf("voter flagged CPU %d, DSR %#x", vote.Erring, vote.DSR))
-
-	h.Frontend.LatchError(vote.DSR)
-	pred := h.Frontend.ReadEntry()
-	now += h.Cfg.TableAccess
-	re.PTAR = h.Frontend.PTAR
-	re.KnownSet = h.Frontend.Hit
-	re.PredHard = pred.Hard
-	re.PredOrder = pred.Units
-	log(PhaseTableRead, fmt.Sprintf("PTAR=%d known=%v type=%s",
-		re.PTAR, re.KnownSet, typeName(pred.Hard)))
-
-	if !pred.Hard {
-		// Predicted soft: forward recovery re-joins the erring CPU.
-		now += ForwardRecoveryCycles
-		majority := 0
-		if vote.Erring == 0 {
-			majority = 1
-		}
-		tmr.ForwardRecover(majority)
-		log(PhaseRestart, "predicted soft: forward recovery, erring CPU re-joined")
-		log(PhaseSafe, "triple lockstep restored")
-		re.Restarted = true
-		re.LERT = now
-		return re
-	}
-
-	for i, u := range pred.Units {
-		now += h.Cfg.STL[u]
-		if h.stlFinds(int(u)) {
-			log(PhaseSTL, fmt.Sprintf("STL %d/%d on CPU %d: unit %s FAILED",
-				i+1, len(pred.Units), vote.Erring, h.Cfg.Gran.UnitName(int(u))))
-			log(PhaseFail, fmt.Sprintf("permanent fault: CPU %d removed from vote, continuing checked-dual", vote.Erring))
-			log(PhaseSafe, "degraded but safe")
-			re.FoundHard = true
-			re.FaultyUnit = int(u)
-			re.LERT = now
-			return re
-		}
-		log(PhaseSTL, fmt.Sprintf("STL %d/%d on CPU %d: unit %s clean",
-			i+1, len(pred.Units), vote.Erring, h.Cfg.Gran.UnitName(int(u))))
-	}
-	now += ForwardRecoveryCycles
-	majority := 0
-	if vote.Erring == 0 {
-		majority = 1
-	}
-	tmr.ForwardRecover(majority)
-	log(PhaseRestart, "no hard fault: transient; forward recovery")
-	log(PhaseSafe, "triple lockstep restored")
-	re.Restarted = true
-	re.LERT = now
-	return re
-}
-
 // react runs the handler flow of Figure 9c and records the reaction's
 // telemetry.
 func (h *Handler) react(dsr uint64, kernel string) Reaction {

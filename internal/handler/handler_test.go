@@ -184,82 +184,3 @@ func TestPrintTimeline(t *testing.T) {
 		}
 	}
 }
-
-// TestHandleTMRSoftForwardRecovery: a voted transient heals via forward
-// recovery and the triple resumes lockstep.
-func TestHandleTMRSoftForwardRecovery(t *testing.T) {
-	tmr, err := lockstep.NewTMR(workload.ByName("puwmod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1200; i++ {
-		tmr.Step()
-	}
-	tmr.Arm(1, lockstep.Injection{Flop: 5, Kind: lockstep.SoftFlip, Cycle: tmr.Cycle + 1})
-	var vote *lockstep.VoteResult
-	for i := 0; i < 20000; i++ {
-		v := tmr.Step()
-		if v.Diverged {
-			vote = &v
-			break
-		}
-	}
-	if vote == nil {
-		t.Skip("transient masked; acceptable")
-	}
-
-	h := testHandler()
-	re := h.handleTMR(tmr, *vote, "puwmod", 0, false)
-	if !re.Restarted || re.FoundHard {
-		t.Fatalf("TMR soft flow wrong: %+v", re)
-	}
-	// If the signature was recognised as soft, forward recovery is the
-	// whole reaction; an unknown/hard-looking signature legitimately pays
-	// the STL scan first, then recovers.
-	if !re.PredHard && re.LERT > ForwardRecoveryCycles+h.Cfg.TableAccess {
-		t.Fatalf("predicted-soft TMR reaction cost %d, want table access + forward recovery", re.LERT)
-	}
-	for i := 0; i < 5000; i++ {
-		if v := tmr.Step(); v.Diverged {
-			t.Fatalf("divergence after forward recovery at +%d", i)
-		}
-	}
-}
-
-// TestHandleTMRHardDiagnosis: a voted stuck-at is diagnosed on the erring
-// CPU only and the reaction ends in the degraded-but-safe state.
-func TestHandleTMRHardDiagnosis(t *testing.T) {
-	tmr, err := lockstep.NewTMR(workload.ByName("canrdr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		tmr.Step()
-	}
-	tmr.Arm(2, lockstep.Injection{Flop: 40, Kind: lockstep.Stuck1, Cycle: tmr.Cycle + 1})
-	var vote *lockstep.VoteResult
-	for i := 0; i < 30000; i++ {
-		v := tmr.Step()
-		if v.Diverged {
-			vote = &v
-			break
-		}
-	}
-	if vote == nil {
-		t.Skip("stuck-at masked on this flop")
-	}
-	if vote.Erring != 2 {
-		t.Fatalf("voter blamed CPU %d", vote.Erring)
-	}
-
-	h := testHandler()
-	// Tell the handler the ground truth: hard fault in the PFU (flop 40
-	// is an FQInstr bit).
-	re := h.handleTMR(tmr, *vote, "canrdr", int(units.PFU), true)
-	if !re.FoundHard || re.FaultyUnit != int(units.PFU) {
-		t.Fatalf("TMR hard flow wrong: %+v", re)
-	}
-	if re.Restarted {
-		t.Fatal("permanent fault must not forward-recover")
-	}
-}

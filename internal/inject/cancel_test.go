@@ -130,6 +130,99 @@ func TestCancelThenResumeIdenticalDataset(t *testing.T) {
 	}
 }
 
+// TestResumeStatsAcrossDrivers: a checkpointed campaign canceled mid-run,
+// with Failed rows on both sides of the cut, resumes once through RunStats
+// and once through a Coordinator whose SpanRunners carry the same fault
+// hook. Both drivers keep their rows in a ledger, so they must give the
+// same dataset and the same counts, and Failures must count every Failed
+// row of the dataset, the restored ones included.
+func TestResumeStatsAcrossDrivers(t *testing.T) {
+	poison := func(e Experiment, _ *lockstep.Outcome) {
+		if e.Cycle%16 == 0 {
+			panic("poisoned experiment")
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.lsc")
+	cancel := make(chan struct{})
+	var fired atomic.Bool
+	cfg := cancelConfig()
+	cfg.Workers = 1
+	cfg.testHook = poison
+	cfg.CheckpointPath = path
+	cfg.CheckpointEvery = 8
+	cfg.Cancel = cancel
+	cfg.Progress = func(done, total int) {
+		if done >= total/3 && fired.CompareAndSwap(false, true) {
+			close(cancel)
+		}
+	}
+	if _, _, err := RunStats(cfg); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled campaign returned %v, want ErrCanceled", err)
+	}
+	ck := readCanonicalCheckpoint(t, path)
+	restoredFailed := 0
+	for _, r := range ck.Records {
+		if r.Failed {
+			restoredFailed++
+		}
+	}
+	// Each driver resumes from its own copy: a resume rewrites its
+	// checkpoint.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coPath := filepath.Join(dir, "co.lsc")
+	if err := os.WriteFile(coPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res := cancelConfig()
+	res.Workers = 2
+	res.testHook = poison
+	res.CheckpointPath = path
+	res.Resume = true
+	ds, st, err := RunStats(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.CheckpointPath = coPath
+	co, err := NewCoordinator(res, DistConfig{LeaseSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainCampaign(t, co, res, "a", "b")
+	if err := co.WaitDone(nil); err != nil {
+		t.Fatal(err)
+	}
+	coDS, coSt, err := co.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csvBytes(t, ds), csvBytes(t, coDS)) {
+		t.Fatal("the coordinator's resumed dataset differs from RunStats'")
+	}
+
+	failed := 0
+	for _, r := range ds.Records {
+		if r.Failed {
+			failed++
+		}
+	}
+	if restoredFailed == 0 || failed == restoredFailed {
+		t.Fatalf("%d Failed rows, %d of them restored: want Failed rows on both sides of the cut", failed, restoredFailed)
+	}
+	type counts struct{ Experiments, Restored, Failures, Pruned, OracleChecked int }
+	of := func(s Stats) counts { return counts{s.Experiments, s.Restored, s.Failures, s.Pruned, s.OracleChecked} }
+	if got, want := of(st), of(coSt); got != want {
+		t.Fatalf("RunStats counts %+v, the coordinator's %+v", got, want)
+	}
+	if got := of(st); got.Experiments != ds.Len() || got.Restored != ck.DoneCount() || got.Failures != failed || got.Pruned == 0 {
+		t.Fatalf("counts %+v, want %d experiments, %d restored, %d Failed and some pruned", got, ds.Len(), ck.DoneCount(), failed)
+	}
+}
+
 // readCanonicalCheckpoint reads the checkpoint at path and checks that
 // its file holds exactly what Encode writes for its contents: the
 // campaign's checkpointer encodes the rows of its done prefix once and

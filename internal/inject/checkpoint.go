@@ -26,12 +26,10 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"lockstep/internal/atomicfile"
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
-	"lockstep/internal/telemetry"
 )
 
 // checkpointMagic is the first line of every checkpoint file; the trailing
@@ -172,6 +170,15 @@ type Span struct {
 	Hi int `json:"hi"`
 }
 
+// indices returns the plan indices of the span, ascending.
+func (s Span) indices() []int {
+	idxs := make([]int, s.Hi-s.Lo)
+	for i := range idxs {
+		idxs[i] = s.Lo + i
+	}
+	return idxs
+}
+
 // Checkpoint is the in-memory form of a campaign checkpoint file.
 type Checkpoint struct {
 	FP    Fingerprint
@@ -214,31 +221,6 @@ func (c *Checkpoint) validate(cfg Config, planLen int) error {
 		return badCheckpoint("plan length %d does not match campaign plan %d", c.Total, planLen)
 	}
 	return nil
-}
-
-// restoreCheckpoint is the resume step shared by RunStats and
-// NewCoordinator: it reads the checkpoint at cfg.CheckpointPath (cfg is
-// normalized), refuses a corrupt or mismatched one, and copies its
-// records into records/done at their plan indices. It returns how many
-// experiments it restored.
-func restoreCheckpoint(cfg Config, records []dataset.Record, done []atomic.Bool) (int, error) {
-	ck, err := ReadCheckpoint(cfg.CheckpointPath)
-	if err != nil {
-		return 0, err
-	}
-	if err := ck.validate(cfg, len(records)); err != nil {
-		return 0, err
-	}
-	ri := 0
-	for _, sp := range ck.Done {
-		for i := sp.Lo; i < sp.Hi; i++ {
-			records[i] = ck.Records[ri]
-			ri++
-			done[i].Store(true)
-		}
-	}
-	telemetry.Default.Gauge("inject.experiments_restored").Set(int64(ri))
-	return ri, nil
 }
 
 // Encode renders the checkpoint in its on-disk format:

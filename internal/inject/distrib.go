@@ -27,7 +27,7 @@
 // submission no coordinator state could accept is refused with a
 // *MessageError.
 //
-// The coordinator reuses the campaign checkpoint machinery verbatim:
+// The coordinator keeps its rows in the same ledger inject.Run does:
 // merged spans persist in the same atomic CRC-sealed checkpoint file, so
 // a coordinator crash resumes mid-campaign and only the uncovered indices
 // are re-leased.
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lockstep/internal/dataset"
@@ -229,17 +228,17 @@ type distWorker struct {
 	perSec      *telemetry.Gauge
 }
 
-// Coordinator owns one distributed campaign: the plan, the lease table,
-// the merged records and the checkpoint. It never builds goldens or
-// simulates — coordination is cheap enough to run anywhere, including on
-// a node that is also serving predictions.
+// Coordinator owns one distributed campaign: the lease table, and the
+// campaign's ledger, which holds the merged rows and writes the
+// checkpoint. It never builds goldens or simulates — coordination is
+// cheap enough to run anywhere, including on a node that is also serving
+// predictions.
 //
 // All methods are safe for concurrent use by HTTP handlers.
 type Coordinator struct {
 	cfg    Config
 	fp     Fingerprint
 	digest string
-	plan   []Experiment // renders each committed outcome into its row
 	total  int
 	dc     DistConfig
 	// kernelBlock is the plan-index length of one kernel's contiguous
@@ -247,17 +246,16 @@ type Coordinator struct {
 	// blocks).
 	kernelBlock int
 	start       time.Time
+	// led holds the plan, which renders each committed outcome into its
+	// row, and the merged rows; Commit puts rows with mu held.
+	led *ledger
 
-	mu       sync.Mutex
-	records  []dataset.Record
-	done     []atomic.Bool
-	doneN    int
-	restored int
-	free     []freeSpan
-	leases   map[uint64]*leaseState
-	nextID   uint64
-	workers  map[string]*distWorker
-	closed   bool
+	mu      sync.Mutex
+	free    []freeSpan
+	leases  map[uint64]*leaseState
+	nextID  uint64
+	workers map[string]*distWorker
+	closed  bool
 	// quietAt is when every worker told to wait so far has polled again:
 	// the last LeaseWait reply plus twice its Retry. Such a worker has no
 	// entry in workers until it is granted a lease.
@@ -265,10 +263,6 @@ type Coordinator struct {
 
 	issued, expired, reissued int64
 	merged, duplicates        int64
-	pruned, oracleChecked     int64
-
-	ckp      *checkpointer
-	ckWrites int
 
 	completeOnce sync.Once
 	completeCh   chan struct{}
@@ -277,11 +271,12 @@ type Coordinator struct {
 	telMerged, telDup                  *telemetry.Counter
 }
 
-// NewCoordinator builds the coordinator for cfg. With cfg.CheckpointPath
-// set the merged spans are checkpointed exactly like a local campaign;
-// with cfg.Resume the existing checkpoint is restored (refusing corrupt
-// files and config mismatches with the same typed errors as inject.Run)
-// and only the uncovered plan indices are leased out.
+// NewCoordinator builds the coordinator for cfg. It opens the campaign's
+// ledger as RunStats does: with cfg.CheckpointPath set the merged spans
+// are checkpointed exactly like a local campaign, and with cfg.Resume the
+// existing checkpoint is restored (refusing corrupt files and config
+// mismatches with the same typed errors as inject.Run) and only the
+// uncovered plan indices are leased out.
 func NewCoordinator(cfg Config, dc DistConfig) (*Coordinator, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -291,17 +286,18 @@ func NewCoordinator(cfg Config, dc DistConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := len(plan)
+	led, err := openLedger(cfg, plan)
+	if err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
 		cfg:         cfg,
 		fp:          cfg.fingerprint(),
-		plan:        plan,
-		total:       total,
+		total:       len(plan),
 		dc:          dc,
 		kernelBlock: cfg.perKernel(),
 		start:       dc.now(),
-		records:     make([]dataset.Record, total),
-		done:        make([]atomic.Bool, total),
+		led:         led,
 		leases:      map[uint64]*leaseState{},
 		workers:     map[string]*distWorker{},
 		completeCh:  make(chan struct{}),
@@ -312,30 +308,18 @@ func NewCoordinator(cfg Config, dc DistConfig) (*Coordinator, error) {
 		telDup:      telemetry.Default.Counter("inject.span_duplicates"),
 	}
 	c.digest = c.fp.Digest()
-	if cfg.Resume {
-		if c.restored, err = restoreCheckpoint(cfg, c.records, c.done); err != nil {
-			return nil, err
-		}
-		c.doneN = c.restored
-	}
 	// The free list is the complement of the restored spans, in order,
 	// cut at kernel-block bounds: every free span lies inside one block,
 	// and leases, carved from span heads and returned whole on expiry,
 	// keep it so.
-	for i := 0; i < total; i++ {
-		if c.done[i].Load() {
-			continue
-		}
+	for _, i := range led.pending() {
 		if n := len(c.free); n > 0 && c.free[n-1].Hi == i && i%c.kernelBlock != 0 {
 			c.free[n-1].Hi++
 		} else {
 			c.free = append(c.free, freeSpan{Span: Span{Lo: i, Hi: i + 1}})
 		}
 	}
-	if cfg.CheckpointPath != "" {
-		c.ckp = startCheckpointer(cfg, c.records, c.done)
-	}
-	if c.doneN == total {
+	if led.count() == c.total {
 		c.completeOnce.Do(func() { close(c.completeCh) })
 	}
 	return c, nil
@@ -357,9 +341,7 @@ func (c *Coordinator) Total() int { return c.total }
 // Progress returns merged (restored included) and total experiment
 // counts.
 func (c *Coordinator) Progress() (done, total int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.doneN, c.total
+	return c.led.count(), c.total
 }
 
 // blockOf maps a plan index onto its kernel-block index.
@@ -421,11 +403,11 @@ func (c *Coordinator) Acquire(worker, digest string) (*LeaseReply, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	reply := &LeaseReply{FP: c.fp, Total: c.total, Done: c.doneN}
-	if c.closed && c.doneN < c.total {
+	reply := &LeaseReply{FP: c.fp, Total: c.total, Done: c.led.count()}
+	if c.closed && reply.Done < c.total {
 		return nil, fmt.Errorf("inject: coordinator is shutting down")
 	}
-	if c.doneN == c.total {
+	if reply.Done == c.total {
 		if w := c.workers[worker]; w != nil {
 			w.sawDone = true
 		}
@@ -488,11 +470,10 @@ func (c *Coordinator) Acquire(worker, digest string) (*LeaseReply, error) {
 // indices are all already covered is acknowledged as a duplicate and
 // dropped; a commit under an expired-and-re-issued lease whose span is
 // not yet covered is refused with *LeaseExpiredError. A successful
-// commit renders each outcome into its row from the coordinator's own
-// plan entry, writes the rows at their plan indices — canonical plan
-// order by construction — and feeds the checkpointer. A submission
-// whose span, counts or outcomes no campaign state could accept is
-// refused with *MessageError.
+// commit puts each outcome into the ledger, which renders its row from
+// the coordinator's own plan entry at its plan index — canonical plan
+// order by construction. A submission whose span, counts or outcomes no
+// campaign state could accept is refused with *MessageError.
 func (c *Coordinator) Commit(sub *SpanSubmit) (*SpanReply, error) {
 	if err := checkNames(sub.Worker, sub.Digest); err != nil {
 		return nil, err
@@ -511,17 +492,17 @@ func (c *Coordinator) Commit(sub *SpanSubmit) (*SpanReply, error) {
 	if ls == nil || ls.sp != sp {
 		covered := true
 		for i := sp.Lo; i < sp.Hi; i++ {
-			if !c.done[i].Load() {
+			if !c.led.done[i].Load() {
 				covered = false
 				break
 			}
 		}
-		reply.Done = c.doneN
+		reply.Done = c.led.count()
 		if covered {
 			reply.Duplicate = true
 			c.duplicates++
 			c.telDup.Inc()
-			if w := c.workers[sub.Worker]; w != nil && c.doneN == c.total {
+			if w := c.workers[sub.Worker]; w != nil && reply.Done == c.total {
 				w.sawDone = true
 			}
 			return reply, nil
@@ -532,34 +513,19 @@ func (c *Coordinator) Commit(sub *SpanSubmit) (*SpanReply, error) {
 		return nil, fmt.Errorf("inject: coordinator is shutting down")
 	}
 	delete(c.leases, sub.LeaseID)
-	for i := sp.Lo; i < sp.Hi; i++ {
-		c.records[i] = recordFor(c.plan[i], sub.Outcomes[i-sp.Lo], c.cfg.Mode)
-		c.done[i].Store(true)
-	}
-	n := sp.Hi - sp.Lo
-	if c.ckp != nil {
-		c.ckp.completed(n)
-	}
-	c.doneN += n
+	c.led.put(sp.indices(), sub.Outcomes)
+	c.led.tally(sub.Pruned, sub.OracleChecked)
 	c.merged++
 	c.telMerged.Inc()
-	c.pruned += int64(sub.Pruned)
-	c.oracleChecked += int64(sub.OracleChecked)
-	if sub.Pruned > 0 {
-		telemetry.Default.Counter("inject.pruned").Add(int64(sub.Pruned))
-	}
-	if sub.OracleChecked > 0 {
-		telemetry.Default.Counter("inject.pruned_oracle_checked").Add(int64(sub.OracleChecked))
-	}
 	if w := c.workers[sub.Worker]; w != nil {
-		w.experiments += int64(n)
+		w.experiments += int64(len(sub.Outcomes))
 		w.busyUS += sub.BusyUS
 		if w.busyUS > 0 {
 			w.perSec.Set(w.experiments * 1_000_000 / w.busyUS)
 		}
 	}
-	reply.Done = c.doneN
-	if c.doneN == c.total {
+	reply.Done = c.led.count()
+	if reply.Done == c.total {
 		if w := c.workers[sub.Worker]; w != nil {
 			w.sawDone = true
 		}
@@ -586,7 +552,7 @@ func (c *Coordinator) checkSpan(sub *SpanSubmit) error {
 		return badMessage("span [%d,%d) reports busy %d us, %d pruned, %d oracle-checked", sp.Lo, sp.Hi, sub.BusyUS, sub.Pruned, sub.OracleChecked)
 	}
 	for i, out := range sub.Outcomes {
-		e := c.plan[sp.Lo+i]
+		e := c.led.plan[sp.Lo+i]
 		switch {
 		case out.Detected && (out.DetectCycle < e.Cycle || out.DetectCycle >= c.cfg.RunCycles):
 			return badMessage("plan index %d: detect cycle %d outside [%d,%d)", sp.Lo+i, out.DetectCycle, e.Cycle, c.cfg.RunCycles)
@@ -653,13 +619,8 @@ func (c *Coordinator) WaitDone(cancel <-chan struct{}) error {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	if c.ckp != nil {
-		n, err := c.ckp.stop()
-		c.ckWrites = n
-		c.ckp = nil
-		if err != nil {
-			return fmt.Errorf("inject: checkpoint: %w", err)
-		}
+	if err := c.led.close(); err != nil {
+		return err
 	}
 	if canceled {
 		return ErrCanceled
@@ -670,34 +631,23 @@ func (c *Coordinator) WaitDone(cancel <-chan struct{}) error {
 // Result returns the merged dataset and the campaign stats once every
 // span is committed.
 func (c *Coordinator) Result() (*dataset.Dataset, Stats, error) {
-	if !c.Done() {
-		done, total := c.Progress()
-		return nil, c.Stats(), fmt.Errorf("inject: campaign incomplete (%d/%d experiments merged)", done, total)
-	}
+	done := c.Done()
 	st := c.Stats()
-	for i := range c.records {
-		if c.records[i].Failed {
-			st.Failures++
-		}
+	if !done {
+		return nil, st, fmt.Errorf("inject: campaign incomplete (%d/%d experiments merged)", st.Experiments, c.total)
 	}
-	return &dataset.Dataset{Records: c.records}, st, nil
+	return &dataset.Dataset{Records: c.led.records}, st, nil
 }
 
-// Stats reports the distributed campaign the same way RunStats does:
-// Experiments counts merged records (restored included), PerSec is
-// merge throughput over the coordinator's wall clock.
+// Stats reports the distributed campaign the same way RunStats does, from
+// the same ledger: Experiments counts merged records (restored included),
+// PerSec is merge throughput over the coordinator's wall clock.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{
-		Experiments:   c.doneN,
-		Restored:      c.restored,
-		Pruned:        int(c.pruned),
-		OracleChecked: int(c.oracleChecked),
-		Checkpoints:   c.ckWrites,
-		Workers:       len(c.workers),
-		Elapsed:       c.dc.now().Sub(c.start),
-	}
+	st := c.led.stats()
+	st.Workers = len(c.workers)
+	st.Elapsed = c.dc.now().Sub(c.start)
 	if secs := st.Elapsed.Seconds(); secs > 0 {
 		st.PerSec = float64(st.Executed()) / secs
 	}
@@ -761,7 +711,6 @@ func (f Fingerprint) Config() (Config, error) {
 type SpanStats struct {
 	Pruned        int // outcomes proved statically, recorded without simulating
 	OracleChecked int // pruned sites re-simulated by the differential oracle
-	Failures      int // experiments recorded as Failed by the containment layer
 }
 
 // SpanRunner is the worker-node side of a distributed campaign: the
@@ -803,14 +752,10 @@ func (r *SpanRunner) Run(sp Span) ([]lockstep.Outcome, SpanStats, error) {
 	if sp.Lo < 0 || sp.Lo >= sp.Hi || sp.Hi > len(r.en.plan) {
 		return nil, SpanStats{}, fmt.Errorf("inject: span [%d,%d) outside plan of %d", sp.Lo, sp.Hi, len(r.en.plan))
 	}
-	idxs := make([]int, sp.Hi-sp.Lo)
-	for i := range idxs {
-		idxs[i] = sp.Lo + i
-	}
-	outcomes := make([]lockstep.Outcome, len(idxs))
-	st, err := r.en.resolve(idxs, func(idxs []int, outs []lockstep.Outcome) {
-		// A batch is a run of consecutive entries of idxs, which are
-		// consecutive plan indices.
+	outcomes := make([]lockstep.Outcome, sp.Hi-sp.Lo)
+	st, err := r.en.resolve(sp.indices(), func(idxs []int, outs []lockstep.Outcome) {
+		// A batch is a run of consecutive entries of the span's indices,
+		// which are consecutive plan indices.
 		copy(outcomes[idxs[0]-sp.Lo:], outs)
 	})
 	if err != nil {

@@ -40,7 +40,8 @@ func csvBytes(t *testing.T, ds *dataset.Dataset) []byte {
 
 // drainCampaign pulls leases for the named workers round-robin and
 // commits each through its own SpanRunner until the coordinator reports
-// done, mimicking a multi-node cluster in-process.
+// done, mimicking a multi-node cluster in-process. The runners carry
+// cfg's testHook.
 func drainCampaign(t *testing.T, co *Coordinator, cfg Config, workers ...string) {
 	t.Helper()
 	runners := map[string]*SpanRunner{}
@@ -63,6 +64,7 @@ func drainCampaign(t *testing.T, co *Coordinator, cfg Config, workers ...string)
 				t.Fatal(err)
 			}
 			rcfg.Workers = 1
+			rcfg.testHook = cfg.testHook
 			if r, err = NewSpanRunner(rcfg); err != nil {
 				t.Fatal(err)
 			}
@@ -433,7 +435,7 @@ func TestCommitRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := lease.Span.Hi - lease.Span.Lo
-	first := co.plan[lease.Span.Lo]
+	first := co.led.plan[lease.Span.Lo]
 	// outcomes returns a valid all-masked span with out at position 0.
 	outcomes := func(out lockstep.Outcome) []lockstep.Outcome {
 		outs := make([]lockstep.Outcome, n)

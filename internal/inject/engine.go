@@ -101,8 +101,7 @@ func newEngine(cfg Config) (*engine, error) {
 // resolveStats reports how one resolve call ran.
 type resolveStats struct {
 	SpanStats
-	resolved int // indices handed to put
-	workers  int // worker pool size used
+	workers int // worker pool size used
 	// Busy time summed over the workers: building goldens, deciding which
 	// experiments pruning proves, and simulating the others. The three
 	// overlap in wall time.
@@ -112,8 +111,6 @@ type resolveStats struct {
 func (s *resolveStats) add(o resolveStats) {
 	s.Pruned += o.Pruned
 	s.OracleChecked += o.OracleChecked
-	s.Failures += o.Failures
-	s.resolved += o.resolved
 	s.golden += o.golden
 	s.prune += o.prune
 	s.simulate += o.simulate
@@ -127,13 +124,13 @@ const maxClaim = 16
 // resolve computes the outcome of every plan index in idxs (ascending and
 // distinct) and hands each to put exactly once, in runs of consecutive
 // idxs entries of one kernel (put must not keep the slices). RunStats
-// renders each outcome into its row through recordFor as it arrives;
-// SpanRunner.Run returns them, and Coordinator.Commit renders them the
-// same way. It stops dispatching early when Config.Cancel fires before
-// the last index is claimed (returning ErrCanceled), when the pruning
-// oracle catches a wrong prediction (returning the mismatch) or when a
-// golden fails to build; either way every index handed to put is final
-// and the rest are never handed over.
+// puts each outcome into the campaign's ledger as it arrives;
+// SpanRunner.Run returns them, and Coordinator.Commit puts them into its
+// ledger the same way. It stops dispatching early when Config.Cancel
+// fires before the last index is claimed (returning ErrCanceled), when
+// the pruning oracle catches a wrong prediction (returning the mismatch)
+// or when a golden fails to build; either way every index handed to put
+// is final and the rest are never handed over.
 //
 // One pool of workers claims runs of idxs through an atomic counter and
 // resolves each index in turn: it fetches the kernel's golden (see
@@ -345,7 +342,6 @@ func (w *worker) resolveRun(run []int, put func([]int, []lockstep.Outcome), ws *
 		if batch := w.resolveBatch(g, run[:n], ws); len(batch) > 0 {
 			en.tel.add(k, w.tally)
 			put(batch, w.outs)
-			ws.resolved += len(batch)
 			en.finished(k, len(batch))
 		}
 		run = run[n:]
@@ -404,9 +400,6 @@ func (w *worker) resolveBatch(g *lockstep.Golden, idxs []int, ws *resolveStats) 
 		if checked {
 			ws.OracleChecked++
 		}
-		if out.Failed {
-			ws.Failures++
-		}
 		if checked && !out.Failed && out != expect {
 			en.fail(fmt.Errorf(
 				"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
@@ -431,8 +424,9 @@ func (e Experiment) injection() lockstep.Injection {
 }
 
 // recordFor renders one experiment's outcome as its dataset row. It is
-// the only code that does: RunStats and Coordinator.Commit both render
-// through it, so neither pruning nor distribution can skew a column.
+// the only code that does: the ledger of RunStats and of the Coordinator
+// renders every row through it, so neither pruning nor distribution can
+// skew a column.
 func recordFor(e Experiment, out lockstep.Outcome, mode lockstep.Mode) dataset.Record {
 	return dataset.Record{
 		Kernel:      e.Kernel,

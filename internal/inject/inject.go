@@ -13,11 +13,14 @@
 // enumerated (see Plan): every injection's coordinates and cycle are fixed
 // up front from Config.Seed alone. Then the plan is sharded across a pool
 // of workers, each experiment replaying against a read-only per-kernel
-// golden run that the workers build as they reach its kernel, and records
-// land at their plan index — so the dataset is bit-identical for any
-// worker count, including a serial run.
+// golden run that the workers build as they reach its kernel, and every
+// row lands at its plan index in the campaign's ledger — so the dataset is
+// bit-identical for any worker count, including a serial run. The ledger
+// is the one owner of a campaign's rows, its resume, its checkpoint
+// writer and its tallies, for a local run and a distributed Coordinator
+// alike.
 //
-// Long campaigns are crash-safe: with Config.CheckpointPath set the run
+// Long campaigns are crash-safe: with Config.CheckpointPath set the ledger
 // periodically persists an atomic, versioned checkpoint of the completed
 // plan spans, and Config.Resume restores it and re-executes only the
 // remaining plan indices — the final dataset is byte-identical to an
@@ -286,7 +289,7 @@ type Stats struct {
 	// OracleChecked counts pruned sites the runtime differential oracle
 	// re-simulated anyway to confirm the static prediction.
 	OracleChecked int
-	Failures      int           // experiments recorded as Failed by the containment layer
+	Failures      int           // Failed rows in the dataset, restored ones included
 	Checkpoints   int           // checkpoint files written
 	Workers       int           // worker pool size used
 	Elapsed       time.Duration // wall clock, golden runs included
@@ -336,9 +339,10 @@ func Run(cfg Config) (*dataset.Dataset, error) {
 	return ds, err
 }
 
-// RunStats is Run plus wall-clock/throughput accounting. It restores the
-// resume checkpoint (if any) and runs the campaign engine over the plan
-// indices not yet done.
+// RunStats is Run plus wall-clock/throughput accounting. It opens the
+// campaign's ledger, which restores the resume checkpoint (if any) and
+// writes the checkpoints, and runs the campaign engine over the plan
+// indices the ledger does not hold yet.
 func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 	start := time.Now()
 	en, err := newEngine(cfg)
@@ -346,38 +350,16 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		return nil, Stats{}, err
 	}
 	cfg = en.cfg
-
-	// Records land at their plan index, so the merged dataset is in
-	// canonical plan order no matter which worker ran which experiment —
-	// and no matter how much of it was restored from a checkpoint.
-	records := make([]dataset.Record, len(en.plan))
-	// done[i] is set with release semantics once records[i] is final; the
-	// checkpointer's acquire loads make its record snapshots consistent.
-	// Only allocated when checkpointing/resume is on: the plain campaign
-	// hot path stays exactly as before.
-	var done []atomic.Bool
-	var ckp *checkpointer
-	restored := 0
-	if cfg.CheckpointPath != "" {
-		done = make([]atomic.Bool, len(records))
-		if cfg.Resume {
-			if restored, err = restoreCheckpoint(cfg, records, done); err != nil {
-				return nil, Stats{}, err
-			}
-		}
-		ckp = startCheckpointer(cfg, records, done)
+	led, err := openLedger(cfg, en.plan)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 
 	// pending is this run's work list: every plan index the resume
 	// checkpoint (if any) did not cover, in canonical order. The engine
 	// only records goldens for kernels with pending work, so resuming a
 	// nearly finished campaign is nearly free.
-	pending := make([]int, 0, len(records)-restored)
-	for i := range records {
-		if restored == 0 || !done[i].Load() {
-			pending = append(pending, i)
-		}
-	}
+	pending := led.pending()
 
 	// Pruned experiments count as completed work, so Progress reports a
 	// strictly increasing 1..total over everything this run resolves.
@@ -387,15 +369,7 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		progMu sync.Mutex
 	)
 	rs, runErr := en.resolve(pending, func(idxs []int, outs []lockstep.Outcome) {
-		for i, idx := range idxs {
-			records[idx] = recordFor(en.plan[idx], outs[i], cfg.Mode)
-			if ckp != nil {
-				done[idx].Store(true)
-			}
-		}
-		if ckp != nil {
-			ckp.completed(len(idxs))
-		}
+		led.put(idxs, outs)
 		if cfg.Progress != nil {
 			progMu.Lock()
 			for range idxs {
@@ -405,65 +379,60 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 			progMu.Unlock()
 		}
 	})
-	if rs.Pruned > 0 {
-		telemetry.Default.Counter("inject.pruned").Add(int64(rs.Pruned))
-	}
-	if rs.OracleChecked > 0 {
-		telemetry.Default.Counter("inject.pruned_oracle_checked").Add(int64(rs.OracleChecked))
-	}
+	led.tally(rs.Pruned, rs.OracleChecked)
+	ckErr := led.close()
 
-	st := Stats{
-		Experiments:   len(records),
-		Restored:      restored,
-		Pruned:        rs.Pruned,
-		OracleChecked: rs.OracleChecked,
-		Failures:      rs.Failures,
-		Workers:       rs.workers,
-		PlanTime:      en.planTime,
-		GoldenTime:    rs.golden,
-		PruneTime:     rs.prune,
-		SimulateTime:  rs.simulate,
-	}
-	if runErr != nil {
-		st.Experiments = restored + rs.resolved
-	}
-	if ckp != nil {
-		n, err := ckp.stop()
-		st.Checkpoints = n
-		if err != nil {
-			return nil, st, fmt.Errorf("inject: checkpoint: %w", err)
-		}
-	}
+	st := led.stats()
+	st.Workers = rs.workers
+	st.PlanTime = en.planTime
+	st.GoldenTime, st.PruneTime, st.SimulateTime = rs.golden, rs.prune, rs.simulate
 	st.Elapsed = time.Since(start)
 	if secs := st.Elapsed.Seconds(); secs > 0 {
 		st.PerSec = float64(st.Executed()) / secs
 	}
 	en.tel.finish(st)
+	if ckErr != nil {
+		return nil, st, ckErr
+	}
 	if runErr != nil {
 		return nil, st, runErr
 	}
-	return &dataset.Dataset{Records: records}, st, nil
+	return &dataset.Dataset{Records: led.records}, st, nil
 }
 
-// checkpointer owns the campaign's checkpoint file. Workers only flip
-// done bits and bump a completion counter; the checkpointer goroutine
-// snapshots the done bitmap into spans and persists them atomically every
-// CheckpointEvery completions, and stop() writes the final checkpoint.
-type checkpointer struct {
-	path    string
-	every   int64
-	fp      Fingerprint
+// ledger is the one owner of a campaign's rows by plan index, for RunStats
+// and the Coordinator alike: it renders every outcome into its row,
+// restores a resume checkpoint's rows, counts the done and the Failed rows
+// and the pruning tallies, and, with Config.CheckpointPath set, runs the
+// checkpoint writer. put may be called from many goroutines at once, for
+// distinct plan indices.
+type ledger struct {
+	plan    []Experiment
+	mode    lockstep.Mode
 	records []dataset.Record
-	done    []atomic.Bool
+	// done[i] is set with release semantics once records[i] is final; the
+	// checkpoint writer's acquire loads make its record snapshots
+	// consistent.
+	done     []atomic.Bool
+	restored int
+	// doneN counts the done rows and failures the Failed ones, restored
+	// rows included. pruned and oracleChecked are the tallies of the rows
+	// put since the ledger opened (see Stats).
+	doneN, failures, pruned, oracleChecked atomic.Int64
 
-	completedN atomic.Int64
-	kick       chan struct{}
-	quit       chan struct{}
+	// The checkpoint writer, nil kick and quit without CheckpointPath. Its
+	// goroutine snapshots the done bitmap into spans and persists them
+	// atomically every CheckpointEvery completions, and close writes the
+	// final checkpoint.
+	path       string
+	every      int64
+	fp         Fingerprint
+	kick, quit chan struct{}
 	idle       sync.WaitGroup
+	writes     atomic.Int64
 
-	// Written by the loop goroutine, read by stop() after idle.Wait.
-	writes int
-	err    error
+	// Written by the writer goroutine, read by close after idle.Wait.
+	err error
 	// prefix is the number of leading plan indices every earlier write
 	// found done, and rows their records' rows: they are final, so each is
 	// encoded once. tail and buf are the other rows and the file image,
@@ -475,45 +444,125 @@ type checkpointer struct {
 	telDone, telLast *telemetry.Gauge
 }
 
-func startCheckpointer(cfg Config, records []dataset.Record, done []atomic.Bool) *checkpointer {
-	c := &checkpointer{
-		path:      cfg.CheckpointPath,
-		every:     int64(cfg.CheckpointEvery),
-		fp:        cfg.fingerprint(),
-		records:   records,
-		done:      done,
-		kick:      make(chan struct{}, 1),
-		quit:      make(chan struct{}),
-		telWrites: telemetry.Default.Counter("inject.checkpoint_writes"),
-		telDone:   telemetry.Default.Gauge("inject.checkpoint_done"),
-		telLast:   telemetry.Default.Gauge("inject.checkpoint_last_unix_ms"),
+// openLedger opens the ledger of a normalized config's campaign over its
+// plan. With Config.Resume it restores the checkpoint at CheckpointPath,
+// refusing a corrupt or mismatched one with a typed error, and with
+// CheckpointPath set it starts the checkpoint writer.
+func openLedger(cfg Config, plan []Experiment) (*ledger, error) {
+	l := &ledger{
+		plan:    plan,
+		mode:    cfg.Mode,
+		records: make([]dataset.Record, len(plan)),
+		done:    make([]atomic.Bool, len(plan)),
 	}
-	telemetry.Default.Gauge("inject.checkpoint_total").Set(int64(len(records)))
-	c.idle.Add(1)
-	go c.loop()
-	return c
+	if cfg.Resume {
+		ck, err := ReadCheckpoint(cfg.CheckpointPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := ck.validate(cfg, len(plan)); err != nil {
+			return nil, err
+		}
+		for _, sp := range ck.Done {
+			for i := sp.Lo; i < sp.Hi; i++ {
+				r := ck.Records[l.restored]
+				l.records[i] = r
+				l.done[i].Store(true)
+				if r.Failed {
+					l.failures.Add(1)
+				}
+				l.restored++
+			}
+		}
+		l.doneN.Store(int64(l.restored))
+		telemetry.Default.Gauge("inject.experiments_restored").Set(int64(l.restored))
+	}
+	if cfg.CheckpointPath != "" {
+		l.path = cfg.CheckpointPath
+		l.every = int64(cfg.CheckpointEvery)
+		l.fp = cfg.fingerprint()
+		l.kick = make(chan struct{}, 1)
+		l.quit = make(chan struct{})
+		l.telWrites = telemetry.Default.Counter("inject.checkpoint_writes")
+		l.telDone = telemetry.Default.Gauge("inject.checkpoint_done")
+		l.telLast = telemetry.Default.Gauge("inject.checkpoint_last_unix_ms")
+		telemetry.Default.Gauge("inject.checkpoint_total").Set(int64(len(plan)))
+		l.idle.Add(1)
+		go l.loop()
+	}
+	return l, nil
 }
 
-// completed is the worker-side trigger for n more completed experiments:
-// O(1), lock-free. A write is due whenever the count crosses a multiple
-// of CheckpointEvery.
-func (c *checkpointer) completed(n int) {
-	now := c.completedN.Add(int64(n))
-	if now/c.every != (now-int64(n))/c.every {
+// pending returns the plan indices whose rows are not done, ascending.
+func (l *ledger) pending() []int {
+	idxs := make([]int, 0, len(l.done)-l.count())
+	for i := range l.done {
+		if !l.done[i].Load() {
+			idxs = append(idxs, i)
+		}
+	}
+	return idxs
+}
+
+// count returns the number of done rows, restored ones included.
+func (l *ledger) count() int { return int(l.doneN.Load()) }
+
+// put renders outs[i] into the row of plan index idxs[i] and marks the
+// rows done, with one atomic count per batch. A checkpoint write is due
+// whenever the count of rows put since the ledger opened crosses a
+// multiple of CheckpointEvery.
+func (l *ledger) put(idxs []int, outs []lockstep.Outcome) {
+	for i, idx := range idxs {
+		l.records[idx] = recordFor(l.plan[idx], outs[i], l.mode)
+		if outs[i].Failed {
+			l.failures.Add(1)
+		}
+		l.done[idx].Store(true)
+	}
+	n := int64(len(idxs))
+	now := l.doneN.Add(n) - int64(l.restored)
+	if l.kick != nil && now/l.every != (now-n)/l.every {
 		select {
-		case c.kick <- struct{}{}:
-		default: // a write is already due; it will see these completions
+		case l.kick <- struct{}{}:
+		default: // a write is already due; it will see these rows
 		}
 	}
 }
 
-func (c *checkpointer) loop() {
-	defer c.idle.Done()
+// tally adds the pruning counts of rows put to the campaign's, and to the
+// inject.pruned and inject.pruned_oracle_checked counters.
+func (l *ledger) tally(pruned, oracleChecked int) {
+	if pruned > 0 {
+		l.pruned.Add(int64(pruned))
+		telemetry.Default.Counter("inject.pruned").Add(int64(pruned))
+	}
+	if oracleChecked > 0 {
+		l.oracleChecked.Add(int64(oracleChecked))
+		telemetry.Default.Counter("inject.pruned_oracle_checked").Add(int64(oracleChecked))
+	}
+}
+
+// stats fills the counts of the campaign's Stats: every done row, the
+// restored and the Failed ones among them, the pruning tallies and the
+// checkpoint files written. The driver adds its own times and workers.
+func (l *ledger) stats() Stats {
+	return Stats{
+		Experiments:   l.count(),
+		Restored:      l.restored,
+		Pruned:        int(l.pruned.Load()),
+		OracleChecked: int(l.oracleChecked.Load()),
+		Failures:      int(l.failures.Load()),
+		Checkpoints:   int(l.writes.Load()),
+	}
+}
+
+func (l *ledger) loop() {
+	defer l.idle.Done()
 	for {
 		select {
-		case <-c.kick:
-			c.write()
-		case <-c.quit:
+		case <-l.kick:
+			l.write()
+		case <-l.quit:
 			return
 		}
 	}
@@ -523,21 +572,21 @@ func (c *checkpointer) loop() {
 // the checkpoint. A record whose done bit is set is final, so the rows of
 // the done prefix carry over from the last write and only the rest are
 // encoded again. The campaign keeps running on a write error; the first
-// error is surfaced when the checkpointer stops, so a full dataset is
-// never discarded because one checkpoint write failed mid-run.
-func (c *checkpointer) write() {
-	for c.prefix < len(c.done) && c.done[c.prefix].Load() {
-		c.rows = appendRow(c.rows, c.records[c.prefix])
-		c.prefix++
+// error is surfaced by close, so a full dataset is never discarded because
+// one checkpoint write failed mid-run.
+func (l *ledger) write() {
+	for l.prefix < len(l.done) && l.done[l.prefix].Load() {
+		l.rows = appendRow(l.rows, l.records[l.prefix])
+		l.prefix++
 	}
 	var spans []Span
-	if c.prefix > 0 {
-		spans = append(spans, Span{Lo: 0, Hi: c.prefix})
+	if l.prefix > 0 {
+		spans = append(spans, Span{Lo: 0, Hi: l.prefix})
 	}
-	n := c.prefix
-	c.tail = c.tail[:0]
-	for i := c.prefix; i < len(c.done); i++ {
-		if !c.done[i].Load() {
+	n := l.prefix
+	l.tail = l.tail[:0]
+	for i := l.prefix; i < len(l.done); i++ {
+		if !l.done[i].Load() {
 			continue
 		}
 		if k := len(spans); k > 0 && spans[k-1].Hi == i {
@@ -545,33 +594,41 @@ func (c *checkpointer) write() {
 		} else {
 			spans = append(spans, Span{Lo: i, Hi: i + 1})
 		}
-		c.tail = appendRow(c.tail, c.records[i])
+		l.tail = appendRow(l.tail, l.records[i])
 		n++
 	}
 	var err error
-	if c.buf, err = appendCheckpoint(c.buf[:0], c.fp, len(c.records), spans, n, c.rows, c.tail); err == nil {
-		err = atomicfile.Write(c.path, c.buf)
+	if l.buf, err = appendCheckpoint(l.buf[:0], l.fp, len(l.records), spans, n, l.rows, l.tail); err == nil {
+		err = atomicfile.Write(l.path, l.buf)
 	}
 	if err != nil {
-		if c.err == nil {
-			c.err = err
+		if l.err == nil {
+			l.err = err
 		}
 		return
 	}
-	c.writes++
-	c.telWrites.Inc()
-	c.telDone.Set(int64(n))
-	c.telLast.Set(time.Now().UnixMilli())
+	l.writes.Add(1)
+	l.telWrites.Inc()
+	l.telDone.Set(int64(n))
+	l.telLast.Set(time.Now().UnixMilli())
 }
 
-// stop drains the checkpoint loop, writes the final checkpoint (which
-// covers the whole plan on a completed campaign) and reports how many
-// checkpoint files were written plus the first write error, if any.
-func (c *checkpointer) stop() (int, error) {
-	close(c.quit)
-	c.idle.Wait()
-	c.write()
-	return c.writes, c.err
+// close stops the checkpoint writer and writes the final checkpoint,
+// which covers the whole plan on a completed campaign, and returns the
+// first write error, if any. Without a writer, or once closed, it does
+// nothing.
+func (l *ledger) close() error {
+	if l.quit == nil {
+		return nil
+	}
+	close(l.quit)
+	l.idle.Wait()
+	l.quit = nil
+	l.write()
+	if l.err != nil {
+		return fmt.Errorf("inject: checkpoint: %w", l.err)
+	}
+	return nil
 }
 
 // campaignTelemetry holds the pre-created metric handles for one

@@ -137,7 +137,7 @@ func TestLeaseScriptSequence(t *testing.T) {
 	run := func(cfg Config, size, workers int, seed int64) {
 		co, now := newCo(cfg, size)
 		fmt.Fprintf(&log, "== %d workers, lease size %d, seed %d, resume %v: %d/%d restored\n",
-			workers, size, seed, cfg.Resume, co.restored, co.Total())
+			workers, size, seed, cfg.Resume, co.led.restored, co.Total())
 		check := checkFree(co)
 		check("after NewCoordinator")
 		leaseScript(t, co, now, seed, workers, 4000, &log, check)
