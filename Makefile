@@ -31,8 +31,13 @@ fmt:
 	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# vet also holds the simulation packages free of metrics: the campaign
+# engine records what they compute, so no registry has to reach the
+# constructors the benchmark calls (lockstep.NewGolden, NewReplayer).
 vet:
 	$(GO) vet ./...
+	@if $(GO) list -deps ./internal/lockstep ./internal/handler | grep -qx 'lockstep/internal/telemetry'; then \
+		echo "internal/lockstep or internal/handler depends on internal/telemetry"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -102,16 +107,18 @@ resume-determinism:
 # corpus included), fit the worst-case span submission in the body
 # limit, resume a half-merged campaign from its checkpoint, and —
 # against the real binaries — stay byte-identical after a worker is
-# SIGKILLed mid-span. Both hosts serve through one edge: each answers a
-# full limiter with 429, an expired deadline with 504 and a trickled
-# body within the deadline, and a worker retries the 429, resends a
-# refused span commit and finishes (TestWorkerRetriesOverload). A worker
+# SIGKILLed mid-span. A distributed job's progress is its coordinator's
+# merged count, so a span reply written late cannot set it back
+# (TestSlowSpanReplyKeepsProgress). Both hosts serve through one edge:
+# each answers a full limiter with 429, an expired deadline with 504 and
+# a trickled body within the deadline, and a worker retries the 429,
+# resends a refused span commit and finishes (TestWorkerRetriesOverload). A worker
 # node's spans of one kernel block build its golden once, and spans over
 # more kernels than the bound evict the least recently used golden
 # (TestSpanRunnerGoldenReuse).
 distributed-determinism:
 	$(GO) test -race -run 'TestDistributedMatchesRun|TestLeaseKernelAffinity|TestLeaseExpiryReissue|TestDrainWorkers|TestCommitRejections|TestCoordinatorResume|TestSpanRunnerMatchesRun|TestSpanRunnerGoldenReuse|TestFingerprintConfigRoundTrip' -count=1 ./internal/inject/
-	$(GO) test -race -run 'TestDistributedCampaignMatchesDirect|TestDistributorMatchesDirect|TestDistributedEndpointErrors|TestDistributedRestartResume|TestSubmitForeignCheckpointRejected|TestWorstCaseSpanFitsBody|FuzzDistributedRequest|TestWorkerRetriesOverload|TestTrickledBodyReleasesSlot|TestConcurrencyLimiter|TestDeadlineExceeded' -count=1 ./internal/server/
+	$(GO) test -race -run 'TestDistributedCampaignMatchesDirect|TestDistributorMatchesDirect|TestDistributedEndpointErrors|TestDistributedRestartResume|TestSubmitForeignCheckpointRejected|TestWorstCaseSpanFitsBody|FuzzDistributedRequest|TestWorkerRetriesOverload|TestTrickledBodyReleasesSlot|TestConcurrencyLimiter|TestDeadlineExceeded|TestSlowSpanReplyKeepsProgress' -count=1 ./internal/server/
 	$(GO) test -run 'TestDistributedKillWorkerEquivalence|TestDistributeJoinExclusive' -count=1 ./cmd/lockstep-inject/
 
 # The lockstep-mode determinism gate: (a) a dcls campaign reproduces the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 
 	"lockstep/internal/core"
@@ -587,12 +588,12 @@ func (c *Context) SpreadAnalysis() Spread {
 		if !r.Detected {
 			continue
 		}
-		bits := float64(popcount(r.DSR))
+		scs := float64(bits.OnesCount64(r.DSR))
 		if r.Hard() {
-			hardBits += bits
+			hardBits += scs
 			hardN++
 		} else {
-			softBits += bits
+			softBits += scs
 			softN++
 		}
 	}
@@ -616,15 +617,6 @@ func (sp Spread) Print(w io.Writer) {
 		sp.SoftSets, sp.HardSets, 100*sp.MorePct)
 	fmt.Fprintf(w, "  avg diverged SCs at detection: soft %.2f, hard %.2f\n",
 		sp.SoftAvgSCs, sp.HardAvgSCs)
-}
-
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
 }
 
 // --------------------------------------------- dynamic predictor ablation
@@ -727,16 +719,16 @@ func (c *Context) SweepStopWindow(windows []int) (WindowSweep, error) {
 		train, test := ds.Split(rng, 0.8)
 		table := core.Train(train, core.Coarse7, 0)
 		soft, hard, overall := table.TypeAccuracy(test.Balanced(rng))
-		var bits, n float64
+		var scs, n float64
 		for _, r := range ds.Records {
 			if r.Detected {
-				bits += float64(popcount(r.DSR))
+				scs += float64(bits.OnesCount64(r.DSR))
 				n++
 			}
 		}
 		sw.DistinctSets = append(sw.DistinctSets, ds.DistinctDSRs())
 		if n > 0 {
-			sw.AvgSetSize = append(sw.AvgSetSize, bits/n)
+			sw.AvgSetSize = append(sw.AvgSetSize, scs/n)
 		} else {
 			sw.AvgSetSize = append(sw.AvgSetSize, 0)
 		}

@@ -21,7 +21,6 @@ import (
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
 	"lockstep/internal/sbist"
-	"lockstep/internal/telemetry"
 )
 
 // Phase labels for the reaction timeline.
@@ -133,50 +132,8 @@ func (h *Handler) HandleLive(d *lockstep.DMR, kernel string, faultyUnit int, har
 	return re, nil
 }
 
-// react runs the handler flow of Figure 9c and records the reaction's
-// telemetry.
+// react runs the handler flow of Figure 9c.
 func (h *Handler) react(dsr uint64, kernel string) Reaction {
-	re := h.reactFlow(dsr, kernel)
-	observe(re)
-	return re
-}
-
-// observe records one reaction episode into the default telemetry
-// registry: the end-to-end LERT split by prediction outcome (predicted
-// type x table hit/miss), the cycles attributed to each reaction phase,
-// and a reaction-result counter. Pure atomic recording — the reaction
-// itself is unaffected.
-func observe(re Reaction) {
-	pred := "soft"
-	if re.PredHard {
-		pred = "hard"
-	}
-	known := "miss"
-	if re.KnownSet {
-		known = "hit"
-	}
-	telemetry.Default.Histogram("handler.lert", telemetry.CycleBuckets,
-		telemetry.L("pred", pred), telemetry.L("known", known)).Observe(re.LERT)
-	// Attribute timeline cycle deltas to the phase that consumed them.
-	prev := int64(0)
-	for _, e := range re.Timeline {
-		if d := e.Cycle - prev; d > 0 {
-			telemetry.Default.Histogram("handler.phase_cycles", telemetry.CycleBuckets,
-				telemetry.L("phase", e.Phase)).Observe(d)
-		}
-		prev = e.Cycle
-	}
-	result := "restart"
-	if re.FoundHard {
-		result = "hard-fault"
-	}
-	telemetry.Default.Counter("handler.reactions",
-		telemetry.L("pred", pred), telemetry.L("known", known),
-		telemetry.L("result", result)).Inc()
-}
-
-// reactFlow is the reaction flow proper; react wraps it with telemetry.
-func (h *Handler) reactFlow(dsr uint64, kernel string) Reaction {
 	re := Reaction{DSR: dsr, FaultyUnit: -1}
 	now := int64(0)
 	log := func(phase, note string) {

@@ -340,7 +340,7 @@ func (w *worker) resolveRun(run []int, put func([]int, []lockstep.Outcome), ws *
 			return
 		}
 		if batch := w.resolveBatch(g, run[:n], ws); len(batch) > 0 {
-			en.tel.add(k, w.tally)
+			en.tel.add(k, w.tally, w.replays)
 			put(batch, w.outs)
 			en.finished(k, len(batch))
 		}
@@ -365,13 +365,15 @@ func (en *engine) stopping() bool {
 }
 
 // resolveBatch resolves indices of one kernel against its golden g until
-// the call stops, leaving their outcomes in w.outs and their outcome
-// counts in w.tally, and returns the indices it resolved.
+// the call stops, leaving their outcomes in w.outs, their outcome counts
+// in w.tally and the replays it ran in w.replays, and returns the indices
+// it resolved.
 func (w *worker) resolveBatch(g *lockstep.Golden, idxs []int, ws *resolveStats) []int {
 	en := w.en
 	cfg := &en.cfg
 	w.outs = w.outs[:0]
 	clear(w.tally)
+	w.replays = 0
 	mark := time.Now()
 	for i, idx := range idxs {
 		if en.stopping() {
@@ -464,10 +466,11 @@ func oracleSampled(seed int64, e Experiment) bool {
 type worker struct {
 	en  *engine
 	rep *lockstep.Replayer // replay scratch; nil until first use or after poisoning
-	// The batch being resolved: its outcomes, and their counts for the
-	// campaign telemetry.
-	outs  []lockstep.Outcome
-	tally []int64
+	// The batch being resolved: its outcomes, and for the campaign
+	// telemetry their counts and the replays it ran.
+	outs    []lockstep.Outcome
+	tally   []int64
+	replays int64
 }
 
 // retries is how many times a panicking experiment is re-attempted
@@ -503,6 +506,11 @@ func (w *worker) once(e Experiment, g *lockstep.Golden, noSkip bool) (out lockst
 		}
 	}()
 	cfg := &w.en.cfg
+	if e.Cycle < cfg.Mode.Horizon(g.TotalCycles) {
+		// A slip site at or past the compare horizon returns before it
+		// restores anything.
+		w.replays++
+	}
 	if noSkip {
 		out = w.rep.InjectModeNoSkip(g, e.injection(), cfg.Mode, w.en.window)
 	} else {

@@ -33,6 +33,7 @@ package inject
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -649,6 +650,15 @@ type campaignTelemetry struct {
 	experiments         *telemetry.Counter
 	failures            *telemetry.Counter
 	goldenBytes         *telemetry.Gauge
+	// detections and dsrPop count the detected outcomes and the bit
+	// population of their DSRs: how many signal categories diverged by
+	// the time the checker stopped the CPUs, the raw signal the
+	// correlation tables are built from (hard faults spread across more
+	// SCs than transients, Section III-B). replays counts the replays the
+	// workers ran, each from a restored golden state.
+	detections *telemetry.Counter
+	dsrPop     *telemetry.Histogram
+	replays    *telemetry.Counter
 }
 
 // outcomeTel is the per-(kernel, kind) handle set: one counter per
@@ -679,6 +689,9 @@ func newCampaignTelemetry(cfg Config) *campaignTelemetry {
 		experiments: telemetry.Default.Counter("inject.experiments"),
 		failures:    telemetry.Default.Counter("inject.experiment_failures"),
 		goldenBytes: telemetry.Default.Gauge("inject.golden_trace_bytes"),
+		detections:  telemetry.Default.Counter("lockstep.detections", telemetry.L("source", "inject")),
+		dsrPop:      telemetry.Default.Histogram("lockstep.dsr_popcount", telemetry.PopBuckets, telemetry.L("source", "inject")),
+		replays:     telemetry.Default.Counter("inject.replay_restores"),
 	}
 	for _, kernel := range cfg.Kernels {
 		for _, kind := range cfg.Kinds {
@@ -695,9 +708,9 @@ func newCampaignTelemetry(cfg Config) *campaignTelemetry {
 }
 
 // tally counts plan index idx's outcome into a worker's batch tally,
-// tally[kind*numClasses+class] for the kind's position, and observes its
-// detection latency. add then publishes the tally of a batch of one
-// kernel in one atomic add per class.
+// tally[kind*numClasses+class] for the kind's position, and observes a
+// detection's latency and DSR population. add then publishes the tally
+// of a batch of one kernel in one atomic add per class.
 func (t *campaignTelemetry) tally(tally []int64, idx, cycle int, out lockstep.Outcome) {
 	kind := idx / t.perGroup % t.kinds
 	c := classEscaped
@@ -707,26 +720,33 @@ func (t *campaignTelemetry) tally(tally []int64, idx, cycle int, out lockstep.Ou
 	case out.Detected:
 		c = classDetected
 		t.outcomes[idx/t.perKernel*t.kinds+kind].latency.Observe(int64(out.DetectCycle - cycle))
+		t.dsrPop.Observe(int64(bits.OnesCount64(out.DSR)))
 	case out.Converged:
 		c = classConverged
 	}
 	tally[kind*numClasses+c]++
 }
 
-// add publishes a batch tally of the kernel at position kernel.
-func (t *campaignTelemetry) add(kernel int, tally []int64) {
-	var n int64
+// add publishes a batch tally of the kernel at position kernel and the
+// number of replays the batch ran.
+func (t *campaignTelemetry) add(kernel int, tally []int64, replays int64) {
+	var n, detected int64
 	for i, v := range tally {
 		if v == 0 {
 			continue
 		}
 		n += v
 		t.outcomes[kernel*t.kinds+i/numClasses].class[i%numClasses].Add(v)
-		if i%numClasses == classFailed {
+		switch i % numClasses {
+		case classFailed:
 			t.failures.Add(v)
+		case classDetected:
+			detected += v
 		}
 	}
 	t.experiments.Add(n)
+	t.detections.Add(detected)
+	t.replays.Add(replays)
 }
 
 func (t *campaignTelemetry) finish(st Stats) {

@@ -90,35 +90,66 @@ func replayTelemetry() (traceBytes, restores, pruned, oracle int64, haveGauge bo
 
 // TestReplayTelemetry: a replay campaign publishes the footprint of the
 // goldens its engine holds (after a campaign, the last kernel's), bumps
-// the restore counter at least once per simulated experiment (each
-// repositions its worker's replay image), and accounts every
-// statically-pruned site and oracle re-simulation in the inject.pruned /
-// inject.pruned_oracle_checked counters.
+// the restore counter once per replay it runs — every simulated
+// experiment but a slip site at or past the compare horizon, which ends
+// before it restores anything — and accounts every statically-pruned
+// site and oracle re-simulation in the inject.pruned /
+// inject.pruned_oracle_checked counters: under dcls, tmr and slip, pruned
+// (where the oracle simulates sampled sites past a slip horizon) and
+// unpruned (where every site past it is simulated).
 func TestReplayTelemetry(t *testing.T) {
-	_, restoresBefore, prunedBefore, oracleBefore, _ := replayTelemetry()
-	cfg := smallConfig()
-	ds, st, err := RunStats(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceBytes, restoresAfter, prunedAfter, oracleAfter, haveGauge := replayTelemetry()
-	if !haveGauge {
-		t.Fatal("inject.golden_trace_bytes gauge not published")
-	}
-	if traceBytes <= 0 {
-		t.Fatalf("inject.golden_trace_bytes = %d, want > 0", traceBytes)
-	}
-	simulated := ds.Len() - st.Pruned
-	if got := restoresAfter - restoresBefore; got < int64(simulated) {
-		t.Fatalf("inject.replay_restores grew by %d over %d simulated experiments", got, simulated)
-	}
-	if st.Pruned <= 0 {
-		t.Fatalf("Stats.Pruned = %d, want > 0 on a default-config campaign", st.Pruned)
-	}
-	if got := prunedAfter - prunedBefore; got != int64(st.Pruned) {
-		t.Fatalf("inject.pruned grew by %d, Stats.Pruned = %d", got, st.Pruned)
-	}
-	if got := oracleAfter - oracleBefore; got != int64(st.OracleChecked) {
-		t.Fatalf("inject.pruned_oracle_checked grew by %d, Stats.OracleChecked = %d", got, st.OracleChecked)
+	slip := lockstep.Mode{Kind: lockstep.ModeSlip, Slip: 1500}
+	for _, tc := range []struct {
+		name    string
+		mode    lockstep.Mode
+		noPrune bool
+	}{
+		{"dcls", lockstep.Mode{}, false},
+		{"tmr", lockstep.Mode{Kind: lockstep.ModeTMR}, false},
+		{"slip:1500", slip, false},
+		{"slip:1500 no-prune", slip, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Mode, cfg.NoPrune = tc.mode, tc.noPrune
+			_, restoresBefore, prunedBefore, oracleBefore, _ := replayTelemetry()
+			ds, st, err := RunStats(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traceBytes, restoresAfter, prunedAfter, oracleAfter, haveGauge := replayTelemetry()
+			if !haveGauge {
+				t.Fatal("inject.golden_trace_bytes gauge not published")
+			}
+			if traceBytes <= 0 {
+				t.Fatalf("inject.golden_trace_bytes = %d, want > 0", traceBytes)
+			}
+			plan, err := cfg.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The simulated sites at or past the horizon: all of them
+			// unpruned, the oracle's sample of them pruned.
+			horizon, past := cfg.Mode.Horizon(cfg.RunCycles), 0
+			for _, e := range plan {
+				if e.Cycle >= horizon && (cfg.NoPrune || oracleSampled(cfg.Seed, e)) {
+					past++
+				}
+			}
+			replays := ds.Len() - st.Pruned - past
+			if got := restoresAfter - restoresBefore; got != int64(replays) {
+				t.Fatalf("inject.replay_restores grew by %d, want %d: %d experiments, %d pruned, %d simulated at or past the horizon",
+					got, replays, ds.Len(), st.Pruned, past)
+			}
+			if !cfg.NoPrune && st.Pruned <= 0 {
+				t.Fatalf("Stats.Pruned = %d, want > 0 on a pruned campaign", st.Pruned)
+			}
+			if got := prunedAfter - prunedBefore; got != int64(st.Pruned) {
+				t.Fatalf("inject.pruned grew by %d, Stats.Pruned = %d", got, st.Pruned)
+			}
+			if got := oracleAfter - oracleBefore; got != int64(st.OracleChecked) {
+				t.Fatalf("inject.pruned_oracle_checked grew by %d, Stats.OracleChecked = %d", got, st.OracleChecked)
+			}
+		})
 	}
 }

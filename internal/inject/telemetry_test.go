@@ -2,10 +2,12 @@ package inject
 
 import (
 	"encoding/json"
+	"math/bits"
 	"strings"
 	"testing"
 	"time"
 
+	"lockstep/internal/lockstep"
 	"lockstep/internal/telemetry"
 )
 
@@ -128,55 +130,97 @@ func TestCampaignPhaseTimers(t *testing.T) {
 
 // TestCampaignTelemetryByKernelAndKind: each experiment lands in the
 // outcome counter and detection-latency histogram of its own kernel and
-// fault kind, which the workers find from the plan index alone.
+// fault kind, which the workers find from the plan index alone, and each
+// detected row adds one to lockstep.detections{source=inject} and one
+// observation of its DSR's bit population to
+// lockstep.dsr_popcount{source=inject}: under dcls, under tmr and in an
+// unpruned slip campaign.
 func TestCampaignTelemetryByKernelAndKind(t *testing.T) {
 	type key struct{ kernel, kind, outcome string }
-	counts := func() (map[key]int64, map[key]int64) {
-		out, lat := map[key]int64{}, map[key]int64{}
+	type reading struct {
+		out, lat                     map[key]int64
+		detections, popCount, popSum int64
+	}
+	read := func() reading {
+		r := reading{out: map[key]int64{}, lat: map[key]int64{}}
 		snap := telemetry.Default.Snapshot()
 		for _, c := range snap.Counters {
-			if c.Name == "inject.outcomes" {
-				out[key{c.Labels["kernel"], c.Labels["kind"], c.Labels["outcome"]}] = c.Value
+			switch {
+			case c.Name == "inject.outcomes":
+				r.out[key{c.Labels["kernel"], c.Labels["kind"], c.Labels["outcome"]}] = c.Value
+			case c.Name == "lockstep.detections" && c.Labels["source"] == "inject":
+				r.detections = c.Value
 			}
 		}
 		for _, h := range snap.Histograms {
-			if h.Name == "inject.detect_latency" {
-				lat[key{h.Labels["kernel"], h.Labels["kind"], "detected"}] = h.Count
+			switch {
+			case h.Name == "inject.detect_latency":
+				r.lat[key{h.Labels["kernel"], h.Labels["kind"], "detected"}] = h.Count
+			case h.Name == "lockstep.dsr_popcount" && h.Labels["source"] == "inject":
+				r.popCount, r.popSum = h.Count, h.Sum
 			}
 		}
-		return out, lat
+		return r
 	}
-	cfg := smallConfig()
-	cfg.FlopStride = 48
-	cfg.InjectionsPerFlopKind = 2
-	outBefore, latBefore := counts()
-	ds, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outAfter, latAfter := counts()
-	want := map[key]int64{}
-	for _, r := range ds.Records {
-		outcome := "escaped"
-		switch {
-		case r.Failed:
-			outcome = "failed"
-		case r.Detected:
-			outcome = "detected"
-		case r.Converged:
-			outcome = "converged"
-		}
-		want[key{r.Kernel, r.Kind.String(), outcome}]++
-	}
-	for k, n := range want {
-		if got := outAfter[k] - outBefore[k]; got != n {
-			t.Errorf("inject.outcomes%+v grew by %d, want %d", k, got, n)
-		}
-		if k.outcome != "detected" {
-			continue
-		}
-		if got := latAfter[k] - latBefore[k]; got != n {
-			t.Errorf("inject.detect_latency{%s %s} grew by %d observations, want %d", k.kernel, k.kind, got, n)
-		}
+	for _, tc := range []struct {
+		name    string
+		mode    lockstep.Mode
+		noPrune bool
+	}{
+		{"dcls", lockstep.Mode{}, false},
+		{"tmr", lockstep.Mode{Kind: lockstep.ModeTMR}, false},
+		{"slip:1500 no-prune", lockstep.Mode{Kind: lockstep.ModeSlip, Slip: 1500}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.FlopStride = 48
+			cfg.InjectionsPerFlopKind = 2
+			cfg.Mode, cfg.NoPrune = tc.mode, tc.noPrune
+			before := read()
+			ds, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := read()
+			want := map[key]int64{}
+			var detected, popSum int64
+			for _, r := range ds.Records {
+				outcome := "escaped"
+				switch {
+				case r.Failed:
+					outcome = "failed"
+				case r.Detected:
+					outcome = "detected"
+					detected++
+					popSum += int64(bits.OnesCount64(r.DSR))
+				case r.Converged:
+					outcome = "converged"
+				}
+				want[key{r.Kernel, r.Kind.String(), outcome}]++
+			}
+			for k, n := range want {
+				if got := after.out[k] - before.out[k]; got != n {
+					t.Errorf("inject.outcomes%+v grew by %d, want %d", k, got, n)
+				}
+				if k.outcome != "detected" {
+					continue
+				}
+				if got := after.lat[k] - before.lat[k]; got != n {
+					t.Errorf("inject.detect_latency{%s %s} grew by %d observations, want %d", k.kernel, k.kind, got, n)
+				}
+			}
+			if detected == 0 {
+				t.Fatal("the campaign detected nothing")
+			}
+			if got := after.detections - before.detections; got != detected {
+				t.Errorf("lockstep.detections{source=inject} grew by %d, want the %d detected rows", got, detected)
+			}
+			if got := after.popCount - before.popCount; got != detected {
+				t.Errorf("lockstep.dsr_popcount{source=inject} gained %d observations, want %d", got, detected)
+			}
+			if got := after.popSum - before.popSum; got != popSum {
+				t.Errorf("lockstep.dsr_popcount{source=inject} sum grew by %d, want the rows' total DSR population %d", got, popSum)
+			}
+		})
 	}
 }

@@ -190,7 +190,6 @@ func (g *Golden) injectTMRLegacy(inj Injection, window int) Outcome {
 			step()
 			dsr |= vote().DSR
 		}
-		recordDSR("inject", dsr)
 		// Forward recovery on the oracle's own triple: restore the
 		// majority architectural state (main and mon are bit-identical,
 		// either is the majority) into every core — including the erring

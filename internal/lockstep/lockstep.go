@@ -15,56 +15,12 @@ package lockstep
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 	"unsafe"
 
 	"lockstep/internal/cpu"
 	"lockstep/internal/mem"
-	"lockstep/internal/telemetry"
 	"lockstep/internal/workload"
 )
-
-// dsrTel caches the telemetry handles for one DSR source so the
-// injection hot path records detections with pure atomic operations —
-// no registry lookup, no key formatting, zero heap allocations. Handles
-// are created on first detection, preserving the "metric appears when it
-// first fires" snapshot behaviour.
-type dsrTel struct {
-	once sync.Once
-	det  *telemetry.Counter
-	pop  *telemetry.Histogram
-}
-
-func (t *dsrTel) record(source string, dsr uint64) {
-	t.once.Do(func() {
-		t.det = telemetry.Default.Counter("lockstep.detections", telemetry.L("source", source))
-		t.pop = telemetry.Default.Histogram("lockstep.dsr_popcount", telemetry.PopBuckets,
-			telemetry.L("source", source))
-	})
-	t.det.Inc()
-	t.pop.Observe(int64(bits.OnesCount64(dsr)))
-}
-
-var (
-	injectDSRTel  dsrTel
-	checkerDSRTel dsrTel
-)
-
-// recordDSR logs the bit population of a latched DSR to the default
-// telemetry registry: how many signal categories diverged by the time
-// the checker stopped the CPUs — the raw signal the paper's correlation
-// tables are built from (hard faults spread across visibly more SCs than
-// single-cycle transients). source is "inject" for the campaign harness
-// (DSR after the full stop-latency accumulation window) or "checker" for
-// a live Checker latch (first-divergence map).
-func recordDSR(source string, dsr uint64) {
-	if source == "inject" {
-		injectDSRTel.record(source, dsr)
-		return
-	}
-	checkerDSRTel.record(source, dsr)
-}
 
 // FaultKind is the class of injected fault.
 type FaultKind uint8
@@ -265,7 +221,6 @@ func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) 
 				p.step()
 				dsr |= p.diverge()
 			}
-			recordDSR("inject", dsr)
 			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 		}
 		if p.converged() {
@@ -313,7 +268,6 @@ func (c *Checker) Compare(vecs ...*cpu.OutVec) bool {
 	c.DSR = dsr
 	c.Error = true
 	c.ErrCycle = c.cycle
-	recordDSR("checker", dsr)
 	return true
 }
 

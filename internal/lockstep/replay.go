@@ -2,26 +2,10 @@ package lockstep
 
 import (
 	"math/bits"
-	"sync"
 
 	"lockstep/internal/cpu"
 	"lockstep/internal/mem"
-	"lockstep/internal/telemetry"
 )
-
-// replayTel caches the inject.replay_restores counter handle so the hot
-// path increments a single atomic — no registry lookup, no allocation.
-var replayTel struct {
-	once     sync.Once
-	restores *telemetry.Counter
-}
-
-func countReplayRestore() {
-	replayTel.once.Do(func() {
-		replayTel.restores = telemetry.Default.Counter("inject.replay_restores")
-	})
-	replayTel.restores.Inc()
-}
 
 // Replayer is the per-worker scratch state of the golden-trace injection
 // path: one mem.ReplayBus carrying the faulty CPU's memory image, the
@@ -176,7 +160,6 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 	if window < 1 {
 		window = 1
 	}
-	countReplayRestore()
 	r.seek(g, inj.Cycle)
 	loc := cpu.LocOf(inj.Flop)
 	red, spare := &r.red[0], &r.red[1]
@@ -259,7 +242,6 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 					cyc++
 					dsr |= cpu.DivergeStates(&g.states[cyc], red)
 				}
-				recordDSR("inject", dsr)
 				return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 			}
 		}

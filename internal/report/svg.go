@@ -9,7 +9,10 @@ package report
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
+
+	"lockstep/internal/stats"
 )
 
 // Chart geometry shared by all SVG renderings.
@@ -177,7 +180,7 @@ func LineChart(title string, xs []int, series map[string][]float64, yUnit string
 	for name := range series {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for si, name := range names {
 		ys := series[name]
 		color := palette[si%len(palette)]
@@ -205,7 +208,7 @@ func LineChart(title string, xs []int, series map[string][]float64, yUnit string
 // Histogram renders a probability distribution head (top bars) — one panel
 // of the paper's Figures 4/5.
 func Histogram(title string, probs []float64, topN int) string {
-	idx := argsortDesc(probs)
+	idx := stats.ArgsortDesc(probs)
 	if len(idx) > topN {
 		idx = idx[:topN]
 	}
@@ -216,25 +219,4 @@ func Histogram(title string, probs []float64, topN int) string {
 		vals[i] = probs[id] * 100
 	}
 	return BarChart(title, labels, vals, "%")
-}
-
-func argsortDesc(xs []float64) []int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && xs[idx[j]] > xs[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -205,8 +205,12 @@ type job struct {
 	// is valid either way).
 	trainedTable string
 	trainErr     string
+	// co is a distributed job's coordinator while it runs: the lease and
+	// span endpoints dispatch into it, and the job's progress is its
+	// merged count.
+	co *inject.Coordinator
 
-	done atomic.Int64 // completed experiments, restored included
+	done atomic.Int64 // completed experiments, restored included, while co is nil
 }
 
 func (j *job) setState(state string) {
@@ -244,9 +248,6 @@ type jobManager struct {
 	mu    sync.Mutex
 	jobs  map[string]*job
 	order []string // submission order, for listing
-	// active maps a distributed job's ID to its live coordinator while
-	// the job runs; the lease/span endpoints dispatch into it.
-	active map[string]*inject.Coordinator
 
 	queue    chan *job
 	cancel   chan struct{}
@@ -265,7 +266,6 @@ func newJobManager(opt Options, reg *telemetry.Registry, tables *tableManager) (
 		reg:        reg,
 		tables:     tables,
 		jobs:       map[string]*job{},
-		active:     map[string]*inject.Coordinator{},
 		cancel:     make(chan struct{}),
 	}
 	queued, err := m.adopt()
@@ -478,15 +478,16 @@ func (m *jobManager) runDistributed(j *job, cfg inject.Config) {
 		m.finish(j, nil, inject.Stats{}, err)
 		return
 	}
-	done, _ := co.Progress()
-	j.done.Store(int64(done))
-	m.mu.Lock()
-	m.active[j.ID] = co
-	m.mu.Unlock()
+	j.mu.Lock()
+	j.co = co
+	j.mu.Unlock()
 	err = co.WaitDone(m.cancel)
-	m.mu.Lock()
-	delete(m.active, j.ID)
-	m.mu.Unlock()
+	// The coordinator merges nothing more: keep its count.
+	done, _ := co.Progress()
+	j.mu.Lock()
+	j.co = nil
+	j.done.Store(int64(done))
+	j.mu.Unlock()
 	if err != nil {
 		m.finish(j, nil, co.Stats(), err)
 		return
@@ -495,11 +496,12 @@ func (m *jobManager) runDistributed(j *job, cfg inject.Config) {
 	m.finish(j, ds, st, err)
 }
 
-// coordinator returns the live coordinator of a distributed job, if any.
-func (m *jobManager) coordinator(id string) *inject.Coordinator {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.active[id]
+// coordinator returns the job's live coordinator, nil unless it is a
+// running distributed job.
+func (j *job) coordinator() *inject.Coordinator {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.co
 }
 
 // finish applies one campaign run's terminal transition: interrupted
@@ -635,10 +637,15 @@ type jobStatus struct {
 func (j *job) status() jobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	done := j.done.Load()
+	if j.co != nil {
+		n, _ := j.co.Progress()
+		done = int64(n)
+	}
 	return jobStatus{
 		ID:           j.ID,
 		State:        j.state,
-		Done:         j.done.Load(),
+		Done:         done,
 		Total:        j.Total,
 		Restored:     j.stats.Restored,
 		Failures:     j.stats.Failures,

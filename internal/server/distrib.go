@@ -51,19 +51,18 @@ func serveLease(co *inject.Coordinator, w http.ResponseWriter, r *http.Request) 
 	return nil
 }
 
-// serveSpan runs one span submission against a live coordinator and
-// reports the campaign-wide merged count after it.
-func serveSpan(co *inject.Coordinator, w http.ResponseWriter, r *http.Request) (int, error) {
+// serveSpan runs one span submission against a live coordinator.
+func serveSpan(co *inject.Coordinator, w http.ResponseWriter, r *http.Request) error {
 	var sub inject.SpanSubmit
 	if err := readJSON(w, r, maxSpanBody, &sub); err != nil {
-		return 0, err
+		return err
 	}
 	reply, err := co.Commit(&sub)
 	if err != nil {
-		return 0, injectAPIError(err)
+		return injectAPIError(err)
 	}
 	writeJSON(w, http.StatusOK, reply)
-	return reply.Done, nil
+	return nil
 }
 
 // handleCampaignLease serves POST /v1/campaigns/{id}/leases.
@@ -72,7 +71,7 @@ func (s *Server) handleCampaignLease(w http.ResponseWriter, r *http.Request) err
 	if err != nil {
 		return err
 	}
-	if co := s.jobs.coordinator(j.ID); co != nil {
+	if co := j.coordinator(); co != nil {
 		return serveLease(co, w, r)
 	}
 	// No live coordinator: the job is done, not yet started, or not
@@ -114,12 +113,8 @@ func (s *Server) handleCampaignSpan(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	if co := s.jobs.coordinator(j.ID); co != nil {
-		done, err := serveSpan(co, w, r)
-		if err == nil {
-			j.done.Store(int64(done))
-		}
-		return err
+	if co := j.coordinator(); co != nil {
+		return serveSpan(co, w, r)
 	}
 	var sub inject.SpanSubmit
 	if err := readJSON(w, r, maxSpanBody, &sub); err != nil {
@@ -161,8 +156,7 @@ func NewDistributor(co *inject.Coordinator) http.Handler {
 		return serveLease(co, w, r)
 	}))
 	s.handle("POST /v1/campaigns/{id}/spans", "campaign-span", ours(func(w http.ResponseWriter, r *http.Request) error {
-		_, err := serveSpan(co, w, r)
-		return err
+		return serveSpan(co, w, r)
 	}))
 	s.handle("GET /v1/campaigns/{id}", "campaign-status", ours(func(w http.ResponseWriter, r *http.Request) error {
 		done, total := co.Progress()

@@ -208,7 +208,7 @@ func TestWorkerRetriesOverload(t *testing.T) {
 	}
 	id := body["id"].(string)
 	// Every lease the worker asks for is then granted, none is a wait.
-	for start := time.Now(); serve.jobs.coordinator(id) == nil; time.Sleep(time.Millisecond) {
+	for start := time.Now(); serve.jobs.get(id).coordinator() == nil; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 30*time.Second {
 			t.Fatal("the distributed job never started its coordinator")
 		}
@@ -414,6 +414,119 @@ func TestDistributedEndpointErrors(t *testing.T) {
 				t.Fatalf("error field %v, want %s", e["field"], tc.checkField)
 			}
 		})
+	}
+}
+
+// heldWriter is a ResponseWriter whose first Write closes writing and
+// then blocks until release is closed.
+type heldWriter struct {
+	*httptest.ResponseRecorder
+	writing, release chan struct{}
+	once             sync.Once
+}
+
+func (w *heldWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.writing)
+		<-w.release
+	})
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSlowSpanReplyKeepsProgress: a distributed job's progress is its
+// coordinator's merged count, however slowly the span replies are
+// written. The campaign's nine spans are leased to one worker, and the
+// first is committed through a ResponseWriter that holds the reply. The
+// job must count that span while its reply is held, and must still
+// report done equal to total once the other eight have landed, the job
+// has finished and the held reply has been written.
+func TestSlowSpanReplyKeepsProgress(t *testing.T) {
+	ds, _, _ := testFixture(t)
+	s := newTestServer(t, func(o *Options) { o.LeaseSize = 32 })
+	code, body := do(t, s, "POST", "/v1/campaigns", distCampaignJSON)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d %v", code, body)
+	}
+	id := body["id"].(string)
+	leases, spans := "/v1/campaigns/"+id+"/leases", "/v1/campaigns/"+id+"/spans"
+
+	// Lease every span: the coordinator answers wait before it starts and
+	// once all are leased.
+	var granted []inject.LeaseReply
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		var reply inject.LeaseReply
+		code, raw := postMsg(t, s, leases, &inject.LeaseRequest{Worker: "w", Digest: id})
+		decodeReply(t, code, raw, &reply)
+		if reply.Status == inject.LeaseGranted {
+			granted = append(granted, reply)
+			continue
+		}
+		if len(granted) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no lease granted within 30s")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if len(granted) != 9 {
+		t.Fatalf("%d spans leased, want 9", len(granted))
+	}
+	// submit commits a span with the outcomes of the direct run's rows.
+	submit := func(reply inject.LeaseReply) *inject.SpanSubmit {
+		sub := &inject.SpanSubmit{Worker: "w", Digest: id, LeaseID: reply.LeaseID, Span: reply.Span}
+		for _, r := range ds.Records[reply.Span.Lo:reply.Span.Hi] {
+			sub.Outcomes = append(sub.Outcomes, lockstep.Outcome{Detected: r.Detected, DetectCycle: r.DetectCycle,
+				DSR: r.DSR, Converged: r.Converged, Failed: r.Failed})
+		}
+		return sub
+	}
+	progress := func() (string, int) {
+		code, body := do(t, s, "GET", "/v1/campaigns/"+id, "")
+		if code != http.StatusOK {
+			t.Fatalf("status: %d %v", code, body)
+		}
+		return body["state"].(string), int(body["done"].(float64))
+	}
+
+	first, err := json.Marshal(submit(granted[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &heldWriter{ResponseRecorder: httptest.NewRecorder(),
+		writing: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(held.release) }) }
+	defer release() // on a failure, too
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.ServeHTTP(held, httptest.NewRequest("POST", spans, bytes.NewReader(first)))
+	}()
+	select {
+	case <-held.writing:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first span's reply was never written")
+	}
+	n := granted[0].Span.Hi - granted[0].Span.Lo
+	if state, done := progress(); state != stateRunning || done != n {
+		t.Errorf("with the first span merged and its reply held: %s, done %d, want running, done %d", state, done, n)
+	}
+
+	for _, reply := range granted[1:] {
+		code, raw := postMsg(t, s, spans, submit(reply))
+		if code != http.StatusOK {
+			t.Fatalf("span %+v: status %d %s", reply.Span, code, raw)
+		}
+	}
+	waitJob(t, s, id, stateDone)
+	release()
+	<-served
+	if held.Code != http.StatusOK {
+		t.Fatalf("held span commit: status %d %s", held.Code, held.Body)
+	}
+	if state, done := progress(); state != stateDone || done != granted[0].Total {
+		t.Fatalf("after the held reply: %s, done %d, want done, done %d", state, done, granted[0].Total)
 	}
 }
 

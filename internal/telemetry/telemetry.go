@@ -4,11 +4,12 @@
 // metric registries whose Snapshot serializes deterministically to JSON.
 //
 // The paper's whole argument is quantitative — detection latencies, DSR
-// bit patterns, LERT per reaction phase — so the simulator's hot paths
-// (inject, lockstep, handler) record into the Default registry and the
-// campaign CLIs expose it via -metrics (JSON snapshot) and -pprof
-// (net/http/pprof plus expvar, where the Default registry is published
-// as "lockstep.telemetry").
+// bit patterns — so the campaign engine (inject) and the HTTP service
+// (server, unless given a registry of its own) record into the Default
+// registry, and the campaign CLIs expose it via -metrics (JSON snapshot)
+// and -pprof (net/http/pprof plus expvar, where the Default registry is
+// published as "lockstep.telemetry"). The simulation packages (lockstep,
+// handler) record nothing: the engine counts the outcomes they return.
 //
 // All metric updates are single atomic operations: they are safe from any
 // number of goroutines, never block, and never perturb campaign
