@@ -79,9 +79,12 @@ race:
 # a 13-kernel campaign once and hold at most Workers+1 at a time
 # (TestGoldenBound), and a cancel that lands while a golden is being
 # built must resume to the uninterrupted dataset
-# (TestCancelThenResumeIdenticalDataset).
+# (TestCancelThenResumeIdenticalDataset). lockstep-trace's run, the
+# dual-CPU oracle plus a recorder, must return the replay's outcome on a
+# grid of kernels, kinds, flops and cycles, with one map per cycle of the
+# stop window, cut at the horizon (TestTraceMatchesInject).
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestGoldenBound|TestCancelThenResumeIdenticalDataset|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestDiffWordsMatchesCompares|TestFieldMaskSkipsPadding|TestDivergeStatesMatchesOutputs|TestFlopLocMatchesAccessors|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestGoldenBound|TestCancelThenResumeIdenticalDataset|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestTraceMatchesInject|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestDiffWordsMatchesCompares|TestFieldMaskSkipsPadding|TestDivergeStatesMatchesOutputs|TestFlopLocMatchesAccessors|TestPlanMatchesReference|TestPlanSourceMatchesMathRand|TestAppendCSVMatchesSprintf' -count=1 \
 		./internal/inject/ ./internal/lockstep/ ./internal/cpu/ ./internal/dataset/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
@@ -92,10 +95,14 @@ determinism:
 # canceled campaign with Failed rows on both sides of the cut must resume
 # to the same dataset and the same Stats counts (restored Failed rows
 # included) through RunStats and through a Coordinator fed by SpanRunners
-# (TestResumeStatsAcrossDrivers).
+# (TestResumeStatsAcrossDrivers). A checkpoint write that fails mid-run
+# is superseded by the next, so the campaign still returns the
+# uninterrupted dataset (TestFailedCheckpointWriteSuperseded), and a
+# SIGINT to a local lockstep-inject run writes a final checkpoint that
+# -resume completes to the same bytes (TestInterruptWritesFinalCheckpoint).
 resume-determinism:
-	$(GO) test -run 'TestResumeProducesIdenticalDataset|TestResumeConfigMismatch|TestResumeRefusesBadCheckpoint|TestPanicContainment|TestResumeStatsAcrossDrivers' -count=1 ./internal/inject/
-	$(GO) test -run 'TestKillResumeEquivalence|TestCLIResumeRefusals' -count=1 ./cmd/lockstep-inject/
+	$(GO) test -run 'TestResumeProducesIdenticalDataset|TestResumeConfigMismatch|TestResumeRefusesBadCheckpoint|TestPanicContainment|TestResumeStatsAcrossDrivers|TestFailedCheckpointWriteSuperseded' -count=1 ./internal/inject/
+	$(GO) test -run 'TestKillResumeEquivalence|TestCLIResumeRefusals|TestInterruptWritesFinalCheckpoint' -count=1 ./cmd/lockstep-inject/
 
 # The distributed-campaign contracts, explicitly: a span-lease campaign
 # must merge to the byte-identical single-machine dataset at any worker

@@ -27,7 +27,8 @@
 //
 // -checkpoint makes the campaign crash-safe: an atomic resumable
 // checkpoint is rewritten every -checkpoint-every completed experiments
-// and once more on completion. After a crash or kill, rerun the same
+// and once more on completion or on SIGINT/SIGTERM, which stop the
+// campaign (exit 1). After a crash, kill or interrupt, rerun the same
 // command with -resume to continue from the last checkpoint; the final
 // dataset is byte-identical to an uninterrupted run at any worker count.
 // -resume refuses (exit 1) on a corrupt checkpoint or when any
@@ -149,6 +150,31 @@ func main() {
 	}
 }
 
+// onInterrupt installs a campaign's SIGINT/SIGTERM handler: the first
+// signal prints one line to errw and closes cancel, and stop removes the
+// handler. Installed before start-up, it makes a signal that arrives
+// during start-up wait and then cancel the campaign gracefully, final
+// checkpoint included, instead of killing the process.
+func onInterrupt(errw io.Writer, who string, checkpoint bool) (cancel <-chan struct{}, stop func()) {
+	line := who + ": interrupted"
+	if checkpoint {
+		line += "; writing final checkpoint"
+	}
+	sig, c := make(chan os.Signal, 1), make(chan struct{})
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		if _, ok := <-sig; ok {
+			fmt.Fprintln(errw, line)
+			close(c)
+		}
+	}()
+	// Once Stop returns no signal reaches sig: closing it ends the goroutine.
+	return c, func() {
+		signal.Stop(sig)
+		close(sig)
+	}
+}
+
 // runDistribute coordinates a distributed campaign: it serves span
 // leases on addr and merges worker submissions; it simulates nothing
 // itself. SIGINT/SIGTERM stop leasing and — with -checkpoint — persist a
@@ -157,13 +183,8 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 	if err := checkOutput(out); err != nil {
 		return err
 	}
-	// The handler goes in before the coordinator starts: a signal that
-	// arrives during start-up waits in sig and then cancels the campaign
-	// gracefully (final checkpoint included), instead of killing the
-	// process.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
+	cancel, stop := onInterrupt(errw, "coordinator", cfg.CheckpointPath != "")
+	defer stop()
 	co, err := inject.NewCoordinator(cfg, inject.DistConfig{LeaseSize: leaseSize, LeaseTTL: leaseTTL})
 	if err != nil {
 		return err
@@ -178,13 +199,6 @@ func runDistribute(cfg inject.Config, addr string, leaseSize int, leaseTTL time.
 	done, total := co.Progress()
 	fmt.Fprintf(errw, "coordinator: campaign %s, %d/%d experiments merged\n", co.Digest(), done, total)
 	fmt.Fprintf(errw, "coordinator: join with: lockstep-inject -join http://%s/v1/campaigns/%s\n", ln.Addr(), co.Digest())
-
-	cancel := make(chan struct{})
-	go func() {
-		<-sig
-		fmt.Fprintln(errw, "coordinator: interrupted; writing final checkpoint")
-		close(cancel)
-	}()
 
 	waitErr := co.WaitDone(cancel)
 	if waitErr == nil {
@@ -270,11 +284,16 @@ func writeDataset(ds *dataset.Dataset, out string) error {
 }
 
 // run executes the campaign and writes the CSV log, the optional
-// telemetry snapshot, and the summary lines (to errw).
+// telemetry snapshot, and the summary lines (to errw). SIGINT/SIGTERM
+// cancel the campaign, and with -checkpoint persist a final checkpoint,
+// so rerunning with -resume continues it.
 func run(cfg inject.Config, out, metricsPath, pprofAddr string, summary bool, errw io.Writer) error {
 	if err := checkOutput(out); err != nil {
 		return err
 	}
+	cancel, stop := onInterrupt(errw, "lockstep-inject", cfg.CheckpointPath != "")
+	defer stop()
+	cfg.Cancel = cancel
 	if pprofAddr != "" {
 		url, err := telemetry.ServeDebug(pprofAddr)
 		if err != nil {

@@ -198,6 +198,60 @@ func TestKillResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestInterruptWritesFinalCheckpoint: a SIGINT mid-run cancels a local
+// campaign gracefully. The command exits 1 after writing a final
+// checkpoint, although no periodic one was due, and writes no dataset;
+// -resume from that checkpoint reproduces the uninterrupted dataset byte
+// for byte.
+func TestInterruptWritesFinalCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	args := func(out string) []string {
+		return []string{"-o", out, "-kernels", "ttsprk,rspeed", "-cycles", "4000", "-stride", "1", "-seed", "5", "-workers", "1"}
+	}
+	refCSV := filepath.Join(dir, "ref.csv")
+	if res := clitest.Exec(t, args(refCSV)...); res.Code != 0 {
+		t.Fatalf("reference campaign: exit %d, stderr: %s", res.Code, res.Stderr)
+	}
+	want, err := os.ReadFile(refCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Unpruned, the campaign runs for hundreds of milliseconds after its
+	// first progress line; -no-prune writes the same dataset.
+	out, ck := filepath.Join(dir, "out.csv"), filepath.Join(dir, "ck.lsc")
+	interrupted := append(args(out), "-no-prune", "-checkpoint", ck, "-checkpoint-every", "100000000")
+	p := clitest.Start(t, interrupted...)
+	p.WaitOutput("5000/", 30*time.Second)
+	p.Signal(os.Interrupt)
+	res := p.Wait()
+	if res.Code != 1 || !strings.Contains(res.Stderr, "lockstep-inject: interrupted; writing final checkpoint") ||
+		!strings.Contains(res.Stderr, inject.ErrCanceled.Error()) {
+		t.Fatalf("SIGINT: exit %d, stderr %q; want exit 1 after a graceful cancel", res.Code, res.Stderr)
+	}
+	snap, err := inject.ReadCheckpoint(ck)
+	if err != nil {
+		t.Fatalf("no final checkpoint after SIGINT: %v", err)
+	}
+	if n := snap.DoneCount(); n < 5000 || n >= snap.Total {
+		t.Fatalf("final checkpoint covers %d of %d experiments, want a mid-run count", n, snap.Total)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("canceled campaign wrote its dataset (stat: %v)", err)
+	}
+
+	if res := clitest.Exec(t, append(interrupted, "-resume")...); res.Code != 0 {
+		t.Fatalf("resume: exit %d, stderr: %s", res.Code, res.Stderr)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatal("dataset resumed after SIGINT is not byte-identical to the uninterrupted run")
+	}
+}
+
 // TestCLIResumeRefusals: the binary must exit 1 with a diagnostic when
 // -resume meets a corrupt checkpoint or a changed schedule flag — never
 // silently restart the campaign.

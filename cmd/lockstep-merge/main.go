@@ -10,7 +10,7 @@
 // Exact duplicate records (identical kernel/flop/kind/cycle coordinates
 // and outcome) are dropped; conflicting records for the same experiment
 // coordinates are an error, since they indicate shards from incompatible
-// builds.
+// builds. So is a mix of lockstep modes, which no table is trained from.
 package main
 
 import (
@@ -83,6 +83,9 @@ func merge(paths []string) (*dataset.Dataset, mergeStats, error) {
 			return nil, st, fmt.Errorf("%s: %w", path, err)
 		}
 		for _, r := range ds.Records {
+			if len(merged.Records) > 0 && r.Mode != merged.Records[0].Mode {
+				return nil, st, fmt.Errorf("%s: %s records after %s ones; a dataset holds one lockstep mode", path, r.Mode, merged.Records[0].Mode)
+			}
 			k := key{kernel: r.Kernel, flop: r.Flop, kind: uint8(r.Kind), cycle: r.InjectCycle}
 			if prev, dup := seen[k]; dup {
 				if prev != r {

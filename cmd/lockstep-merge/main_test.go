@@ -8,13 +8,14 @@ import (
 
 	"lockstep/internal/clitest"
 	"lockstep/internal/inject"
+	"lockstep/internal/lockstep"
 )
 
 func init() { clitest.Register(main) }
 
 func TestMain(m *testing.M) { clitest.Dispatch(m) }
 
-func shard(t *testing.T, kernel string, seed int64) string {
+func shard(t *testing.T, kernel string, seed int64, mode lockstep.Mode) string {
 	t.Helper()
 	ds, err := inject.Run(inject.Config{
 		Kernels:               []string{kernel},
@@ -23,6 +24,7 @@ func shard(t *testing.T, kernel string, seed int64) string {
 		InjectionsPerFlopKind: 1,
 		FlopStride:            64,
 		Seed:                  seed,
+		Mode:                  mode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +42,8 @@ func shard(t *testing.T, kernel string, seed int64) string {
 }
 
 func TestMergeDisjointShards(t *testing.T) {
-	a := shard(t, "ttsprk", 1)
-	b := shard(t, "puwmod", 1)
+	a := shard(t, "ttsprk", 1, lockstep.Mode{})
+	b := shard(t, "puwmod", 1, lockstep.Mode{})
 	merged, st, err := merge([]string{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +61,7 @@ func TestMergeDisjointShards(t *testing.T) {
 }
 
 func TestMergeDropsExactDuplicates(t *testing.T) {
-	a := shard(t, "rspeed", 3)
+	a := shard(t, "rspeed", 3, lockstep.Mode{})
 	merged, st, err := merge([]string{a, a})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func TestMergeDropsExactDuplicates(t *testing.T) {
 }
 
 func TestMergeRejectsConflicts(t *testing.T) {
-	a := shard(t, "rspeed", 3)
+	a := shard(t, "rspeed", 3, lockstep.Mode{})
 	// Corrupt a copy: flip one record's detection flag (the detected
 	// column) on exactly one line.
 	data, err := os.ReadFile(a)
@@ -98,12 +100,30 @@ func TestMergeRejectsConflicts(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsMixedModes: a shard of another lockstep mode than the
+// shards before it is refused, naming the shard, since lockstep-train and
+// lockstep-serve train on one mode; shards of one non-dcls mode merge.
+func TestMergeRejectsMixedModes(t *testing.T) {
+	tmr := lockstep.Mode{Kind: lockstep.ModeTMR}
+	dcls, a, b := shard(t, "ttsprk", 1, lockstep.Mode{}), shard(t, "rspeed", 1, tmr), shard(t, "puwmod", 1, tmr)
+	if _, _, err := merge([]string{dcls, a}); err == nil || !strings.Contains(err.Error(), a) {
+		t.Fatalf("dcls then tmr shard: err %v, want a refusal naming %s", err, a)
+	}
+	merged, _, err := merge([]string{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode, err := merged.Mode(); err != nil || mode != tmr {
+		t.Fatalf("merged tmr shards: mode %v, %v", mode, err)
+	}
+}
+
 // TestCLIExitStatus runs the real binary: merging shards exits 0 and
 // reports the shard/record counts; no arguments is a usage error (exit
 // 2); an unreadable shard or an output in a missing directory exits 1.
 func TestCLIExitStatus(t *testing.T) {
-	a := shard(t, "ttsprk", 1)
-	b := shard(t, "puwmod", 1)
+	a := shard(t, "ttsprk", 1, lockstep.Mode{})
+	b := shard(t, "puwmod", 1, lockstep.Mode{})
 	out := filepath.Join(t.TempDir(), "merged.csv")
 	res := clitest.Exec(t, "-o", out, a, b)
 	if res.Code != 0 {

@@ -1,5 +1,6 @@
-// Command lockstep-trace replays one fault-injection experiment and prints
-// the per-cycle divergence grid around the detection point: which signal
+// Command lockstep-trace runs one fault-injection experiment on the
+// dual-CPU oracle the differential gates hold the replay to, and prints
+// the per-cycle divergence grid of its stop window: which signal
 // categories diverge on which cycles, and what the accumulated Divergence
 // Status Register ends up holding. A debugging companion to
 // lockstep-inject for understanding signature formation.
@@ -48,7 +49,7 @@ func main() {
 	}
 }
 
-// run replays the experiment and prints the divergence grid to w.
+// run runs the experiment and prints the divergence grid to w.
 func run(w io.Writer, kernel string, flop int, reg string, bit int, kindName string, cycle, window, cycles int) error {
 	k := workload.ByName(kernel)
 	if k == nil {
@@ -66,15 +67,8 @@ func run(w io.Writer, kernel string, flop int, reg string, bit int, kindName str
 		return fmt.Errorf("unknown fault kind %q (soft|stuck0|stuck1)", kindName)
 	}
 	if reg != "" {
-		flop = -1
-		for i := 0; i < cpu.NumFlops(); i++ {
-			f := cpu.FlopAt(i)
-			if cpu.Registry()[f.Reg].Name == reg && int(f.Bit) == bit {
-				flop = i
-				break
-			}
-		}
-		if flop < 0 {
+		var ok bool
+		if flop, ok = cpu.FlopByName(reg, bit); !ok {
 			return fmt.Errorf("no flop %s[%d]; try -list", reg, bit)
 		}
 	}

@@ -65,6 +65,10 @@ func run(w io.Writer, dataPath string, granFlag, topK int, trainFrac float64, se
 	if err != nil {
 		return err
 	}
+	// A table serves one lockstep mode, so lockstep-serve refuses this too.
+	if _, err := ds.Mode(); err != nil {
+		return fmt.Errorf("%s: %w", dataPath, err)
+	}
 
 	// The shared training entrypoint: lockstep-serve's server-side
 	// training calls the same function, so a table trained online from

@@ -9,25 +9,37 @@ import (
 	"testing"
 
 	"lockstep/internal/clitest"
+	"lockstep/internal/dataset"
 	"lockstep/internal/inject"
+	"lockstep/internal/lockstep"
 )
 
 func init() { clitest.Register(main) }
 
 func TestMain(m *testing.M) { clitest.Dispatch(m) }
 
-func campaignFile(t *testing.T) string {
+// campaignFile writes a small campaign's dataset to a CSV file: a dcls
+// one, or the records of one campaign per mode given, in that order.
+func campaignFile(t *testing.T, modes ...lockstep.Mode) string {
 	t.Helper()
-	ds, err := inject.Run(inject.Config{
-		Kernels:               []string{"ttsprk"},
-		RunCycles:             6000,
-		Intervals:             64,
-		InjectionsPerFlopKind: 1,
-		FlopStride:            8,
-		Seed:                  3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if len(modes) == 0 {
+		modes = []lockstep.Mode{{}}
+	}
+	ds := &dataset.Dataset{}
+	for _, mode := range modes {
+		part, err := inject.Run(inject.Config{
+			Kernels:               []string{"ttsprk"},
+			RunCycles:             6000,
+			Intervals:             64,
+			InjectionsPerFlopKind: 1,
+			FlopStride:            8,
+			Seed:                  3,
+			Mode:                  mode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.Records = append(ds.Records, part.Records...)
 	}
 	path := filepath.Join(t.TempDir(), "c.csv")
 	f, err := os.Create(path)
@@ -102,6 +114,18 @@ func TestTrainCLIRejectsBadInputs(t *testing.T) {
 	path := campaignFile(t)
 	if err := run(&out, path, 9, 0, 0.8, 1, 0, ""); err == nil {
 		t.Fatal("bad granularity accepted")
+	}
+}
+
+// TestTrainRefusesMixedModes: a table serves one lockstep mode's
+// signatures, so a dataset that mixes modes is refused, as POST
+// /v1/tables refuses it with 400 invalid_dataset.
+func TestTrainRefusesMixedModes(t *testing.T) {
+	path := campaignFile(t, lockstep.Mode{}, lockstep.Mode{Kind: lockstep.ModeTMR})
+	var out bytes.Buffer
+	err := run(&out, path, 7, 0, 0.8, 1, 0, "")
+	if err == nil || !strings.Contains(err.Error(), "mixed lockstep modes (dcls and tmr)") {
+		t.Fatalf("mixed-mode dataset: err %v, report %q", err, out.String())
 	}
 }
 

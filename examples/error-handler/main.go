@@ -70,7 +70,7 @@ func run() error {
 	// actually reaches the outputs gets handled.
 	fmt.Println("=== episode 1: transient flip in the data processing unit ===")
 	handled := false
-	for bit := uint8(0); bit < 20 && !handled; bit += 2 {
+	for bit := 0; bit < 20 && !handled; bit += 2 {
 		flop := findFlop("XMAlu", bit)
 		dmr.Arm(lockstep.Injection{Flop: flop, Kind: lockstep.SoftFlip,
 			Cycle: dmr.Cycle + 500})
@@ -106,7 +106,7 @@ func run() error {
 	// detected one (default entry) otherwise.
 	fmt.Println("=== episode 2: stuck-at-1 in the load/store unit ===")
 	var lastRe *handler.Reaction
-	for bit := uint8(2); bit < 16; bit++ {
+	for bit := 2; bit < 16; bit++ {
 		flop := findFlop("LSUAddr", bit)
 		trial, err := lockstep.NewDMR(k)
 		if err != nil {
@@ -140,12 +140,10 @@ func run() error {
 	return fmt.Errorf("no stuck-at manifested; unexpected")
 }
 
-func findFlop(reg string, bit uint8) int {
-	for i := 0; i < cpu.NumFlops(); i++ {
-		f := cpu.FlopAt(i)
-		if cpu.Registry()[f.Reg].Name == reg && f.Bit == bit {
-			return i
-		}
+func findFlop(reg string, bit int) int {
+	i, ok := cpu.FlopByName(reg, bit)
+	if !ok {
+		panic("flop not found: " + reg)
 	}
-	panic("flop not found: " + reg)
+	return i
 }

@@ -107,14 +107,12 @@ func runUntilDiverged(t *lockstep.TMR, limit int) (*lockstep.VoteResult, int) {
 	return nil, limit
 }
 
-func flopOf(reg string, bit uint8) int {
-	for i := 0; i < cpu.NumFlops(); i++ {
-		f := cpu.FlopAt(i)
-		if cpu.Registry()[f.Reg].Name == reg && f.Bit == bit {
-			return i
-		}
+func flopOf(reg string, bit int) int {
+	i, ok := cpu.FlopByName(reg, bit)
+	if !ok {
+		panic("flop not found: " + reg)
 	}
-	panic("flop not found: " + reg)
+	return i
 }
 
 func scNames(dsr uint64) string {

@@ -53,6 +53,17 @@ func FlopAt(i int) Flop { return flopOfIdx[i] }
 // FlopIndex maps (register, bit) back to the flat flop index.
 func FlopIndex(f Flop) int { return flopBase[f.Reg] + int(f.Bit) }
 
+// FlopByName maps a register name and a bit within it to the flat flop
+// index; ok is false when no register of that name has that bit.
+func FlopByName(reg string, bit int) (i int, ok bool) {
+	for ri, r := range registry {
+		if r.Name == reg && bit >= 0 && bit < int(r.Width) {
+			return flopBase[ri] + bit, true
+		}
+	}
+	return 0, false
+}
+
 // FlopUnit returns the coarse unit owning flop i.
 func FlopUnit(i int) units.Unit { return registry[flopOfIdx[i].Reg].Unit }
 

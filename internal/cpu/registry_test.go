@@ -96,8 +96,20 @@ func TestForceBitIdempotent(t *testing.T) {
 
 func TestFlopIndexBijection(t *testing.T) {
 	for i := 0; i < NumFlops(); i++ {
-		if got := FlopIndex(FlopAt(i)); got != i {
+		f := FlopAt(i)
+		if got := FlopIndex(f); got != i {
 			t.Fatalf("flop %d round-trips to %d", i, got)
+		}
+		if got, ok := FlopByName(Registry()[f.Reg].Name, int(f.Bit)); !ok || got != i {
+			t.Fatalf("FlopByName(%s) = %d, %v", FlopName(i), got, ok)
+		}
+	}
+	for _, c := range []struct {
+		reg string
+		bit int
+	}{{"PC", -1}, {"PC", 32}, {"FQValid0", 1}, {"R0", 1}, {"NoSuchReg", 0}} {
+		if i, ok := FlopByName(c.reg, c.bit); ok {
+			t.Errorf("FlopByName(%s, %d) = %d, want no flop", c.reg, c.bit, i)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
@@ -309,5 +310,71 @@ func TestCheckpointProgressTelemetry(t *testing.T) {
 	}
 	if snap["inject.checkpoint_last_unix_ms"] <= 0 {
 		t.Fatal("inject.checkpoint_last_unix_ms not set")
+	}
+}
+
+// TestFailedCheckpointWriteSuperseded: a checkpoint write that fails
+// mid-run costs progress, not the campaign. The checkpoint path is a
+// directory from a quarter to half of the run, so the writes kicked in
+// between fail at the rename; the writes after it land. The campaign must
+// return the uninterrupted dataset, leave a complete final checkpoint and
+// count the failures in inject.checkpoint_write_failures.
+func TestFailedCheckpointWriteSuperseded(t *testing.T) {
+	ref, err := Run(containConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := ref.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "ck.lsc")
+	cfg := containConfig()
+	cfg.CheckpointPath = path
+	cfg.CheckpointEvery = 16
+	const failures = "inject.checkpoint_write_failures"
+	before := counterTotal(failures)
+	phase := 0 // 0: path writable, 1: path is a directory, 2: writable again
+	cfg.Progress = func(done, total int) {
+		switch {
+		case phase == 0 && done >= total/4:
+			// A write in flight may land its rename between the
+			// Remove and the Mkdir.
+			for os.Mkdir(path, 0o755) != nil {
+				os.Remove(path)
+			}
+			phase = 1
+		case phase == 1 && done >= total/2:
+			// The one worker waits here, so the kicks since the Mkdir
+			// are all in: the writer fails at least once.
+			for start := time.Now(); counterTotal(failures) == before && time.Since(start) < 10*time.Second; {
+				time.Sleep(time.Millisecond)
+			}
+			if err := os.Remove(path); err != nil {
+				t.Error(err)
+			}
+			phase = 2
+		}
+	}
+	ds, st, err := RunStats(cfg)
+	if err != nil {
+		t.Fatalf("campaign with one failed checkpoint write: %v", err)
+	}
+	if n := counterTotal(failures) - before; phase != 2 || n == 0 {
+		t.Fatalf("%d checkpoint writes failed while the path was a directory (phase %d)", n, phase)
+	}
+	var got bytes.Buffer
+	if err := ds.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("dataset differs from the uninterrupted run")
+	}
+	if ck := readCanonicalCheckpoint(t, path); ck.DoneCount() != ds.Len() {
+		t.Fatalf("final checkpoint covers %d of %d experiments", ck.DoneCount(), ds.Len())
+	}
+	if st.Checkpoints < 1 {
+		t.Fatalf("%d checkpoints written", st.Checkpoints)
 	}
 }

@@ -13,12 +13,13 @@ import (
 	"lockstep/internal/workload"
 )
 
-// failureCount reads the global containment-failure counter (monotone
-// across campaigns in one process, so tests measure deltas).
-func failureCount() int64 {
+// counterTotal reads a global counter, summed over its labels, without
+// creating it (monotone across campaigns in one process, so tests measure
+// deltas).
+func counterTotal(name string) int64 {
 	var n int64
 	for _, c := range telemetry.Default.Snapshot().Counters {
-		if c.Name == "inject.experiment_failures" {
+		if c.Name == name {
 			n += c.Value
 		}
 	}
@@ -52,7 +53,7 @@ func TestPanicContainment(t *testing.T) {
 	poison := plan[poisonIdx]
 
 	for _, workers := range []int{1, runtime.NumCPU()} {
-		before := failureCount()
+		before := counterTotal("inject.experiment_failures")
 		var attempts atomic.Int32
 		cfg := containConfig()
 		cfg.Workers = workers
@@ -75,7 +76,7 @@ func TestPanicContainment(t *testing.T) {
 		if st.Failures != 1 {
 			t.Fatalf("workers=%d: Stats.Failures = %d, want 1", workers, st.Failures)
 		}
-		if got := failureCount() - before; got != 1 {
+		if got := counterTotal("inject.experiment_failures") - before; got != 1 {
 			t.Fatalf("workers=%d: inject.experiment_failures grew by %d, want 1", workers, got)
 		}
 		for i, r := range ds.Records {

@@ -432,10 +432,9 @@ type ledger struct {
 	idle       sync.WaitGroup
 	writes     atomic.Int64
 
-	// Written by the writer goroutine, read by close after idle.Wait.
-	err error
-	// prefix is the number of leading plan indices every earlier write
-	// found done, and rows their records' rows: they are final, so each is
+	// Used by the writer goroutine, and by close after idle.Wait. prefix
+	// is the number of leading plan indices every earlier write found
+	// done, and rows their records' rows: they are final, so each is
 	// encoded once. tail and buf are the other rows and the file image,
 	// reused across writes.
 	prefix          int
@@ -562,7 +561,7 @@ func (l *ledger) loop() {
 	for {
 		select {
 		case <-l.kick:
-			l.write()
+			_ = l.write() // counted in write; the next write supersedes it
 		case <-l.quit:
 			return
 		}
@@ -572,10 +571,12 @@ func (l *ledger) loop() {
 // write snapshots the done bitmap into sorted disjoint spans and persists
 // the checkpoint. A record whose done bit is set is final, so the rows of
 // the done prefix carry over from the last write and only the rest are
-// encoded again. The campaign keeps running on a write error; the first
-// error is surfaced by close, so a full dataset is never discarded because
-// one checkpoint write failed mid-run.
-func (l *ledger) write() {
+// encoded again. Each write covers every row the one before it did, so a
+// failed write costs progress only until the next one lands: the
+// campaign keeps running, the failure counts in
+// inject.checkpoint_write_failures, and only the final write's error
+// (see close) fails the campaign.
+func (l *ledger) write() error {
 	for l.prefix < len(l.done) && l.done[l.prefix].Load() {
 		l.rows = appendRow(l.rows, l.records[l.prefix])
 		l.prefix++
@@ -603,21 +604,22 @@ func (l *ledger) write() {
 		err = atomicfile.Write(l.path, l.buf)
 	}
 	if err != nil {
-		if l.err == nil {
-			l.err = err
-		}
-		return
+		// Created on the first failure: a campaign whose writes all land
+		// keeps the snapshot it always had.
+		telemetry.Default.Counter("inject.checkpoint_write_failures").Inc()
+		return err
 	}
 	l.writes.Add(1)
 	l.telWrites.Inc()
 	l.telDone.Set(int64(n))
 	l.telLast.Set(time.Now().UnixMilli())
+	return nil
 }
 
 // close stops the checkpoint writer and writes the final checkpoint,
-// which covers the whole plan on a completed campaign, and returns the
-// first write error, if any. Without a writer, or once closed, it does
-// nothing.
+// which covers the whole plan on a completed campaign, and returns that
+// write's error: it supersedes every earlier write. Without a writer, or
+// once closed, it does nothing.
 func (l *ledger) close() error {
 	if l.quit == nil {
 		return nil
@@ -625,9 +627,8 @@ func (l *ledger) close() error {
 	close(l.quit)
 	l.idle.Wait()
 	l.quit = nil
-	l.write()
-	if l.err != nil {
-		return fmt.Errorf("inject: checkpoint: %w", l.err)
+	if err := l.write(); err != nil {
+		return fmt.Errorf("inject: checkpoint: %w", err)
 	}
 	return nil
 }

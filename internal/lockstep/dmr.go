@@ -10,9 +10,9 @@ import (
 // memory system, the redundant CPU is compare-only, and the checker
 // compares the output ports every cycle, latching the Divergence Status
 // Register on the first error. It is the runtime counterpart of the
-// campaign-oriented Replayer.InjectMode harness, for embedding in
-// applications (see examples/) and for driving the error-handling flow
-// end to end:
+// campaign-oriented Replayer.InjectMode harness and the machine of its
+// oracle (restoreDMR), for embedding in applications (see examples/) and
+// for driving the error-handling flow end to end:
 //
 //	dmr.Arm(...)                     // optional fault forcing
 //	dsr, cycle, ok := dmr.RunToError(limit)
@@ -46,6 +46,19 @@ func NewDMR(k *workload.Kernel) (*DMR, error) {
 	return d, nil
 }
 
+// restoreDMR is the machine of the oracle paths: the golden run restored
+// at the end of inj's cycle, a compare-only monitor forked from its main
+// CPU, and inj armed and struck on the monitor, which is bit-identical to
+// main until then.
+func (g *Golden) restoreDMR(inj Injection) *DMR {
+	sys, main := g.restore(inj.Cycle)
+	d := &DMR{Main: *main, Red: *main.Fork(mem.Monitor{Sys: sys}), Sys: sys, Cycle: inj.Cycle,
+		entry: g.Entry, kernel: g.Kernel}
+	d.Arm(inj)
+	d.fault.edge(&d.Red.State, &d.Main.State, d.Cycle)
+	return d
+}
+
 // Arm schedules fault forcing on the redundant CPU from inj.Cycle
 // (absolute cycle count) onward.
 func (d *DMR) Arm(inj Injection) {
@@ -58,7 +71,8 @@ func (d *DMR) Disarm() {
 	d.faultOn = false
 }
 
-// step advances both CPUs one cycle and applies any armed fault.
+// step advances both CPUs one cycle and applies any armed fault. Main
+// steps first: the monitor reads the memory image main's step leaves.
 func (d *DMR) step() {
 	d.Cycle++
 	d.Main.StepCycle()
@@ -90,13 +104,27 @@ func (d *DMR) RunToError(limit int) (dsr uint64, detectCycle int, ok bool) {
 			dsr = d.Chk.DSR
 			for w := 1; w < StopLatency; w++ {
 				d.step()
-				dsr |= diverge(&d.Main.State, &d.Red.State)
+				dsr |= d.diverge()
 			}
 			d.Chk.DSR = dsr
 			return dsr, detectCycle, true
 		}
 	}
 	return 0, 0, false
+}
+
+// diverge is the checker's divergence map between the two output ports;
+// the replay fast path computes it with cpu.DivergeStates.
+func (d *DMR) diverge() uint64 {
+	om, or := d.Main.State.Outputs(), d.Red.State.Outputs()
+	return cpu.Diverge(&om, &or)
+}
+
+// converged reports whether the soft fault armed on the redundant CPU has
+// passed and left it bit-identical to main. Convergence is absorbing:
+// equal states driven by the same bus stay equal.
+func (d *DMR) converged() bool {
+	return d.fault.inj.Kind == SoftFlip && !d.fault.hot && d.Red.State == d.Main.State
 }
 
 // Restart performs the soft-error recovery of Section II: both CPUs are

@@ -71,15 +71,8 @@ func TestDMRRestartRecovers(t *testing.T) {
 func TestDMRRedundantCannotCorruptMemory(t *testing.T) {
 	d := newDMR(t, "puwmod")
 	// A violent stuck-at in the redundant CPU's LSU address path.
-	flop := -1
-	for i := 0; i < cpu.NumFlops(); i++ {
-		f := cpu.FlopAt(i)
-		if cpu.Registry()[f.Reg].Name == "LSUAddr" && f.Bit == 17 {
-			flop = i
-			break
-		}
-	}
-	if flop < 0 {
+	flop, ok := cpu.FlopByName("LSUAddr", 17)
+	if !ok {
 		t.Fatal("LSUAddr flop not found")
 	}
 	d.Arm(Injection{Flop: flop, Kind: Stuck1, Cycle: 800})
@@ -109,13 +102,9 @@ func TestDMRSoftTransientRecoversFlop(t *testing.T) {
 	// or not it is detected, after two cycles the redundant flop must
 	// match the main CPU's again (the transient's effect on the flop
 	// disappears).
-	flop := -1
-	for i := 0; i < cpu.NumFlops(); i++ {
-		f := cpu.FlopAt(i)
-		if cpu.Registry()[f.Reg].Name == "R14" && f.Bit == 9 {
-			flop = i
-			break
-		}
+	flop, ok := cpu.FlopByName("R14", 9)
+	if !ok {
+		t.Fatal("R14 flop not found")
 	}
 	d.Arm(Injection{Flop: flop, Kind: SoftFlip, Cycle: 1000})
 	for d.Cycle < 1003 {

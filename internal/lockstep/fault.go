@@ -1,17 +1,15 @@
 package lockstep
 
-import (
-	"lockstep/internal/cpu"
-	"lockstep/internal/mem"
-)
+import "lockstep/internal/cpu"
 
 // fault is the fault model of Section IV-A on a live CPU, and the only
-// code that flips or forces a flop of one: DMR, TMR and the oracle paths
-// (through pair) all hold their injections with it. A soft fault inverts
-// its flop after the clock edge that ends the injection's cycle and
-// recovers once, after the next edge, to the bit a fault-free reference
-// CPU holds: "its effect on the sequential element will disappear in the
-// next cycle" (Section III-B), while the corruption it caused propagates.
+// code that flips or forces a flop of one: DMR and TMR hold their
+// injections with it, and so do the oracle paths, which run a DMR
+// restored from the golden run (restoreDMR). A soft fault inverts its
+// flop after the clock edge that ends the injection's cycle and recovers
+// once, after the next edge, to the bit a fault-free reference CPU holds:
+// "its effect on the sequential element will disappear in the next
+// cycle" (Section III-B), while the corruption it caused propagates.
 // A stuck-at forces its flop after that edge and again after every later
 // one. The replay fast path (Replayer.injectHorizon, tmrRecheck) forces
 // through cpu.FlopLoc on its own, so every oracle gate still compares two
@@ -46,51 +44,4 @@ func (f *fault) hold(st, ref *cpu.State) {
 		cpu.ForceBit(st, f.inj.Flop, cpu.GetBit(ref, f.inj.Flop))
 		f.hot = false
 	}
-}
-
-// pair is the dual-CPU machine of the oracle paths (injectLegacyHorizon,
-// injectTMRLegacy, Trace): a main CPU restored from the golden run, which
-// drives the memory system, and a compare-only monitor forked from it
-// that carries the fault.
-type pair struct {
-	main, red *cpu.CPU
-	fault     fault
-	cycle     int // the cycle whose end both states hold
-}
-
-// restorePair restores the golden run at the end of inj's cycle and
-// strikes inj on the monitor, which is bit-identical to main until then.
-func (g *Golden) restorePair(inj Injection) *pair {
-	sys, main := g.restore(inj.Cycle)
-	p := &pair{main: main, red: main.Fork(mem.Monitor{Sys: sys}), fault: fault{inj: inj}, cycle: inj.Cycle}
-	p.fault.edge(&p.red.State, &main.State, p.cycle)
-	return p
-}
-
-// step advances both CPUs by one clock edge and holds the fault. main
-// steps first: the monitor reads the memory image main's step leaves.
-func (p *pair) step() {
-	p.main.StepCycle()
-	p.red.StepCycle()
-	p.cycle++
-	p.fault.edge(&p.red.State, &p.main.State, p.cycle)
-}
-
-// diverge is the checker's divergence map between the two output ports.
-func (p *pair) diverge() uint64 { return diverge(&p.main.State, &p.red.State) }
-
-// diverge is the checker's divergence map between the output ports of two
-// live CPU states: both vectors built, then Diverge. The oracle paths and
-// DMR use it; the replay fast path computes the same map with
-// cpu.DivergeStates.
-func diverge(a, b *cpu.State) uint64 {
-	oa, ob := a.Outputs(), b.Outputs()
-	return cpu.Diverge(&oa, &ob)
-}
-
-// converged reports whether a soft fault has passed and left the monitor
-// bit-identical to main. Convergence is absorbing: equal states driven by
-// the same bus stay equal.
-func (p *pair) converged() bool {
-	return p.fault.inj.Kind == SoftFlip && !p.fault.hot && p.red.State == p.main.State
 }

@@ -86,11 +86,11 @@ func (r *Replayer) injectMode(g *Golden, inj Injection, mode Mode, window int, s
 func (g *Golden) InjectLegacyMode(inj Injection, mode Mode, window int) Outcome {
 	switch mode.Kind {
 	case ModeSlip:
-		return g.injectLegacyHorizon(inj, window, mode.Horizon(g.TotalCycles), mode.DetectShift())
+		return g.injectLegacyHorizon(inj, window, mode.Horizon(g.TotalCycles), mode.DetectShift(), nil)
 	case ModeTMR:
 		return g.injectTMRLegacy(inj, window)
 	default:
-		return g.injectLegacyHorizon(inj, window, g.TotalCycles, 0)
+		return g.injectLegacyHorizon(inj, window, g.TotalCycles, 0, nil)
 	}
 }
 
@@ -167,26 +167,26 @@ func (g *Golden) injectTMRLegacy(inj Injection, window int) Outcome {
 	if inj.Cycle < 0 || inj.Cycle >= g.TotalCycles {
 		return Outcome{}
 	}
-	p := g.restorePair(inj)
-	mon := p.main.Fork(p.red.Bus) // a second compare-only monitor
+	d := g.restoreDMR(inj)
+	mon := d.Main.Fork(d.Red.Bus) // a second compare-only monitor
 	step := func() {
-		p.step()
+		d.step()
 		mon.StepCycle()
 	}
 	vote := func() VoteResult {
-		o0, o1, o2 := p.main.State.Outputs(), mon.State.Outputs(), p.red.State.Outputs()
+		o0, o1, o2 := d.Main.State.Outputs(), mon.State.Outputs(), d.Red.State.Outputs()
 		return vote3(&o0, &o1, &o2)
 	}
-	for ; p.cycle < g.TotalCycles; step() {
+	for ; d.Cycle < g.TotalCycles; step() {
 		v := vote()
 		if !v.Diverged {
-			if p.converged() {
+			if d.converged() {
 				return Outcome{Converged: true}
 			}
 			continue
 		}
-		detect, dsr := p.cycle, v.DSR
-		for w := 1; w < window && p.cycle+1 < g.TotalCycles; w++ {
+		detect, dsr := d.Cycle, v.DSR
+		for w := 1; w < window && d.Cycle+1 < g.TotalCycles; w++ {
 			step()
 			dsr |= vote().DSR
 		}
@@ -195,9 +195,9 @@ func (g *Golden) injectTMRLegacy(inj Injection, window int) Outcome {
 		// either is the majority) into every core — including the erring
 		// one, on which a stuck-at is forced again — then watch the vote
 		// for TMRRecheckCycles.
-		recoverTMR(&p.main.State)
-		mon.State, p.red.State = p.main.State, p.main.State
-		p.fault.hold(&p.red.State, &p.main.State)
+		recoverTMR(&d.Main.State)
+		mon.State, d.Red.State = d.Main.State, d.Main.State
+		d.fault.hold(&d.Red.State, &d.Main.State)
 		conv := true
 		for i := 0; i < TMRRecheckCycles; i++ {
 			if vote().Diverged {

@@ -180,7 +180,7 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 // restore returns a fresh system and golden CPU at the end of cycle: the
 // CPU state is the recorded one and the RAM is the reset image with the
 // write log applied up to cycle. It is the oracle paths' entry point
-// (restorePair); the replay path positions a mem.ReplayBus instead (see
+// (restoreDMR); the replay path positions a mem.ReplayBus instead (see
 // Replayer).
 func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU) {
 	sys := mem.NewSystem()
@@ -195,35 +195,43 @@ func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU) {
 }
 
 // injectLegacyHorizon is the original dual-CPU experiment, generalized
-// over the lockstep mode: the golden (main) CPU is re-simulated to drive
-// the memory system while the redundant CPU consumes the same inputs with
-// the fault held on it (see fault). It mirrors Replayer.injectHorizon:
-// `horizon` bounds the compared program cycles and `shift` moves
-// detection cycles to the wall clock (see the mode rationale there). It
-// is twice the simulation work of the replay path and is kept as its
-// differential-testing oracle.
-func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) Outcome {
+// over the lockstep mode: a DMR restored from the golden run (restoreDMR)
+// re-simulates the main CPU to drive the memory system while the
+// redundant CPU consumes the same inputs with the fault held on it (see
+// fault). It mirrors Replayer.injectHorizon: `horizon` bounds the
+// compared program cycles and `shift` moves detection cycles to the wall
+// clock (see the mode rationale there). rec, when non-nil, is handed the
+// divergence map of each cycle the stop window covers, detection first,
+// with that cycle on the wall clock. It is twice the simulation work of
+// the replay path and is kept as its differential-testing oracle.
+func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int, rec func(cycle int, m uint64)) Outcome {
 	if horizon > g.TotalCycles {
 		horizon = g.TotalCycles
 	}
 	if inj.Cycle < 0 || inj.Cycle >= horizon {
 		return Outcome{}
 	}
-	p := g.restorePair(inj)
-	for ; p.cycle < horizon; p.step() {
-		if dsr := p.diverge(); dsr != 0 {
+	d := g.restoreDMR(inj)
+	for ; d.Cycle < horizon; d.step() {
+		if m := d.diverge(); m != 0 {
 			// Error detected. The checker's error output takes the stop
 			// window to actually halt the CPUs; the DSR keeps
 			// OR-accumulating per-SC divergences during that window
 			// (Figure 6's DSR bits are set, never cleared, until read).
-			detect := p.cycle + shift
-			for w := 1; w < window && p.cycle+1 < horizon; w++ {
-				p.step()
-				dsr |= p.diverge()
+			out := Outcome{Detected: true, DetectCycle: d.Cycle + shift, DSR: m}
+			for w := 1; ; w++ {
+				if rec != nil {
+					rec(d.Cycle+shift, m)
+				}
+				if w >= window || d.Cycle+1 >= horizon {
+					return out
+				}
+				d.step()
+				m = d.diverge()
+				out.DSR |= m
 			}
-			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 		}
-		if p.converged() {
+		if d.converged() {
 			return Outcome{Converged: true}
 		}
 	}

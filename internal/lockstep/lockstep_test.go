@@ -134,16 +134,8 @@ func TestDeterministicInjection(t *testing.T) {
 func TestPCStuckDetectsFast(t *testing.T) {
 	rep := NewReplayer()
 	g := testGolden(t, "a2time", 4000)
-	// Find a PC flop (registry entry "PC", bit 4).
-	flop := -1
-	for i := 0; i < cpu.NumFlops(); i++ {
-		f := cpu.FlopAt(i)
-		if cpu.Registry()[f.Reg].Name == "PC" && f.Bit == 4 {
-			flop = i
-			break
-		}
-	}
-	if flop < 0 {
+	flop, ok := cpu.FlopByName("PC", 4)
+	if !ok {
 		t.Fatal("no PC flop found")
 	}
 	o := rep.InjectMode(g, Injection{Flop: flop, Kind: Stuck1, Cycle: 1000}, Mode{}, StopLatency)
@@ -306,35 +298,60 @@ func TestTMRForwardRecovery(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesInject holds Trace, the dual-CPU oracle's run plus a
+// recorder, to the replay fast path on a grid of kernels, fault kinds,
+// flops and cycles, the last cycle close enough to the horizon to cut the
+// stop window short. The trace's outcome must be InjectMode's, and its
+// maps must cover the window: one per cycle from detection on, the first
+// non-zero, min(window, horizon - detect cycle) of them, ORing to the DSR.
 func TestTraceMatchesInject(t *testing.T) {
+	const horizon = 3000
 	rep := NewReplayer()
-	g := testGolden(t, "rspeed", 6000)
-	inj := Injection{Flop: 900, Kind: Stuck1, Cycle: 2000}
-	out := rep.InjectMode(g, inj, Mode{}, StopLatency)
-	tr := g.Trace(inj, StopLatency)
-	if out.Detected != tr.Outcome.Detected {
-		t.Fatalf("trace and inject disagree on detection")
+	pc, ok := cpu.FlopByName("PC", 4)
+	if !ok {
+		t.Fatal("no PC flop found")
 	}
-	if !out.Detected {
-		t.Skip("fault masked; nothing to compare")
+	detected, cut := 0, 0
+	for _, kernel := range []string{"ttsprk", "rspeed", "puwmod"} {
+		g := testGolden(t, kernel, horizon)
+		for _, flop := range []int{3, 300, 851, 900, 1200, 2100, pc} {
+			for kind := SoftFlip; kind < NumFaultKinds; kind++ {
+				for _, cycle := range []int{500, 2000, horizon - 4} {
+					inj := Injection{Flop: flop, Kind: kind, Cycle: cycle}
+					tr := g.Trace(inj, StopLatency)
+					if out := rep.InjectMode(g, inj, Mode{}, StopLatency); tr.Outcome != out {
+						t.Fatalf("%s %+v: trace outcome %+v, InjectMode %+v", kernel, inj, tr.Outcome, out)
+					}
+					want := 0
+					if tr.Outcome.Detected {
+						want = min(StopLatency, horizon-tr.Outcome.DetectCycle)
+						detected++
+						if want < StopLatency {
+							cut++
+						}
+					}
+					if len(tr.Maps) != want || len(tr.Cycles) != want {
+						t.Fatalf("%s %+v: %d maps at %d cycles, want %d", kernel, inj, len(tr.Maps), len(tr.Cycles), want)
+					}
+					if want > 0 && tr.Maps[0] == 0 {
+						t.Fatalf("%s %+v: first map is not the detection divergence", kernel, inj)
+					}
+					var orAll uint64
+					for i, m := range tr.Maps {
+						if tr.Cycles[i] != tr.Outcome.DetectCycle+i {
+							t.Fatalf("%s %+v: sample %d at cycle %d, detection at %d", kernel, inj, i, tr.Cycles[i], tr.Outcome.DetectCycle)
+						}
+						orAll |= m
+					}
+					if orAll != tr.Outcome.DSR {
+						t.Fatalf("%s %+v: per-cycle maps OR to %#x, DSR %#x", kernel, inj, orAll, tr.Outcome.DSR)
+					}
+				}
+			}
+		}
 	}
-	if tr.Outcome.DetectCycle != out.DetectCycle {
-		t.Fatalf("detect cycle %d vs %d", tr.Outcome.DetectCycle, out.DetectCycle)
-	}
-	// The accumulated DSR over the same window must match, and equal the
-	// OR of the per-cycle maps.
-	if tr.Outcome.DSR != out.DSR {
-		t.Fatalf("accumulated DSR %#x vs inject %#x", tr.Outcome.DSR, out.DSR)
-	}
-	var orAll uint64
-	for _, m := range tr.Maps {
-		orAll |= m
-	}
-	if orAll != tr.Outcome.DSR {
-		t.Fatalf("per-cycle maps OR to %#x, DSR %#x", orAll, tr.Outcome.DSR)
-	}
-	if tr.Maps[0] == 0 {
-		t.Fatal("first trace sample must be the detection divergence")
+	if detected == 0 || cut == 0 {
+		t.Fatalf("%d traces detected, %d with the stop window cut by the horizon; the grid must have both", detected, cut)
 	}
 }
 

@@ -22,32 +22,15 @@ type DivergenceTrace struct {
 	Maps   []uint64
 }
 
-// Trace runs one DCLS injection like Replayer.InjectMode but records the instantaneous
-// divergence map for up to window cycles starting at detection.
+// Trace runs InjectLegacyMode's DCLS experiment and records the
+// instantaneous divergence map of each cycle of its stop window of window
+// cycles, which starts at detection.
 func (g *Golden) Trace(inj Injection, window int) DivergenceTrace {
 	tr := DivergenceTrace{Injection: inj}
-	if inj.Cycle < 0 || inj.Cycle >= g.TotalCycles || window < 1 {
-		return tr
-	}
-	p := g.restorePair(inj)
-	for ; p.cycle < g.TotalCycles; p.step() {
-		d := p.diverge()
-		if len(tr.Maps) > 0 || d != 0 {
-			if len(tr.Maps) == 0 {
-				tr.Outcome = Outcome{Detected: true, DetectCycle: p.cycle}
-			}
-			tr.Cycles = append(tr.Cycles, p.cycle)
-			tr.Maps = append(tr.Maps, d)
-			tr.Outcome.DSR |= d
-			if len(tr.Maps) >= window {
-				return tr
-			}
-		}
-		if len(tr.Maps) == 0 && p.converged() {
-			tr.Outcome = Outcome{Converged: true}
-			return tr
-		}
-	}
+	tr.Outcome = g.injectLegacyHorizon(inj, window, g.TotalCycles, 0, func(cycle int, m uint64) {
+		tr.Cycles = append(tr.Cycles, cycle)
+		tr.Maps = append(tr.Maps, m)
+	})
 	return tr
 }
 
